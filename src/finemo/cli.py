@@ -18,26 +18,36 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from collections.abc import Iterator
+from dataclasses import dataclass, fields, replace
 from datetime import datetime
+from itertools import islice
 
 import numpy as np
 import yaml
 
-from finemo.evaluation import CLASS_ORDER, PrequentialReport, agreement_report
+from finemo.evaluation import (
+    CLASS_ORDER,
+    EvaluationError,
+    PrequentialReport,
+    agreement_report,
+    prequential_run,
+)
 from finemo.features import (
     NUMERIC_NAMES,
     FeatureVector,
+    PriceError,
     PriceSeries,
     TrendUnavailableError,
+    VocabularyError,
     compute_trend,
     extract_numeric,
     fit_vocabularies,
     vectorize,
 )
-from finemo.lexicons import load_lexicons
+from finemo.lexicons import LexiconError, load_lexicons
 from finemo.segmenter import EmotionLabel, RawTweet, replicate_per_asset, segment_tweet
-from finemo.selection import select_percentile
+from finemo.selection import SelectionError, chi2_scores, correlation_report, select_percentile
 from finemo.streamml import (
     RF_GRID,
     SGD_GRID,
@@ -50,6 +60,10 @@ from finemo.streamml import (
     save_model,
 )
 from finemo.textproc import ProcessedSegment, process
+
+# Instances after the warmup window are built and vectorized in blocks of this
+# size: interleaving vectorize and learn per instance costs tree learners locality.
+BLOCK = 1024
 
 
 class PipelineError(Exception):
@@ -91,7 +105,10 @@ class PipelineConfig:
         return cls(**data)
 
 
-def read_tweets(path: str) -> list[RawTweet]:
+def read_tweets(path: str | None) -> list[RawTweet]:
+    """The tweets of a JSONL file, sorted by timestamp."""
+    if not path:
+        raise PipelineError("a tweets file is required")
     tweets = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -144,34 +161,98 @@ class Instance:
     label: EmotionLabel | None
 
 
-def build_instances(tweets, lx, labels=None) -> list[Instance]:
-    instances = []
+def build_instances(tweets, lx, labels=None) -> Iterator[Instance]:
+    """Every per-asset replica of ``tweets``, in arrival order.
+
+    With ``labels``, replicas without a label are dropped before they are
+    processed.
+    """
     for tweet in tweets:
         for index, seg in enumerate(segment_tweet(tweet, lx)):
             for replica in replicate_per_asset(seg):
-                label = None
-                if labels is not None:
-                    label = labels.get((tweet.id, index, replica.focus))
-                ps = process(replica, lx)
-                if label is not None:
-                    ps = ProcessedSegment(
-                        tweet_id=ps.tweet_id,
-                        focus=ps.focus,
-                        tokens=ps.tokens,
-                        raw_len=ps.raw_len,
-                        label=label,
-                    )
-                instances.append(
-                    Instance(
-                        tweet=tweet,
-                        segment_index=index,
-                        processed=ps,
-                        tagged_text=replica.text,
-                        focus=replica.focus,
-                        label=label,
-                    )
-                )
-    return instances
+                label = labels.get((tweet.id, index, replica.focus)) if labels else None
+                if labels is not None and label is None:
+                    continue
+                ps = replace(process(replica, lx), label=label)
+                yield Instance(tweet, index, ps, replica.text, replica.focus, label)
+
+
+class FeatureStream:
+    """tweets -> instances -> (instance, feature vector), in arrival order.
+
+    The lexicons, labels and prices named by ``cfg`` are read once. The
+    vocabulary, and with ``cfg.percentile`` the chi-squared mask, is fitted
+    on the first ``cfg.warmup`` instances; that window is the only part of
+    the stream held in memory. Iterating yields the warmup pairs, then the
+    rest of the stream. ``default_trends`` counts the instances, so far,
+    whose trend fell back to downward for want of a closing price.
+    """
+
+    def __init__(self, cfg: PipelineConfig):
+        if cfg.warmup < 1:
+            raise PipelineError(f"--warmup must be at least 1, got {cfg.warmup}")
+        if cfg.percentile and not 1 <= cfg.percentile <= 100:
+            raise PipelineError(f"--percentile must be in 1..100 (0 = off), got {cfg.percentile}")
+        if cfg.percentile and not cfg.labels:
+            raise PipelineError("--percentile needs labels to score features")
+        self.lx = load_lexicons(cfg.lexicons)
+        labels = read_labels(cfg.labels) if cfg.labels else None
+        self.prices = PriceSeries.from_csv(cfg.prices) if cfg.prices else None
+        if self.prices is None:
+            print("warning: no prices file, trend defaults to downward", file=sys.stderr)
+        self.default_trends = 0
+        self._instances = build_instances(read_tweets(cfg.tweets), self.lx, labels)
+
+        window = list(islice(self._instances, cfg.warmup))
+        if not window:
+            raise PipelineError("no asset-bearing segments in the input")
+        if len(window) < cfg.warmup:
+            raise PipelineError(
+                f"insufficient warmup data: need {cfg.warmup} instances, have {len(window)}"
+            )
+        self.vm = fit_vocabularies(
+            [inst.processed for inst in window],
+            ngram_range=(cfg.ngram_min, cfg.ngram_max),
+            max_df=cfg.max_df,
+            min_df=cfg.min_df,
+            bow_size=cfg.bow_size,
+        )
+        self.warmup = [(inst, self._vectorize(inst)) for inst in window]
+        if cfg.percentile:
+            scores = chi2_scores(
+                [fv.items() for _, fv in self.warmup],
+                [CLASS_ORDER.index(inst.label) for inst, _ in self.warmup],
+                self.vm.total_dim,
+            )
+            mask = self.vm.selection_mask = select_percentile(scores, cfg.percentile).retained
+            self.warmup = [(inst, fv.masked(mask)) for inst, fv in self.warmup]
+
+    def _vectorize(self, inst: Instance) -> FeatureVector:
+        numeric = extract_numeric(inst.processed, inst.tagged_text, self.lx)
+        trend = False
+        if self.prices is None:
+            self.default_trends += 1
+        else:
+            try:
+                trend = compute_trend(inst.focus, inst.tweet.timestamp, self.prices)
+            except TrendUnavailableError:
+                self.default_trends += 1
+        return vectorize(inst.processed, self.vm, numeric, trend, label=inst.label)
+
+    def rest(self) -> Iterator[tuple[Instance, FeatureVector]]:
+        """The pairs after the warmup window, built and vectorized BLOCK
+        instances at a time."""
+        while block := list(islice(self._instances, BLOCK)):
+            yield from [(inst, self._vectorize(inst)) for inst in block]
+
+    def __iter__(self) -> Iterator[tuple[Instance, FeatureVector]]:
+        yield from self.warmup
+        yield from self.rest()
+
+    def write_vocabulary(self, out_dir: str) -> None:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "vocabulary.json"), "w", encoding="utf-8") as fh:
+            fh.write(self.vm.to_json())
 
 
 def make_learner(cfg: PipelineConfig, params: dict | None = None):
@@ -207,89 +288,6 @@ def make_learner(cfg: PipelineConfig, params: dict | None = None):
     return factory(CLASS_ORDER)
 
 
-def _chi2_from_instances(fvs, labels, total_dim: int) -> np.ndarray:
-    """chi2 scores over sparse feature vectors without a dense matrix."""
-    classes = sorted(set(labels), key=CLASS_ORDER.index)
-    index = {c: i for i, c in enumerate(classes)}
-    observed: list[dict[int, float]] = [{} for _ in classes]
-    feature_total: dict[int, float] = {}
-    for fv, label in zip(fvs, labels):
-        row = observed[index[label]]
-        for col, val in fv.items():
-            row[col] = row.get(col, 0.0) + val
-            feature_total[col] = feature_total.get(col, 0.0) + val
-    n = len(labels)
-    class_prob = [sum(l is c for l in labels) / n for c in classes]
-    scores = np.zeros(total_dim)
-    for col, total in feature_total.items():
-        s = 0.0
-        for ci in range(len(classes)):
-            expected = class_prob[ci] * total
-            obs = observed[ci].get(col, 0.0)
-            s += (obs - expected) ** 2 / expected
-        scores[col] = s
-    return scores
-
-
-def extract_features(
-    instances: list[Instance],
-    cfg: PipelineConfig,
-    prices: PriceSeries | None,
-):
-    """Fit vocabularies on the warmup window, then vectorize the stream.
-
-    Returns (fvs, vocabulary model, default-trend count). A missing closing
-    price falls back to a downward trend and is counted.
-    """
-    if cfg.warmup > len(instances):
-        raise PipelineError(
-            f"insufficient warmup data: need {cfg.warmup} instances, have {len(instances)}"
-        )
-    vm = fit_vocabularies(
-        [inst.processed for inst in instances[: cfg.warmup]],
-        ngram_range=(cfg.ngram_min, cfg.ngram_max),
-        max_df=cfg.max_df,
-        min_df=cfg.min_df,
-        bow_size=cfg.bow_size,
-    )
-    lx = load_lexicons(cfg.lexicons)
-    defaults = 0
-
-    def one(inst: Instance) -> FeatureVector:
-        nonlocal defaults
-        numeric = extract_numeric(inst.processed, inst.tagged_text, lx)
-        trend = False
-        if prices is not None:
-            try:
-                trend = compute_trend(inst.focus, inst.tweet.timestamp, prices)
-            except TrendUnavailableError:
-                defaults += 1
-        else:
-            defaults += 1
-        return vectorize(inst.processed, vm, numeric, trend, label=inst.label)
-
-    fvs = [one(inst) for inst in instances]
-
-    if cfg.percentile:
-        warm = [(fv, inst.label) for fv, inst in zip(fvs, instances) if inst.label is not None]
-        warm = warm[: cfg.warmup]
-        scores = _chi2_from_instances(
-            [fv for fv, _ in warm], [l for _, l in warm], vm.total_dim
-        )
-        vm.selection_mask = select_percentile(scores, cfg.percentile).retained
-        fvs = [
-            vectorize(
-                inst.processed,
-                vm,
-                tuple(fv.numeric),
-                fv.trend,
-                label=inst.label,
-            )
-            for fv, inst in zip(fvs, instances)
-        ]
-    return fvs, vm, defaults
-
-
 def run_pipeline(cfg: PipelineConfig) -> PrequentialReport | None:
     """Segment, normalize, vectorize and (when labeled) evaluate one stream.
 
@@ -297,99 +295,69 @@ def run_pipeline(cfg: PipelineConfig) -> PrequentialReport | None:
     indicators.jsonl to the output directory. Returns the report, or None
     when the run is inference-only (no labels file).
     """
-    if not cfg.tweets:
-        raise PipelineError("a tweets file is required")
-    lx = load_lexicons(cfg.lexicons)
-    tweets = read_tweets(cfg.tweets)
-    labels = read_labels(cfg.labels) if cfg.labels else None
-    prices = PriceSeries.from_csv(cfg.prices) if cfg.prices else None
-    if prices is None:
-        print("warning: no prices file, trend defaults to downward", file=sys.stderr)
-
-    instances = build_instances(tweets, lx, labels)
-    if labels is not None:
-        instances = [inst for inst in instances if inst.label is not None]
-    if not instances:
-        raise PipelineError("no asset-bearing segments in the input")
-
-    fvs, vm, defaults = extract_features(instances, cfg, prices)
-    os.makedirs(cfg.out, exist_ok=True)
-    with open(os.path.join(cfg.out, "vocabulary.json"), "w", encoding="utf-8") as fh:
-        fh.write(vm.to_json())
-
-    params = None
+    if cfg.sample_every < 1:
+        raise PipelineError(f"--sample-every must be at least 1, got {cfg.sample_every}")
+    grid = None
     if cfg.grid:
-        if labels is None:
-            raise PipelineError("grid search needs labels")
         grid = {"rf": RF_GRID, "sgd": SGD_GRID}.get(cfg.grid)
         if grid is None:
             raise PipelineError(f"unknown grid: {cfg.grid}")
-        warm = list(zip(fvs[: cfg.warmup], [i.label for i in instances[: cfg.warmup]]))
-        tuned = grid_search(
-            grid, warm, lambda p: make_learner(cfg, p)
-        )
+        if not cfg.labels:
+            raise PipelineError("grid search needs labels")
+    stream = FeatureStream(cfg)
+    stream.write_vocabulary(cfg.out)
+
+    params = None
+    if grid is not None:
+        warm = [(fv, inst.label) for inst, fv in stream.warmup]
+        tuned = grid_search(grid, warm, lambda p: make_learner(cfg, p))
         params = tuned.config
         print(f"grid search: {tuned.config} (warmup accuracy {tuned.accuracy:.4f})")
 
     model = make_learner(cfg, params)
     report = None
-    indicators = []
-    if labels is not None:
-        confusion = np.zeros((3, 3), dtype=int)
-        series = []
-        correct = 0
-        index = {c: i for i, c in enumerate(CLASS_ORDER)}
-        # warmup: train only; evaluation starts after the cold-start window
-        for fv, inst in zip(fvs[: cfg.warmup], instances[: cfg.warmup]):
-            model.partial_fit(fv, inst.label)
-        n = 0
-        for fv, inst in zip(fvs[cfg.warmup :], instances[cfg.warmup :]):
-            predicted = model.predict_label(fv)
-            n += 1
-            confusion[index[inst.label], index[predicted]] += 1
-            correct += predicted is inst.label
-            if n % cfg.sample_every == 0 or n == len(fvs) - cfg.warmup:
-                series.append((n, correct / n))
-            model.partial_fit(fv, inst.label)
-            _collect(indicators, inst, predicted, cfg.emit_all)
-        report = PrequentialReport(
-            n=n,
-            confusion=confusion,
-            accuracy_series=series,
-            default_trend_count=defaults,
-        )
-        report.finalize_flags()
+    with open(os.path.join(cfg.out, "indicators.jsonl"), "w", encoding="utf-8") as fh:
+
+        def emit(inst: Instance, predicted: EmotionLabel) -> None:
+            if predicted is EmotionLabel.NEUTRAL and not cfg.emit_all:
+                return
+            record = {
+                "tweet_id": inst.tweet.id,
+                "segment_index": inst.segment_index,
+                "focus": inst.focus,
+                "timestamp": inst.tweet.timestamp.isoformat(),
+                "text": inst.tagged_text,
+                "predicted": predicted.name,
+            }
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+        if cfg.labels:
+            # warmup: train only; evaluation starts after the cold-start window
+            for inst, fv in stream.warmup:
+                model.partial_fit(fv, inst.label)
+            try:
+                report = prequential_run(
+                    ((fv, inst.label, inst) for inst, fv in stream.rest()),
+                    model,
+                    sample_every=cfg.sample_every,
+                    on_predict=lambda item, predicted: emit(item[2], predicted),
+                )
+            except EvaluationError:
+                raise PipelineError(f"nothing to evaluate after a warmup of {cfg.warmup}") from None
+        else:
+            for inst, fv in stream:
+                emit(inst, model.predict_label(fv))
+    if report is not None:
+        report.default_trend_count = stream.default_trends
         with open(os.path.join(cfg.out, "report.json"), "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
         report.write_csvs(
             os.path.join(cfg.out, "confusion.csv"),
             os.path.join(cfg.out, "accuracy_series.csv"),
         )
-    else:
-        for fv, inst in zip(fvs, instances):
-            _collect(indicators, inst, model.predict_label(fv), cfg.emit_all)
-
-    with open(os.path.join(cfg.out, "indicators.jsonl"), "w", encoding="utf-8") as fh:
-        for record in indicators:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
     if cfg.save_model:
         save_model(model, cfg.save_model)
     return report
-
-
-def _collect(indicators, inst: Instance, predicted: EmotionLabel, emit_all: bool) -> None:
-    if predicted is EmotionLabel.NEUTRAL and not emit_all:
-        return
-    indicators.append(
-        {
-            "tweet_id": inst.tweet.id,
-            "segment_index": inst.segment_index,
-            "focus": inst.focus,
-            "timestamp": inst.tweet.timestamp.isoformat(),
-            "text": inst.tagged_text,
-            "predicted": predicted.name,
-        }
-    )
 
 
 # ---------------------------------------------------------------- subcommands
@@ -416,38 +384,25 @@ def _cmd_segment(cfg: PipelineConfig) -> None:
 
 
 def _cmd_process(cfg: PipelineConfig) -> None:
-    lx = load_lexicons(cfg.lexicons)
-    for tweet in read_tweets(cfg.tweets):
-        for index, seg in enumerate(segment_tweet(tweet, lx)):
-            for replica in replicate_per_asset(seg):
-                ps = process(replica, lx)
-                print(
-                    json.dumps(
-                        {
-                            "tweet_id": tweet.id,
-                            "segment_index": index,
-                            "focus": replica.focus,
-                            "tokens": list(ps.tokens),
-                            "raw_len": ps.raw_len,
-                        },
-                        ensure_ascii=False,
-                    )
-                )
+    for inst in build_instances(read_tweets(cfg.tweets), load_lexicons(cfg.lexicons)):
+        print(
+            json.dumps(
+                {
+                    "tweet_id": inst.tweet.id,
+                    "segment_index": inst.segment_index,
+                    "focus": inst.focus,
+                    "tokens": list(inst.processed.tokens),
+                    "raw_len": inst.processed.raw_len,
+                },
+                ensure_ascii=False,
+            )
+        )
 
 
 def _cmd_features(cfg: PipelineConfig) -> None:
-    lx = load_lexicons(cfg.lexicons)
-    tweets = read_tweets(cfg.tweets)
-    labels = read_labels(cfg.labels) if cfg.labels else None
-    prices = PriceSeries.from_csv(cfg.prices) if cfg.prices else None
-    instances = build_instances(tweets, lx, labels)
-    if labels is not None:
-        instances = [inst for inst in instances if inst.label is not None]
-    fvs, vm, _ = extract_features(instances, cfg, prices)
-    os.makedirs(cfg.out, exist_ok=True)
-    with open(os.path.join(cfg.out, "vocabulary.json"), "w", encoding="utf-8") as fh:
-        fh.write(vm.to_json())
-    for fv, inst in zip(fvs, instances):
+    stream = FeatureStream(cfg)
+    stream.write_vocabulary(cfg.out)
+    for inst, fv in stream:
         print(
             json.dumps(
                 {
@@ -465,23 +420,19 @@ def _cmd_features(cfg: PipelineConfig) -> None:
 
 
 def _cmd_analyze(cfg: PipelineConfig) -> None:
-    from finemo.selection import correlation_report
-
-    lx = load_lexicons(cfg.lexicons)
-    tweets = read_tweets(cfg.tweets)
-    labels = read_labels(cfg.labels) if cfg.labels else None
-    if labels is None:
+    if not cfg.labels:
         raise PipelineError("analyze needs labels")
-    prices = PriceSeries.from_csv(cfg.prices) if cfg.prices else None
-    instances = [i for i in build_instances(tweets, lx, labels) if i.label is not None]
-    fvs, vm, _ = extract_features(instances, cfg, prices)
+    stream = FeatureStream(cfg)
+    pairs = list(stream)
     # dense analysis over the interpretable block only: BOW counters,
     # numeric counters and the trend flag
-    X = np.array([fv.dense_view() for fv in fvs])
-    y = [inst.label for inst in instances]
+    X = np.array([fv.dense_view() for _, fv in pairs])
+    y = [inst.label for inst, _ in pairs]
     names = ["BOW_PRECAUTION", "BOW_NEUTRAL", "BOW_OPPORTUNITY", *NUMERIC_NAMES, "TREND"]
     rep = correlation_report(X, y)
-    chi2 = _chi2_from_instances(fvs, y, vm.total_dim)
+    chi2 = chi2_scores(
+        [fv.items() for _, fv in pairs], [CLASS_ORDER.index(l) for l in y], stream.vm.total_dim
+    )
     out = {
         "pearson": {names[j]: r for j, r in rep.r_values.items()},
         "constant": [names[j] for j in rep.constant],
@@ -499,11 +450,14 @@ def _cmd_agreement(cfg: PipelineConfig) -> None:
         raise PipelineError("agreement needs a labels file")
     rows = []
     with open(cfg.labels, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append(tuple(EmotionLabel.parse(v) for v in line.split("\t")))
+            try:
+                rows.append(tuple(EmotionLabel.parse(v) for v in line.split("\t")))
+            except ValueError as exc:
+                raise PipelineError(f"{cfg.labels}:{lineno}: {exc}") from exc
     print(agreement_report(rows).to_json())
 
 
@@ -564,7 +518,8 @@ def main(argv: list[str] | None = None) -> int:
             _cmd_agreement(cfg)
     except BrokenPipeError:
         return 0
-    except (PipelineError, OSError) as exc:
+    except (PipelineError, OSError, LexiconError, PriceError, VocabularyError, SelectionError,
+            EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -90,25 +90,34 @@ def prequential_run(
     learner,
     labels: tuple[EmotionLabel, ...] = CLASS_ORDER,
     sample_every: int = 1,
+    on_predict=None,
 ) -> PrequentialReport:
-    """Predict first, record, then partial-fit, for every (fv, gold) pair."""
-    stream = list(stream)
-    if not stream:
-        raise EvaluationError("empty stream")
+    """Predict first, record, then partial-fit, for every item of ``stream``.
+
+    Items are ``(fv, gold, *context)`` tuples, consumed one at a time.
+    ``on_predict(item, predicted)``, when given, is called for every item
+    with the learner's prediction. The accuracy series samples every
+    ``sample_every``-th instance and always ends at the last one.
+    """
     index = {label: i for i, label in enumerate(labels)}
     confusion = np.zeros((len(labels), len(labels)), dtype=int)
     series: list[tuple[int, float]] = []
-    correct = 0
-    for n, (fv, gold) in enumerate(stream, start=1):
+    correct = n = 0
+    for n, item in enumerate(stream, start=1):
+        fv, gold = item[0], item[1]
         predicted = learner.predict_label(fv)
         confusion[index[gold], index[predicted]] += 1
         correct += predicted is gold
-        if n % sample_every == 0 or n == len(stream):
+        if n % sample_every == 0:
             series.append((n, correct / n))
         learner.partial_fit(fv, gold)
-    report = PrequentialReport(
-        n=len(stream), confusion=confusion, accuracy_series=series, labels=labels
-    )
+        if on_predict is not None:
+            on_predict(item, predicted)
+    if not n:
+        raise EvaluationError("empty stream")
+    if n % sample_every:
+        series.append((n, correct / n))
+    report = PrequentialReport(n=n, confusion=confusion, accuracy_series=series, labels=labels)
     report.finalize_flags()
     return report
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta
 
 import numpy as np
@@ -53,6 +54,10 @@ VOCAB_FORMAT_VERSION = 1
 
 class VocabularyError(Exception):
     pass
+
+
+class PriceError(ValueError):
+    """A closing price that is malformed, non-positive or given twice."""
 
 
 class TrendUnavailableError(Exception):
@@ -177,6 +182,17 @@ class FeatureVector:
             self.sparse_counts.get(self.sparse_dim - 3 + k, 0.0) for k in range(3)
         ]
         return np.array([*bow, *self.numeric, float(self.trend)], dtype=float)
+
+    def masked(self, mask: set[int]) -> "FeatureVector":
+        """This vector with every global column outside ``mask`` zeroed."""
+        return replace(
+            self,
+            sparse_counts={i: v for i, v in self.sparse_counts.items() if i in mask},
+            numeric=tuple(
+                v if self.sparse_dim + i in mask else 0 for i, v in enumerate(self.numeric)
+            ),
+            trend=self.trend and self.sparse_dim + N_NUMERIC in mask,
+        )
 
     def items(self):
         """All nonzero (global column, value) pairs."""
@@ -321,11 +337,11 @@ class PriceSeries:
     closes: dict[str, dict[date, float]] = field(default_factory=dict)
 
     def add(self, ticker: str, day: date, close: float) -> None:
-        if close <= 0:
-            raise ValueError(f"non-positive close for {ticker} on {day}")
+        if not (math.isfinite(close) and close > 0):
+            raise PriceError(f"close for {ticker} on {day} must be positive, got {close}")
         series = self.closes.setdefault(ticker.casefold(), {})
         if day in series:
-            raise ValueError(f"duplicate price for {ticker} on {day}")
+            raise PriceError(f"duplicate price for {ticker} on {day}")
         series[day] = close
 
     def get(self, ticker: str, day: date) -> float | None:
@@ -333,13 +349,20 @@ class PriceSeries:
 
     @classmethod
     def from_csv(cls, path: str) -> "PriceSeries":
+        """Read ``ticker,date,close`` rows; a bad row raises PriceError
+        naming the file and line."""
         series = cls()
         with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row or row[0].startswith("#") or row[0] == "ticker":
                     continue
-                ticker, day, close = row[0], row[1], row[2]
-                series.add(ticker, date.fromisoformat(day), float(close))
+                try:
+                    if len(row) < 3:
+                        raise ValueError("expected ticker,date,close")
+                    series.add(row[0], date.fromisoformat(row[1]), float(row[2]))
+                except ValueError as exc:
+                    raise PriceError(f"{path}:{reader.line_num}: {exc}") from None
         return series
 
 
@@ -409,19 +432,11 @@ def vectorize(
         if hits:
             counts[vm.n_text_columns + k] = hits
 
-    if vm.selection_mask is not None:
-        counts = {i: v for i, v in counts.items() if i in vm.selection_mask}
-        numeric = tuple(
-            v if (vm.sparse_dim + i) in vm.selection_mask else 0
-            for i, v in enumerate(numeric)
-        )
-        if (vm.sparse_dim + N_NUMERIC) not in vm.selection_mask:
-            trend = False
-
-    return FeatureVector(
+    fv = FeatureVector(
         sparse_counts=counts,
         numeric=tuple(numeric),
         trend=trend,
         sparse_dim=vm.sparse_dim,
         label=label,
     )
+    return fv if vm.selection_mask is None else fv.masked(vm.selection_mask)

@@ -75,23 +75,31 @@ def correlation_report(X, labels: list[EmotionLabel]) -> CorrelationReport:
     return CorrelationReport(r_values=r_values, constant=constant, target_mean=float(y.mean()))
 
 
-def chi2_scores(X, y) -> np.ndarray:
-    """Per-feature chi-squared statistic for nonnegative features.
+def chi2_scores(rows, y, n_features: int) -> np.ndarray:
+    """Per-feature chi-squared statistic for nonnegative sparse features.
 
-    Observed values are the class-conditional feature sums; expected values
-    assume class-independence. All-zero features score 0.
+    ``rows`` holds one iterable of (column, value) pairs per sample and ``y``
+    its integer class id; classes are taken in sorted order. Observed values
+    are the class-conditional feature sums; expected values assume
+    class-independence. All-zero features score 0.
     """
-    X = np.asarray(X, dtype=float)
-    if np.any(X < 0):
+    classes, y_index = np.unique(np.asarray(y, dtype=int), return_inverse=True)
+    flat: list[int] = []
+    values: list[float] = []
+    for ci, row in zip(y_index.tolist(), rows, strict=True):
+        for col, val in row:
+            flat.append(ci * n_features + col)
+            values.append(val)
+    vals = np.asarray(values, dtype=float)
+    if np.any(vals < 0):
         raise SelectionError("chi2 requires nonnegative feature values")
-    y = np.asarray(y)
-    classes = np.unique(y)
     if classes.size < 2:
         raise SelectionError("chi2 requires at least two classes")
-    observed = np.vstack([X[y == c].sum(axis=0) for c in classes])
-    class_prob = np.array([(y == c).mean() for c in classes])
-    feature_total = X.sum(axis=0)
-    expected = np.outer(class_prob, feature_total)
+    observed = np.bincount(
+        np.asarray(flat, dtype=np.int64), weights=vals, minlength=classes.size * n_features
+    ).reshape(classes.size, n_features)
+    class_prob = np.bincount(y_index) / y_index.size
+    expected = np.outer(class_prob, observed.sum(axis=0))
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(expected > 0, (observed - expected) ** 2 / expected, 0.0)
     return terms.sum(axis=0)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from finemo.evaluation import prequential_run
 from finemo.features import N_NUMERIC, FeatureVector
 from finemo.segmenter import EmotionLabel
 
@@ -596,13 +597,7 @@ def grid_search(grid: dict, warmup, factory, metric: str = "accuracy") -> GridSe
         raise ValueError("empty warmup window")
     best_cfg, best_acc = None, -1.0
     for cfg in configs:
-        learner = factory(cfg)
-        correct = 0
-        for fv, label in warmup:
-            if learner.predict_label(fv) is label:
-                correct += 1
-            learner.partial_fit(fv, label)
-        acc = correct / len(warmup)
+        acc = prequential_run(warmup, factory(cfg)).accuracy
         if acc > best_acc:
             best_cfg, best_acc = cfg, acc
     return GridSearchResult(config=best_cfg, accuracy=best_acc, n_evaluated=len(configs))

@@ -14,6 +14,7 @@ from finemo.cli import (
     read_tweets,
     run_pipeline,
 )
+from finemo.features import PriceError, PriceSeries
 from finemo.lexicons import load_lexicons
 from finemo.streamml import load_model
 
@@ -125,6 +126,29 @@ def test_read_tweets_sorted_and_validated(sample_paths, tmp_path):
         read_tweets(str(bad))
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("XX,2019-08-02,abc", "could not convert"),
+        ("XX,2019-08-02", "expected ticker,date,close"),
+        ("XX,2019-08-02,0", "must be positive"),
+        ("XX,2019-08-01,9.5", "duplicate price"),
+    ],
+)
+def test_price_rows_validated(tmp_path, row, message):
+    bad = tmp_path / "prices.csv"
+    bad.write_text(f"ticker,date,close\nXX,2019-08-01,10.0\n{row}\n")
+    with pytest.raises(PriceError, match=f"prices.csv:3: .*{message}"):
+        PriceSeries.from_csv(str(bad))
+
+
+def test_agreement_unknown_label_names_file_and_line(tmp_path, capsys):
+    ann = tmp_path / "ann.tsv"
+    ann.write_text("P\tP\nN\tZ\n")
+    assert main(["agreement", "--labels", str(ann)]) == 1
+    assert "ann.tsv:2: unknown emotion label" in capsys.readouterr().err
+
+
 def test_read_labels_validated(sample_paths, tmp_path):
     labels = read_labels(sample_paths["labels"])
     assert labels  # sample corpus ships labels for every replica
@@ -201,3 +225,57 @@ def test_main_segment_subcommand(sample_paths, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     first = json.loads(lines[0])
     assert {"tweet_id", "segment_index", "text", "assets"} <= set(first)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"warmup": 0}, "--warmup must be at least 1"),
+        ({"warmup": -3}, "--warmup must be at least 1"),
+        ({"sample_every": 0}, "--sample-every must be at least 1"),
+        ({"percentile": 101}, "--percentile must be in 1..100"),
+        ({"percentile": -5}, "--percentile must be in 1..100"),
+        ({"percentile": 15, "labels": None}, "--percentile needs labels"),
+        # the sample has 31 labeled replicas, so nothing is left to evaluate
+        ({"warmup": 31}, "nothing to evaluate"),
+    ],
+)
+def test_invalid_run_parameters_refused(sample_paths, tmp_path, overrides, message):
+    cfg = _config(sample_paths, tmp_path, **overrides)
+    with pytest.raises(PipelineError, match=message):
+        run_pipeline(cfg)
+
+
+def _one_class_labels(sample_paths, tmp_path):
+    """Every sample replica labeled N, with chi-squared selection on."""
+    path = tmp_path / "labels.tsv"
+    with open(sample_paths["labels"], encoding="utf-8") as fh:
+        path.write_text("".join(row.rsplit("\t", 1)[0] + "\tN\n" for row in fh if row.strip()))
+    return ["--labels", str(path), "--percentile", "15"]
+
+
+def _empty_lexicons(sample_paths, tmp_path):
+    return ["--lexicons", str(tmp_path)]
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (_empty_lexicons, "tickers lexicon not found"),
+        (_one_class_labels, "chi2 requires at least two classes"),
+    ],
+)
+def test_main_reports_package_errors(sample_paths, tmp_path, capsys, extra, message):
+    rc = main([
+        "train-eval",
+        "--lexicons", sample_paths["lexicons"],
+        "--tweets", sample_paths["tweets"],
+        "--labels", sample_paths["labels"],
+        "--prices", sample_paths["prices"],
+        "--warmup", "10",
+        "--out", str(tmp_path / "out"),
+        *extra(sample_paths, tmp_path),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

@@ -34,7 +34,9 @@ from finemo.evaluation import (
     prequential_run,
 )
 from finemo.features import (
-    NUMERIC_NAMES,
+    DENSE_NAMES,
+    NUMERIC_COLUMNS,
+    TREND_COLUMN,
     FeatureVector,
     PriceError,
     PriceSeries,
@@ -237,7 +239,7 @@ class FeatureStream:
                 trend = compute_trend(inst.focus, inst.tweet.timestamp, self.prices)
             except TrendUnavailableError:
                 self.default_trends += 1
-        return vectorize(inst.processed, self.vm, numeric, trend, label=inst.label)
+        return vectorize(inst.processed, self.vm, numeric, trend)
 
     def rest(self) -> Iterator[tuple[Instance, FeatureVector]]:
         """The pairs after the warmup window, built and vectorized BLOCK
@@ -409,9 +411,9 @@ def _cmd_features(cfg: PipelineConfig) -> None:
                     "tweet_id": inst.tweet.id,
                     "segment_index": inst.segment_index,
                     "focus": inst.focus,
-                    "sparse": {str(k): v for k, v in sorted(fv.sparse_counts.items())},
-                    "numeric": list(fv.numeric),
-                    "trend": fv.trend,
+                    "sparse": {str(k): v for k, v in sorted(fv.counts())},
+                    "numeric": [int(v) for v in fv.dense[NUMERIC_COLUMNS].tolist()],
+                    "trend": bool(fv.dense[TREND_COLUMN]),
                     "label": inst.label.name if inst.label else None,
                 },
                 ensure_ascii=False,
@@ -424,18 +426,16 @@ def _cmd_analyze(cfg: PipelineConfig) -> None:
         raise PipelineError("analyze needs labels")
     stream = FeatureStream(cfg)
     pairs = list(stream)
-    # dense analysis over the interpretable block only: BOW counters,
-    # numeric counters and the trend flag
-    X = np.array([fv.dense_view() for _, fv in pairs])
+    # correlations over the interpretable dense block only
+    X = np.array([fv.dense for _, fv in pairs])
     y = [inst.label for inst, _ in pairs]
-    names = ["BOW_PRECAUTION", "BOW_NEUTRAL", "BOW_OPPORTUNITY", *NUMERIC_NAMES, "TREND"]
     rep = correlation_report(X, y)
     chi2 = chi2_scores(
         [fv.items() for _, fv in pairs], [CLASS_ORDER.index(l) for l in y], stream.vm.total_dim
     )
     out = {
-        "pearson": {names[j]: r for j, r in rep.r_values.items()},
-        "constant": [names[j] for j in rep.constant],
+        "pearson": {DENSE_NAMES[j]: r for j, r in rep.r_values.items()},
+        "constant": [DENSE_NAMES[j] for j in rep.constant],
         "chi2_top": [
             {"column": int(j), "score": float(chi2[j])}
             for j in np.argsort(-chi2)[:20]

@@ -1,10 +1,12 @@
 """Vocabulary fitting and feature extraction.
 
-The hybrid feature vector per segment is:
-  sparse block  - char n-grams | word n-grams | within-word char n-grams |
-                  three per-emotion BOW hit counters (last three columns)
-  numeric block - 20 integer counters (see NUMERIC_NAMES)
-  trend         - boolean upward/downward price movement around post time
+This module alone spells out the hybrid feature vector's column layout,
+[text n-grams | DENSE_NAMES]:
+  text n-grams    - char n-grams | word n-grams | within-word char n-grams
+  BOW_COLUMNS     - three per-emotion BOW hit counters
+  NUMERIC_COLUMNS - 20 integer counters (see NUMERIC_NAMES)
+  TREND_COLUMN    - upward (1) / downward (0) price movement around post time
+The n-grams and the BOW counters are the count columns.
 """
 
 from __future__ import annotations
@@ -48,6 +50,14 @@ NUMERIC_NAMES = (
 
 N_NUMERIC = len(NUMERIC_NAMES)
 BOW_CLASSES = (EmotionLabel.PRECAUTION, EmotionLabel.NEUTRAL, EmotionLabel.OPPORTUNITY)
+N_BOW = len(BOW_CLASSES)
+
+DENSE_NAMES = ("BOW_PRECAUTION", "BOW_NEUTRAL", "BOW_OPPORTUNITY", *NUMERIC_NAMES, "TREND")
+N_DENSE = len(DENSE_NAMES)
+# positions inside the dense block; dense position k is global column n_text + k
+BOW_COLUMNS = slice(0, N_BOW)
+NUMERIC_COLUMNS = slice(N_BOW, N_BOW + N_NUMERIC)
+TREND_COLUMN = N_DENSE - 1
 
 VOCAB_FORMAT_VERSION = 1
 
@@ -107,13 +117,8 @@ class VocabularyModel:
         return len(self.char_vocab) + len(self.word_vocab) + len(self.wordbound_vocab)
 
     @property
-    def sparse_dim(self) -> int:
-        # the three BOW hit counters occupy the last three sparse columns
-        return self.n_text_columns + 3
-
-    @property
     def total_dim(self) -> int:
-        return self.sparse_dim + N_NUMERIC + 1
+        return self.n_text_columns + N_DENSE
 
     def bow_list(self, label: EmotionLabel) -> list[str]:
         return {
@@ -159,49 +164,52 @@ class VocabularyModel:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureVector:
-    sparse_counts: dict[int, float]
-    numeric: tuple[int, ...]
-    trend: bool
-    sparse_dim: int
-    label: EmotionLabel | None = None
+    """One segment in the hybrid layout.
+
+    ``text`` holds the nonzero n-gram counts by global column (all below
+    ``n_text``); ``dense`` holds the DENSE_NAMES block, read-only, with
+    ``dense[k]`` at global column ``n_text + k``.
+    """
+
+    text: dict[int, float]
+    dense: np.ndarray
+    n_text: int
 
     def __post_init__(self):
-        if len(self.numeric) != N_NUMERIC:
-            raise ValueError(f"numeric block must have {N_NUMERIC} entries")
+        if self.dense.shape != (N_DENSE,):
+            raise ValueError(f"dense block must have {N_DENSE} entries")
+        self.dense.flags.writeable = False
 
     @property
     def total_dim(self) -> int:
-        return self.sparse_dim + N_NUMERIC + 1
+        return self.n_text + N_DENSE
 
-    def dense_view(self) -> np.ndarray:
-        """Low-dimensional view for tree learners: BOW counters, numeric
-        counters and the trend flag."""
-        bow = [
-            self.sparse_counts.get(self.sparse_dim - 3 + k, 0.0) for k in range(3)
-        ]
-        return np.array([*bow, *self.numeric, float(self.trend)], dtype=float)
+    def counts(self):
+        """Nonzero (global column, value) pairs of the count columns: the
+        n-grams, then the BOW counters."""
+        yield from self.text.items()
+        for k, v in enumerate(self.dense[BOW_COLUMNS].tolist(), start=self.n_text):
+            if v:
+                yield k, v
+
+    def items(self):
+        """All nonzero (global column, value) pairs: n-grams, BOW counters,
+        numeric counters, trend."""
+        yield from self.text.items()
+        for k, v in enumerate(self.dense.tolist(), start=self.n_text):
+            if v:
+                yield k, v
 
     def masked(self, mask: set[int]) -> "FeatureVector":
         """This vector with every global column outside ``mask`` zeroed."""
+        keep = [self.n_text + k in mask for k in range(N_DENSE)]
         return replace(
             self,
-            sparse_counts={i: v for i, v in self.sparse_counts.items() if i in mask},
-            numeric=tuple(
-                v if self.sparse_dim + i in mask else 0 for i, v in enumerate(self.numeric)
-            ),
-            trend=self.trend and self.sparse_dim + N_NUMERIC in mask,
+            text={i: v for i, v in self.text.items() if i in mask},
+            dense=np.where(keep, self.dense, 0.0),
         )
-
-    def items(self):
-        """All nonzero (global column, value) pairs."""
-        yield from self.sparse_counts.items()
-        for i, v in enumerate(self.numeric):
-            if v:
-                yield self.sparse_dim + i, float(v)
-        if self.trend:
-            yield self.sparse_dim + N_NUMERIC, 1.0
 
 
 def _norm_tokens(seg: ProcessedSegment) -> list[str]:
@@ -403,7 +411,6 @@ def vectorize(
     vm: VocabularyModel,
     numeric: tuple[int, ...],
     trend: bool,
-    label: EmotionLabel | None = None,
 ) -> FeatureVector:
     """Map one processed segment onto the hybrid feature space."""
     if vm is None:
@@ -427,16 +434,10 @@ def vectorize(
         offset += len(vocab)
 
     uni_bi = Counter(word_ngrams(tokens, 1, 2))
-    for k, bow in enumerate((vm.bow_pre, vm.bow_neu, vm.bow_opp)):
-        hits = float(sum(uni_bi[entry] for entry in bow))
-        if hits:
-            counts[vm.n_text_columns + k] = hits
-
+    hits = [sum(uni_bi[entry] for entry in bow) for bow in (vm.bow_pre, vm.bow_neu, vm.bow_opp)]
     fv = FeatureVector(
-        sparse_counts=counts,
-        numeric=tuple(numeric),
-        trend=trend,
-        sparse_dim=vm.sparse_dim,
-        label=label,
+        text=counts,
+        dense=np.array([*hits, *numeric, trend], dtype=float),
+        n_text=vm.n_text_columns,
     )
     return fv if vm.selection_mask is None else fv.masked(vm.selection_mask)

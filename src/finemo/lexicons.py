@@ -61,10 +61,6 @@ class LexiconSet:
         default=("mientras", "aunque", "pero", "y", "que")
     )
 
-    @property
-    def canonical_tickers(self) -> frozenset[str]:
-        return frozenset(self.tickers.values())
-
 
 def _read_lines(path: str, name: str) -> list[tuple[int, str]]:
     if not os.path.isfile(path):

@@ -69,7 +69,6 @@ class Segment:
     text: str
     assets: tuple[tuple[str, tuple[int, int]], ...]
     focus: str | None = None
-    label: EmotionLabel | None = None
 
     @property
     def asset_names(self) -> tuple[str, ...]:

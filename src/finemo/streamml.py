@@ -5,8 +5,8 @@ partial_fit(fv, label) -> None (one instance, order-sensitive). Before the
 first fit, predict returns the configured prior (uniform by default).
 
 Naive Bayes and the linear model consume the full hybrid feature space;
-the tree learners consume the low-dimensional dense view (BOW counters,
-numeric counters, trend).
+the tree learners consume only its dense block (``FeatureVector.dense``:
+BOW counters, numeric counters, trend).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from finemo.evaluation import prequential_run
-from finemo.features import N_NUMERIC, FeatureVector
+from finemo.features import N_BOW, N_DENSE, N_NUMERIC, NUMERIC_COLUMNS, TREND_COLUMN, FeatureVector
 from finemo.segmenter import EmotionLabel
 
 DEFAULT_CLASSES = (
@@ -62,9 +62,9 @@ class IncrementalLearner:
 class StreamingNaiveBayes(IncrementalLearner):
     """Mixed-likelihood incremental Naive Bayes.
 
-    Multinomial with add-1 smoothing over the sparse counts, Gaussian over
-    the numeric block (streaming sums / sums of squares), Bernoulli with
-    add-1 over the trend flag.
+    Multinomial with add-1 smoothing over the count columns (n-grams and
+    BOW counters), Gaussian over the numeric counters (streaming sums / sums
+    of squares), Bernoulli with add-1 over the trend flag.
     """
 
     def __init__(self, classes=DEFAULT_CLASSES, var_epsilon: float = 1e-9):
@@ -72,8 +72,8 @@ class StreamingNaiveBayes(IncrementalLearner):
         self.var_epsilon = var_epsilon
         self.n_total = 0
         self._n = {c: 0 for c in self.classes}
-        self._sparse = {c: {} for c in self.classes}
-        self._sparse_total = {c: 0.0 for c in self.classes}
+        self._counts = {c: {} for c in self.classes}
+        self._counts_total = {c: 0.0 for c in self.classes}
         self._num_sum = {c: np.zeros(N_NUMERIC) for c in self.classes}
         self._num_sumsq = {c: np.zeros(N_NUMERIC) for c in self.classes}
         self._trend_true = {c: 0 for c in self.classes}
@@ -81,19 +81,22 @@ class StreamingNaiveBayes(IncrementalLearner):
     def partial_fit(self, fv: FeatureVector, label: EmotionLabel) -> None:
         self.n_total += 1
         self._n[label] += 1
-        counts = self._sparse[label]
-        for idx, val in fv.sparse_counts.items():
+        counts = self._counts[label]
+        for idx, val in fv.counts():
             counts[idx] = counts.get(idx, 0.0) + val
-            self._sparse_total[label] += val
-        x = np.asarray(fv.numeric, dtype=float)
+            self._counts_total[label] += val
+        x = fv.dense[NUMERIC_COLUMNS]
         self._num_sum[label] += x
         self._num_sumsq[label] += x * x
-        self._trend_true[label] += int(fv.trend)
+        self._trend_true[label] += int(fv.dense[TREND_COLUMN])
 
     def predict(self, fv: FeatureVector) -> dict[EmotionLabel, float]:
         if self.n_total == 0:
             return self._uniform()
-        vocab_size = fv.sparse_dim
+        vocab_size = fv.n_text + N_BOW
+        observed = list(fv.counts())
+        x = fv.dense[NUMERIC_COLUMNS]
+        trend = fv.dense[TREND_COLUMN]
         scores = {}
         for cls in self.classes:
             n = self._n[cls]
@@ -101,19 +104,18 @@ class StreamingNaiveBayes(IncrementalLearner):
                 scores[cls] = -math.inf
                 continue
             logp = math.log(n / self.n_total)
-            denom = self._sparse_total[cls] + vocab_size
-            counts = self._sparse[cls]
-            for idx, val in fv.sparse_counts.items():
+            denom = self._counts_total[cls] + vocab_size
+            counts = self._counts[cls]
+            for idx, val in observed:
                 logp += val * math.log((counts.get(idx, 0.0) + 1.0) / denom)
             mean = self._num_sum[cls] / n
             var = self._num_sumsq[cls] / n - mean * mean
             var = np.maximum(var, self.var_epsilon)
-            x = np.asarray(fv.numeric, dtype=float)
             logp += float(
                 np.sum(-0.5 * np.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var))
             )
             p_true = (self._trend_true[cls] + 1.0) / (n + 2.0)
-            logp += math.log(p_true if fv.trend else 1.0 - p_true)
+            logp += math.log(p_true if trend else 1.0 - p_true)
             scores[cls] = logp
         return scores
 
@@ -156,7 +158,7 @@ class HoeffdingTreeClassifier(IncrementalLearner):
     A leaf splits once the information-gain gap between its two best
     candidate splits exceeds eps = sqrt(R^2 ln(1/delta) / (2 n)), with
     R = log2(#classes), or once eps falls below the tie threshold. Leaves
-    predict by majority vote or a naive-Bayes hybrid over the numeric view.
+    predict by majority vote or a naive-Bayes hybrid over the dense block.
     """
 
     def __init__(
@@ -166,7 +168,6 @@ class HoeffdingTreeClassifier(IncrementalLearner):
         grace_period: int = 200,
         tie_threshold: float = 0.05,
         leaf_prediction: str = "majority",
-        n_features: int = N_NUMERIC + 4,
         subspace_size: int | None = None,
         rng: np.random.Generator | None = None,
     ):
@@ -177,17 +178,16 @@ class HoeffdingTreeClassifier(IncrementalLearner):
         self.grace_period = grace_period
         self.tie_threshold = tie_threshold
         self.leaf_prediction = leaf_prediction
-        self.n_features = n_features
         self.subspace_size = subspace_size
         self.rng = rng
         self._root = self._new_leaf()
         self.n_seen = 0
 
     def _new_leaf(self) -> _LeafNode:
-        features = list(range(self.n_features))
-        if self.subspace_size is not None and self.subspace_size < self.n_features:
+        features = list(range(N_DENSE))
+        if self.subspace_size is not None and self.subspace_size < N_DENSE:
             assert self.rng is not None
-            chosen = self.rng.choice(self.n_features, size=self.subspace_size, replace=False)
+            chosen = self.rng.choice(N_DENSE, size=self.subspace_size, replace=False)
             features = sorted(int(f) for f in chosen)
         return _LeafNode(len(self.classes), features)
 
@@ -198,7 +198,7 @@ class HoeffdingTreeClassifier(IncrementalLearner):
         return node
 
     def partial_fit(self, fv: FeatureVector, label: EmotionLabel, weight: float = 1.0) -> None:
-        x = fv.dense_view()
+        x = fv.dense
         self.n_seen += 1
         node, parent, side = self._root, None, None
         while isinstance(node, _SplitNode):
@@ -273,7 +273,8 @@ class HoeffdingTreeClassifier(IncrementalLearner):
     def predict(self, fv: FeatureVector) -> dict[EmotionLabel, float]:
         if self.n_seen == 0:
             return self._uniform()
-        leaf = self._sort(fv.dense_view())
+        x = fv.dense
+        leaf = self._sort(x)
         counts = leaf.class_counts
         total = counts.sum()
         if total <= 0:
@@ -281,7 +282,6 @@ class HoeffdingTreeClassifier(IncrementalLearner):
         if self.leaf_prediction == "majority":
             return {c: counts[i] / total for i, c in enumerate(self.classes)}
         # nb hybrid: majority prior re-weighted by per-feature value frequencies
-        x = fv.dense_view()
         scores = {}
         for i, c in enumerate(self.classes):
             if counts[i] <= 0:
@@ -340,7 +340,6 @@ class AdaptiveRandomForestClassifier(IncrementalLearner):
         delta: float = 1e-7,
         grace_period: int = 200,
         leaf_prediction: str = "majority",
-        n_features: int = N_NUMERIC + 4,
         seed: int = 0,
         drift_detection: bool = True,
     ):
@@ -350,14 +349,13 @@ class AdaptiveRandomForestClassifier(IncrementalLearner):
         self.delta = delta
         self.grace_period = grace_period
         self.leaf_prediction = leaf_prediction
-        self.n_features = n_features
         self.drift_detection = drift_detection
         if max_features == "auto":
-            subspace = max(1, round(math.sqrt(n_features)))
+            subspace = max(1, round(math.sqrt(N_DENSE)))
         elif max_features is None:
-            subspace = n_features
+            subspace = N_DENSE
         else:
-            subspace = min(int(max_features), n_features)
+            subspace = min(int(max_features), N_DENSE)
         self.subspace_size = subspace
         self._rngs = [np.random.default_rng(seed + 1000 * k) for k in range(n_estimators)]
         self._trees = [self._new_tree(k) for k in range(n_estimators)]
@@ -371,8 +369,7 @@ class AdaptiveRandomForestClassifier(IncrementalLearner):
             delta=self.delta,
             grace_period=self.grace_period,
             leaf_prediction=self.leaf_prediction,
-            n_features=self.n_features,
-            subspace_size=self.subspace_size if self.subspace_size < self.n_features else None,
+            subspace_size=self.subspace_size if self.subspace_size < N_DENSE else None,
             rng=self._rngs[k],
         )
 
@@ -585,11 +582,9 @@ class GridSearchResult:
     n_evaluated: int
 
 
-def grid_search(grid: dict, warmup, factory, metric: str = "accuracy") -> GridSearchResult:
+def grid_search(grid: dict, warmup, factory) -> GridSearchResult:
     """Prequential accuracy over the warmup window per grid point; ties go to
     the first configuration in enumeration order."""
-    if metric != "accuracy":
-        raise ValueError("only accuracy is supported")
     if not grid:
         raise ValueError("empty grid")
     configs = enumerate_grid(grid)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from finemo.features import N_NUMERIC, FeatureVector, fit_vocabularies, vectorize
+from finemo.features import N_NUMERIC, fit_vocabularies, vectorize
 from finemo.segmenter import EmotionLabel
 from finemo.textproc import ProcessedSegment
 
@@ -112,12 +112,6 @@ def make_planted_stream(
         vm.bow_pre, vm.bow_neu, vm.bow_opp = [], [], []
     stream = []
     for seg in segments:
-        fv = vectorize(
-            seg,
-            vm,
-            _numeric_for(seg.label, rng),
-            _trend_for(seg.label, rng),
-            label=seg.label,
-        )
+        fv = vectorize(seg, vm, _numeric_for(seg.label, rng), _trend_for(seg.label, rng))
         stream.append((fv, seg.label))
     return stream, vm

@@ -28,7 +28,7 @@ class ProcessedSegment:
     focus: str
     tokens: tuple[str, ...]
     raw_len: int
-    label: object = None  # optional EmotionLabel, carried through
+    label: object = None  # gold EmotionLabel, when known; read by fit_vocabularies
 
     @property
     def text(self) -> str:
@@ -190,5 +190,4 @@ def process(seg: Segment, lx: LexiconSet) -> ProcessedSegment:
         focus=seg.focus or "",
         tokens=tuple(tokens),
         raw_len=raw_len,
-        label=seg.label,
     )

@@ -121,7 +121,7 @@ def test_acceptance_03_feature_goldens(lx):
         trend = compute_trend("IBEX35", posted, prices)
         ok &= trend is want_trend
         details.append(f"len={numeric[0]} trend={'up' if trend else 'down'}")
-    # BOW hit counters land in the last three sparse columns
+    # BOW hit counters land in the first three dense columns
     vm = VocabularyModel(char_vocab={}, word_vocab={}, wordbound_vocab={},
                          bow_pre=["mucho cuidar"], bow_neu=[], bow_opp=["vez number"])
     seg1 = Segment(tweet_id="t", text=SAMPLE_1_TEXT,
@@ -130,8 +130,8 @@ def test_acceptance_03_feature_goldens(lx):
                    assets=tuple(find_assets(SAMPLE_2_TEXT, lx)), focus="IBEX35")
     fv1 = vectorize(process(seg1, lx), vm, (0,) * N_NUMERIC, False)
     fv2 = vectorize(process(seg2, lx), vm, (0,) * N_NUMERIC, True)
-    ok &= fv1.dense_view()[0] == 1.0 and fv1.dense_view()[2] == 0.0
-    ok &= fv2.dense_view()[2] == 1.0 and fv2.dense_view()[0] == 0.0
+    ok &= fv1.dense[0] == 1.0 and fv1.dense[2] == 0.0
+    ok &= fv2.dense[2] == 1.0 and fv2.dense[0] == 0.0
     _verdict("feature goldens", ok, "; ".join(details))
 
 

@@ -12,7 +12,7 @@ from finemo.evaluation import (
     pairwise_accuracy,
     prequential_run,
 )
-from finemo.features import N_NUMERIC, FeatureVector
+from finemo.features import N_DENSE, FeatureVector
 from finemo.segmenter import EmotionLabel
 
 P, N, O = EmotionLabel.PRECAUTION, EmotionLabel.NEUTRAL, EmotionLabel.OPPORTUNITY
@@ -28,7 +28,7 @@ ANNOTATION_ALPHA = 0.7721888640312408
 
 
 def _fv():
-    return FeatureVector(sparse_counts={}, numeric=(0,) * N_NUMERIC, trend=False, sparse_dim=1)
+    return FeatureVector(text={}, dense=np.zeros(N_DENSE), n_text=0)
 
 
 class _ScriptedLearner:

@@ -1,13 +1,20 @@
 from collections import Counter
+from dataclasses import replace
 from datetime import date, datetime
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
+from finemo.cli import FeatureStream, PipelineConfig
 from finemo.features import (
+    DENSE_NAMES,
     N_NUMERIC,
     NUMERIC_NAMES,
+    NUMERIC_COLUMNS,
+    TREND_COLUMN,
     FeatureVector,
     PriceSeries,
     TrendUnavailableError,
@@ -93,10 +100,10 @@ def test_bow_hit_goldens(lx):
     fv1 = vectorize(ps1, vm, (0,) * N_NUMERIC, False)
     fv2 = vectorize(ps2, vm, (0,) * N_NUMERIC, False)
     pre_col, neu_col, opp_col = vm.n_text_columns, vm.n_text_columns + 1, vm.n_text_columns + 2
-    assert fv1.sparse_counts.get(pre_col) == 1.0
-    assert fv1.sparse_counts.get(opp_col) is None
-    assert fv2.sparse_counts.get(opp_col) == 1.0
-    assert fv2.sparse_counts.get(pre_col) is None
+    assert dict(fv1.counts()).get(pre_col) == 1.0
+    assert dict(fv1.counts()).get(opp_col) is None
+    assert dict(fv2.counts()).get(opp_col) == 1.0
+    assert dict(fv2.counts()).get(pre_col) is None
 
 
 def test_trend_goldens():
@@ -194,7 +201,7 @@ def test_vectorize_counts_match_manual_recount():
     corpus = _corpus()
     vm = fit_vocabularies(corpus, min_df=0.0, max_df=1.0)
     seg = corpus[0]
-    fv = vectorize(seg, vm, (0,) * N_NUMERIC, False, label=seg.label)
+    fv = vectorize(seg, vm, (0,) * N_NUMERIC, False)
     text = " ".join(seg.tokens)
     expected = Counter()
     for gram in char_ngrams(text, 1, 4):
@@ -208,17 +215,17 @@ def test_vectorize_counts_match_manual_recount():
     for gram in charwb_ngrams(list(seg.tokens), 1, 4):
         if gram in vm.wordbound_vocab:
             expected[offset + vm.wordbound_vocab[gram]] += 1
-    text_part = {k: v for k, v in fv.sparse_counts.items() if k < vm.n_text_columns}
+    text_part = {k: v for k, v in fv.counts() if k < vm.n_text_columns}
     assert text_part == {k: float(v) for k, v in expected.items()}
 
 
-def test_dense_view_and_items_consistent():
+def test_dense_block_and_items_consistent():
     numeric = tuple(range(N_NUMERIC))
     fv = FeatureVector(
-        sparse_counts={0: 2.0, 7: 1.0, 97: 3.0, 98: 1.0, 99: 4.0},
-        numeric=numeric, trend=True, sparse_dim=100,
+        text={0: 2.0, 7: 1.0},
+        dense=np.array([3.0, 1.0, 4.0, *numeric, True], dtype=float), n_text=97,
     )
-    dense = fv.dense_view()
+    dense = fv.dense
     assert list(dense[:3]) == [3.0, 1.0, 4.0]  # last three sparse columns
     assert list(dense[3 : 3 + N_NUMERIC]) == [float(v) for v in numeric]
     assert dense[-1] == 1.0
@@ -231,19 +238,19 @@ def test_dense_view_and_items_consistent():
 
 def test_numeric_length_validated():
     with pytest.raises(ValueError):
-        FeatureVector(sparse_counts={}, numeric=(1, 2), trend=False, sparse_dim=10)
+        FeatureVector(text={}, dense=np.array([1.0, 2.0]), n_text=10)
 
 
 def test_selection_mask_filters_all_blocks():
     corpus = _corpus()
     vm = fit_vocabularies(corpus, min_df=0.0, max_df=1.0)
-    keep_numeric = vm.sparse_dim + 2
+    keep_numeric = vm.n_text_columns + 3 + 2
     vm.selection_mask = {0, 1, keep_numeric}  # drops trend and most columns
     fv = vectorize(corpus[0], vm, tuple(range(N_NUMERIC)), True)
-    assert set(fv.sparse_counts) <= {0, 1}
-    assert fv.numeric[2] == 2
-    assert sum(fv.numeric) == 2  # every other numeric zeroed
-    assert fv.trend is False
+    assert set(dict(fv.counts())) <= {0, 1}
+    assert fv.dense[NUMERIC_COLUMNS][2] == 2
+    assert sum(fv.dense[NUMERIC_COLUMNS]) == 2  # every other numeric zeroed
+    assert not fv.dense[TREND_COLUMN]
 
 
 def test_vocabulary_json_round_trip():
@@ -275,7 +282,7 @@ def test_empty_corpus_rejected():
        st.booleans())
 def test_items_reconstruct_dense_blocks(values, trend):
     fv = FeatureVector(
-        sparse_counts={}, numeric=tuple(values), trend=trend, sparse_dim=10
+        text={}, dense=np.array([0, 0, 0, *values, trend], dtype=float), n_text=7
     )
     items = dict(fv.items())
     rebuilt = [items.get(10 + i, 0.0) for i in range(N_NUMERIC)]
@@ -295,3 +302,36 @@ def test_marks_and_lexicon_counters(lx):
     assert numeric["POS_EMOTION"] == 1  # alegría
     assert numeric["ADVERBS_NEG"] == 1  # no
     assert numeric["ADVERBS_DOUBT"] == 1  # posiblemente
+
+
+@pytest.fixture(scope="module")
+def sample_stream(sample_paths):
+    stream = FeatureStream(PipelineConfig(**sample_paths, warmup=10))
+    return stream.vm, list(stream)
+
+
+def test_vectorized_dense_block_has_one_entry_per_name(sample_stream):
+    _, pairs = sample_stream
+    assert all(len(fv.dense) == len(DENSE_NAMES) for _, fv in pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_masking_after_vectorize_equals_masking_inside(sample_stream, data):
+    # FeatureStream masks its warmup vectors afterwards and the rest of the
+    # stream inside vectorize; both must give the same vector
+    vm, pairs = sample_stream
+    used = sorted({col for _, fv in pairs for col, _ in fv.items()})
+    mask = data.draw(
+        st.sets(st.one_of(st.sampled_from(used), st.integers(0, vm.total_dim - 1)))
+    )
+    masked_vm = replace(vm, selection_mask=mask)
+    for inst, fv in pairs:
+        inside = vectorize(
+            inst.processed,
+            masked_vm,
+            tuple(fv.dense[NUMERIC_COLUMNS]),
+            bool(fv.dense[TREND_COLUMN]),
+        )
+        expected = {col: v for col, v in fv.items() if col in mask}
+        assert dict(inside.items()) == dict(fv.masked(mask).items()) == expected

@@ -1,0 +1,49 @@
+"""Smoke tests: the experiment scripts run end to end as subprocesses."""
+
+import json
+import os
+import subprocess
+import sys
+
+from tests.conftest import ROOT
+
+
+def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_run_synthetic_experiment_prints_full_table():
+    result = _run_script("run_synthetic_experiment.py", "--n", "300", "--warmup", "100")
+    assert result.returncode == 0, result.stderr
+    rows = [line.split() for line in result.stdout.splitlines()[2:]]
+    learners = ("nb", "dt", "rf", "sgd")
+    expected = {
+        (name + suffix, bow)
+        for bow in ("on", "off")
+        for name in learners
+        for suffix in ("", "+stack")
+    }
+    assert len(rows) == len(expected) == 16
+    assert {(row[0], row[1]) for row in rows} == expected
+    for row in rows:
+        assert all(0.0 <= float(v) <= 1.0 for v in row[2:5])
+
+
+def test_run_sample_pipeline_writes_report_and_artifacts(tmp_path):
+    out = tmp_path / "sample"
+    result = _run_script("run_sample_pipeline.py", "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    body, _, tail = result.stdout.rpartition("}\n")
+    report = json.loads(body + "}")
+    assert tail.startswith("artifacts in ")
+    assert report["n"] == 21  # 31 labeled sample replicas minus a warmup of 10
+    assert sum(map(sum, report["confusion"])) == report["n"]
+    assert set(report["precision"]) == set(report["recall"]) == set(report["labels"])
+    for name in ("report.json", "confusion.csv", "accuracy_series.csv",
+                 "indicators.jsonl", "vocabulary.json"):
+        assert (out / name).is_file(), name

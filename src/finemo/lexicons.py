@@ -20,7 +20,12 @@ Lines starting with '#' are comments.
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
+
+import numpy as np
 
 
 class LexiconError(Exception):
@@ -60,6 +65,67 @@ class LexiconSet:
     boundary_words: tuple[str, ...] = field(
         default=("mientras", "aunque", "pero", "y", "que")
     )
+
+    @cached_property
+    def delete_index(self) -> DeleteIndex:
+        """Spelling-correction index over ``dictionary``, built on first use."""
+        return DeleteIndex(self.dictionary)
+
+    def __getstate__(self) -> dict:
+        # the index holds this process's string hashes; a copy builds its own
+        state = dict(self.__dict__)
+        state.pop("delete_index", None)
+        return state
+
+
+def _deletes(word: str, depth: int = 2) -> set[str]:
+    """``word`` and every string reachable from it by at most ``depth``
+    single-character deletions."""
+    out = frontier = {word}
+    for _ in range(depth):
+        frontier = {w[:i] + w[i + 1:] for w in frontier for i in range(len(w))}
+        out = out | frontier
+    return out
+
+
+class DeleteIndex:
+    """Symmetric-delete index over dictionary forms (SymSpell, Garbe 2012).
+
+    Every string reachable by at most two deletions from a form, the form
+    included, is keyed by its ``hash`` in one sorted int64 array, next to an
+    int32 array of form ids: 12 bytes per (delete string, form) pair, about
+    0.7 MB for 2.2k forms. A form within Levenshtein distance 2 of a token
+    shares one of these strings with the token: delete the substituted and
+    inserted characters from the token and the substituted and deleted ones
+    from the form. So ``candidates`` returns every such form; a hash
+    collision only adds a candidate, which the caller's distance check
+    rejects. String hashes are salted per process, so the index is never
+    pickled.
+    """
+
+    def __init__(self, forms) -> None:
+        self._forms = tuple(forms)
+        self._max_len = max(map(len, self._forms), default=0)
+        hashes, ids = array("q"), array("i")
+        for form_id, form in enumerate(self._forms):
+            keys = _deletes(form)
+            hashes.extend(map(hash, keys))
+            ids.extend(repeat(form_id, len(keys)))
+        hashes = np.frombuffer(hashes, dtype=np.int64)
+        order = np.argsort(hashes)
+        self._hashes = hashes[order]
+        self._ids = np.frombuffer(ids, dtype=np.intc)[order]
+
+    def candidates(self, token: str) -> list[str]:
+        """Every form within Levenshtein distance 2 of ``token``, plus forms
+        that only share a delete string (or its hash) with it."""
+        if len(token) > self._max_len + 2:
+            return []
+        keys = np.fromiter(map(hash, _deletes(token)), dtype=np.int64)
+        lo = np.searchsorted(self._hashes, keys, side="left").tolist()
+        hi = np.searchsorted(self._hashes, keys, side="right").tolist()
+        found = {i for a, b in zip(lo, hi) if a < b for i in self._ids[a:b].tolist()}
+        return [self._forms[i] for i in found]
 
 
 def _read_lines(path: str, name: str) -> list[tuple[int, str]]:

@@ -1,9 +1,17 @@
+import pickle
+import random
+from dataclasses import replace
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finemo.lexicons import LexiconSet
+from finemo import cli, lexicons, textproc
+from finemo.lexicons import LexiconSet, load_lexicons
 from finemo.segmenter import Segment, find_assets
 from finemo.textproc import (
+    TAGS,
+    _edit_distance,
     clean_filter,
     lemmatize_correct,
     process,
@@ -119,6 +127,12 @@ def test_correction_caps_edit_distance():
     assert lemmatize_correct("abcde", mini) == "abcde"  # distance 3 > 2
 
 
+def test_correction_reaches_two_insertions_past_the_longest_form():
+    mini = _mini_lexicon(dictionary={"abcd": "x", "ab": "y"}, freq_corpus={})
+    assert lemmatize_correct("abcdzz", mini) == "x"
+    assert lemmatize_correct("abcdzzz", mini) == "abcdzzz"
+
+
 def test_process_inserts_focus_tag_when_missing(lx):
     # focus asset mentioned only via an alias the cleaner strips is not the
     # case here; force it by passing focus without a mention
@@ -148,3 +162,171 @@ def test_process_deterministic_and_clean(lx, text):
     for token in first.tokens:
         assert token and " " not in token
         assert "$" not in token and "#" not in token
+
+
+# -- spelling correction: the symmetric-delete index against the linear scan --
+
+
+def _scan_lemmatize(token: str, lx: LexiconSet) -> str:
+    """The linear scan the delete index replaced: every form is scored."""
+    if token in TAGS:
+        return token
+    lemma = lx.dictionary.get(token)
+    if lemma is not None:
+        return lemma
+    best = None
+    for form in lx.dictionary:
+        dist = _edit_distance(token, form)
+        if dist > 2:
+            continue
+        key = (dist, -lx.freq_corpus.get(form, 0.0), form)
+        if best is None or key < best:
+            best = key
+    return token if best is None else lx.dictionary[best[2]]
+
+
+def _levenshtein(a: str, b: str) -> int:
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
+def _syllable_lexicon() -> LexiconSet:
+    """2000 forms of one to four consonant-vowel syllables (with ñ and á),
+    few distinct frequencies so that ties are common, and some forms without
+    a frequency at all."""
+    rng = random.Random(0)
+    syllables = [c + v for c in "bcdfglmnprstvñ" for v in "aeiouá"]
+    forms = {"a", "e", "o"}
+    while len(forms) < 2000:
+        forms.add("".join(rng.choices(syllables, k=rng.randint(1, 4))))
+    forms = sorted(forms)
+    freq = {f: rng.choice((0.1, 0.2, 0.5)) for f in forms if rng.random() < 0.9}
+    return _mini_lexicon(
+        dictionary={f: f"lema{i}" for i, f in enumerate(forms)},
+        freq_corpus=freq,
+    )
+
+
+# dictionary letters plus letters that no dictionary here contains
+_EDIT_ALPHABET = "abcdeilmnorstuáñüwkéú"
+
+
+@st.composite
+def _misspelled(draw, forms):
+    """A dictionary form after 0-3 substitutions, insertions, deletions or
+    adjacent transpositions, or a free string of length 0-2."""
+    if not forms or draw(st.integers(0, 4)) == 0:
+        return draw(st.text(_EDIT_ALPHABET, min_size=0, max_size=2))
+    word = draw(st.sampled_from(forms))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(("sub", "ins", "del", "swap")))
+        i = draw(st.integers(0, len(word)))
+        char = draw(st.sampled_from(_EDIT_ALPHABET))
+        if op == "ins":
+            word = word[:i] + char + word[i:]
+        elif op == "sub" and i < len(word):
+            word = word[:i] + char + word[i + 1:]
+        elif op == "del" and i < len(word):
+            word = word[:i] + word[i + 1:]
+        elif op == "swap" and i + 1 < len(word):
+            word = word[:i] + word[i + 1] + word[i] + word[i + 2:]
+    return word
+
+
+@pytest.fixture(scope="module")
+def syllable_lx():
+    return _syllable_lexicon()
+
+
+@pytest.mark.parametrize("which", ["bundled", "syllables", "empty"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_index_correction_equals_scan(lx, syllable_lx, which, data):
+    lexicon = {"bundled": lx, "syllables": syllable_lx, "empty": _mini_lexicon()}[which]
+    token = data.draw(_misspelled(sorted(lexicon.dictionary)), label="token")
+    assert lemmatize_correct(token, lexicon) == _scan_lemmatize(token, lexicon)
+
+
+def test_index_correction_equals_scan_on_short_tokens(syllable_lx):
+    # every string of length 0-2 over a few letters: their 2-deletion sets
+    # contain "", which is a delete of every form of length <= 2
+    letters = "aeñáüwk"
+    tokens = ["", *letters, *(a + b for a in letters for b in letters)]
+    for token in tokens:
+        assert lemmatize_correct(token, syllable_lx) == _scan_lemmatize(token, syllable_lx)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.text("abcñá", max_size=7),
+    st.text("abcñá", max_size=7),
+    st.integers(0, 3),
+)
+def test_edit_distance_is_capped_levenshtein(a, b, cap):
+    exact = _levenshtein(a, b)
+    assert _edit_distance(a, b, cap) == (exact if exact <= cap else cap + 1)
+
+
+class _CountingIndex(lexicons.DeleteIndex):
+    builds = 0
+
+    def __init__(self, forms):
+        type(self).builds += 1
+        super().__init__(forms)
+
+
+def test_delete_index_is_built_lazily_once_per_lexicon_set(monkeypatch, sample_paths):
+    monkeypatch.setattr(lexicons, "DeleteIndex", _CountingIndex)
+    monkeypatch.setattr(_CountingIndex, "builds", 0)
+    fresh = load_lexicons(sample_paths["lexicons"])
+    assert "delete_index" not in vars(fresh)
+
+    # dictionary forms, tags and stopwords only: no correction needed
+    known = " ".join(["$BKIA", "sigue", "el", "mercado", "-2,5%", "sube"])
+    ps = process(_segment(known, fresh, focus="BKIA"), fresh)
+    assert all(t in TAGS or t in fresh.dictionary.values() for t in ps.tokens)
+    assert _CountingIndex.builds == 0 and "delete_index" not in vars(fresh)
+
+    assert lemmatize_correct("sigen", fresh) == "seguir"
+    index = fresh.delete_index
+    assert lemmatize_correct("mercadp", fresh) == "mercado"
+    assert fresh.delete_index is index and _CountingIndex.builds == 1
+
+    swapped = replace(fresh, dictionary={"zafiro": "zafiro"})
+    assert "delete_index" not in vars(swapped)
+    assert lemmatize_correct("zafira", swapped) == "zafiro"
+    assert lemmatize_correct("sigen", swapped) == "sigen"
+    assert swapped.delete_index is not index and _CountingIndex.builds == 2
+
+
+def test_delete_index_is_not_pickled(lx):
+    lemmatize_correct("sigen", lx)
+    copy = pickle.loads(pickle.dumps(lx))
+    assert "delete_index" not in vars(copy)
+    assert copy == lx and lemmatize_correct("sigen", copy) == "seguir"
+
+
+def test_correction_scores_a_tenth_of_the_scan_on_the_sample(monkeypatch, sample_paths):
+    calls = {"distance": 0, "oov": 0}
+    fresh = load_lexicons(sample_paths["lexicons"])
+    real_distance, real_lemmatize = textproc._edit_distance, textproc.lemmatize_correct
+
+    def counting_distance(a, b, cap=2):
+        calls["distance"] += 1
+        return real_distance(a, b, cap)
+
+    def counting_lemmatize(token, lx):
+        calls["oov"] += token not in TAGS and token not in lx.dictionary
+        return real_lemmatize(token, lx)
+
+    monkeypatch.setattr(textproc, "_edit_distance", counting_distance)
+    monkeypatch.setattr(textproc, "lemmatize_correct", counting_lemmatize)
+    assert list(cli.build_instances(cli.read_tweets(sample_paths["tweets"]), fresh))
+    scan_calls = calls["oov"] * len(fresh.dictionary)
+    assert scan_calls == 3458  # 38 out-of-dictionary tokens x 91 forms
+    assert 0 < calls["distance"] <= scan_calls // 10

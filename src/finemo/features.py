@@ -103,6 +103,13 @@ def charwb_ngrams(tokens: list[str], n_min: int, n_max: int) -> list[str]:
 
 @dataclass
 class VocabularyModel:
+    """Fitted vocabularies, per-emotion BOW lists and the selection mask.
+
+    ``bow_index`` maps each BOW entry to the position in BOW_CLASSES of
+    every list that holds it, once per occurrence. It is built with the
+    model, so change the BOW lists with ``dataclasses.replace``.
+    """
+
     char_vocab: dict[str, int]
     word_vocab: dict[str, int]
     wordbound_vocab: dict[str, int]
@@ -112,6 +119,12 @@ class VocabularyModel:
     ngram_range: tuple[int, int] = (1, 4)
     selection_mask: set[int] | None = None
 
+    def __post_init__(self):
+        self.bow_index: dict[str, list[int]] = {}
+        for k, bow in enumerate((self.bow_pre, self.bow_neu, self.bow_opp)):
+            for entry in bow:
+                self.bow_index.setdefault(entry, []).append(k)
+
     @property
     def n_text_columns(self) -> int:
         return len(self.char_vocab) + len(self.word_vocab) + len(self.wordbound_vocab)
@@ -119,13 +132,6 @@ class VocabularyModel:
     @property
     def total_dim(self) -> int:
         return self.n_text_columns + N_DENSE
-
-    def bow_list(self, label: EmotionLabel) -> list[str]:
-        return {
-            EmotionLabel.PRECAUTION: self.bow_pre,
-            EmotionLabel.NEUTRAL: self.bow_neu,
-            EmotionLabel.OPPORTUNITY: self.bow_opp,
-        }[label]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -433,8 +439,10 @@ def vectorize(
                 counts[key] = counts.get(key, 0.0) + 1.0
         offset += len(vocab)
 
-    uni_bi = Counter(word_ngrams(tokens, 1, 2))
-    hits = [sum(uni_bi[entry] for entry in bow) for bow in (vm.bow_pre, vm.bow_neu, vm.bow_opp)]
+    hits = [0] * N_BOW
+    for gram in word_ngrams(tokens, 1, 2):
+        for k in vm.bow_index.get(gram, ()):
+            hits[k] += 1
     fv = FeatureVector(
         text=counts,
         dense=np.array([*hits, *numeric, trend], dtype=float),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import pickle
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,7 +159,8 @@ class HoeffdingTreeClassifier(IncrementalLearner):
     A leaf splits once the information-gain gap between its two best
     candidate splits exceeds eps = sqrt(R^2 ln(1/delta) / (2 n)), with
     R = log2(#classes), or once eps falls below the tie threshold. Leaves
-    predict by majority vote or a naive-Bayes hybrid over the dense block.
+    predict by majority vote or a naive-Bayes hybrid over the dense block,
+    which every call reads once as a list of Python floats.
     """
 
     def __init__(
@@ -191,14 +193,14 @@ class HoeffdingTreeClassifier(IncrementalLearner):
             features = sorted(int(f) for f in chosen)
         return _LeafNode(len(self.classes), features)
 
-    def _sort(self, x: np.ndarray) -> _LeafNode:
+    def _sort(self, x: list[float]) -> _LeafNode:
         node = self._root
         while isinstance(node, _SplitNode):
             node = node.left if x[node.feature] <= node.threshold else node.right
         return node
 
     def partial_fit(self, fv: FeatureVector, label: EmotionLabel, weight: float = 1.0) -> None:
-        x = fv.dense
+        x = fv.dense.tolist()
         self.n_seen += 1
         node, parent, side = self._root, None, None
         while isinstance(node, _SplitNode):
@@ -209,7 +211,7 @@ class HoeffdingTreeClassifier(IncrementalLearner):
         node.n_since += weight
         for f in node.features:
             per_value = node.observers[f]
-            v = float(x[f])
+            v = x[f]
             if v not in per_value and len(per_value) >= _MAX_DISTINCT:
                 v = min(per_value, key=lambda k: abs(k - v))
             stats = per_value.get(v)
@@ -250,7 +252,7 @@ class HoeffdingTreeClassifier(IncrementalLearner):
         per_feature.sort(key=lambda t: (-t[0], t[1]))
         gain, feature, threshold = per_feature[0]
         second = per_feature[1][0] if len(per_feature) > 1 else 0.0
-        if feature is None or gain <= 0.0:
+        if gain <= 0.0:
             return
         r = math.log2(len(self.classes))
         eps = math.sqrt(r * r * math.log(1.0 / self.delta) / (2.0 * n)) if self.delta < 1 else 0.0
@@ -270,10 +272,18 @@ class HoeffdingTreeClassifier(IncrementalLearner):
             else:
                 parent.right = split
 
+    def predict_label(self, fv: FeatureVector) -> EmotionLabel:
+        if self.leaf_prediction != "majority":
+            return super().predict_label(fv)
+        # the first maximum wins, as in _argmax_label; a leaf that has seen
+        # nothing has all-zero counts, so it gives the uniform prior's pick
+        counts = self._sort(fv.dense.tolist()).class_counts
+        return self.classes[int(counts.argmax())]
+
     def predict(self, fv: FeatureVector) -> dict[EmotionLabel, float]:
         if self.n_seen == 0:
             return self._uniform()
-        x = fv.dense
+        x = fv.dense.tolist()
         leaf = self._sort(x)
         counts = leaf.class_counts
         total = counts.sum()
@@ -290,7 +300,7 @@ class HoeffdingTreeClassifier(IncrementalLearner):
             logp = math.log(counts[i] / total)
             for f in leaf.features:
                 per_value = leaf.observers[f]
-                stats = per_value.get(float(x[f]))
+                stats = per_value.get(x[f])
                 seen = stats[i] if stats is not None else 0.0
                 logp += math.log((seen + 1.0) / (counts[i] + len(per_value) + 1.0))
             scores[c] = logp
@@ -299,25 +309,31 @@ class HoeffdingTreeClassifier(IncrementalLearner):
 
 class _DriftMonitor:
     """Sliding-window error monitor: flags drift when the recent error rate
-    exceeds the lifetime rate by three binomial standard deviations."""
+    exceeds the lifetime rate by three binomial standard deviations.
+
+    The window keeps a running count of its errors, so ``add`` is O(1).
+    """
 
     def __init__(self, window: int = 100, min_instances: int = 200):
         self.window = window
         self.min_instances = min_instances
-        self.recent: list[int] = []
+        self.recent: deque[int] = deque()
+        self.recent_errors = 0
         self.errors = 0
         self.n = 0
 
     def add(self, error: bool) -> bool:
+        e = int(error)
         self.n += 1
-        self.errors += int(error)
-        self.recent.append(int(error))
+        self.errors += e
+        self.recent.append(e)
+        self.recent_errors += e
         if len(self.recent) > self.window:
-            self.recent.pop(0)
+            self.recent_errors -= self.recent.popleft()
         if self.n < self.min_instances or len(self.recent) < self.window:
             return False
         lifetime = self.errors / self.n
-        recent = sum(self.recent) / len(self.recent)
+        recent = self.recent_errors / len(self.recent)
         sigma = math.sqrt(max(lifetime * (1.0 - lifetime), 1e-12) / self.window)
         return recent > lifetime + 3.0 * sigma
 

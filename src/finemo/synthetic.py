@@ -9,6 +9,8 @@ dominate exactly when BOW features are enabled.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from finemo.features import N_NUMERIC, fit_vocabularies, vectorize
@@ -109,7 +111,7 @@ def make_planted_stream(
     segments = make_planted_segments(n, seed=seed, plant_prob=plant_prob, balance=balance)
     vm = fit_vocabularies(segments[:warmup])
     if ablate_bow:
-        vm.bow_pre, vm.bow_neu, vm.bow_opp = [], [], []
+        vm = replace(vm, bow_pre=[], bow_neu=[], bow_opp=[])
     stream = []
     for seg in segments:
         fv = vectorize(seg, vm, _numeric_for(seg.label, rng), _trend_for(seg.label, rng))

@@ -10,6 +10,7 @@ import numpy as np
 
 from finemo.cli import FeatureStream, PipelineConfig
 from finemo.features import (
+    BOW_COLUMNS,
     DENSE_NAMES,
     N_NUMERIC,
     NUMERIC_NAMES,
@@ -29,6 +30,7 @@ from finemo.features import (
     word_ngrams,
 )
 from finemo.segmenter import EmotionLabel, Segment, find_assets
+from finemo.synthetic import make_planted_stream
 from finemo.textproc import ProcessedSegment, process, tag_assets
 from tests.conftest import SAMPLE_DIR
 
@@ -104,6 +106,45 @@ def test_bow_hit_goldens(lx):
     assert dict(fv1.counts()).get(opp_col) is None
     assert dict(fv2.counts()).get(opp_col) == 1.0
     assert dict(fv2.counts()).get(pre_col) is None
+
+
+def _scan_bow_hits(tokens, vm):
+    """The per-entry scan the BOW index replaced: every entry of every list
+    is looked up in the segment's unigram and bigram counts."""
+    uni_bi = Counter(word_ngrams([t.casefold() for t in tokens], 1, 2))
+    return [sum(uni_bi[e] for e in bow) for bow in (vm.bow_pre, vm.bow_neu, vm.bow_opp)]
+
+
+_BOW_WORDS = ("sube", "Baja", "mucho", "cuidar", "ser", "bajista")
+# a small alphabet, so the three lists often share or repeat entries; an
+# entry with upper case never matches, as in a hand-edited vocabulary
+_bow_entry = st.one_of(
+    st.sampled_from(_BOW_WORDS),
+    st.tuples(st.sampled_from(_BOW_WORDS), st.sampled_from(_BOW_WORDS)).map(" ".join),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    tokens=st.lists(st.sampled_from(_BOW_WORDS), max_size=12),
+    bows=st.lists(st.lists(_bow_entry, max_size=8), min_size=3, max_size=3),
+)
+def test_bow_hits_equal_entry_scan(tokens, bows):
+    vm = VocabularyModel(
+        char_vocab={}, word_vocab={}, wordbound_vocab={},
+        bow_pre=bows[0], bow_neu=bows[1], bow_opp=bows[2],
+    )
+    seg = ProcessedSegment(tweet_id="t", focus="X", tokens=tuple(tokens), raw_len=0)
+    fv = vectorize(seg, vm, (0,) * N_NUMERIC, False)
+    assert fv.dense[BOW_COLUMNS].tolist() == _scan_bow_hits(tokens, vm)
+
+
+def test_ablated_planted_stream_has_no_bow_hits():
+    stream, vm = make_planted_stream(300, seed=1, warmup=100, ablate_bow=True)
+    assert vm.bow_index == {}
+    assert not any(fv.dense[BOW_COLUMNS].any() for fv, _ in stream)
+    full, _ = make_planted_stream(300, seed=1, warmup=100)
+    assert any(fv.dense[BOW_COLUMNS].any() for fv, _ in full)
 
 
 def test_trend_goldens():

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import math
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from finemo.features import N_NUMERIC, NUMERIC_COLUMNS, TREND_COLUMN, FeatureVector
+from finemo.cli import main
+from finemo.features import N_DENSE, N_NUMERIC, NUMERIC_COLUMNS, TREND_COLUMN, FeatureVector
 from finemo.segmenter import EmotionLabel
 from finemo.streamml import (
     CHECKPOINT_FORMAT_VERSION,
@@ -17,6 +22,8 @@ from finemo.streamml import (
     SGDLinearClassifier,
     StackedClassifier,
     StreamingNaiveBayes,
+    _argmax_label,
+    _DriftMonitor,
     _LeafNode,
     enumerate_grid,
     grid_search,
@@ -24,6 +31,7 @@ from finemo.streamml import (
     make_stacked,
     save_model,
 )
+from finemo.synthetic import make_planted_stream
 
 P, N, O = EmotionLabel.PRECAUTION, EmotionLabel.NEUTRAL, EmotionLabel.OPPORTUNITY
 
@@ -253,6 +261,129 @@ def test_forest_unfitted_uniform():
     forest = AdaptiveRandomForestClassifier(n_estimators=2)
     scores = forest.predict(make_fv())
     assert all(abs(v - 1 / 3) < 1e-12 for v in scores.values())
+
+
+# ------------------------------------ fast paths against their reference
+
+
+def _assert_label_is_score_argmax(tree, fv):
+    assert tree.predict_label(fv) is _argmax_label(tree.predict(fv), tree.classes)
+
+
+def _n_splits(node):
+    if isinstance(node, _LeafNode):
+        return 0
+    return 1 + _n_splits(node.left) + _n_splits(node.right)
+
+
+def _planted(classes, n=600):
+    stream, _ = make_planted_stream(n, seed=5, warmup=200)
+    return [(fv, label) for fv, label in stream if label in classes]
+
+
+@pytest.mark.parametrize("leaf_prediction", ["majority", "nb"])
+@pytest.mark.parametrize("classes", [DEFAULT_CLASSES, (P, N), (O, N)])
+def test_tree_predict_label_is_argmax_of_scores(classes, leaf_prediction):
+    tree = HoeffdingTreeClassifier(
+        classes=classes, grace_period=30, delta=0.05, leaf_prediction=leaf_prediction
+    )
+    _assert_label_is_score_argmax(tree, make_fv())  # unfitted: the uniform prior
+    for fv, label in _planted(classes):
+        _assert_label_is_score_argmax(tree, fv)
+        tree.partial_fit(fv, label)
+    assert _n_splits(tree._root) >= 1
+
+
+@pytest.mark.parametrize("classes", [DEFAULT_CLASSES, (P, N)])
+def test_forest_subspace_trees_predict_label_is_argmax_of_scores(classes):
+    forest = AdaptiveRandomForestClassifier(
+        classes=classes, n_estimators=4, grace_period=30, delta=0.05, seed=0,
+        drift_detection=False,
+    )
+    assert forest.subspace_size < N_DENSE
+    for fv, label in _planted(classes):
+        for tree in forest._trees:
+            _assert_label_is_score_argmax(tree, fv)
+        forest.partial_fit(fv, label)
+    assert all(_n_splits(tree._root) >= 1 for tree in forest._trees)
+
+
+def test_tree_predict_label_on_a_leaf_without_weight():
+    # fitted with weight 0: n_seen is 1 but every class count is 0
+    for classes in (DEFAULT_CLASSES, (O, N)):
+        tree = HoeffdingTreeClassifier(classes=classes)
+        tree.partial_fit(make_fv(), classes[-1], weight=0.0)
+        _assert_label_is_score_argmax(tree, make_fv())
+        assert tree.predict_label(make_fv()) is classes[0]
+
+
+def test_stacked_forest_on_sample_builds_no_tree_scores(monkeypatch, tmp_path, sample_paths):
+    calls = {"predict": 0, "predict_label": 0}
+    real_predict = HoeffdingTreeClassifier.predict
+    real_predict_label = HoeffdingTreeClassifier.predict_label
+
+    def counting_predict(self, fv):
+        calls["predict"] += 1
+        return real_predict(self, fv)
+
+    def counting_predict_label(self, fv):
+        calls["predict_label"] += 1
+        return real_predict_label(self, fv)
+
+    monkeypatch.setattr(HoeffdingTreeClassifier, "predict", counting_predict)
+    monkeypatch.setattr(HoeffdingTreeClassifier, "predict_label", counting_predict_label)
+    argv = ["train-eval", "--warmup", "10", "--learner", "rf", "--stacked"]
+    for key in ("lexicons", "tweets", "labels", "prices"):
+        argv += [f"--{key}", sample_paths[key]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert calls["predict"] == 0
+    assert calls["predict_label"] > 0
+
+
+class _ListDriftMonitor:
+    """The window the running count replaced: a list, re-summed per add."""
+
+    def __init__(self, window=100, min_instances=200):
+        self.window = window
+        self.min_instances = min_instances
+        self.recent = []
+        self.errors = 0
+        self.n = 0
+
+    def add(self, error):
+        self.n += 1
+        self.errors += int(error)
+        self.recent.append(int(error))
+        if len(self.recent) > self.window:
+            self.recent.pop(0)
+        if self.n < self.min_instances or len(self.recent) < self.window:
+            return False
+        lifetime = self.errors / self.n
+        recent = sum(self.recent) / len(self.recent)
+        sigma = math.sqrt(max(lifetime * (1.0 - lifetime), 1e-12) / self.window)
+        return recent > lifetime + 3.0 * sigma
+
+
+# runs of one outcome, so that a clean stretch followed by errors flags drift
+_error_runs = st.lists(
+    st.one_of(
+        st.lists(st.booleans(), max_size=40),
+        st.tuples(st.booleans(), st.integers(1, 150)).map(lambda run: [run[0]] * run[1]),
+    ),
+    max_size=8,
+).map(lambda runs: [e for run in runs for e in run])
+
+
+@pytest.mark.parametrize("window, min_instances", [(100, 200), (1, 1), (3, 2), (10, 5)])
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(errors=_error_runs)
+@example(errors=[False] * 250 + [True] * 60 + [False] * 30)  # flags at the default window
+def test_drift_monitor_matches_list_window(window, min_instances, errors):
+    fast = _DriftMonitor(window, min_instances)
+    slow = _ListDriftMonitor(window, min_instances)
+    for error in errors:
+        assert fast.add(error) is slow.add(error)
 
 
 # ------------------------------------------------------------ linear model

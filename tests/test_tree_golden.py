@@ -1,0 +1,107 @@
+"""Byte-level golden of the Hoeffding-tree learners on a drifting stream.
+
+The CLI goldens barely reach the tree code: on the bundled sample no tree
+splits and no forest resets. This golden runs a single tree (majority and NB
+leaves), an adaptive random forest and a stacked forest prequentially over a
+seeded planted stream whose precaution and opportunity labels swap halfway,
+and hashes the predicted labels, the drift-reset counts and every tree's
+shape with the class counts of every leaf. The digest was recorded before
+the tree hot path was optimized; any change in it means the learners'
+behaviour changed. To see the digest of the current code, run
+``PYTHONPATH=src python tests/test_tree_golden.py``.
+"""
+
+import hashlib
+
+from finemo.segmenter import EmotionLabel
+from finemo.streamml import (
+    AdaptiveRandomForestClassifier,
+    HoeffdingTreeClassifier,
+    _LeafNode,
+    make_stacked,
+)
+from finemo.synthetic import make_planted_stream
+
+P, N, O = EmotionLabel.PRECAUTION, EmotionLabel.NEUTRAL, EmotionLabel.OPPORTUNITY
+
+N_INSTANCES = 1000
+SEED = 3
+# delta 0.05 and grace 50 make every tree of every forest split on this stream
+TREE = {"grace_period": 50, "delta": 0.05}
+FOREST = {**TREE, "n_estimators": 4, "seed": SEED}
+
+GOLDEN = "879078a47ec44817df2c7311f11632ff"
+
+
+def _drifting_stream():
+    stream, _ = make_planted_stream(N_INSTANCES, seed=SEED, warmup=N_INSTANCES // 4)
+    half = N_INSTANCES // 2
+    swap = {P: O, O: P, N: N}
+    return stream[:half] + [(fv, swap[label]) for fv, label in stream[half:]]
+
+
+def _models():
+    return {
+        "tree": HoeffdingTreeClassifier(**TREE),
+        "tree-nb": HoeffdingTreeClassifier(leaf_prediction="nb", **TREE),
+        "arf": AdaptiveRandomForestClassifier(**FOREST),
+        "arf-stacked": make_stacked(
+            lambda classes: AdaptiveRandomForestClassifier(classes=classes, **FOREST)
+        ),
+    }
+
+
+def _forests(model):
+    if isinstance(model, AdaptiveRandomForestClassifier):
+        return [model]
+    if isinstance(model, HoeffdingTreeClassifier):
+        return []
+    return [model.stage1, model.stage2_pre, model.stage2_opp]
+
+
+def _trees(model):
+    if isinstance(model, HoeffdingTreeClassifier):
+        return [model]
+    return [tree for forest in _forests(model) for tree in forest._trees]
+
+
+def _shape(node, out):
+    """Pre-order: split (feature, threshold) and leaf class counts."""
+    if isinstance(node, _LeafNode):
+        out.append(f"leaf {node.class_counts.tolist()!r}")
+        return 0
+    out.append(f"split {node.feature} {node.threshold!r}")
+    return 1 + _shape(node.left, out) + _shape(node.right, out)
+
+
+def run_golden():
+    """(digest, per-model stats) of one prequential pass per model."""
+    stream = _drifting_stream()
+    lines, stats = [], {}
+    for name, model in _models().items():
+        preds = []
+        for fv, label in stream:
+            preds.append(model.predict_label(fv).name)
+            model.partial_fit(fv, label)
+        resets = [forest.n_resets for forest in _forests(model)]
+        lines += [f"model {name}", " ".join(preds), f"resets {resets}"]
+        splits = [_shape(tree._root, lines) for tree in _trees(model)]
+        stats[name] = {"resets": resets, "splits": splits}
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:32]
+    return digest, stats
+
+
+def test_tree_learners_match_golden():
+    digest, stats = run_golden()
+    # the stream must exercise splits in every tree and drift resets
+    for name, s in stats.items():
+        assert min(s["splits"]) >= 1, name
+        assert all(r >= 1 for r in s["resets"]), name
+    assert digest == GOLDEN
+
+
+if __name__ == "__main__":
+    digest, stats = run_golden()
+    print(digest)
+    for name, s in stats.items():
+        print(name, s)

@@ -18,6 +18,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta
+from functools import cached_property
 
 import numpy as np
 
@@ -207,6 +208,18 @@ class FeatureVector:
         for k, v in enumerate(self.dense.tolist(), start=self.n_text):
             if v:
                 yield k, v
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``items()`` as read-only (global columns, values) arrays in the
+        same order, built on first use. ``dataclasses.replace`` makes a new
+        vector, so a masked copy never sees this one's arrays."""
+        pairs = list(self.items())
+        indices = np.array([k for k, _ in pairs], dtype=np.intp)
+        values = np.array([v for _, v in pairs], dtype=float)
+        indices.flags.writeable = False
+        values.flags.writeable = False
+        return indices, values
 
     def masked(self, mask: set[int]) -> "FeatureVector":
         """This vector with every global column outside ``mask`` zeroed."""

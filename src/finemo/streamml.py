@@ -419,7 +419,9 @@ class SGDLinearClassifier(IncrementalLearner):
     """One-vs-rest linear model with hinge loss and eta_t = 1/(alpha t).
 
     max_iter and tol only bound warmup epochs (warmup_fit); the streaming
-    phase is exactly one update per instance.
+    phase is exactly one update per instance. Scoring and the hinge update
+    read the vector's cached ``arrays``, so they cost O(nnz); every vector
+    must have the width of the first one fitted.
     """
 
     def __init__(
@@ -449,16 +451,23 @@ class SGDLinearClassifier(IncrementalLearner):
             self._b = np.zeros(len(self.classes))
 
     def _scores(self, fv: FeatureVector) -> np.ndarray:
-        s = self._b.copy()
-        for idx, val in fv.items():
-            s += self._w[:, idx] * val
-        return s
+        if fv.total_dim != self._w.shape[1]:
+            raise ValueError(
+                f"feature vector has {fv.total_dim} columns, "
+                f"the model was sized to {self._w.shape[1]}"
+            )
+        idx, vals = fv.arrays
+        # add.accumulate adds the terms one after another, in items() order,
+        # so every score has the bits of b + w_1 x_1 + w_2 x_2 + ...; with
+        # nnz 0 it returns a copy of b, never b itself
+        terms = np.concatenate([self._b[:, None], self._w[:, idx] * vals], axis=1)
+        return np.add.accumulate(terms, axis=1)[:, -1]
 
     def partial_fit(self, fv: FeatureVector, label: EmotionLabel) -> None:
         self._ensure(fv)
+        scores = self._scores(fv)
         self.t += 1
         eta = 1.0 / (self.alpha * self.t)
-        scores = self._scores(fv)
         l2_part = self.alpha * (1.0 - self.l1_ratio)
         l1_part = self.alpha * self.l1_ratio
         if l2_part:
@@ -466,11 +475,12 @@ class SGDLinearClassifier(IncrementalLearner):
         if l1_part:
             shrink = eta * l1_part
             self._w = np.sign(self._w) * np.maximum(np.abs(self._w) - shrink, 0.0)
+        idx, vals = fv.arrays
         for i, cls in enumerate(self.classes):
             y = 1.0 if cls is label else -1.0
             if y * scores[i] < 1.0:
-                for idx, val in fv.items():
-                    self._w[i, idx] += eta * y * val
+                # the columns are distinct, so each weight gets one add
+                self._w[i, idx] += eta * y * vals
                 self._b[i] += eta * y
 
     def warmup_fit(self, stream: list[tuple[FeatureVector, EmotionLabel]]) -> int:

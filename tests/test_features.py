@@ -12,6 +12,7 @@ from finemo.cli import FeatureStream, PipelineConfig
 from finemo.features import (
     BOW_COLUMNS,
     DENSE_NAMES,
+    N_DENSE,
     N_NUMERIC,
     NUMERIC_NAMES,
     NUMERIC_COLUMNS,
@@ -376,3 +377,41 @@ def test_masking_after_vectorize_equals_masking_inside(sample_stream, data):
         )
         expected = {col: v for col, v in fv.items() if col in mask}
         assert dict(inside.items()) == dict(fv.masked(mask).items()) == expected
+
+
+def _assert_arrays_are_items(fv):
+    indices, values = fv.arrays
+    pairs = list(fv.items())
+    assert indices.dtype == np.intp and values.dtype == np.float64
+    assert indices.tolist() == [col for col, _ in pairs]
+    assert values.tolist() == [float(v) for _, v in pairs]
+    assert not indices.flags.writeable and not values.flags.writeable
+
+
+def test_arrays_are_the_items_read_only_and_built_once(sample_stream):
+    _, pairs = sample_stream
+    empty = FeatureVector(text={}, dense=np.zeros(N_DENSE), n_text=5)
+    for fv in [empty, *(fv for _, fv in pairs)]:
+        _assert_arrays_are_items(fv)
+        assert fv.arrays is fv.arrays
+        indices, values = fv.arrays
+        with pytest.raises(ValueError, match="read-only"):
+            values *= 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            indices[:] = 0
+    assert empty.arrays[0].size == 0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_masked_vector_does_not_inherit_cached_arrays(sample_stream, data):
+    _, pairs = sample_stream
+    used = sorted({col for _, fv in pairs for col, _ in fv.items()})
+    mask = data.draw(st.sets(st.sampled_from(used)))
+    for _, fv in pairs:
+        indices, values = fv.arrays  # cache the unmasked arrays first
+        masked = fv.masked(mask)
+        _assert_arrays_are_items(masked)
+        keep = [col in mask for col in indices.tolist()]
+        assert masked.arrays[0].tolist() == indices[keep].tolist()
+        assert masked.arrays[1].tolist() == values[keep].tolist()

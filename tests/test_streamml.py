@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finemo.cli import main
+from finemo.cli import FeatureStream, PipelineConfig, main
 from finemo.features import N_DENSE, N_NUMERIC, NUMERIC_COLUMNS, TREND_COLUMN, FeatureVector
 from finemo.segmenter import EmotionLabel
 from finemo.streamml import (
@@ -446,6 +446,148 @@ def test_sgd_warmup_respects_max_iter_and_tol():
     assert fast.warmup_fit(stream) == 2
     capped = SGDLinearClassifier(max_iter=3, tol=0.0)
     assert capped.warmup_fit(stream) <= 3
+
+
+class _LoopSGD(SGDLinearClassifier):
+    """The per-nonzero loops that the O(nnz) kernel replaced."""
+
+    def _scores(self, fv):
+        s = self._b.copy()
+        for idx, val in fv.items():
+            s += self._w[:, idx] * val
+        return s
+
+    def partial_fit(self, fv, label):
+        self._ensure(fv)
+        self.t += 1
+        eta = 1.0 / (self.alpha * self.t)
+        scores = self._scores(fv)
+        l2_part = self.alpha * (1.0 - self.l1_ratio)
+        l1_part = self.alpha * self.l1_ratio
+        if l2_part:
+            self._w *= max(0.0, 1.0 - eta * l2_part)
+        if l1_part:
+            shrink = eta * l1_part
+            self._w = np.sign(self._w) * np.maximum(np.abs(self._w) - shrink, 0.0)
+        for i, cls in enumerate(self.classes):
+            y = 1.0 if cls is label else -1.0
+            if y * scores[i] < 1.0:
+                for idx, val in fv.items():
+                    self._w[i, idx] += eta * y * val
+                self._b[i] += eta * y
+
+
+def _assert_sgd_matches_loop(make, stream):
+    """Scores before every step, then the final weights, bit for bit."""
+    fast, slow = make(SGDLinearClassifier), make(_LoopSGD)
+    for fv, label in stream:
+        fast._ensure(fv)
+        slow._ensure(fv)
+        assert fast._scores(fv).tobytes() == slow._scores(fv).tobytes()
+        fast.partial_fit(fv, label)
+        slow.partial_fit(fv, label)
+    assert fast.t == slow.t
+    if stream:
+        assert fast._w.tobytes() == slow._w.tobytes()
+        assert fast._b.tobytes() == slow._b.tobytes()
+
+
+_N_TEXT = 12
+_nonzero = st.one_of(
+    st.integers(1, 4).map(float),
+    st.floats(-8.0, 8.0, allow_nan=False).filter(bool),
+)
+
+
+@st.composite
+def _sgd_vector(draw):
+    kind = draw(st.sampled_from(["empty", "dense", "text", "mixed"]))
+    text, dense = {}, np.zeros(N_DENSE)
+    if kind in ("text", "mixed"):
+        text = draw(
+            st.dictionaries(st.integers(0, _N_TEXT - 1), _nonzero, min_size=1, max_size=_N_TEXT)
+        )
+    if kind in ("dense", "mixed"):
+        cols = draw(st.lists(st.integers(0, N_DENSE - 1), min_size=1, max_size=N_DENSE, unique=True))
+        for col in cols:
+            dense[col] = draw(_nonzero)
+    return FeatureVector(text=text, dense=dense, n_text=_N_TEXT)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    classes=st.sampled_from([DEFAULT_CLASSES, (P, N), (O, N)]),
+    penalty=st.sampled_from(["l1", "l2", "elasticnet"]),
+    l1_ratio=st.sampled_from(SGD_GRID["l1_ratio"]),
+    alpha=st.one_of(st.sampled_from(SGD_GRID["alpha"] + (1.0,)), st.floats(1e-5, 1.0)),
+    stream=st.lists(st.tuples(_sgd_vector(), st.integers(0, 2)), max_size=30),
+)
+def test_sgd_kernel_matches_loop_bit_for_bit(classes, penalty, l1_ratio, alpha, stream):
+    _assert_sgd_matches_loop(
+        lambda cls: cls(classes=classes, penalty=penalty, l1_ratio=l1_ratio, alpha=alpha),
+        [(fv, classes[k % len(classes)]) for fv, k in stream],
+    )
+
+
+@pytest.fixture(scope="module")
+def sample_selected(sample_paths):
+    stream = FeatureStream(PipelineConfig(**sample_paths, warmup=10, percentile=15))
+    return [(fv, inst.label) for inst, fv in stream]
+
+
+@pytest.mark.parametrize("penalty", ["l1", "l2", "elasticnet"])
+@pytest.mark.parametrize("alpha", SGD_GRID["alpha"])
+def test_sgd_kernel_matches_loop_on_the_selected_sample(sample_selected, penalty, alpha):
+    assert len(sample_selected) == 31
+    _assert_sgd_matches_loop(lambda cls: cls(penalty=penalty, alpha=alpha), sample_selected)
+
+
+def test_sgd_scores_of_an_empty_vector_are_a_copy_of_the_bias():
+    sgd = SGDLinearClassifier()
+    sgd.partial_fit(make_fv({2: 3.0}), P)
+    empty = make_fv()
+    assert not len(empty.arrays[0])
+    scores = sgd._scores(empty)
+    assert scores.tobytes() == sgd._b.tobytes()
+    assert not np.shares_memory(scores, sgd._b)
+    before = scores.copy()
+    sgd.partial_fit(make_fv({2: 3.0}), N)  # moves every bias
+    assert scores.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("sparse_dim", [20, 40])  # narrower, wider than 30
+def test_sgd_refuses_a_vector_of_another_width(sparse_dim):
+    sgd = SGDLinearClassifier()
+    sgd.partial_fit(make_fv({2: 3.0}), P)
+    w, b = sgd._w.copy(), sgd._b.copy()
+    other = make_fv({1: 1.0, sparse_dim - 1: 2.0}, sparse_dim=sparse_dim)
+    names_both = rf"\b{other.total_dim}\b.*\b{make_fv().total_dim}\b"
+    with pytest.raises(ValueError, match=names_both):
+        sgd.predict(other)
+    with pytest.raises(ValueError, match=names_both):
+        sgd.partial_fit(other, N)
+    assert sgd.t == 1
+    assert sgd._w.tobytes() == w.tobytes() and sgd._b.tobytes() == b.tobytes()
+
+
+def test_stacked_sgd_on_sample_reads_each_vector_once(monkeypatch, tmp_path, sample_paths):
+    calls = 0
+    real_items = FeatureVector.items
+
+    def counting_items(self):
+        nonlocal calls
+        calls += 1
+        return real_items(self)
+
+    monkeypatch.setattr(FeatureVector, "items", counting_items)
+    argv = ["train-eval", "--warmup", "10", "--learner", "sgd", "--stacked", "--percentile", "15"]
+    for key in ("lexicons", "tweets", "labels", "prices"):
+        argv += [f"--{key}", sample_paths[key]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+    # chi-squared reads the 10 warmup vectors; then each of the 31 vectors
+    # the learners see builds its arrays once (the loops made 210 calls)
+    assert calls <= 10 + 31
 
 
 # ------------------------------------------------------------- stacking

@@ -16,9 +16,10 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -76,17 +77,15 @@ class TrendUnavailableError(Exception):
 
 
 def char_ngrams(text: str, n_min: int, n_max: int) -> list[str]:
-    out = []
-    for n in range(n_min, n_max + 1):
-        out.extend(text[i : i + n] for i in range(len(text) - n + 1))
-    return out
+    return [text[i : i + n] for n in range(n_min, n_max + 1) for i in range(len(text) - n + 1)]
 
 
 def word_ngrams(tokens: list[str], n_min: int, n_max: int) -> list[str]:
-    out = []
-    for n in range(n_min, n_max + 1):
-        out.extend(" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-    return out
+    return [
+        " ".join(tokens[i : i + n])
+        for n in range(n_min, n_max + 1)
+        for i in range(len(tokens) - n + 1)
+    ]
 
 
 def charwb_ngrams(tokens: list[str], n_min: int, n_max: int) -> list[str]:
@@ -98,7 +97,7 @@ def charwb_ngrams(tokens: list[str], n_min: int, n_max: int) -> list[str]:
             if n >= len(padded):
                 out.append(padded)
                 break
-            out.extend(padded[i : i + n] for i in range(len(padded) - n + 1))
+            out += [padded[i : i + n] for i in range(len(padded) - n + 1)]
     return out
 
 
@@ -171,23 +170,35 @@ class VocabularyModel:
         )
 
 
-@dataclass(frozen=True, eq=False)
 class FeatureVector:
     """One segment in the hybrid layout.
 
     ``text`` holds the nonzero n-gram counts by global column (all below
     ``n_text``); ``dense`` holds the DENSE_NAMES block, read-only, with
-    ``dense[k]`` at global column ``n_text + k``.
+    ``dense[k]`` at global column ``n_text + k``. ``text`` may be given as a
+    function of no arguments that returns the counts: it is called on the
+    first read of ``text``, ``counts()``, ``items()``, ``arrays`` or
+    ``masked()``, and never when only ``dense`` is read.
     """
 
-    text: dict[int, float]
-    dense: np.ndarray
-    n_text: int
-
-    def __post_init__(self):
-        if self.dense.shape != (N_DENSE,):
+    def __init__(
+        self,
+        text: dict[int, float] | Callable[[], dict[int, float]],
+        dense: np.ndarray,
+        n_text: int,
+    ):
+        if dense.shape != (N_DENSE,):
             raise ValueError(f"dense block must have {N_DENSE} entries")
-        self.dense.flags.writeable = False
+        dense.flags.writeable = False
+        self._text = text
+        self.dense = dense
+        self.n_text = n_text
+
+    @property
+    def text(self) -> dict[int, float]:
+        if callable(self._text):
+            self._text = self._text()
+        return self._text
 
     @property
     def total_dim(self) -> int:
@@ -212,8 +223,8 @@ class FeatureVector:
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``items()`` as read-only (global columns, values) arrays in the
-        same order, built on first use. ``dataclasses.replace`` makes a new
-        vector, so a masked copy never sees this one's arrays."""
+        same order, built on first use. ``masked()`` makes a new vector, so a
+        masked copy never sees this one's arrays."""
         pairs = list(self.items())
         indices = np.array([k for k, _ in pairs], dtype=np.intp)
         values = np.array([v for _, v in pairs], dtype=float)
@@ -223,12 +234,15 @@ class FeatureVector:
 
     def masked(self, mask: set[int]) -> "FeatureVector":
         """This vector with every global column outside ``mask`` zeroed."""
-        keep = [self.n_text + k in mask for k in range(N_DENSE)]
-        return replace(
-            self,
-            text={i: v for i, v in self.text.items() if i in mask},
-            dense=np.where(keep, self.dense, 0.0),
+        return FeatureVector(
+            {i: v for i, v in self.text.items() if i in mask},
+            _masked_dense(self.dense, self.n_text, mask),
+            self.n_text,
         )
+
+
+def _masked_dense(dense: np.ndarray, n_text: int, mask: set[int]) -> np.ndarray:
+    return np.where([n_text + k in mask for k in range(N_DENSE)], dense, 0.0)
 
 
 def _norm_tokens(seg: ProcessedSegment) -> list[str]:
@@ -425,40 +439,61 @@ def compute_trend(ticker: str, post_time: datetime, prices: PriceSeries) -> bool
     return next_close > prev_close
 
 
+def _count_ngrams(
+    seg: ProcessedSegment,
+    vocabs: tuple[dict[str, int], dict[str, int], dict[str, int]],
+    ngram_range: tuple[int, int],
+    mask: set[int] | None,
+) -> dict[int, float]:
+    """Nonzero n-gram counts of ``seg`` by global column, each column in
+    the order of its first occurrence; with a ``mask``, only the columns it
+    retains."""
+    tokens = _norm_tokens(seg)
+    n_min, n_max = ngram_range
+    char_vocab, word_vocab, wordbound_vocab = vocabs
+    counts: dict[int, float] = {}
+    offset = 0
+    for grams, vocab in (
+        (char_ngrams(" ".join(tokens), n_min, n_max), char_vocab),
+        (word_ngrams(tokens, n_min, n_max), word_vocab),
+        (charwb_ngrams(tokens, n_min, n_max), wordbound_vocab),
+    ):
+        # a column enters at its first occurrence: items() and the order
+        # of SGD's sums depend on that order
+        for gram in grams:
+            idx = vocab.get(gram)
+            if idx is not None:
+                key = offset + idx
+                if mask is None or key in mask:
+                    counts[key] = counts.get(key, 0.0) + 1.0
+        offset += len(vocab)
+    return counts
+
+
 def vectorize(
     seg: ProcessedSegment,
     vm: VocabularyModel,
     numeric: tuple[int, ...],
     trend: bool,
 ) -> FeatureVector:
-    """Map one processed segment onto the hybrid feature space."""
+    """Map one processed segment onto the hybrid feature space.
+
+    The dense block is built now. The n-gram counts are counted on their
+    first read, with the vocabularies and the selection mask in force now.
+    """
     if vm is None:
         raise VocabularyError("vocabulary model not fitted")
     tokens = _norm_tokens(seg)
-    text = " ".join(tokens)
-    n_min, n_max = vm.ngram_range
-
-    counts: dict[int, float] = {}
-    offset = 0
-    for grams, vocab in (
-        (char_ngrams(text, n_min, n_max), vm.char_vocab),
-        (word_ngrams(tokens, n_min, n_max), vm.word_vocab),
-        (charwb_ngrams(tokens, n_min, n_max), vm.wordbound_vocab),
-    ):
-        for gram in grams:
-            idx = vocab.get(gram)
-            if idx is not None:
-                key = offset + idx
-                counts[key] = counts.get(key, 0.0) + 1.0
-        offset += len(vocab)
-
     hits = [0] * N_BOW
     for gram in word_ngrams(tokens, 1, 2):
         for k in vm.bow_index.get(gram, ()):
             hits[k] += 1
-    fv = FeatureVector(
-        text=counts,
-        dense=np.array([*hits, *numeric, trend], dtype=float),
-        n_text=vm.n_text_columns,
-    )
-    return fv if vm.selection_mask is None else fv.masked(vm.selection_mask)
+    dense = np.array([*hits, *numeric, trend], dtype=float)
+    n_text = vm.n_text_columns
+    mask = vm.selection_mask
+    if mask is not None:
+        dense = _masked_dense(dense, n_text, mask)
+    vocabs = (vm.char_vocab, vm.word_vocab, vm.wordbound_vocab)
+    # the segment, not its casefolded tokens: a block of vectors waiting
+    # for their first read then holds no copies of the tokens
+    return FeatureVector(partial(_count_ngrams, seg, vocabs, vm.ngram_range, mask), dense, n_text)

@@ -6,7 +6,11 @@ first fit, predict returns the configured prior (uniform by default).
 
 Naive Bayes and the linear model consume the full hybrid feature space;
 the tree learners consume only its dense block (``FeatureVector.dense``:
-BOW counters, numeric counters, trend).
+BOW counters, numeric counters, trend), so a tree run never makes a vector
+count its n-grams. A Hoeffding tree keeps numpy class counts per leaf and,
+per leaf feature and value, per-class weights as Python floats; numpy
+arithmetic is left to split attempts. The forest descends each tree once
+per fitted instance: the drift check and the update share the leaf.
 """
 
 from __future__ import annotations
@@ -126,8 +130,8 @@ class _LeafNode:
 
     def __init__(self, n_classes: int, features: list[int]):
         self.class_counts = np.zeros(n_classes)
-        # per feature: value -> per-class counts
-        self.observers: dict[int, dict[float, np.ndarray]] = {f: {} for f in features}
+        # per feature: value -> per-class weights, as Python floats
+        self.observers: dict[int, dict[float, list[float]]] = {f: {} for f in features}
         self.n_since = 0.0
         self.features = features
 
@@ -193,34 +197,38 @@ class HoeffdingTreeClassifier(IncrementalLearner):
             features = sorted(int(f) for f in chosen)
         return _LeafNode(len(self.classes), features)
 
-    def _sort(self, x: list[float]) -> _LeafNode:
-        node = self._root
-        while isinstance(node, _SplitNode):
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node
-
-    def partial_fit(self, fv: FeatureVector, label: EmotionLabel, weight: float = 1.0) -> None:
-        x = fv.dense.tolist()
-        self.n_seen += 1
+    def _descend(self, x: list[float]) -> tuple[_LeafNode, _SplitNode | None, bool | None]:
+        """The leaf that ``x`` reaches, its parent split and the side taken
+        there (True: left); (root, None, None) while the root is a leaf."""
         node, parent, side = self._root, None, None
         while isinstance(node, _SplitNode):
             parent, side = node, x[node.feature] <= node.threshold
             node = node.left if side else node.right
-        ci = self.classes.index(label)
-        node.class_counts[ci] += weight
-        node.n_since += weight
-        for f in node.features:
-            per_value = node.observers[f]
+        return node, parent, side
+
+    def partial_fit(self, fv: FeatureVector, label: EmotionLabel, weight: float = 1.0) -> None:
+        x = fv.dense.tolist()
+        self._learn(x, self.classes.index(label), weight, *self._descend(x))
+
+    def _learn(self, x: list[float], ci: int, weight: float, leaf: _LeafNode, parent, side) -> None:
+        """Add ``x`` with class index ``ci`` and ``weight`` to the leaf that
+        ``_descend(x)`` returned, then try to split it."""
+        self.n_seen += 1
+        leaf.class_counts[ci] += weight
+        leaf.n_since += weight
+        for f in leaf.features:
+            per_value = leaf.observers[f]
             v = x[f]
-            if v not in per_value and len(per_value) >= _MAX_DISTINCT:
-                v = min(per_value, key=lambda k: abs(k - v))
             stats = per_value.get(v)
             if stats is None:
-                stats = per_value[v] = np.zeros(len(self.classes))
+                if len(per_value) >= _MAX_DISTINCT:
+                    stats = per_value[min(per_value, key=lambda k: abs(k - v))]
+                else:
+                    stats = per_value[v] = [0.0] * len(self.classes)
             stats[ci] += weight
-        if node.n_since >= self.grace_period:
-            node.n_since = 0.0
-            self._attempt_split(node, parent, side)
+        if leaf.n_since >= self.grace_period:
+            leaf.n_since = 0.0
+            self._attempt_split(leaf, parent, side)
 
     def _attempt_split(self, leaf: _LeafNode, parent, side) -> None:
         counts = leaf.class_counts
@@ -273,18 +281,22 @@ class HoeffdingTreeClassifier(IncrementalLearner):
                 parent.right = split
 
     def predict_label(self, fv: FeatureVector) -> EmotionLabel:
-        if self.leaf_prediction != "majority":
-            return super().predict_label(fv)
-        # the first maximum wins, as in _argmax_label; a leaf that has seen
-        # nothing has all-zero counts, so it gives the uniform prior's pick
-        counts = self._sort(fv.dense.tolist()).class_counts
-        return self.classes[int(counts.argmax())]
+        x = fv.dense.tolist()
+        return self._leaf_label(x, self._descend(x)[0])
 
     def predict(self, fv: FeatureVector) -> dict[EmotionLabel, float]:
-        if self.n_seen == 0:
-            return self._uniform()
         x = fv.dense.tolist()
-        leaf = self._sort(x)
+        return self._leaf_scores(x, self._descend(x)[0])
+
+    def _leaf_label(self, x: list[float], leaf: _LeafNode) -> EmotionLabel:
+        if self.leaf_prediction != "majority":
+            return _argmax_label(self._leaf_scores(x, leaf), self.classes)
+        # the first maximum wins, as in _argmax_label; a leaf that has seen
+        # nothing has all-zero counts, so it gives the uniform prior's pick
+        return self.classes[int(leaf.class_counts.argmax())]
+
+    def _leaf_scores(self, x: list[float], leaf: _LeafNode) -> dict[EmotionLabel, float]:
+        # an unfitted tree's root has all-zero counts: the uniform prior
         counts = leaf.class_counts
         total = counts.sum()
         if total <= 0:
@@ -391,16 +403,21 @@ class AdaptiveRandomForestClassifier(IncrementalLearner):
 
     def partial_fit(self, fv: FeatureVector, label: EmotionLabel) -> None:
         self.n_seen += 1
+        x = fv.dense.tolist()
+        ci = self.classes.index(label)
         for k, tree in enumerate(self._trees):
+            # one descent per tree: the drift check reads the leaf that the
+            # update then uses, unless a reset leaves only a fresh root
+            leaf, parent, side = tree._descend(x)
             if self.drift_detection and tree.n_seen > 0:
-                err = tree.predict_label(fv) != label
-                if self._monitors[k].add(err):
+                if self._monitors[k].add(tree._leaf_label(x, leaf) != label):
                     self._trees[k] = tree = self._new_tree(k)
                     self._monitors[k] = _DriftMonitor()
                     self.n_resets += 1
+                    leaf, parent, side = tree._root, None, None
             w = 1.0 if self.lam is None else float(self._rngs[k].poisson(self.lam))
             if w > 0:
-                tree.partial_fit(fv, label, weight=w)
+                tree._learn(x, ci, w, leaf, parent, side)
 
     def predict(self, fv: FeatureVector) -> dict[EmotionLabel, float]:
         votes = {c: 0.0 for c in self.classes}
@@ -418,8 +435,10 @@ class AdaptiveRandomForestClassifier(IncrementalLearner):
 class SGDLinearClassifier(IncrementalLearner):
     """One-vs-rest linear model with hinge loss and eta_t = 1/(alpha t).
 
-    max_iter and tol only bound warmup epochs (warmup_fit); the streaming
-    phase is exactly one update per instance. Scoring and the hinge update
+    max_iter and tol are read only by warmup_fit, which nothing in the
+    pipeline calls (ROADMAP direction 2: call it on the warmup window or
+    delete it), so they do not change a run; the streaming phase is
+    exactly one update per instance. Scoring and the hinge update
     read the vector's cached ``arrays``, so they cost O(nnz); every vector
     must have the width of the first one fitted.
     """

@@ -1,3 +1,5 @@
+import contextlib
+import io
 from collections import Counter
 from dataclasses import replace
 from datetime import date, datetime
@@ -8,10 +10,11 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from finemo.cli import FeatureStream, PipelineConfig
+from finemo.cli import FeatureStream, PipelineConfig, main
 from finemo.features import (
     BOW_COLUMNS,
     DENSE_NAMES,
+    N_BOW,
     N_DENSE,
     N_NUMERIC,
     NUMERIC_NAMES,
@@ -22,6 +25,8 @@ from finemo.features import (
     TrendUnavailableError,
     VocabularyError,
     VocabularyModel,
+    _count_ngrams,
+    _norm_tokens,
     char_ngrams,
     charwb_ngrams,
     compute_trend,
@@ -415,3 +420,132 @@ def test_masked_vector_does_not_inherit_cached_arrays(sample_stream, data):
         keep = [col in mask for col in indices.tolist()]
         assert masked.arrays[0].tolist() == indices[keep].tolist()
         assert masked.arrays[1].tolist() == values[keep].tolist()
+
+
+def _eager_vectorize(seg, vm, numeric, trend):
+    """``vectorize`` as it was before the n-gram counts were deferred: every
+    n-gram is counted at once, and under a mask the vector is built whole
+    and then copied through ``masked()``."""
+    if vm is None:
+        raise VocabularyError("vocabulary model not fitted")
+    tokens = _norm_tokens(seg)
+    text = " ".join(tokens)
+    n_min, n_max = vm.ngram_range
+
+    counts: dict[int, float] = {}
+    offset = 0
+    for grams, vocab in (
+        (char_ngrams(text, n_min, n_max), vm.char_vocab),
+        (word_ngrams(tokens, n_min, n_max), vm.word_vocab),
+        (charwb_ngrams(tokens, n_min, n_max), vm.wordbound_vocab),
+    ):
+        for gram in grams:
+            idx = vocab.get(gram)
+            if idx is not None:
+                key = offset + idx
+                counts[key] = counts.get(key, 0.0) + 1.0
+        offset += len(vocab)
+
+    hits = [0] * N_BOW
+    for gram in word_ngrams(tokens, 1, 2):
+        for k in vm.bow_index.get(gram, ()):
+            hits[k] += 1
+    fv = FeatureVector(
+        text=counts,
+        dense=np.array([*hits, *numeric, trend], dtype=float),
+        n_text=vm.n_text_columns,
+    )
+    return fv if vm.selection_mask is None else fv.masked(vm.selection_mask)
+
+
+def _assert_same_vector(got, want):
+    """Same items() order, dense bytes and arrays bytes."""
+    assert got.n_text == want.n_text
+    assert list(got.items()) == list(want.items())
+    assert got.dense.tobytes() == want.dense.tobytes()
+    for g, w in zip(got.arrays, want.arrays):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def _rebuild(build, vm, inst, fv):
+    """``build`` (vectorize or the eager oracle) on the segment, numeric
+    counters and trend that gave the unmasked ``fv``."""
+    numeric = tuple(fv.dense[NUMERIC_COLUMNS])
+    return build(inst.processed, vm, numeric, bool(fv.dense[TREND_COLUMN]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_deferred_counts_equal_eager_vectorize(sample_stream, data):
+    vm, pairs = sample_stream
+    used = sorted({col for _, fv in pairs for col, _ in fv.items()})
+    mask = data.draw(
+        st.sets(st.one_of(st.sampled_from(used), st.integers(0, vm.total_dim - 1)))
+    )
+    masked_vm = replace(vm, selection_mask=mask)
+    for inst, fv in pairs:
+        eager = _rebuild(_eager_vectorize, vm, inst, fv)
+        _assert_same_vector(fv, eager)
+        _assert_same_vector(_rebuild(vectorize, vm, inst, fv), eager)
+        eager_masked = _rebuild(_eager_vectorize, masked_vm, inst, fv)
+        _assert_same_vector(_rebuild(vectorize, masked_vm, inst, fv), eager_masked)
+        _assert_same_vector(_rebuild(vectorize, vm, inst, fv).masked(mask), eager_masked)
+
+
+def test_deferred_counts_keep_the_mask_in_force_at_vectorize(sample_stream):
+    vm, pairs = sample_stream
+    vm = replace(vm)  # a model of this test's own, selection_mask None
+    mask = {col for col, _ in pairs[0][1].items()}
+    eager = [_rebuild(_eager_vectorize, vm, inst, fv) for inst, fv in pairs]
+    unmasked = [_rebuild(vectorize, vm, inst, fv) for inst, fv in pairs]
+    # FeatureStream sets the mask after it has built the warmup vectors
+    vm.selection_mask = mask
+    eager_masked = [_rebuild(_eager_vectorize, vm, inst, fv) for inst, fv in pairs]
+    masked = [_rebuild(vectorize, vm, inst, fv) for inst, fv in pairs]
+    vm.selection_mask = None  # nor does clearing it unmask the later ones
+    assert any(list(e.items()) != list(m.items()) for e, m in zip(eager, eager_masked))
+    for got, want in [*zip(unmasked, eager), *zip(masked, eager_masked)]:
+        _assert_same_vector(got, want)
+
+
+# argv of train-eval on the sample past --warmup 10, and the n-gram counts
+# its 31 vectors make: the trees read only the dense block, chi-squared
+# reads the 10 warmup vectors, and SGD and NB read every vector
+_CLI_ORACLE_CASES = {
+    "rf-stacked": (["--learner", "rf", "--stacked"], 0),
+    "rf-stacked-percentile": (["--learner", "rf", "--stacked", "--percentile", "15"], 10),
+    "sgd-stacked": (["--learner", "sgd", "--stacked"], 31),
+    "sgd-stacked-percentile": (["--learner", "sgd", "--stacked", "--percentile", "15"], 31),
+    "nb-single": (["--learner", "nb", "--single"], 31),
+}
+
+
+def _train_eval(argv, out_dir):
+    """(stdout, {file name: bytes}) of one train-eval run."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main([*argv, "--out", str(out_dir)]) == 0
+    return stdout.getvalue(), {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+@pytest.mark.parametrize("case", sorted(_CLI_ORACLE_CASES))
+def test_cli_counts_each_vector_at_most_once_and_matches_eager(
+    case, monkeypatch, tmp_path, sample_paths
+):
+    learner_args, expected_counts = _CLI_ORACLE_CASES[case]
+    argv = ["train-eval", "--warmup", "10", *learner_args]
+    for key in ("lexicons", "tweets", "labels", "prices"):
+        argv += [f"--{key}", sample_paths[key]]
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return _count_ngrams(*args)
+
+    monkeypatch.setattr("finemo.features._count_ngrams", counting)
+    deferred = _train_eval(argv, tmp_path / "deferred")
+    assert calls == expected_counts
+    monkeypatch.setattr("finemo.cli.vectorize", _eager_vectorize)
+    assert _train_eval(argv, tmp_path / "eager") == deferred
+    assert calls == expected_counts

@@ -23,8 +23,10 @@ from finemo.streamml import (
     StackedClassifier,
     StreamingNaiveBayes,
     _argmax_label,
+    _MAX_DISTINCT,
     _DriftMonitor,
     _LeafNode,
+    _SplitNode,
     enumerate_grid,
     grid_search,
     load_model,
@@ -339,6 +341,135 @@ def test_stacked_forest_on_sample_builds_no_tree_scores(monkeypatch, tmp_path, s
         assert main([*argv, "--out", str(tmp_path)]) == 0
     assert calls["predict"] == 0
     assert calls["predict_label"] > 0
+
+
+class _ReferenceTree(HoeffdingTreeClassifier):
+    """The tree's fit and label paths before the forest shared one descent:
+    each call descends on its own, and observer stats are numpy arrays."""
+
+    def partial_fit(self, fv, label, weight=1.0):
+        x = fv.dense.tolist()
+        self.n_seen += 1
+        node, parent, side = self._root, None, None
+        while isinstance(node, _SplitNode):
+            parent, side = node, x[node.feature] <= node.threshold
+            node = node.left if side else node.right
+        ci = self.classes.index(label)
+        node.class_counts[ci] += weight
+        node.n_since += weight
+        for f in node.features:
+            per_value = node.observers[f]
+            v = x[f]
+            if v not in per_value and len(per_value) >= _MAX_DISTINCT:
+                v = min(per_value, key=lambda k: abs(k - v))
+            stats = per_value.get(v)
+            if stats is None:
+                stats = per_value[v] = np.zeros(len(self.classes))
+            stats[ci] += weight
+        if node.n_since >= self.grace_period:
+            node.n_since = 0.0
+            self._attempt_split(node, parent, side)
+
+    def predict_label(self, fv):
+        if self.leaf_prediction != "majority":
+            return _argmax_label(self.predict(fv), self.classes)
+        x = fv.dense.tolist()
+        node = self._root
+        while isinstance(node, _SplitNode):
+            node = node.left if x[node.feature] <= node.threshold else node.right
+        return self.classes[int(node.class_counts.argmax())]
+
+
+class _ReferenceForest(AdaptiveRandomForestClassifier):
+    """The forest's fit loop before one descent per tree: per tree,
+    predict_label for the drift check, the monitor (and a reset), the
+    Poisson draw, then partial_fit; every tree is a _ReferenceTree."""
+
+    def _new_tree(self, k):
+        return _ReferenceTree(
+            classes=self.classes,
+            delta=self.delta,
+            grace_period=self.grace_period,
+            leaf_prediction=self.leaf_prediction,
+            subspace_size=self.subspace_size if self.subspace_size < N_DENSE else None,
+            rng=self._rngs[k],
+        )
+
+    def partial_fit(self, fv, label):
+        self.n_seen += 1
+        for k, tree in enumerate(self._trees):
+            if self.drift_detection and tree.n_seen > 0:
+                err = tree.predict_label(fv) != label
+                if self._monitors[k].add(err):
+                    self._trees[k] = tree = self._new_tree(k)
+                    self._monitors[k] = _DriftMonitor()
+                    self.n_resets += 1
+            w = 1.0 if self.lam is None else float(self._rngs[k].poisson(self.lam))
+            if w > 0:
+                tree.partial_fit(fv, label, weight=w)
+
+
+def _node_state(node):
+    """Pre-order splits and leaves; a leaf with its features, class counts,
+    weight since the last split attempt and observer stats in key order."""
+    if isinstance(node, _SplitNode):
+        return [("split", node.feature, node.threshold), *_node_state(node.left), *_node_state(node.right)]
+    observers = [
+        (f, [(v, [float(w) for w in stats]) for v, stats in per_value.items()])
+        for f, per_value in node.observers.items()
+    ]
+    return [("leaf", node.features, node.class_counts.tolist(), node.n_since, observers)]
+
+
+def _forest_state(forest, trees=True):
+    monitors = [(m.n, m.errors, m.recent_errors, list(m.recent)) for m in forest._monitors]
+    state = [
+        forest.n_seen,
+        forest.n_resets,
+        [tree.n_seen for tree in forest._trees],
+        monitors,
+        [rng.bit_generator.state for rng in forest._rngs],
+    ]
+    if trees:
+        state.append([_node_state(tree._root) for tree in forest._trees])
+    return state
+
+
+def _swapping_stream(n, seed, classes=DEFAULT_CLASSES):
+    """A planted stream whose precaution and opportunity labels swap halfway."""
+    stream, _ = make_planted_stream(n, seed=seed, warmup=n // 4)
+    swap = {P: O, O: P, N: N}
+    swapped = stream[: n // 2] + [(fv, swap[label]) for fv, label in stream[n // 2 :]]
+    return [(fv, label) for fv, label in swapped if label in classes]
+
+
+@pytest.mark.parametrize("max_features", ["auto", None])
+@pytest.mark.parametrize("leaf_prediction", ["majority", "nb"])
+@pytest.mark.parametrize("drift_detection", [True, False])
+@pytest.mark.parametrize("lam", [None, 6.0])
+def test_forest_matches_reference_step_by_step(lam, drift_detection, leaf_prediction, max_features):
+    kwargs = dict(
+        n_estimators=4, grace_period=40, delta=0.05, seed=7, lam=lam,
+        drift_detection=drift_detection, leaf_prediction=leaf_prediction,
+        max_features=max_features,
+    )
+    resets = splits = 0
+    for classes, seed in ((DEFAULT_CLASSES, 3), ((P, N), 4)):
+        forest = AdaptiveRandomForestClassifier(classes=classes, **kwargs)
+        reference = _ReferenceForest(classes=classes, **kwargs)
+        for step, (fv, label) in enumerate(_swapping_stream(600, seed, classes)):
+            assert forest.predict_label(fv) is reference.predict_label(fv)
+            forest.partial_fit(fv, label)
+            reference.partial_fit(fv, label)
+            every_tree = step % 50 == 0
+            assert _forest_state(forest, every_tree) == _forest_state(reference, every_tree)
+            if every_tree:
+                splits = max(splits, *(_n_splits(tree._root) for tree in forest._trees))
+        assert _forest_state(forest) == _forest_state(reference)
+        resets += forest.n_resets
+    # the streams must exercise splits and, with drift detection, resets
+    assert splits >= 1
+    assert (resets >= 1) is drift_detection
 
 
 class _ListDriftMonitor:

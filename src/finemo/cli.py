@@ -6,7 +6,7 @@ Subcommands:
   features    tweets + labels -> hybrid feature rows (JSONL) + vocabulary
   analyze     feature analysis: Pearson correlations and chi2 scores
   train-eval  prequential run with evaluation artifacts
-  run         alias of train-eval; without labels, inference only
+  run         alias of train-eval
   agreement   annotator-agreement report from a label matrix (TSV)
 
 Options come from flags or a YAML config file; flags win.
@@ -22,6 +22,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 from datetime import datetime
 from itertools import islice
+from typing import get_args, get_type_hints
 
 import numpy as np
 import yaml
@@ -58,6 +59,7 @@ from finemo.streamml import (
     SGDLinearClassifier,
     StreamingNaiveBayes,
     grid_search,
+    learner_args,
     make_stacked,
     save_model,
 )
@@ -99,11 +101,25 @@ class PipelineConfig:
     @classmethod
     def from_yaml(cls, path: str) -> "PipelineConfig":
         with open(path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh) or {}
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+            try:
+                data = yaml.safe_load(fh)
+            except yaml.YAMLError as exc:
+                raise PipelineError(f"{path}: bad YAML: {exc}") from None
+        data = {} if data is None else data
+        if not isinstance(data, dict):
+            raise PipelineError(f"{path}: expected a mapping of option names to values")
+        declared = {f.name: f.type for f in fields(cls)}
+        unknown = set(data) - set(declared)
         if unknown:
-            raise PipelineError(f"unknown config keys: {sorted(unknown)}")
+            raise PipelineError(f"{path}: unknown config keys: {sorted(unknown, key=str)}")
+        hints = get_type_hints(cls)
+        for key, value in data.items():
+            allowed = get_args(hints[key]) or (hints[key],)
+            if float in allowed:
+                allowed += (int,)
+            # bool is an int subclass, but `warmup: true` is no warmup size
+            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+                raise PipelineError(f"{path}: {key}: expected {declared[key]}, got {value!r}")
         return cls(**data)
 
 
@@ -119,6 +135,10 @@ def read_tweets(path: str | None) -> list[RawTweet]:
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+                if not isinstance(obj.get("text", ""), str):
+                    raise ValueError(f"text must be a string, got {type(obj['text']).__name__}")
                 tweets.append(
                     RawTweet(
                         id=str(obj["id"]),
@@ -126,7 +146,7 @@ def read_tweets(path: str | None) -> list[RawTweet]:
                         text=obj["text"],
                     )
                 )
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise PipelineError(f"{path}:{lineno}: bad tweet record: {exc}") from exc
     tweets.sort(key=lambda t: t.timestamp)
     return tweets
@@ -258,44 +278,29 @@ class FeatureStream:
 
 
 def make_learner(cfg: PipelineConfig, params: dict | None = None):
-    """Instantiate the configured learner, optionally grid-tuned parameters."""
-    params = params or {}
+    """Instantiate the configured learner from the arguments that grid point
+    ``params`` resolves to (``streamml.learner_args``)."""
+    learners = {"nb": StreamingNaiveBayes, "dt": HoeffdingTreeClassifier,
+                "rf": AdaptiveRandomForestClassifier, "sgd": SGDLinearClassifier}
+    if cfg.learner not in learners:
+        raise PipelineError(f"unknown learner: {cfg.learner}")
+    args = learner_args(cfg.learner, params or {})
+    if cfg.learner == "rf":
+        args["seed"] = cfg.seed
 
     def factory(classes):
-        if cfg.learner == "nb":
-            return StreamingNaiveBayes(classes=classes)
-        if cfg.learner == "dt":
-            return HoeffdingTreeClassifier(classes=classes)
-        if cfg.learner == "rf":
-            return AdaptiveRandomForestClassifier(
-                classes=classes,
-                n_estimators=params.get("estimators", 10),
-                max_features=params.get("max_features", "auto"),
-                lam=params.get("lambda", 6),
-                seed=cfg.seed,
-            )
-        if cfg.learner == "sgd":
-            return SGDLinearClassifier(
-                classes=classes,
-                penalty=params.get("penalty", "l2"),
-                l1_ratio=params.get("l1_ratio", 0.15),
-                alpha=params.get("alpha", 1e-4),
-                max_iter=params.get("max_iter", 1000),
-                tol=params.get("tol", 1e-3),
-            )
-        raise PipelineError(f"unknown learner: {cfg.learner}")
+        return learners[cfg.learner](classes=classes, **args)
 
     if cfg.stacked:
         return make_stacked(factory)
     return factory(CLASS_ORDER)
 
 
-def run_pipeline(cfg: PipelineConfig) -> PrequentialReport | None:
-    """Segment, normalize, vectorize and (when labeled) evaluate one stream.
+def run_pipeline(cfg: PipelineConfig) -> PrequentialReport:
+    """Segment, normalize, vectorize and evaluate one labeled stream.
 
-    Writes report.json, confusion.csv, accuracy_series.csv and
-    indicators.jsonl to the output directory. Returns the report, or None
-    when the run is inference-only (no labels file).
+    Writes report.json, confusion.csv, accuracy_series.csv, indicators.jsonl
+    and vocabulary.json to the output directory and returns the report.
     """
     if cfg.sample_every < 1:
         raise PipelineError(f"--sample-every must be at least 1, got {cfg.sample_every}")
@@ -304,20 +309,22 @@ def run_pipeline(cfg: PipelineConfig) -> PrequentialReport | None:
         grid = {"rf": RF_GRID, "sgd": SGD_GRID}.get(cfg.grid)
         if grid is None:
             raise PipelineError(f"unknown grid: {cfg.grid}")
-        if not cfg.labels:
-            raise PipelineError("grid search needs labels")
     stream = FeatureStream(cfg)
+    # after the stream's own parameter checks, and before anything is written
+    if not cfg.labels:
+        raise PipelineError("a model must be trained with --labels; there is no inference-only run")
     stream.write_vocabulary(cfg.out)
 
     params = None
     if grid is not None:
         warm = [(fv, inst.label) for inst, fv in stream.warmup]
-        tuned = grid_search(grid, warm, lambda p: make_learner(cfg, p))
+        tuned = grid_search(
+            grid, warm, lambda p: make_learner(cfg, p), lambda p: learner_args(cfg.learner, p)
+        )
         params = tuned.config
         print(f"grid search: {tuned.config} (warmup accuracy {tuned.accuracy:.4f})")
 
     model = make_learner(cfg, params)
-    report = None
     with open(os.path.join(cfg.out, "indicators.jsonl"), "w", encoding="utf-8") as fh:
 
         def emit(inst: Instance, predicted: EmotionLabel) -> None:
@@ -333,30 +340,25 @@ def run_pipeline(cfg: PipelineConfig) -> PrequentialReport | None:
             }
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
-        if cfg.labels:
-            # warmup: train only; evaluation starts after the cold-start window
-            for inst, fv in stream.warmup:
-                model.partial_fit(fv, inst.label)
-            try:
-                report = prequential_run(
-                    ((fv, inst.label, inst) for inst, fv in stream.rest()),
-                    model,
-                    sample_every=cfg.sample_every,
-                    on_predict=lambda item, predicted: emit(item[2], predicted),
-                )
-            except EvaluationError:
-                raise PipelineError(f"nothing to evaluate after a warmup of {cfg.warmup}") from None
-        else:
-            for inst, fv in stream:
-                emit(inst, model.predict_label(fv))
-    if report is not None:
-        report.default_trend_count = stream.default_trends
-        with open(os.path.join(cfg.out, "report.json"), "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-        report.write_csvs(
-            os.path.join(cfg.out, "confusion.csv"),
-            os.path.join(cfg.out, "accuracy_series.csv"),
-        )
+        # warmup: train only; evaluation starts after the cold-start window
+        for inst, fv in stream.warmup:
+            model.partial_fit(fv, inst.label)
+        try:
+            report = prequential_run(
+                ((fv, inst.label, inst) for inst, fv in stream.rest()),
+                model,
+                sample_every=cfg.sample_every,
+                on_predict=lambda item, predicted: emit(item[2], predicted),
+            )
+        except EvaluationError:
+            raise PipelineError(f"nothing to evaluate after a warmup of {cfg.warmup}") from None
+    report.default_trend_count = stream.default_trends
+    with open(os.path.join(cfg.out, "report.json"), "w", encoding="utf-8") as fh:
+        fh.write(report.to_json())
+    report.write_csvs(
+        os.path.join(cfg.out, "confusion.csv"),
+        os.path.join(cfg.out, "accuracy_series.csv"),
+    )
     if cfg.save_model:
         save_model(model, cfg.save_model)
     return report
@@ -500,8 +502,8 @@ def config_from_args(args: argparse.Namespace) -> PipelineConfig:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
     try:
+        cfg = config_from_args(args)
         if args.command == "segment":
             _cmd_segment(cfg)
         elif args.command == "process":
@@ -511,9 +513,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "analyze":
             _cmd_analyze(cfg)
         elif args.command in ("train-eval", "run"):
-            report = run_pipeline(cfg)
-            if report is not None:
-                print(report.to_json())
+            print(run_pipeline(cfg).to_json())
         elif args.command == "agreement":
             _cmd_agreement(cfg)
     except BrokenPipeError:

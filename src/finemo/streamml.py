@@ -435,12 +435,9 @@ class AdaptiveRandomForestClassifier(IncrementalLearner):
 class SGDLinearClassifier(IncrementalLearner):
     """One-vs-rest linear model with hinge loss and eta_t = 1/(alpha t).
 
-    max_iter and tol are read only by warmup_fit, which nothing in the
-    pipeline calls (ROADMAP direction 2: call it on the warmup window or
-    delete it), so they do not change a run; the streaming phase is
-    exactly one update per instance. Scoring and the hinge update
-    read the vector's cached ``arrays``, so they cost O(nnz); every vector
-    must have the width of the first one fitted.
+    Exactly one update per instance. Scoring and the hinge update read the
+    vector's cached ``arrays``, so they cost O(nnz); every vector must have
+    the width of the first one fitted.
     """
 
     def __init__(
@@ -449,8 +446,6 @@ class SGDLinearClassifier(IncrementalLearner):
         penalty: str = "l2",
         l1_ratio: float = 0.15,
         alpha: float = 1e-4,
-        max_iter: int = 1000,
-        tol: float = 1e-3,
     ):
         if penalty not in ("l1", "l2", "elasticnet"):
             raise ValueError(f"unknown penalty: {penalty}")
@@ -458,8 +453,6 @@ class SGDLinearClassifier(IncrementalLearner):
         self.penalty = penalty
         self.l1_ratio = {"l1": 1.0, "l2": 0.0, "elasticnet": l1_ratio}[penalty]
         self.alpha = alpha
-        self.max_iter = max_iter
-        self.tol = tol
         self.t = 0
         self._w: np.ndarray | None = None
         self._b: np.ndarray | None = None
@@ -502,25 +495,6 @@ class SGDLinearClassifier(IncrementalLearner):
                 self._w[i, idx] += eta * y * vals
                 self._b[i] += eta * y
 
-    def warmup_fit(self, stream: list[tuple[FeatureVector, EmotionLabel]]) -> int:
-        """Epoch passes over the warmup window, stopping when the mean hinge
-        loss stops improving by more than tol. Returns epochs run."""
-        prev = math.inf
-        for epoch in range(self.max_iter):
-            total = 0.0
-            for fv, label in stream:
-                self._ensure(fv)
-                scores = self._scores(fv)
-                for i, cls in enumerate(self.classes):
-                    y = 1.0 if cls is label else -1.0
-                    total += max(0.0, 1.0 - y * scores[i])
-                self.partial_fit(fv, label)
-            mean_loss = total / max(1, len(stream))
-            if prev - mean_loss < self.tol:
-                return epoch + 1
-            prev = mean_loss
-        return self.max_iter
-
     def predict(self, fv: FeatureVector) -> dict[EmotionLabel, float]:
         if self.t == 0 or self._w is None:
             return self._uniform()
@@ -555,8 +529,6 @@ class StackedClassifier:
         if s1 is EmotionLabel.PRECAUTION:
             return self.stage2_pre.predict_label(fv)
         return self.stage2_opp.predict_label(fv)
-
-    predict = predict_label
 
     def partial_fit(self, fv: FeatureVector, label: EmotionLabel) -> None:
         if self.train_stage2_on_predictions:
@@ -605,6 +577,7 @@ RF_GRID = {
     "lambda": (6, 35, 50, 100),
 }
 
+# as in the paper; max_iter and tol bound batch epochs, so they select nothing here
 SGD_GRID = {
     "penalty": ("l1", "l2", "elasticnet"),
     "l1_ratio": (0.05, 0.15, 0.9),
@@ -612,6 +585,24 @@ SGD_GRID = {
     "max_iter": (100, 1000, 10000),
     "tol": (1e-1, 1e-3, 1e-5),
 }
+
+
+def learner_args(learner: str, point: dict) -> dict:
+    """The constructor arguments of ``learner`` that grid ``point`` sets, with
+    pipeline defaults for missing keys. Unread keys are dropped and ``max_features``
+    is clipped to the dense block, so equal learners resolve to equal mappings."""
+    if learner == "rf":
+        max_features = point.get("max_features", "auto")
+        if isinstance(max_features, int):
+            max_features = min(max_features, N_DENSE)
+        return {"n_estimators": point.get("estimators", 10), "max_features": max_features,
+                "lam": point.get("lambda", 6)}
+    if learner == "sgd":
+        args = {"penalty": point.get("penalty", "l2"), "alpha": point.get("alpha", 1e-4)}
+        if args["penalty"] == "elasticnet":
+            args["l1_ratio"] = point.get("l1_ratio", 0.15)
+        return args
+    return {}
 
 
 def enumerate_grid(grid: dict) -> list[dict]:
@@ -624,19 +615,26 @@ def enumerate_grid(grid: dict) -> list[dict]:
 class GridSearchResult:
     config: dict
     accuracy: float
-    n_evaluated: int
+    n_evaluated: int  # grid points scored, not prequential runs
 
 
-def grid_search(grid: dict, warmup, factory) -> GridSearchResult:
+def grid_search(grid: dict, warmup, factory, resolve=dict) -> GridSearchResult:
     """Prequential accuracy over the warmup window per grid point; ties go to
-    the first configuration in enumeration order."""
+    the first configuration in enumeration order. ``resolve(config)`` gives
+    the arguments that ``factory(config)`` builds its deterministic learner
+    from, so points that resolve alike would tie: only the first is run."""
     if not grid:
         raise ValueError("empty grid")
     configs = enumerate_grid(grid)
     if not warmup:
         raise ValueError("empty warmup window")
     best_cfg, best_acc = None, -1.0
+    seen = set()
     for cfg in configs:
+        key = frozenset(resolve(cfg).items())
+        if key in seen:
+            continue
+        seen.add(key)
         acc = prequential_run(warmup, factory(cfg)).accuracy
         if acc > best_acc:
             best_cfg, best_acc = cfg, acc

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -73,12 +74,12 @@ def test_deterministic_artifacts(sample_paths, tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_inference_only_without_labels(sample_paths, tmp_path, capsys):
+def test_inference_only_without_labels(sample_paths, tmp_path):
+    # an untrained learner would label every segment with its first class
     cfg = _config(sample_paths, tmp_path, labels=None)
-    report = run_pipeline(cfg)
-    assert report is None
-    assert not os.path.exists(os.path.join(cfg.out, "report.json"))
-    assert os.path.isfile(os.path.join(cfg.out, "indicators.jsonl"))
+    with pytest.raises(PipelineError, match="a model must be trained with --labels"):
+        run_pipeline(cfg)
+    assert not os.path.exists(cfg.out)
 
 
 def test_missing_prices_warns_and_defaults(sample_paths, tmp_path, capsys):
@@ -121,9 +122,18 @@ def test_read_tweets_sorted_and_validated(sample_paths, tmp_path):
     stamps = [t.timestamp for t in tweets]
     assert stamps == sorted(stamps)
     bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"id": "x"}\n')
-    with pytest.raises(PipelineError, match="bad.jsonl:1"):
-        read_tweets(str(bad))
+    good = '{"id": "t", "created_at": "2019-08-01T10:00:00", "text": "hola"}\n'
+    for record, message in [
+        ('{"id": "x"}', "'created_at'"),
+        ("[1, 2]", "expected a JSON object, got list"),
+        ('"text"', "expected a JSON object, got str"),
+        ('{"id": "x", "created_at": "2019-08-01T10:00:00", "text": 5}', "text must be a string"),
+        ('{"id": "x", "created_at": 5, "text": "hola"}', "bad tweet record"),
+        ("{not json", "bad tweet record"),
+    ]:
+        bad.write_text(good + record + "\n")
+        with pytest.raises(PipelineError, match=f"bad.jsonl:2: .*{message}"):
+            read_tweets(str(bad))
 
 
 @pytest.mark.parametrize(
@@ -173,7 +183,9 @@ def test_build_instances_covers_all_replicas(sample_paths):
 def test_yaml_config_and_flag_override(sample_paths, tmp_path):
     config_file = tmp_path / "run.yaml"
     config_file.write_text(
-        "learner: sgd\nwarmup: 5\nlexicons: {0}\n".format(sample_paths["lexicons"])
+        "learner: sgd\nwarmup: 5\nmax_df: 1\nlabels: null\nlexicons: {0}\n".format(
+            sample_paths["lexicons"]
+        )
     )
     parser = build_parser()
     args = parser.parse_args(["run", "--config", str(config_file), "--warmup", "7"])
@@ -181,13 +193,38 @@ def test_yaml_config_and_flag_override(sample_paths, tmp_path):
     assert cfg.learner == "sgd"  # from the file
     assert cfg.warmup == 7  # flag wins
     assert cfg.lexicons == sample_paths["lexicons"]
+    assert cfg.max_df == 1 and cfg.labels is None  # an int fills a float field
 
 
 def test_yaml_config_rejects_unknown_keys(tmp_path):
     config_file = tmp_path / "run.yaml"
     config_file.write_text("learner: nb\nbogus_key: 1\n")
-    with pytest.raises(PipelineError, match="unknown config keys"):
+    with pytest.raises(PipelineError, match="run.yaml: unknown config keys"):
         PipelineConfig.from_yaml(str(config_file))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("learner: nb\nwarmup: [1\n", "bad YAML"),
+        ("- learner\n- nb\n", "expected a mapping"),
+        ("42\n", "expected a mapping"),
+        ("warmup: abc\n", "warmup: expected int, got 'abc'"),
+        ("warmup: true\n", "warmup: expected int, got True"),
+        ("max_df: high\n", "max_df: expected float, got 'high'"),
+        ("stacked: 1\n", "stacked: expected bool, got 1"),
+        ("tweets: [a.jsonl]\n", "tweets: expected str | None, got \\['a.jsonl'\\]"),
+        (None, "No such file"),
+    ],
+)
+def test_bad_config_refused_without_traceback(tmp_path, capsys, text, message):
+    config_file = tmp_path / "run.yaml"
+    if text is not None:
+        config_file.write_text(text)
+    assert main(["train-eval", "--config", str(config_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(config_file) in err
+    assert re.search(message, err), err
 
 
 def test_main_exit_codes(sample_paths, tmp_path, capsys):

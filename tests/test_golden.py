@@ -36,9 +36,6 @@ CASES = {
     "nb-no-prices": [
         "train-eval", *LEXICONS, *TWEETS, *LABELS, "--warmup", "10", "--learner", "nb", "--single",
     ],
-    "nb-inference-only": [
-        "run", *LEXICONS, *TWEETS, *PRICES, "--warmup", "10", "--learner", "nb", "--single", "--all",
-    ],
     "segment": ["segment", *LEXICONS, *TWEETS],
     "process": ["process", *LEXICONS, *TWEETS],
     "features": ["features", *LEXICONS, *TWEETS, *LABELS, *PRICES, "--warmup", "10"],
@@ -54,7 +51,6 @@ GOLDEN = {
     'dt-stacked': {'stdout': '751ecbe873c35250', 'accuracy_series.csv': 'ac2ad2e5c35c042f', 'confusion.csv': 'c35c795698721f90', 'indicators.jsonl': 'e3b0c44298fc1c14', 'report.json': 'efa7b2b75fe75f20', 'vocabulary.json': 'f3a97977731d0203'},
     'features': {'stdout': '774554cdc94f30c7', 'vocabulary.json': 'f3a97977731d0203'},
     'features-percentile': {'stdout': 'ba548ca5843ec1e0', 'vocabulary.json': '4e8c7b42dd8c0235'},
-    'nb-inference-only': {'stdout': 'e3b0c44298fc1c14', 'indicators.jsonl': '6fb9775cb9cd800b', 'vocabulary.json': '6d812cd56bf62328'},
     'nb-no-prices': {'stdout': '28c23d74df57ee08', 'accuracy_series.csv': 'f63ddc1fbcc2b175', 'confusion.csv': 'a91c411fc0afdd5b', 'indicators.jsonl': '565bdefef09757da', 'report.json': '399dde645978ae95', 'vocabulary.json': 'f3a97977731d0203'},
     'nb-sample-every-all': {'stdout': 'f1f7e2bfd0bb73e2', 'accuracy_series.csv': '69900074be380bdf', 'confusion.csv': 'a91c411fc0afdd5b', 'indicators.jsonl': 'dbcc1682be8ad236', 'report.json': '286b5e7fb13d15ef', 'vocabulary.json': 'f3a97977731d0203'},
     'nb-single': {'stdout': 'f1f7e2bfd0bb73e2', 'accuracy_series.csv': 'f63ddc1fbcc2b175', 'confusion.csv': 'a91c411fc0afdd5b', 'indicators.jsonl': '565bdefef09757da', 'report.json': '286b5e7fb13d15ef', 'vocabulary.json': 'f3a97977731d0203'},
@@ -91,6 +87,18 @@ def digests(argv: list[str], out_dir: str) -> dict[str, str]:
 def test_cli_output_matches_golden(case, tmp_path):
     got = digests(CASES[case], str(tmp_path / "out"))
     assert got == GOLDEN[case]
+
+
+def test_inference_only_run_refused(tmp_path, capsys):
+    # the untrained learner this command line used to predict with labeled
+    # every segment PRECAUTION
+    argv = ["run", *LEXICONS, *TWEETS, *PRICES, "--warmup", "10", "--learner", "nb", "--single", "--all"]
+    out_dir = tmp_path / "out"
+    assert main([*argv, "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: a model must be trained with --labels" in captured.err
+    assert not out_dir.exists()
 
 
 if __name__ == "__main__":

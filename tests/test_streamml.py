@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finemo.cli import FeatureStream, PipelineConfig, main
+from finemo.cli import FeatureStream, PipelineConfig, main, make_learner
+from finemo.evaluation import prequential_run
 from finemo.features import N_DENSE, N_NUMERIC, NUMERIC_COLUMNS, TREND_COLUMN, FeatureVector
 from finemo.segmenter import EmotionLabel
 from finemo.streamml import (
@@ -29,6 +30,7 @@ from finemo.streamml import (
     _SplitNode,
     enumerate_grid,
     grid_search,
+    learner_args,
     load_model,
     make_stacked,
     save_model,
@@ -540,8 +542,10 @@ def test_sgd_converges_on_separable_stream():
         label = DEFAULT_CLASSES[int(rng.integers(0, 3))]
         col = {P: 0, N: 1, O: 2}[label]
         stream.append((make_fv({col: 1.0}, sparse_dim=3), label))
-    sgd = SGDLinearClassifier(alpha=1e-2, max_iter=20, tol=1e-4)
-    sgd.warmup_fit(stream)
+    sgd = SGDLinearClassifier(alpha=1e-2)
+    for _ in range(20):
+        for fv, label in stream:
+            sgd.partial_fit(fv, label)
     correct = sum(sgd.predict_label(fv) is label for fv, label in stream)
     assert correct / len(stream) > 0.95
 
@@ -567,16 +571,6 @@ def test_sgd_penalty_mechanics():
     l2.partial_fit(empty, P)  # t=2: multiplicative factor 1 - 1/t
     assert l2._w[i, 0] == pytest.approx(0.1)
     assert l2._w[i, 0] != 0.0
-
-
-def test_sgd_warmup_respects_max_iter_and_tol():
-    rng = np.random.default_rng(10)
-    stream = random_stream(rng, 50)
-    fast = SGDLinearClassifier(max_iter=50, tol=1e6)
-    # a huge tol stops as soon as an improvement can be measured
-    assert fast.warmup_fit(stream) == 2
-    capped = SGDLinearClassifier(max_iter=3, tol=0.0)
-    assert capped.warmup_fit(stream) <= 3
 
 
 class _LoopSGD(SGDLinearClassifier):
@@ -784,12 +778,6 @@ def test_stacked_demotion_only():
             stacked.partial_fit(fv, label)
 
 
-def test_stacked_predict_alias():
-    stacked = make_stacked(lambda classes: StreamingNaiveBayes(classes=classes))
-    fv = make_fv()
-    assert stacked.predict(fv) is stacked.predict_label(fv) or stacked.predict(fv) == stacked.predict_label(fv)
-
-
 # ----------------------------------------------------------------- grids
 
 
@@ -824,6 +812,44 @@ def test_grid_search_tie_goes_to_first():
     assert isinstance(result, GridSearchResult)
     assert result.config == {"a": 1}
     assert result.n_evaluated == 3
+
+
+def _full_grid_search(grid, warmup, factory):
+    """The search before equal learners shared a run: one prequential run per
+    grid point. Returns every point's accuracy and the first best point."""
+    scored = [(cfg, prequential_run(warmup, factory(cfg)).accuracy) for cfg in enumerate_grid(grid)]
+    best = scored[0]
+    for cfg, acc in scored:
+        if acc > best[1]:
+            best = (cfg, acc)
+    return scored, best
+
+
+@pytest.mark.parametrize("learner, grid, runs", [("sgd", SGD_GRID, 15), ("rf", RF_GRID, 32)])
+def test_grid_search_runs_each_distinct_learner_once(learner, grid, runs):
+    # small, because the full enumeration of RF_GRID builds forests of up to 100 trees
+    warmup, _ = make_planted_stream(20, seed=1, warmup=20)
+    cfg = PipelineConfig(learner=learner, stacked=False, seed=7)
+    built = []
+
+    def counting_factory(point):
+        built.append(point)
+        return make_learner(cfg, point)
+
+    result = grid_search(grid, warmup, counting_factory, lambda p: learner_args(learner, p))
+    scored, best = _full_grid_search(grid, warmup, lambda p: make_learner(cfg, p))
+    assert len(built) == runs
+    assert (result.config, result.accuracy) == best
+    assert result.n_evaluated == len(scored)
+    # the window tells the learners apart, and points that resolve alike
+    # really do score alike
+    by_args = {}
+    for point, acc in scored:
+        by_args.setdefault(frozenset(learner_args(learner, point).items()), set()).add(acc)
+    assert len(by_args) == runs
+    assert all(len(accs) == 1 for accs in by_args.values())
+    assert len({acc for _, acc in scored}) > 1
+    assert result.config != scored[0][0]
 
 
 def test_grid_search_validation():

@@ -65,6 +65,8 @@ from finemo.streamml import (
 )
 from finemo.textproc import ProcessedSegment, process
 
+GRIDS = {"rf": RF_GRID, "sgd": SGD_GRID}
+
 # Instances after the warmup window are built and vectorized in blocks of this
 # size: interleaving vectorize and learn per instance costs tree learners locality.
 BLOCK = 1024
@@ -153,8 +155,10 @@ def read_tweets(path: str | None) -> list[RawTweet]:
 
 
 def read_labels(path: str) -> dict[tuple[str, int, str], EmotionLabel]:
-    """tweet_id <TAB> segment_index <TAB> focus_ticker <TAB> P|N|O"""
+    """tweet_id <TAB> segment_index <TAB> focus_ticker <TAB> P|N|O, one row
+    per replica; a second row for the same key is refused."""
     out: dict[tuple[str, int, str], EmotionLabel] = {}
+    first_line: dict[tuple[str, int, str], int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -165,9 +169,17 @@ def read_labels(path: str) -> dict[tuple[str, int, str], EmotionLabel]:
                 raise PipelineError(f"{path}:{lineno}: expected 4 tab-separated fields")
             tweet_id, index, focus, label = parts
             try:
-                out[(tweet_id, int(index), focus)] = EmotionLabel.parse(label)
+                key = (tweet_id, int(index), focus)
+                emotion = EmotionLabel.parse(label)
             except ValueError as exc:
                 raise PipelineError(f"{path}:{lineno}: {exc}") from exc
+            if key in first_line:
+                raise PipelineError(
+                    f"{path}:{lineno}: duplicate label for tweet {tweet_id}, segment {index}, "
+                    f"focus {focus} (first given on line {first_line[key]})"
+                )
+            first_line[key] = lineno
+            out[key] = emotion
     return out
 
 
@@ -199,6 +211,28 @@ def build_instances(tweets, lx, labels=None) -> Iterator[Instance]:
                 yield Instance(tweet, index, ps, replica.text, replica.focus, label)
 
 
+def _check_stream(cfg: PipelineConfig) -> None:
+    """Refuse a bad warmup or percentile before any file is read."""
+    if cfg.warmup < 1:
+        raise PipelineError(f"--warmup must be at least 1, got {cfg.warmup}")
+    if cfg.percentile and not 1 <= cfg.percentile <= 100:
+        raise PipelineError(f"--percentile must be in 1..100 (0 = off), got {cfg.percentile}")
+    if cfg.percentile and not cfg.labels:
+        raise PipelineError("--percentile needs labels to score features")
+
+
+def _check_run(cfg: PipelineConfig) -> None:
+    """Refuse a bad ``train-eval`` configuration before any file is read;
+    the first failing check names the error."""
+    if cfg.sample_every < 1:
+        raise PipelineError(f"--sample-every must be at least 1, got {cfg.sample_every}")
+    if cfg.grid and cfg.grid not in GRIDS:
+        raise PipelineError(f"unknown grid: {cfg.grid}")
+    _check_stream(cfg)
+    if not cfg.labels:
+        raise PipelineError("a model must be trained with --labels; there is no inference-only run")
+
+
 class FeatureStream:
     """tweets -> instances -> (instance, feature vector), in arrival order.
 
@@ -211,12 +245,7 @@ class FeatureStream:
     """
 
     def __init__(self, cfg: PipelineConfig):
-        if cfg.warmup < 1:
-            raise PipelineError(f"--warmup must be at least 1, got {cfg.warmup}")
-        if cfg.percentile and not 1 <= cfg.percentile <= 100:
-            raise PipelineError(f"--percentile must be in 1..100 (0 = off), got {cfg.percentile}")
-        if cfg.percentile and not cfg.labels:
-            raise PipelineError("--percentile needs labels to score features")
+        _check_stream(cfg)
         self.lx = load_lexicons(cfg.lexicons)
         labels = read_labels(cfg.labels) if cfg.labels else None
         self.prices = PriceSeries.from_csv(cfg.prices) if cfg.prices else None
@@ -302,24 +331,18 @@ def run_pipeline(cfg: PipelineConfig) -> PrequentialReport:
     Writes report.json, confusion.csv, accuracy_series.csv, indicators.jsonl
     and vocabulary.json to the output directory and returns the report.
     """
-    if cfg.sample_every < 1:
-        raise PipelineError(f"--sample-every must be at least 1, got {cfg.sample_every}")
-    grid = None
-    if cfg.grid:
-        grid = {"rf": RF_GRID, "sgd": SGD_GRID}.get(cfg.grid)
-        if grid is None:
-            raise PipelineError(f"unknown grid: {cfg.grid}")
+    _check_run(cfg)
     stream = FeatureStream(cfg)
-    # after the stream's own parameter checks, and before anything is written
-    if not cfg.labels:
-        raise PipelineError("a model must be trained with --labels; there is no inference-only run")
     stream.write_vocabulary(cfg.out)
 
     params = None
-    if grid is not None:
+    if cfg.grid:
         warm = [(fv, inst.label) for inst, fv in stream.warmup]
         tuned = grid_search(
-            grid, warm, lambda p: make_learner(cfg, p), lambda p: learner_args(cfg.learner, p)
+            GRIDS[cfg.grid],
+            warm,
+            lambda p: make_learner(cfg, p),
+            lambda p: learner_args(cfg.learner, p),
         )
         params = tuned.config
         print(f"grid search: {tuned.config} (warmup accuracy {tuned.accuracy:.4f})")

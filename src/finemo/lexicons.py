@@ -78,13 +78,16 @@ class LexiconSet:
         return state
 
 
-def _deletes(word: str, depth: int = 2) -> set[str]:
-    """``word`` and every string reachable from it by at most ``depth``
-    single-character deletions."""
-    out = frontier = {word}
-    for _ in range(depth):
-        frontier = {w[:i] + w[i + 1:] for w in frontier for i in range(len(w))}
-        out = out | frontier
+def _deletes(word: str) -> set[str]:
+    """``word`` and every string reachable from it by one or two
+    single-character deletions.
+
+    Each pair of deleted positions p < q is made once: delete p, then the
+    character that was at q, which now sits at q - 1 >= p."""
+    n = len(word)
+    ones = [word[:i] + word[i + 1:] for i in range(n)]
+    out = {word, *ones}
+    out.update([one[:j] + one[j + 1:] for i, one in enumerate(ones) for j in range(i, n - 1)])
     return out
 
 
@@ -99,8 +102,9 @@ class DeleteIndex:
     inserted characters from the token and the substituted and deleted ones
     from the form. So ``candidates`` returns every such form; a hash
     collision only adds a candidate, which the caller's distance check
-    rejects. String hashes are salted per process, so the index is never
-    pickled.
+    rejects. ``_deletes`` makes each pair of deleted positions once, so a
+    form of length n costs about n^2 / 2 string slices. String hashes are
+    salted per process, so the index is never pickled.
     """
 
     def __init__(self, forms) -> None:

@@ -24,7 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from finemo.evaluation import prequential_run
-from finemo.features import N_BOW, N_DENSE, N_NUMERIC, NUMERIC_COLUMNS, TREND_COLUMN, FeatureVector
+from finemo.features import (
+    BOW_COLUMNS,
+    N_BOW,
+    N_DENSE,
+    N_NUMERIC,
+    NUMERIC_COLUMNS,
+    TREND_COLUMN,
+    FeatureVector,
+)
 from finemo.segmenter import EmotionLabel
 
 DEFAULT_CLASSES = (
@@ -64,64 +72,109 @@ class IncrementalLearner:
         return {c: p for c in self.classes}
 
 
+def _log_quotients(counts: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """``math.log((counts[k, j] + 1.0) / denom[k])`` for every cell, with one
+    ``math.log`` per row and distinct count: counts repeat a few small
+    values, so on the benchmark's ``typo-lexicon`` stream a quarter of the
+    cells need a log. ``math.log``, not ``np.log``: the vectorized log
+    differs in the last bit for a few quotients."""
+    # sorted distinct counts; np.unique would add 1.7 MiB to peak RSS
+    flat = np.sort(counts, axis=None)
+    first = np.ones(flat.size, dtype=bool)
+    first[1:] = flat[1:] != flat[:-1]
+    values = flat[first]
+    quotients = (values + 1.0) / denom[:, None]
+    logs = np.array(list(map(math.log, quotients.ravel().tolist()))).reshape(quotients.shape)
+    return np.take_along_axis(logs, np.searchsorted(values, counts), axis=1)
+
+
 class StreamingNaiveBayes(IncrementalLearner):
     """Mixed-likelihood incremental Naive Bayes.
 
     Multinomial with add-1 smoothing over the count columns (n-grams and
     BOW counters), Gaussian over the numeric counters (streaming sums / sums
     of squares), Bernoulli with add-1 over the trend flag.
+
+    The counts are one ``(n_classes, n_text + N_BOW)`` matrix, sized on the
+    first fit; every vector must have that many count columns. Both
+    ``partial_fit`` and ``predict`` read the count prefix of the vector's
+    cached ``arrays``, so they cost O(nnz) per class, and every score has the
+    bits of the per-term loop: prior, then each count term in ``counts()``
+    order, then the Gaussian and Bernoulli terms.
     """
 
     def __init__(self, classes=DEFAULT_CLASSES, var_epsilon: float = 1e-9):
         self.classes = tuple(classes)
         self.var_epsilon = var_epsilon
         self.n_total = 0
-        self._n = {c: 0 for c in self.classes}
-        self._counts = {c: {} for c in self.classes}
-        self._counts_total = {c: 0.0 for c in self.classes}
-        self._num_sum = {c: np.zeros(N_NUMERIC) for c in self.classes}
-        self._num_sumsq = {c: np.zeros(N_NUMERIC) for c in self.classes}
-        self._trend_true = {c: 0 for c in self.classes}
+        k = len(self.classes)
+        # per class, by position in ``classes``
+        self._n = [0] * k
+        self._counts: np.ndarray | None = None
+        self._counts_total = [0.0] * k
+        self._num_sum = np.zeros((k, N_NUMERIC))
+        self._num_sumsq = np.zeros((k, N_NUMERIC))
+        self._trend_true = [0] * k
+
+    def _count_terms(self, fv: FeatureVector) -> tuple[np.ndarray, np.ndarray]:
+        """The (columns, values) of ``fv.counts()``: the prefix of
+        ``fv.arrays`` before the numeric counters and the trend."""
+        width = fv.n_text + N_BOW
+        if self._counts is None:
+            self._counts = np.zeros((len(self.classes), width))
+        elif width != self._counts.shape[1]:
+            raise ValueError(
+                f"feature vector has {width} count columns, "
+                f"the model was sized to {self._counts.shape[1]}"
+            )
+        idx, vals = fv.arrays
+        m = len(fv.text) + np.count_nonzero(fv.dense[BOW_COLUMNS])
+        return idx[:m], vals[:m]
 
     def partial_fit(self, fv: FeatureVector, label: EmotionLabel) -> None:
-        self.n_total += 1
-        self._n[label] += 1
-        counts = self._counts[label]
-        for idx, val in fv.counts():
-            counts[idx] = counts.get(idx, 0.0) + val
-            self._counts_total[label] += val
+        k = self.classes.index(label)
+        idx, vals = self._count_terms(fv)
+        # the columns are distinct, so each count gets one add
+        self._counts[k, idx] += vals
+        total = self._counts_total[k]
+        for v in vals.tolist():
+            total += v
+        self._counts_total[k] = total
         x = fv.dense[NUMERIC_COLUMNS]
-        self._num_sum[label] += x
-        self._num_sumsq[label] += x * x
-        self._trend_true[label] += int(fv.dense[TREND_COLUMN])
+        self._num_sum[k] += x
+        self._num_sumsq[k] += x * x
+        self._trend_true[k] += int(fv.dense[TREND_COLUMN])
+        self._n[k] += 1
+        self.n_total += 1
 
     def predict(self, fv: FeatureVector) -> dict[EmotionLabel, float]:
         if self.n_total == 0:
             return self._uniform()
+        idx, vals = self._count_terms(fv)
+        seen = [k for k, n in enumerate(self._n) if n]
+        ns = [self._n[k] for k in seen]
         vocab_size = fv.n_text + N_BOW
-        observed = list(fv.counts())
+        denom = np.array([self._counts_total[k] + vocab_size for k in seen])
+        logs = _log_quotients(self._counts[:, idx][seen], denom)
+        # add.accumulate adds the terms one after another, in counts() order,
+        # so each sum has the bits of log prior + v_1 log q_1 + v_2 log q_2 ...
+        prior = [math.log(n / self.n_total) for n in ns]
+        terms = np.concatenate([np.array(prior)[:, None], logs * vals], axis=1)
+        multinomial = np.add.accumulate(terms, axis=1)[:, -1].tolist()
+        n = np.array(ns, dtype=float)[:, None]
+        mean = self._num_sum[seen] / n
+        var = self._num_sumsq[seen] / n - mean * mean
+        var = np.maximum(var, self.var_epsilon)
         x = fv.dense[NUMERIC_COLUMNS]
+        # the sum of each contiguous row has the bits of np.sum of that row
+        gaussian = np.sum(
+            -0.5 * np.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var), axis=1
+        ).tolist()
         trend = fv.dense[TREND_COLUMN]
-        scores = {}
-        for cls in self.classes:
-            n = self._n[cls]
-            if n == 0:
-                scores[cls] = -math.inf
-                continue
-            logp = math.log(n / self.n_total)
-            denom = self._counts_total[cls] + vocab_size
-            counts = self._counts[cls]
-            for idx, val in observed:
-                logp += val * math.log((counts.get(idx, 0.0) + 1.0) / denom)
-            mean = self._num_sum[cls] / n
-            var = self._num_sumsq[cls] / n - mean * mean
-            var = np.maximum(var, self.var_epsilon)
-            logp += float(
-                np.sum(-0.5 * np.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var))
-            )
-            p_true = (self._trend_true[cls] + 1.0) / (n + 2.0)
-            logp += math.log(p_true if trend else 1.0 - p_true)
-            scores[cls] = logp
+        scores = {c: -math.inf for c in self.classes}
+        for k, n, logp, gauss in zip(seen, ns, multinomial, gaussian):
+            p_true = (self._trend_true[k] + 1.0) / (n + 2.0)
+            scores[self.classes[k]] = logp + gauss + math.log(p_true if trend else 1.0 - p_true)
         return scores
 
 

@@ -135,17 +135,43 @@ def split_hashtags(token: str, lx: LexiconSet) -> list[str]:
 
 
 def _edit_distance(a: str, b: str, cap: int = 2) -> int:
-    if abs(len(a) - len(b)) > cap:
+    """Levenshtein distance of ``a`` and ``b``, or ``cap + 1`` when it
+    exceeds ``cap``.
+
+    Bit-parallel (Myers 1999, in Hyyrö's form for the global distance).
+    DP row i is the prefix ``a[:i]`` and column j the prefix ``b[:j]``. Bit
+    i of ``pv``/``mv`` is set where the current column steps by +1/-1 from
+    row i to row i + 1, so one column costs a few operations on Python ints
+    of ``len(a)`` bits, for any length. ``dist`` is the column's last entry,
+    ``len(a)`` in column 0.
+    """
+    m = len(a)
+    if abs(m - len(b)) > cap:
         return cap + 1
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        if min(cur) > cap:
-            return cap + 1
-        prev = cur
-    return min(prev[-1], cap + 1)
+    if not m:
+        return min(len(b), cap + 1)
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(a):
+        peq[ch] = peq.get(ch, 0) | 1 << i
+    full = (1 << m) - 1
+    last = 1 << (m - 1)
+    pv, mv, dist = full, 0, m
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (full & ~(xh | pv))
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        # row 0 of the DP is 0, 1, 2, ...: a +1 step enters at the top
+        ph = (ph << 1 | 1) & full
+        mh = (mh << 1) & full
+        pv = mh | (full & ~(xv | ph))
+        mv = ph & xv
+    return min(dist, cap + 1)
 
 
 def lemmatize_correct(token: str, lx: LexiconSet) -> str:
@@ -159,7 +185,9 @@ def lemmatize_correct(token: str, lx: LexiconSet) -> str:
     dictionary. That set holds every form within distance 2, so the result
     equals a scan of every form. The index is built on the first
     out-of-dictionary token and kept on ``lx``; it costs 12 bytes per
-    (delete string, form) pair, about 0.7 MB for 2.2k forms.
+    (delete string, form) pair, about 0.7 MB for 2.2k forms. Each
+    candidate's distance is the bit-parallel ``_edit_distance``, exact up
+    to the cap for any token length.
     """
     if token in TAGS:
         return token

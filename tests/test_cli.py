@@ -171,6 +171,21 @@ def test_read_labels_validated(sample_paths, tmp_path):
         read_labels(str(bad))
 
 
+def test_read_labels_refuses_a_duplicate_key(tmp_path):
+    path = tmp_path / "labels.tsv"
+    path.write_text(
+        "t0\t0\tBBVA\tP\n# comment\nt0\t1\tBBVA\tN\nt1\t0\tBBVA\tN\nt0\t01\tBBVA\tO\n"
+    )
+    message = (
+        re.escape(f"{path}:5: duplicate label for tweet t0, segment 01, focus BBVA")
+        + r".*\bline 3\b"
+    )
+    with pytest.raises(PipelineError, match=message):
+        read_labels(str(path))
+    path.write_text("t0\t0\tBBVA\tP\nt0\t0\tSAN\tP\nt0\t1\tBBVA\tP\n")
+    assert len(read_labels(str(path))) == 3
+
+
 def test_build_instances_covers_all_replicas(sample_paths):
     lx = load_lexicons(sample_paths["lexicons"])
     tweets = read_tweets(sample_paths["tweets"])
@@ -281,6 +296,28 @@ def test_invalid_run_parameters_refused(sample_paths, tmp_path, overrides, messa
     cfg = _config(sample_paths, tmp_path, **overrides)
     with pytest.raises(PipelineError, match=message):
         run_pipeline(cfg)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"labels": None}, "a model must be trained with --labels"),
+        ({"warmup": 0}, "--warmup must be at least 1"),
+        ({"sample_every": 0}, "--sample-every must be at least 1"),
+        ({"grid": "svm"}, "unknown grid: svm"),
+        ({"percentile": 101}, "--percentile must be in 1..100"),
+        ({"percentile": 15, "labels": None}, "--percentile needs labels"),
+        # precedence: the parameter checks come before the labels check
+        ({"warmup": 0, "labels": None}, "--warmup must be at least 1"),
+        ({"sample_every": 0, "warmup": 0}, "--sample-every must be at least 1"),
+    ],
+)
+def test_bad_runs_are_refused_before_any_file_is_read(sample_paths, tmp_path, overrides, message):
+    missing = str(tmp_path / "missing")
+    cfg = _config(sample_paths, tmp_path, tweets=missing + ".jsonl", lexicons=missing, **overrides)
+    with pytest.raises(PipelineError, match=message):
+        run_pipeline(cfg)
+    assert not os.path.exists(cfg.out)
 
 
 def _one_class_labels(sample_paths, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from finemo import cli
 from finemo.cli import FeatureStream, PipelineConfig, main, make_learner
 from finemo.evaluation import prequential_run
 from finemo.features import N_DENSE, N_NUMERIC, NUMERIC_COLUMNS, TREND_COLUMN, FeatureVector
@@ -24,6 +25,7 @@ from finemo.streamml import (
     StackedClassifier,
     StreamingNaiveBayes,
     _argmax_label,
+    _log_quotients,
     _MAX_DISTINCT,
     _DriftMonitor,
     _LeafNode,
@@ -128,6 +130,172 @@ def test_nb_unseen_class_scores_minus_inf():
     scores = nb.predict(fv)
     assert scores[N] == -math.inf and scores[O] == -math.inf
     assert nb.predict_label(fv) is P
+
+
+class _LoopNB(StreamingNaiveBayes):
+    """The per-class dicts and per-term loops that the count-matrix kernel
+    replaced."""
+
+    def __init__(self, classes=DEFAULT_CLASSES, var_epsilon=1e-9):
+        self.classes = tuple(classes)
+        self.var_epsilon = var_epsilon
+        self.n_total = 0
+        self._n = {c: 0 for c in self.classes}
+        self._counts = {c: {} for c in self.classes}
+        self._counts_total = {c: 0.0 for c in self.classes}
+        self._num_sum = {c: np.zeros(N_NUMERIC) for c in self.classes}
+        self._num_sumsq = {c: np.zeros(N_NUMERIC) for c in self.classes}
+        self._trend_true = {c: 0 for c in self.classes}
+
+    def partial_fit(self, fv, label):
+        self.n_total += 1
+        self._n[label] += 1
+        counts = self._counts[label]
+        for idx, val in fv.counts():
+            counts[idx] = counts.get(idx, 0.0) + val
+            self._counts_total[label] += val
+        x = fv.dense[NUMERIC_COLUMNS]
+        self._num_sum[label] += x
+        self._num_sumsq[label] += x * x
+        self._trend_true[label] += int(fv.dense[TREND_COLUMN])
+
+    def predict(self, fv):
+        if self.n_total == 0:
+            return self._uniform()
+        vocab_size = fv.n_text + 3
+        observed = list(fv.counts())
+        x = fv.dense[NUMERIC_COLUMNS]
+        trend = fv.dense[TREND_COLUMN]
+        scores = {}
+        for cls in self.classes:
+            n = self._n[cls]
+            if n == 0:
+                scores[cls] = -math.inf
+                continue
+            logp = math.log(n / self.n_total)
+            denom = self._counts_total[cls] + vocab_size
+            counts = self._counts[cls]
+            for idx, val in observed:
+                logp += val * math.log((counts.get(idx, 0.0) + 1.0) / denom)
+            mean = self._num_sum[cls] / n
+            var = self._num_sumsq[cls] / n - mean * mean
+            var = np.maximum(var, self.var_epsilon)
+            logp += float(
+                np.sum(-0.5 * np.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var))
+            )
+            p_true = (self._trend_true[cls] + 1.0) / (n + 2.0)
+            logp += math.log(p_true if trend else 1.0 - p_true)
+            scores[cls] = logp
+        return scores
+
+
+def _score_bytes(scores):
+    return list(scores), np.array(list(scores.values())).tobytes()
+
+
+def _assert_nb_matches_loop(make, stream):
+    """Scores before every step and after the last one, bit for bit."""
+    fast, slow = make(StreamingNaiveBayes), make(_LoopNB)
+    for fv, label in stream:
+        assert _score_bytes(fast.predict(fv)) == _score_bytes(slow.predict(fv))
+        fast.partial_fit(fv, label)
+        slow.partial_fit(fv, label)
+    for fv, _ in stream[-1:]:
+        assert _score_bytes(fast.predict(fv)) == _score_bytes(slow.predict(fv))
+    assert fast.n_total == slow.n_total
+
+
+_NB_TEXT = 12
+_count = st.one_of(st.integers(1, 4).map(float), st.floats(0.01, 8.0))
+
+
+@st.composite
+def _nb_vector(draw):
+    """Empty, n-gram-only, BOW-only or mixed count columns, with any numeric
+    counters (a Gaussian stays exact for any float) and either trend."""
+    kind = draw(st.sampled_from(["empty", "text", "bow", "mixed"]))
+    text, dense = {}, np.zeros(N_DENSE)
+    if kind in ("text", "mixed"):
+        text = draw(
+            st.dictionaries(st.integers(0, _NB_TEXT - 1), _count, min_size=1, max_size=_NB_TEXT)
+        )
+    if kind in ("bow", "mixed"):
+        for col in draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True)):
+            dense[col] = draw(_count)
+    numeric = draw(st.lists(st.floats(-50.0, 50.0), min_size=N_NUMERIC, max_size=N_NUMERIC))
+    dense[NUMERIC_COLUMNS] = numeric
+    dense[TREND_COLUMN] = draw(st.booleans())
+    return FeatureVector(text=text, dense=dense, n_text=_NB_TEXT)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    classes=st.sampled_from([DEFAULT_CLASSES, (P, N), (O, N)]),
+    # labels drawn from a prefix of the classes leave the others unseen
+    n_labels=st.integers(1, 3),
+    stream=st.lists(st.tuples(_nb_vector(), st.integers(0, 2)), max_size=30),
+)
+def test_nb_kernel_matches_loop_bit_for_bit(classes, n_labels, stream):
+    n_labels = min(n_labels, len(classes))
+    _assert_nb_matches_loop(
+        lambda cls: cls(classes=classes), [(fv, classes[k % n_labels]) for fv, k in stream]
+    )
+
+
+def test_nb_kernel_matches_loop_on_a_random_stream():
+    stream = random_stream(np.random.default_rng(3), 300)
+    _assert_nb_matches_loop(lambda cls: cls(), stream)
+
+
+def test_nb_logs_are_math_log_of_every_quotient():
+    # quotients from 1/3400 to 1, repeated counts and a fractional one;
+    # with numpy 2.4 on AVX-512, np.log differs from math.log in the last
+    # bit for some of them
+    counts = np.arange(6000.0).reshape(3, 2000) % 1700
+    counts[0, 7] = 0.25
+    denom = np.array([1700.0, 2500.0, 3400.0])
+    expected = [
+        [math.log((c + 1.0) / d) for c in row] for row, d in zip(counts.tolist(), denom.tolist())
+    ]
+    assert _log_quotients(counts, denom).tobytes() == np.array(expected).tobytes()
+    assert _log_quotients(counts[:, :0], denom).shape == (3, 0)
+
+
+@pytest.mark.parametrize("sparse_dim", [20, 40])  # narrower, wider than 30
+def test_nb_refuses_a_vector_of_another_width(sparse_dim):
+    nb = StreamingNaiveBayes()
+    nb.partial_fit(make_fv({2: 3.0, 28: 1.0}, [1] * N_NUMERIC, True), P)
+    state = pickle.dumps(nb.__dict__)
+    other = make_fv({1: 1.0, sparse_dim - 1: 2.0}, sparse_dim=sparse_dim)
+    names_both = rf"\b{sparse_dim}\b.*\b30\b"
+    with pytest.raises(ValueError, match=names_both):
+        nb.predict(other)
+    with pytest.raises(ValueError, match=names_both):
+        nb.partial_fit(other, N)
+    assert pickle.dumps(nb.__dict__) == state
+
+
+@pytest.mark.parametrize("mode", ["--single", "--stacked"])
+def test_nb_kernel_matches_loop_on_the_selected_sample_cli(
+    monkeypatch, tmp_path, sample_paths, mode
+):
+    """No golden covers naive Bayes under a chi-squared mask: the loop is the
+    oracle of every byte the command writes."""
+    argv = ["train-eval", "--warmup", "10", "--learner", "nb", mode, "--percentile", "15"]
+    for key in ("lexicons", "tweets", "labels", "prices"):
+        argv += [f"--{key}", sample_paths[key]]
+    outputs = []
+    for learner in (StreamingNaiveBayes, _LoopNB):
+        monkeypatch.setattr(cli, "StreamingNaiveBayes", learner)
+        out = tmp_path / learner.__name__
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main([*argv, "--out", str(out)]) == 0
+        outputs.append(
+            (stdout.getvalue(), {p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        )
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][1]) == 5
 
 
 # --------------------------------------------------------- Hoeffding tree

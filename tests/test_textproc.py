@@ -272,6 +272,69 @@ def test_edit_distance_is_capped_levenshtein(a, b, cap):
     assert _edit_distance(a, b, cap) == (exact if exact <= cap else cap + 1)
 
 
+def _dp_edit_distance(a: str, b: str, cap: int = 2) -> int:
+    """The row-by-row DP that the bit-parallel distance replaced, with its
+    length check and its early exit once a whole row exceeds ``cap``."""
+    if abs(len(a) - len(b)) > cap:
+        return cap + 1
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        if min(cur) > cap:
+            return cap + 1
+        prev = cur
+    return min(prev[-1], cap + 1)
+
+
+def _frontier_deletes(word: str, depth: int = 2) -> set[str]:
+    """The frontier expansion that the direct two-deletion loop replaced."""
+    out = frontier = {word}
+    for _ in range(depth):
+        frontier = {w[:i] + w[i + 1:] for w in frontier for i in range(len(w))}
+        out = out | frontier
+    return out
+
+
+# up to two insertions past the longest form of the bundled dictionary
+_MAX_TOKEN = 13 + 2
+# repeated letters make equal deletes and equal characters common; the
+# others are any characters, astral ones included
+_unicode_text = st.text(
+    st.one_of(st.sampled_from("aañá"), st.characters(exclude_categories=["Cs"])),
+    max_size=_MAX_TOKEN,
+)
+
+
+def test_longest_form_of_the_bundled_dictionary(lx):
+    assert max(map(len, lx.dictionary)) + 2 == _MAX_TOKEN
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_unicode_text, _unicode_text, st.one_of(st.integers(0, 3), st.integers(4, 2 * _MAX_TOKEN)))
+def test_bit_parallel_distance_matches_the_dp(a, b, cap):
+    assert _edit_distance(a, b, cap) == _dp_edit_distance(a, b, cap)
+
+
+def test_bit_parallel_distance_matches_the_dp_on_candidate_pairs(syllable_lx):
+    rng = random.Random(5)
+    forms = sorted(syllable_lx.dictionary)
+    pairs = 0
+    for form in rng.sample(forms, 300):
+        for token in (form[1:], form + "ñ", form[:1] + "w" + form[2:], form[::-1]):
+            for candidate in syllable_lx.delete_index.candidates(token):
+                assert _edit_distance(token, candidate) == _dp_edit_distance(token, candidate)
+                pairs += 1
+    assert pairs > 3000
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_unicode_text)
+def test_deletes_match_the_frontier_expansion(word):
+    assert lexicons._deletes(word) == _frontier_deletes(word)
+
+
 class _CountingIndex(lexicons.DeleteIndex):
     builds = 0
 

@@ -126,7 +126,8 @@ class PipelineConfig:
 
 
 def read_tweets(path: str | None) -> list[RawTweet]:
-    """The tweets of a JSONL file, sorted by timestamp."""
+    """The tweets of a JSONL file, sorted by timestamp. Either every
+    timestamp has a UTC offset or none has."""
     if not path:
         raise PipelineError("a tweets file is required")
     tweets = []
@@ -141,13 +142,14 @@ def read_tweets(path: str | None) -> list[RawTweet]:
                     raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
                 if not isinstance(obj.get("text", ""), str):
                     raise ValueError(f"text must be a string, got {type(obj['text']).__name__}")
-                tweets.append(
-                    RawTweet(
-                        id=str(obj["id"]),
-                        timestamp=datetime.fromisoformat(obj["created_at"]),
-                        text=obj["text"],
+                timestamp = datetime.fromisoformat(obj["created_at"])
+                has_offset = timestamp.utcoffset() is not None
+                if tweets and has_offset != (tweets[0].timestamp.utcoffset() is not None):
+                    raise ValueError(
+                        f"timestamp {obj['created_at']!r} {'has' if has_offset else 'lacks'} "
+                        "a UTC offset, unlike the first record's"
                     )
-                )
+                tweets.append(RawTweet(id=str(obj["id"]), timestamp=timestamp, text=obj["text"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise PipelineError(f"{path}:{lineno}: bad tweet record: {exc}") from exc
     tweets.sort(key=lambda t: t.timestamp)
@@ -226,6 +228,8 @@ def _check_run(cfg: PipelineConfig) -> None:
     the first failing check names the error."""
     if cfg.sample_every < 1:
         raise PipelineError(f"--sample-every must be at least 1, got {cfg.sample_every}")
+    if cfg.seed < 0:
+        raise PipelineError(f"--seed must be non-negative, got {cfg.seed}")
     if cfg.grid and cfg.grid not in GRIDS:
         raise PipelineError(f"unknown grid: {cfg.grid}")
     _check_stream(cfg)
@@ -271,7 +275,7 @@ class FeatureStream:
         self.warmup = [(inst, self._vectorize(inst)) for inst in window]
         if cfg.percentile:
             scores = chi2_scores(
-                [fv.items() for _, fv in self.warmup],
+                [fv.arrays for _, fv in self.warmup],
                 [CLASS_ORDER.index(inst.label) for inst, _ in self.warmup],
                 self.vm.total_dim,
             )
@@ -436,7 +440,7 @@ def _cmd_features(cfg: PipelineConfig) -> None:
                     "tweet_id": inst.tweet.id,
                     "segment_index": inst.segment_index,
                     "focus": inst.focus,
-                    "sparse": {str(k): v for k, v in sorted(fv.counts())},
+                    "sparse": {str(k): v for k, v in sorted(islice(fv.items(), fv.n_counts))},
                     "numeric": [int(v) for v in fv.dense[NUMERIC_COLUMNS].tolist()],
                     "trend": bool(fv.dense[TREND_COLUMN]),
                     "label": inst.label.name if inst.label else None,
@@ -456,7 +460,7 @@ def _cmd_analyze(cfg: PipelineConfig) -> None:
     y = [inst.label for inst, _ in pairs]
     rep = correlation_report(X, y)
     chi2 = chi2_scores(
-        [fv.items() for _, fv in pairs], [CLASS_ORDER.index(l) for l in y], stream.vm.total_dim
+        [fv.arrays for _, fv in pairs], [CLASS_ORDER.index(l) for l in y], stream.vm.total_dim
     )
     out = {
         "pearson": {DENSE_NAMES[j]: r for j, r in rep.r_values.items()},

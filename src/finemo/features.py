@@ -173,12 +173,12 @@ class VocabularyModel:
 class FeatureVector:
     """One segment in the hybrid layout.
 
-    ``text`` holds the nonzero n-gram counts by global column (all below
-    ``n_text``); ``dense`` holds the DENSE_NAMES block, read-only, with
-    ``dense[k]`` at global column ``n_text + k``. ``text`` may be given as a
-    function of no arguments that returns the counts: it is called on the
-    first read of ``text``, ``counts()``, ``items()``, ``arrays`` or
-    ``masked()``, and never when only ``dense`` is read.
+    ``dense`` holds the DENSE_NAMES block, read-only, with ``dense[k]`` at
+    global column ``n_text + k``. ``text`` gives the nonzero n-gram counts by
+    global column (all below ``n_text``), as a dict or as a function of no
+    arguments that returns one: it is called on the first read of ``arrays``
+    and never when only ``dense`` is read. ``arrays`` is the one sparse form
+    the vector keeps; once it is built, the dict and the function are gone.
     """
 
     def __init__(
@@ -195,47 +195,39 @@ class FeatureVector:
         self.n_text = n_text
 
     @property
-    def text(self) -> dict[int, float]:
-        if callable(self._text):
-            self._text = self._text()
-        return self._text
-
-    @property
     def total_dim(self) -> int:
         return self.n_text + N_DENSE
 
-    def counts(self):
-        """Nonzero (global column, value) pairs of the count columns: the
-        n-grams, then the BOW counters."""
-        yield from self.text.items()
-        for k, v in enumerate(self.dense[BOW_COLUMNS].tolist(), start=self.n_text):
-            if v:
-                yield k, v
-
-    def items(self):
-        """All nonzero (global column, value) pairs: n-grams, BOW counters,
-        numeric counters, trend."""
-        yield from self.text.items()
-        for k, v in enumerate(self.dense.tolist(), start=self.n_text):
-            if v:
-                yield k, v
-
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``items()`` as read-only (global columns, values) arrays in the
-        same order, built on first use. ``masked()`` makes a new vector, so a
-        masked copy never sees this one's arrays."""
-        pairs = list(self.items())
-        indices = np.array([k for k, _ in pairs], dtype=np.intp)
-        values = np.array([v for _, v in pairs], dtype=float)
+        """All nonzero columns as read-only (global columns, values) arrays:
+        the n-grams in counting order, then the nonzero dense columns in
+        column order (BOW counters, numeric counters, trend)."""
+        text = self._text() if callable(self._text) else self._text
+        self._text = None
+        n, nonzero = len(text), np.flatnonzero(self.dense)
+        indices = np.concatenate([np.fromiter(text, np.intp, n), self.n_text + nonzero])
+        values = np.concatenate([np.fromiter(text.values(), float, n), self.dense[nonzero]])
         indices.flags.writeable = False
         values.flags.writeable = False
         return indices, values
 
+    @cached_property
+    def n_counts(self) -> int:
+        """How many leading ``arrays`` entries are count columns: the n-grams
+        and the BOW counters."""
+        return len(self.arrays[0]) - np.count_nonzero(self.dense[N_BOW:])
+
+    def items(self):
+        """``arrays`` as (global column, value) pairs of Python numbers."""
+        return zip(*(a.tolist() for a in self.arrays))
+
     def masked(self, mask: set[int]) -> "FeatureVector":
         """This vector with every global column outside ``mask`` zeroed."""
+        indices, values = self.arrays
+        n = len(indices) - np.count_nonzero(self.dense)
         return FeatureVector(
-            {i: v for i, v in self.text.items() if i in mask},
+            {i: v for i, v in zip(indices[:n].tolist(), values[:n].tolist()) if i in mask},
             _masked_dense(self.dense, self.n_text, mask),
             self.n_text,
         )

@@ -78,26 +78,24 @@ def correlation_report(X, labels: list[EmotionLabel]) -> CorrelationReport:
 def chi2_scores(rows, y, n_features: int) -> np.ndarray:
     """Per-feature chi-squared statistic for nonnegative sparse features.
 
-    ``rows`` holds one iterable of (column, value) pairs per sample and ``y``
-    its integer class id; classes are taken in sorted order. Observed values
-    are the class-conditional feature sums; expected values assume
-    class-independence. All-zero features score 0.
+    ``rows`` holds one (columns, values) pair of arrays per sample, as in
+    ``FeatureVector.arrays``, and ``y`` its integer class id; classes are
+    taken in sorted order. Observed values are the class-conditional feature
+    sums; expected values assume class-independence. All-zero features
+    score 0.
     """
     classes, y_index = np.unique(np.asarray(y, dtype=int), return_inverse=True)
-    flat: list[int] = []
-    values: list[float] = []
-    for ci, row in zip(y_index.tolist(), rows, strict=True):
-        for col, val in row:
-            flat.append(ci * n_features + col)
-            values.append(val)
-    vals = np.asarray(values, dtype=float)
+    cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for ci, (idx, row_vals) in zip(y_index.tolist(), rows, strict=True):
+        cols.append(ci * n_features + np.asarray(idx, dtype=np.int64))
+        vals.append(np.asarray(row_vals, dtype=float))
+    flat, vals = np.concatenate(cols), np.concatenate(vals)
     if np.any(vals < 0):
         raise SelectionError("chi2 requires nonnegative feature values")
     if classes.size < 2:
         raise SelectionError("chi2 requires at least two classes")
-    observed = np.bincount(
-        np.asarray(flat, dtype=np.int64), weights=vals, minlength=classes.size * n_features
-    ).reshape(classes.size, n_features)
+    observed = np.bincount(flat, weights=vals, minlength=classes.size * n_features)
+    observed = observed.reshape(classes.size, n_features)
     class_prob = np.bincount(y_index) / y_index.size
     expected = np.outer(class_prob, observed.sum(axis=0))
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -4,8 +4,9 @@ Every learner exposes predict(fv) -> per-class scores (never mutating) and
 partial_fit(fv, label) -> None (one instance, order-sensitive). Before the
 first fit, predict returns the configured prior (uniform by default).
 
-Naive Bayes and the linear model consume the full hybrid feature space;
-the tree learners consume only its dense block (``FeatureVector.dense``:
+Naive Bayes and the linear model consume the full hybrid feature space
+through ``FeatureVector.arrays``, naive Bayes only its first ``n_counts``
+entries; the tree learners consume only the dense block (``FeatureVector.dense``:
 BOW counters, numeric counters, trend), so a tree run never makes a vector
 count its n-grams. A Hoeffding tree keeps numpy class counts per leaf and,
 per leaf feature and value, per-class weights as Python floats; numpy
@@ -25,7 +26,6 @@ import numpy as np
 
 from finemo.evaluation import prequential_run
 from finemo.features import (
-    BOW_COLUMNS,
     N_BOW,
     N_DENSE,
     N_NUMERIC,
@@ -40,6 +40,8 @@ DEFAULT_CLASSES = (
     EmotionLabel.NEUTRAL,
     EmotionLabel.OPPORTUNITY,
 )
+VAR_EPSILON = 1e-9  # floor of naive Bayes's per-class numeric variances
+TIE_THRESHOLD = 0.05  # a Hoeffding bound below this splits even on a tie
 
 
 def _argmax_label(scores: dict, classes) -> EmotionLabel:
@@ -97,15 +99,14 @@ class StreamingNaiveBayes(IncrementalLearner):
 
     The counts are one ``(n_classes, n_text + N_BOW)`` matrix, sized on the
     first fit; every vector must have that many count columns. Both
-    ``partial_fit`` and ``predict`` read the count prefix of the vector's
-    cached ``arrays``, so they cost O(nnz) per class, and every score has the
-    bits of the per-term loop: prior, then each count term in ``counts()``
+    ``partial_fit`` and ``predict`` read the first ``n_counts`` entries of the
+    vector's ``arrays``, so they cost O(nnz) per class, and every score has
+    the bits of the per-term loop: prior, then each count term in ``arrays``
     order, then the Gaussian and Bernoulli terms.
     """
 
-    def __init__(self, classes=DEFAULT_CLASSES, var_epsilon: float = 1e-9):
+    def __init__(self, classes=DEFAULT_CLASSES):
         self.classes = tuple(classes)
-        self.var_epsilon = var_epsilon
         self.n_total = 0
         k = len(self.classes)
         # per class, by position in ``classes``
@@ -117,8 +118,8 @@ class StreamingNaiveBayes(IncrementalLearner):
         self._trend_true = [0] * k
 
     def _count_terms(self, fv: FeatureVector) -> tuple[np.ndarray, np.ndarray]:
-        """The (columns, values) of ``fv.counts()``: the prefix of
-        ``fv.arrays`` before the numeric counters and the trend."""
+        """The first ``fv.n_counts`` entries of ``fv.arrays``: the n-gram and
+        BOW counts, before the numeric counters and the trend."""
         width = fv.n_text + N_BOW
         if self._counts is None:
             self._counts = np.zeros((len(self.classes), width))
@@ -127,8 +128,8 @@ class StreamingNaiveBayes(IncrementalLearner):
                 f"feature vector has {width} count columns, "
                 f"the model was sized to {self._counts.shape[1]}"
             )
+        m = fv.n_counts
         idx, vals = fv.arrays
-        m = len(fv.text) + np.count_nonzero(fv.dense[BOW_COLUMNS])
         return idx[:m], vals[:m]
 
     def partial_fit(self, fv: FeatureVector, label: EmotionLabel) -> None:
@@ -156,7 +157,7 @@ class StreamingNaiveBayes(IncrementalLearner):
         vocab_size = fv.n_text + N_BOW
         denom = np.array([self._counts_total[k] + vocab_size for k in seen])
         logs = _log_quotients(self._counts[:, idx][seen], denom)
-        # add.accumulate adds the terms one after another, in counts() order,
+        # add.accumulate adds the terms one after another, in arrays order,
         # so each sum has the bits of log prior + v_1 log q_1 + v_2 log q_2 ...
         prior = [math.log(n / self.n_total) for n in ns]
         terms = np.concatenate([np.array(prior)[:, None], logs * vals], axis=1)
@@ -164,7 +165,7 @@ class StreamingNaiveBayes(IncrementalLearner):
         n = np.array(ns, dtype=float)[:, None]
         mean = self._num_sum[seen] / n
         var = self._num_sumsq[seen] / n - mean * mean
-        var = np.maximum(var, self.var_epsilon)
+        var = np.maximum(var, VAR_EPSILON)
         x = fv.dense[NUMERIC_COLUMNS]
         # the sum of each contiguous row has the bits of np.sum of that row
         gaussian = np.sum(
@@ -215,7 +216,7 @@ class HoeffdingTreeClassifier(IncrementalLearner):
 
     A leaf splits once the information-gain gap between its two best
     candidate splits exceeds eps = sqrt(R^2 ln(1/delta) / (2 n)), with
-    R = log2(#classes), or once eps falls below the tie threshold. Leaves
+    R = log2(#classes), or once eps falls below TIE_THRESHOLD. Leaves
     predict by majority vote or a naive-Bayes hybrid over the dense block,
     which every call reads once as a list of Python floats.
     """
@@ -225,7 +226,6 @@ class HoeffdingTreeClassifier(IncrementalLearner):
         classes=DEFAULT_CLASSES,
         delta: float = 1e-7,
         grace_period: int = 200,
-        tie_threshold: float = 0.05,
         leaf_prediction: str = "majority",
         subspace_size: int | None = None,
         rng: np.random.Generator | None = None,
@@ -235,7 +235,6 @@ class HoeffdingTreeClassifier(IncrementalLearner):
         self.classes = tuple(classes)
         self.delta = delta
         self.grace_period = grace_period
-        self.tie_threshold = tie_threshold
         self.leaf_prediction = leaf_prediction
         self.subspace_size = subspace_size
         self.rng = rng
@@ -317,7 +316,7 @@ class HoeffdingTreeClassifier(IncrementalLearner):
             return
         r = math.log2(len(self.classes))
         eps = math.sqrt(r * r * math.log(1.0 / self.delta) / (2.0 * n)) if self.delta < 1 else 0.0
-        if gain - second > eps or eps < self.tie_threshold:
+        if gain - second > eps or eps < TIE_THRESHOLD:
             left_leaf, right_leaf = self._new_leaf(), self._new_leaf()
             per_value = leaf.observers[feature]
             for v, stats in per_value.items():

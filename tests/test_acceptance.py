@@ -219,7 +219,7 @@ def test_acceptance_06_selection_oracles():
         y = rng.integers(0, 3, size=n)
         if len(set(y.tolist())) < 2:
             y[0], y[1] = 0, 1
-        scores = chi2_scores([list(enumerate(row)) for row in X], y, d)
+        scores = chi2_scores([(np.arange(len(row)), row) for row in X], y, d)
         brute = []
         for j in range(d):
             total = X[:, j].sum()

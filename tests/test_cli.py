@@ -130,6 +130,9 @@ def test_read_tweets_sorted_and_validated(sample_paths, tmp_path):
         ('{"id": "x", "created_at": "2019-08-01T10:00:00", "text": 5}', "text must be a string"),
         ('{"id": "x", "created_at": 5, "text": "hola"}', "bad tweet record"),
         ("{not json", "bad tweet record"),
+        # sorting would compare offset-naive and offset-aware datetimes
+        ('{"id": "x", "created_at": "2019-08-01T09:00:00+02:00", "text": "hola"}',
+         "'2019-08-01T09:00:00\\+02:00' has a UTC offset, unlike the first record's"),
     ]:
         bad.write_text(good + record + "\n")
         with pytest.raises(PipelineError, match=f"bad.jsonl:2: .*{message}"):
@@ -290,6 +293,7 @@ def test_main_segment_subcommand(sample_paths, capsys):
         ({"percentile": 15, "labels": None}, "--percentile needs labels"),
         # the sample has 31 labeled replicas, so nothing is left to evaluate
         ({"warmup": 31}, "nothing to evaluate"),
+        ({"seed": -1}, "--seed must be non-negative, got -1"),
     ],
 )
 def test_invalid_run_parameters_refused(sample_paths, tmp_path, overrides, message):
@@ -310,6 +314,7 @@ def test_invalid_run_parameters_refused(sample_paths, tmp_path, overrides, messa
         # precedence: the parameter checks come before the labels check
         ({"warmup": 0, "labels": None}, "--warmup must be at least 1"),
         ({"sample_every": 0, "warmup": 0}, "--sample-every must be at least 1"),
+        ({"seed": -1}, "--seed must be non-negative"),
     ],
 )
 def test_bad_runs_are_refused_before_any_file_is_read(sample_paths, tmp_path, overrides, message):

@@ -3,6 +3,7 @@ import io
 from collections import Counter
 from dataclasses import replace
 from datetime import date, datetime
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -97,6 +98,11 @@ def test_numeric_golden_sample_2(lx):
     assert numeric == _expected_tuple(SAMPLE_2_EXPECTED)
 
 
+def _counts(fv):
+    """The count columns of ``fv``: the first ``n_counts`` pairs of ``items()``."""
+    return dict(islice(fv.items(), fv.n_counts))
+
+
 def test_bow_hit_goldens(lx):
     ps1, _ = _numeric_for_text(SAMPLE_1_TEXT, lx)
     ps2, _ = _numeric_for_text(SAMPLE_2_TEXT, lx)
@@ -108,10 +114,10 @@ def test_bow_hit_goldens(lx):
     fv1 = vectorize(ps1, vm, (0,) * N_NUMERIC, False)
     fv2 = vectorize(ps2, vm, (0,) * N_NUMERIC, False)
     pre_col, neu_col, opp_col = vm.n_text_columns, vm.n_text_columns + 1, vm.n_text_columns + 2
-    assert dict(fv1.counts()).get(pre_col) == 1.0
-    assert dict(fv1.counts()).get(opp_col) is None
-    assert dict(fv2.counts()).get(opp_col) == 1.0
-    assert dict(fv2.counts()).get(pre_col) is None
+    assert _counts(fv1).get(pre_col) == 1.0
+    assert _counts(fv1).get(opp_col) is None
+    assert _counts(fv2).get(opp_col) == 1.0
+    assert _counts(fv2).get(pre_col) is None
 
 
 def _scan_bow_hits(tokens, vm):
@@ -262,7 +268,7 @@ def test_vectorize_counts_match_manual_recount():
     for gram in charwb_ngrams(list(seg.tokens), 1, 4):
         if gram in vm.wordbound_vocab:
             expected[offset + vm.wordbound_vocab[gram]] += 1
-    text_part = {k: v for k, v in fv.counts() if k < vm.n_text_columns}
+    text_part = {k: v for k, v in _counts(fv).items() if k < vm.n_text_columns}
     assert text_part == {k: float(v) for k, v in expected.items()}
 
 
@@ -294,7 +300,7 @@ def test_selection_mask_filters_all_blocks():
     keep_numeric = vm.n_text_columns + 3 + 2
     vm.selection_mask = {0, 1, keep_numeric}  # drops trend and most columns
     fv = vectorize(corpus[0], vm, tuple(range(N_NUMERIC)), True)
-    assert set(dict(fv.counts())) <= {0, 1}
+    assert set(_counts(fv)) <= {0, 1}
     assert fv.dense[NUMERIC_COLUMNS][2] == 2
     assert sum(fv.dense[NUMERIC_COLUMNS]) == 2  # every other numeric zeroed
     assert not fv.dense[TREND_COLUMN]
@@ -391,6 +397,30 @@ def _assert_arrays_are_items(fv):
     assert indices.tolist() == [col for col, _ in pairs]
     assert values.tolist() == [float(v) for _, v in pairs]
     assert not indices.flags.writeable and not values.flags.writeable
+
+
+def test_arrays_are_the_only_sparse_form_kept(sample_stream):
+    _, pairs = sample_stream
+    for fv in [FeatureVector(text={3: 1.0}, dense=np.zeros(N_DENSE), n_text=5),
+               *(fv for _, fv in pairs)]:
+        fv.arrays  # the first read builds the arrays
+        # neither the n-gram dict nor the function that counts it survive
+        assert not any(isinstance(v, dict) or callable(v) for v in vars(fv).values())
+        assert not hasattr(fv, "text") and not hasattr(fv, "counts")
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_n_counts_is_the_count_prefix(sample_stream, data):
+    vm, pairs = sample_stream
+    used = sorted({col for _, fv in pairs for col, _ in fv.items()})
+    mask = data.draw(st.sets(st.sampled_from(used)))
+    n_count_columns = vm.n_text_columns + N_BOW
+    for _, fv in pairs:
+        for vec in (fv, fv.masked(mask)):
+            indices = vec.arrays[0].tolist()
+            prefix = [col < n_count_columns for col in indices]
+            assert prefix == [True] * vec.n_counts + [False] * (len(indices) - vec.n_counts)
 
 
 def test_arrays_are_the_items_read_only_and_built_once(sample_stream):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finemo.cli import read_tweets
 from finemo.segmenter import (
     FOCUS_TAG,
     OTHER_TAG,
@@ -17,6 +18,7 @@ from finemo.segmenter import (
     segment_tweet,
     split_asset_lists,
 )
+from finemo.textproc import tag_assets
 from tests.segmentation_cases import CASES
 
 
@@ -105,9 +107,17 @@ WORDS = [
 ]
 
 
+# aliases, markers, trailing punctuation and the tags themselves
+ASSET_FORMS = [
+    "Santander", "santander.", "telefónica", "@Apple", "$ALUA.BA", "ALUA.BA", "#CABK",
+    "KO.", "bankia,", "$SAN.", "amazon!", "IBEX35?", "$tef:", "sab.mc", "MT", "mt.",
+    FOCUS_TAG, OTHER_TAG,
+]
+
+
 @st.composite
-def tweets(draw):
-    words = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=12))
+def tweets(draw, words=WORDS):
+    words = draw(st.lists(st.sampled_from(words), min_size=1, max_size=12))
     seps = draw(
         st.lists(st.sampled_from([" ", " ", " ", ". ", ", ", " - "]),
                  min_size=len(words) - 1, max_size=len(words) - 1)
@@ -152,3 +162,21 @@ def test_clauses_cover_all_words(lx, text):
     from_clauses = [w for c in clauses for w in words(c)]
     # clause splitting only removes separators, never words
     assert [w.strip(".,") for w in from_clauses] == [w.strip(".,") for w in original]
+
+
+def _assert_replicas_are_tagged(tweet, lx):
+    # process() tags asset mentions again; on a replica that must change nothing
+    for seg in segment_tweet(tweet, lx):
+        for replica in replicate_per_asset(seg):
+            assert tag_assets(replica.text, replica.focus, lx) == replica.text
+
+
+def test_sample_replicas_are_already_tagged(lx, sample_paths):
+    for tweet in read_tweets(sample_paths["tweets"]):
+        _assert_replicas_are_tagged(tweet, lx)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tweets(WORDS + ASSET_FORMS))
+def test_replicas_are_already_tagged(lx, text):
+    _assert_replicas_are_tagged(_tweet(text), lx)

@@ -56,6 +56,14 @@ def make_fv(sparse=None, numeric=None, trend=False, sparse_dim=30):
     )
 
 
+def count_pairs(fv):
+    """The (column, value) pairs of the count columns: the first
+    ``n_counts`` entries of ``arrays``."""
+    m = fv.n_counts
+    idx, vals = fv.arrays
+    return list(zip(idx[:m].tolist(), vals[:m].tolist()))
+
+
 def random_stream(rng, n, sparse_dim=30):
     stream = []
     for _ in range(n):
@@ -85,9 +93,9 @@ def _batch_nb_argmax(history, fv, var_epsilon=1e-9):
         else:
             n = len(docs)
             score = math.log(n / n_total)
-            doc_counts = [dict(h[0].counts()) for h in docs]
+            doc_counts = [dict(count_pairs(h[0])) for h in docs]
             denom = sum(sum(c.values()) for c in doc_counts) + fv.n_text + 3
-            for idx, val in fv.counts():
+            for idx, val in count_pairs(fv):
                 count = sum(c.get(idx, 0.0) for c in doc_counts)
                 score += val * math.log((count + 1.0) / denom)
             X = np.array([h[0].dense[NUMERIC_COLUMNS] for h in docs], dtype=float)
@@ -151,7 +159,7 @@ class _LoopNB(StreamingNaiveBayes):
         self.n_total += 1
         self._n[label] += 1
         counts = self._counts[label]
-        for idx, val in fv.counts():
+        for idx, val in count_pairs(fv):
             counts[idx] = counts.get(idx, 0.0) + val
             self._counts_total[label] += val
         x = fv.dense[NUMERIC_COLUMNS]
@@ -163,7 +171,7 @@ class _LoopNB(StreamingNaiveBayes):
         if self.n_total == 0:
             return self._uniform()
         vocab_size = fv.n_text + 3
-        observed = list(fv.counts())
+        observed = count_pairs(fv)
         x = fv.dense[NUMERIC_COLUMNS]
         trend = fv.dense[TREND_COLUMN]
         scores = {}

@@ -214,7 +214,10 @@ def build_instances(tweets, lx, labels=None) -> Iterator[Instance]:
 
 
 def _check_stream(cfg: PipelineConfig) -> None:
-    """Refuse a bad warmup or percentile before any file is read."""
+    """Refuse a missing tweets file, a bad warmup or percentile before any
+    file is read."""
+    if not cfg.tweets:
+        raise PipelineError("a tweets file is required")
     if cfg.warmup < 1:
         raise PipelineError(f"--warmup must be at least 1, got {cfg.warmup}")
     if cfg.percentile and not 1 <= cfg.percentile <= 100:
@@ -232,6 +235,10 @@ def _check_run(cfg: PipelineConfig) -> None:
         raise PipelineError(f"--seed must be non-negative, got {cfg.seed}")
     if cfg.grid and cfg.grid not in GRIDS:
         raise PipelineError(f"unknown grid: {cfg.grid}")
+    if cfg.grid and cfg.grid != cfg.learner:
+        raise PipelineError(
+            f"--grid {cfg.grid} tunes the {cfg.grid} learner, not --learner {cfg.learner}"
+        )
     _check_stream(cfg)
     if not cfg.labels:
         raise PipelineError("a model must be trained with --labels; there is no inference-only run")
@@ -395,6 +402,8 @@ def run_pipeline(cfg: PipelineConfig) -> PrequentialReport:
 
 
 def _cmd_segment(cfg: PipelineConfig) -> None:
+    if not cfg.tweets:
+        raise PipelineError("a tweets file is required")
     lx = load_lexicons(cfg.lexicons)
     for tweet in read_tweets(cfg.tweets):
         for index, seg in enumerate(segment_tweet(tweet, lx)):

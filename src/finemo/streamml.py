@@ -8,10 +8,11 @@ Naive Bayes and the linear model consume the full hybrid feature space
 through ``FeatureVector.arrays``, naive Bayes only its first ``n_counts``
 entries; the tree learners consume only the dense block (``FeatureVector.dense``:
 BOW counters, numeric counters, trend), so a tree run never makes a vector
-count its n-grams. A Hoeffding tree keeps numpy class counts per leaf and,
-per leaf feature and value, per-class weights as Python floats; numpy
-arithmetic is left to split attempts. The forest descends each tree once
-per fitted instance: the drift check and the update share the leaf.
+count its n-grams. A Hoeffding tree keeps its per-leaf class counts and,
+per leaf feature and value, its per-class weights as lists of Python floats;
+a split attempt makes one ``np.log2`` call, on the probabilities of every
+class distribution it scores. The forest descends each tree once per fitted
+instance: the drift check and the update share the leaf.
 """
 
 from __future__ import annotations
@@ -183,8 +184,8 @@ class _LeafNode:
     __slots__ = ("class_counts", "observers", "n_since", "features")
 
     def __init__(self, n_classes: int, features: list[int]):
-        self.class_counts = np.zeros(n_classes)
-        # per feature: value -> per-class weights, as Python floats
+        self.class_counts = [0.0] * n_classes
+        # per feature: value -> per-class weights
         self.observers: dict[int, dict[float, list[float]]] = {f: {} for f in features}
         self.n_since = 0.0
         self.features = features
@@ -200,12 +201,63 @@ class _SplitNode:
         self.right = right
 
 
-def _entropy(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total <= 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
+def _total(values) -> float:
+    """``values`` added left to right. For fewer than eight floats this has
+    the bits of ``np.sum``; the builtin ``sum`` compensates from Python 3.12
+    on, so it can differ in the last bit."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _best_splits(counts: list[float], observers: dict) -> list[tuple[float, int, float]]:
+    """(gain, feature, threshold) of the best threshold of every feature
+    whose information gain is positive somewhere; a later threshold wins
+    only with a strictly larger gain.
+
+    The candidates are the distinct observed values but the largest, in
+    sorted order; the left side adds their per-class weights one after
+    another and the right side is ``counts`` minus the left. The entropy of
+    the parent and of both sides of every candidate is
+    ``-(p_0 log2 p_0 + p_1 log2 p_1 + ...)`` over the positive counts, added
+    left to right; the logs of all these probabilities come from one
+    ``np.log2`` call. ``math.log2`` differs from ``np.log2`` in the last bit
+    for a few quotients, and a one-bit gain difference can flip a tie."""
+    n = _total(counts)
+    # the parent's probabilities, then those of the left and the right side
+    # of every candidate; distribution d has probs[ends[d - 1]:ends[d]]
+    probs = [c / n for c in counts if c > 0]
+    ends = [len(probs)]
+    candidates = []  # (feature, threshold, left total, right total)
+    for f, per_value in observers.items():
+        left = [0.0] * len(counts)
+        for v in sorted(per_value)[:-1]:
+            left = [a + b for a, b in zip(left, per_value[v])]
+            right = [c - a for c, a in zip(counts, left)]
+            ln, rn = _total(left), _total(right)
+            if ln > 0 and rn > 0:
+                probs += [c / ln for c in left if c > 0]
+                ends.append(len(probs))
+                probs += [c / rn for c in right if c > 0]
+                ends.append(len(probs))
+                candidates.append((f, v, ln, rn))
+    logs = np.log2(probs).tolist()
+    entropies, start = [], 0
+    for end in ends:
+        acc = 0.0
+        for i in range(start, end):
+            acc += probs[i] * logs[i]
+        entropies.append(-acc)
+        start = end
+    parent_entropy = entropies[0]
+    sides = iter(entropies[1:])
+    best: dict[int, tuple[float, float]] = {}  # feature -> (gain, threshold)
+    for (f, v, ln, rn), e_left, e_right in zip(candidates, sides, sides):
+        gain = parent_entropy - (ln / n) * e_left - (rn / n) * e_right
+        if gain > best.get(f, (0.0,))[0]:
+            best[f] = (gain, v)
+    return [(gain, f, v) for f, (gain, v) in best.items()]
 
 
 _MAX_DISTINCT = 64
@@ -218,7 +270,10 @@ class HoeffdingTreeClassifier(IncrementalLearner):
     candidate splits exceeds eps = sqrt(R^2 ln(1/delta) / (2 n)), with
     R = log2(#classes), or once eps falls below TIE_THRESHOLD. Leaves
     predict by majority vote or a naive-Bayes hybrid over the dense block,
-    which every call reads once as a list of Python floats.
+    which every call reads once as a list of Python floats. A leaf's class
+    counts and its per-feature, per-value class weights are lists of Python
+    floats; a split attempt on a leaf with two or more classes scores every
+    candidate threshold with one ``np.log2`` call (``_best_splits``).
     """
 
     def __init__(
@@ -284,46 +339,25 @@ class HoeffdingTreeClassifier(IncrementalLearner):
 
     def _attempt_split(self, leaf: _LeafNode, parent, side) -> None:
         counts = leaf.class_counts
-        if np.count_nonzero(counts) < 2:
+        if len(counts) - counts.count(0.0) < 2:  # a pure leaf
             return
-        parent_entropy = _entropy(counts)
-        n = counts.sum()
-        # best split per feature; the Hoeffding gap compares across features
-        per_feature: list[tuple[float, int, float]] = []
-        for f, per_value in leaf.observers.items():
-            values = sorted(per_value)
-            if len(values) < 2:
-                continue
-            best_gain, best_thr = 0.0, None
-            left = np.zeros(len(self.classes))
-            for v in values[:-1]:
-                left = left + per_value[v]
-                right = counts - left
-                ln, rn = left.sum(), right.sum()
-                if ln <= 0 or rn <= 0:
-                    continue
-                gain = parent_entropy - (ln / n) * _entropy(left) - (rn / n) * _entropy(right)
-                if gain > best_gain:
-                    best_gain, best_thr = gain, v
-            if best_thr is not None:
-                per_feature.append((best_gain, f, best_thr))
+        # best split per feature, each with a positive gain; the Hoeffding
+        # gap compares across features
+        per_feature = _best_splits(counts, leaf.observers)
         if not per_feature:
             return
         per_feature.sort(key=lambda t: (-t[0], t[1]))
         gain, feature, threshold = per_feature[0]
         second = per_feature[1][0] if len(per_feature) > 1 else 0.0
-        if gain <= 0.0:
-            return
+        n = _total(counts)
         r = math.log2(len(self.classes))
         eps = math.sqrt(r * r * math.log(1.0 / self.delta) / (2.0 * n)) if self.delta < 1 else 0.0
         if gain - second > eps or eps < TIE_THRESHOLD:
             left_leaf, right_leaf = self._new_leaf(), self._new_leaf()
             per_value = leaf.observers[feature]
             for v, stats in per_value.items():
-                if v <= threshold:
-                    left_leaf.class_counts += stats
-                else:
-                    right_leaf.class_counts += stats
+                child = left_leaf if v <= threshold else right_leaf
+                child.class_counts = [a + b for a, b in zip(child.class_counts, stats)]
             split = _SplitNode(feature, threshold, left_leaf, right_leaf)
             if parent is None:
                 self._root = split
@@ -345,12 +379,13 @@ class HoeffdingTreeClassifier(IncrementalLearner):
             return _argmax_label(self._leaf_scores(x, leaf), self.classes)
         # the first maximum wins, as in _argmax_label; a leaf that has seen
         # nothing has all-zero counts, so it gives the uniform prior's pick
-        return self.classes[int(leaf.class_counts.argmax())]
+        counts = leaf.class_counts
+        return self.classes[counts.index(max(counts))]
 
     def _leaf_scores(self, x: list[float], leaf: _LeafNode) -> dict[EmotionLabel, float]:
         # an unfitted tree's root has all-zero counts: the uniform prior
         counts = leaf.class_counts
-        total = counts.sum()
+        total = _total(counts)
         if total <= 0:
             return self._uniform()
         if self.leaf_prediction == "majority":

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from finemo import cli
 from finemo.cli import (
     PipelineConfig,
     PipelineError,
@@ -294,6 +295,8 @@ def test_main_segment_subcommand(sample_paths, capsys):
         # the sample has 31 labeled replicas, so nothing is left to evaluate
         ({"warmup": 31}, "nothing to evaluate"),
         ({"seed": -1}, "--seed must be non-negative, got -1"),
+        ({"learner": "rf", "grid": "sgd"}, "--grid sgd tunes the sgd learner, not --learner rf"),
+        ({"grid": "rf"}, "--grid rf tunes the rf learner, not --learner nb"),
     ],
 )
 def test_invalid_run_parameters_refused(sample_paths, tmp_path, overrides, message):
@@ -315,6 +318,9 @@ def test_invalid_run_parameters_refused(sample_paths, tmp_path, overrides, messa
         ({"warmup": 0, "labels": None}, "--warmup must be at least 1"),
         ({"sample_every": 0, "warmup": 0}, "--sample-every must be at least 1"),
         ({"seed": -1}, "--seed must be non-negative"),
+        ({"learner": "rf", "grid": "sgd"}, "--grid sgd tunes the sgd learner"),
+        ({"learner": "nb", "grid": "rf"}, "--grid rf tunes the rf learner"),
+        ({"learner": "dt", "grid": "sgd"}, "--grid sgd tunes the sgd learner"),
     ],
 )
 def test_bad_runs_are_refused_before_any_file_is_read(sample_paths, tmp_path, overrides, message):
@@ -323,6 +329,24 @@ def test_bad_runs_are_refused_before_any_file_is_read(sample_paths, tmp_path, ov
     with pytest.raises(PipelineError, match=message):
         run_pipeline(cfg)
     assert not os.path.exists(cfg.out)
+
+
+@pytest.mark.parametrize("command", ["segment", "process", "features", "analyze", "train-eval"])
+def test_missing_tweets_is_refused_before_anything_is_loaded(
+    sample_paths, tmp_path, capsys, monkeypatch, command
+):
+    def no_load(path):
+        raise AssertionError("lexicons loaded before the tweets check")
+
+    monkeypatch.setattr(cli, "load_lexicons", no_load)
+    out = tmp_path / "out"
+    rc = main([command, "--lexicons", sample_paths["lexicons"], "--labels", sample_paths["labels"],
+               "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: a tweets file is required\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def _one_class_labels(sample_paths, tmp_path):

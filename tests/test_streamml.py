@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from finemo.streamml import (
     DEFAULT_CLASSES,
     RF_GRID,
     SGD_GRID,
+    TIE_THRESHOLD,
     AdaptiveRandomForestClassifier,
     GridSearchResult,
     HoeffdingTreeClassifier,
@@ -25,6 +27,7 @@ from finemo.streamml import (
     StackedClassifier,
     StreamingNaiveBayes,
     _argmax_label,
+    _best_splits,
     _log_quotients,
     _MAX_DISTINCT,
     _DriftMonitor,
@@ -80,8 +83,22 @@ def random_stream(rng, n, sparse_dim=30):
 # ------------------------------------------------------------ naive Bayes
 
 
+# per history vector: its count dict and the sum of that dict's values
+_DOC_COUNTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _doc_counts(fv):
+    memo = _DOC_COUNTS.get(fv)
+    if memo is None:
+        counts = dict(count_pairs(fv))
+        memo = _DOC_COUNTS[fv] = counts, sum(counts.values())
+    return memo
+
+
 def _batch_nb_argmax(history, fv, var_epsilon=1e-9):
-    """Batch-recomputed mixed naive Bayes, independent of the learner."""
+    """Batch-recomputed mixed naive Bayes, independent of the learner. Only
+    what depends on one history vector alone is memoized; every score is
+    summed again from the whole history."""
     if not history:
         return DEFAULT_CLASSES[0]  # uniform scores: first class wins ties
     n_total = len(history)
@@ -93,8 +110,8 @@ def _batch_nb_argmax(history, fv, var_epsilon=1e-9):
         else:
             n = len(docs)
             score = math.log(n / n_total)
-            doc_counts = [dict(count_pairs(h[0])) for h in docs]
-            denom = sum(sum(c.values()) for c in doc_counts) + fv.n_text + 3
+            doc_counts, doc_totals = zip(*(_doc_counts(h[0]) for h in docs))
+            denom = sum(doc_totals) + fv.n_text + 3
             for idx, val in count_pairs(fv):
                 count = sum(c.get(idx, 0.0) for c in doc_counts)
                 score += val * math.log((count + 1.0) / denom)
@@ -370,6 +387,59 @@ def test_tree_observer_caps_distinct_values():
     assert len(tree._root.observers[3]) <= 64
 
 
+@pytest.mark.parametrize("classes", [DEFAULT_CLASSES, (P, N), (O, N)])
+def test_tree_unfitted_and_all_zero_leaves_give_the_first_class(classes):
+    tree = HoeffdingTreeClassifier(classes=classes)
+    assert tree.predict_label(make_fv()) is classes[0]
+    # a split on the first BOW counter: 0 goes left to a filled leaf, 1 goes
+    # right to a leaf that no weight reached
+    filled, empty = _LeafNode(len(classes), [0]), _LeafNode(len(classes), [0])
+    filled.class_counts[-1] = 5.0
+    tree._root = _SplitNode(0, 0.5, filled, empty)
+    assert tree.predict_label(make_fv()) is classes[-1]
+    assert tree.predict_label(make_fv({27: 1.0})) is classes[0]
+
+
+@pytest.mark.parametrize(
+    "counts, winner",
+    [([1.0, 3.0, 3.0], 1), ([2.0, 2.0, 1.0], 0), ([0.5, 0.5, 0.5], 0), ([0.0, 0.0, 4.0], 2)],
+)
+def test_tree_majority_tie_goes_to_the_first_class_that_has_it(counts, winner):
+    tree = HoeffdingTreeClassifier()
+    tree._root.class_counts = list(counts)
+    assert tree.predict_label(make_fv()) is DEFAULT_CLASSES[winner]
+
+
+def test_two_class_tree_labels_from_its_own_classes():
+    tree = HoeffdingTreeClassifier(classes=(P, N))
+    for label in (N, P, N):
+        tree.partial_fit(make_fv(), label)
+    assert tree._root.class_counts == [1.0, 2.0]
+    assert tree.predict_label(make_fv()) is N
+    tree.partial_fit(make_fv(), P)
+    assert tree.predict_label(make_fv()) is P  # a tie: the first class
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 2),
+            st.one_of(st.sampled_from([0.1, 0.2, 0.3, 0.25, 0.5]), st.floats(0.01, 5.0)),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_fractional_weight_leaf_label_is_numpy_argmax(fits):
+    tree = HoeffdingTreeClassifier(grace_period=10**9)
+    for ci, weight in fits:
+        tree.partial_fit(make_fv(), DEFAULT_CLASSES[ci], weight=weight)
+    counts = tree._root.class_counts
+    assert all(type(c) is float for c in counts)
+    assert tree.predict_label(make_fv()) is DEFAULT_CLASSES[int(np.argmax(counts))]
+
+
 # -------------------------------------------------- adaptive random forest
 
 
@@ -406,7 +476,7 @@ def test_forest_unit_weights_when_lambda_none():
 
     def collect(node, acc):
         if isinstance(node, _LeafNode):
-            acc.append(node.class_counts.sum())
+            acc.append(sum(node.class_counts))
         else:
             collect(node.left, acc)
             collect(node.right, acc)
@@ -497,6 +567,146 @@ def test_tree_predict_label_on_a_leaf_without_weight():
         assert tree.predict_label(make_fv()) is classes[0]
 
 
+def _entropy(counts):
+    total = counts.sum()
+    if total <= 0:
+        return 0.0
+    p = counts[counts > 0] / total
+    return float(-(p * np.log2(p)).sum())
+
+
+def _loop_best_splits(counts, observers):
+    """The per-feature split search before ``_best_splits``: numpy class
+    counts and one ``_entropy`` per side of every threshold."""
+    counts = np.array(counts)
+    parent_entropy = _entropy(counts)
+    n = counts.sum()
+    per_feature = []
+    for f, per_value in observers.items():
+        values = sorted(per_value)
+        if len(values) < 2:
+            continue
+        best_gain, best_thr = 0.0, None
+        left = np.zeros(len(counts))
+        for v in values[:-1]:
+            left = left + per_value[v]
+            right = counts - left
+            ln, rn = left.sum(), right.sum()
+            if ln <= 0 or rn <= 0:
+                continue
+            gain = parent_entropy - (ln / n) * _entropy(left) - (rn / n) * _entropy(right)
+            if gain > best_gain:
+                best_gain, best_thr = gain, v
+        if best_thr is not None:
+            per_feature.append((best_gain, f, best_thr))
+    return per_feature, n
+
+
+def _loop_split_decision(tree, counts, observers):
+    """(feature, threshold, left counts, right counts) of the split that the
+    numpy ``_attempt_split`` made on a root leaf, or None."""
+    if np.count_nonzero(counts) < 2:
+        return None
+    per_feature, n = _loop_best_splits(counts, observers)
+    if not per_feature:
+        return None
+    per_feature.sort(key=lambda t: (-t[0], t[1]))
+    gain, feature, threshold = per_feature[0]
+    second = per_feature[1][0] if len(per_feature) > 1 else 0.0
+    if gain <= 0.0:
+        return None
+    r = math.log2(len(tree.classes))
+    eps = math.sqrt(r * r * math.log(1.0 / tree.delta) / (2.0 * n)) if tree.delta < 1 else 0.0
+    if not (gain - second > eps or eps < TIE_THRESHOLD):
+        return None
+    left, right = np.zeros(len(counts)), np.zeros(len(counts))
+    for v, stats in observers[feature].items():
+        if v <= threshold:
+            left += stats
+        else:
+            right += stats
+    return feature, threshold, left.tolist(), right.tolist()
+
+
+@st.composite
+def _observed_leaves(draw):
+    """(classes, class counts, observers) of a leaf that learned a random
+    sequence of weighted rows in the order of ``_learn``, over counts that a
+    split may have handed it. Few distinct values give tied and single-valued
+    features; one present class gives a pure leaf."""
+    classes = draw(st.sampled_from([DEFAULT_CLASSES, (P, N)]))
+    k = len(classes)
+    present = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
+    if draw(st.booleans()):
+        weights = st.integers(1, 8).map(float)
+    else:
+        weights = st.one_of(st.sampled_from([0.1, 0.2, 0.3, 0.7]), st.floats(0.01, 10.0))
+    n_features = draw(st.integers(1, 4))
+    row = st.tuples(
+        st.sampled_from(present),
+        weights,
+        st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.5]), min_size=n_features, max_size=n_features),
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=40))
+    inherited = draw(st.one_of(st.just([0.0] * k), st.lists(weights, min_size=k, max_size=k)))
+    counts = list(inherited)
+    observers = {f: {} for f in range(n_features)}
+    for ci, weight, values in rows:
+        counts[ci] += weight
+        for f, v in enumerate(values):
+            observers[f].setdefault(v, [0.0] * k)[ci] += weight
+    return classes, counts, observers
+
+
+def _two_values(left, right):
+    """A leaf whose one feature saw weights ``left`` at 0 and ``right`` at 1."""
+    classes = DEFAULT_CLASSES if len(left) == 3 else (P, N)
+    return classes, [a + b for a, b in zip(left, right)], {0: {0.0: left, 1.0: right}}
+
+
+# in both examples math.log2 gives another gain than np.log2
+@settings(max_examples=300, deadline=None)
+@given(leaf=_observed_leaves(), delta=st.sampled_from([1e-7, 0.05, 0.5, 1.0]))
+@example(leaf=_two_values([1.4, 4.67], [1.36, 2.59]), delta=0.5)
+@example(leaf=_two_values([5.23, 3.65, 8.63], [5.86, 4.77, 6.8]), delta=0.5)
+def test_split_search_matches_numpy_loop_bit_for_bit(leaf, delta):
+    classes, counts, observers = leaf
+    want, _ = _loop_best_splits(counts, observers)
+    got = _best_splits(counts, observers)
+    assert [(float(g).hex(), f, v) for g, f, v in got] == [(float(g).hex(), f, v) for g, f, v in want]
+    tree = HoeffdingTreeClassifier(classes=classes, delta=delta)
+    root = _LeafNode(len(classes), sorted(observers))
+    root.class_counts, root.observers = list(counts), observers
+    tree._root = root
+    tree._attempt_split(root, None, None)
+    decision = _loop_split_decision(tree, counts, observers)
+    if decision is None:
+        assert tree._root is root
+    else:
+        split = tree._root
+        assert (split.feature, split.threshold) == decision[:2]
+        assert split.left.class_counts == decision[2]
+        assert split.right.class_counts == decision[3]
+
+
+def test_split_attempt_makes_one_log2_call(monkeypatch):
+    calls = []
+    log2 = np.log2
+    monkeypatch.setattr(np, "log2", lambda a: calls.append(len(a)) or log2(a))
+    tree = HoeffdingTreeClassifier()
+    pure, mixed = _LeafNode(3, [0, 1]), _LeafNode(3, [0, 1])
+    pure.class_counts = [6.0, 0.0, 0.0]
+    mixed.class_counts = [3.0, 2.0, 1.0]
+    observers = {0: {0.0: [3.0, 0.0, 0.0], 1.0: [0.0, 2.0, 1.0]}, 1: {0.0: [3.0, 2.0, 1.0]}}
+    mixed.observers = observers
+    pure.observers = {0: {0.0: [3.0, 0.0, 0.0], 1.0: [3.0, 0.0, 0.0]}, 1: {}}
+    tree._attempt_split(pure, None, None)
+    assert calls == []
+    tree._attempt_split(mixed, None, None)
+    # the parent's three probabilities, then one per class on each side of 0.0
+    assert calls == [3 + 1 + 2]
+
+
 def test_stacked_forest_on_sample_builds_no_tree_scores(monkeypatch, tmp_path, sample_paths):
     calls = {"predict": 0, "predict_label": 0}
     real_predict = HoeffdingTreeClassifier.predict
@@ -555,7 +765,7 @@ class _ReferenceTree(HoeffdingTreeClassifier):
         node = self._root
         while isinstance(node, _SplitNode):
             node = node.left if x[node.feature] <= node.threshold else node.right
-        return self.classes[int(node.class_counts.argmax())]
+        return self.classes[int(np.argmax(node.class_counts))]
 
 
 class _ReferenceForest(AdaptiveRandomForestClassifier):
@@ -596,7 +806,7 @@ def _node_state(node):
         (f, [(v, [float(w) for w in stats]) for v, stats in per_value.items()])
         for f, per_value in node.observers.items()
     ]
-    return [("leaf", node.features, node.class_counts.tolist(), node.n_since, observers)]
+    return [("leaf", node.features, list(node.class_counts), node.n_since, observers)]
 
 
 def _forest_state(forest, trees=True):

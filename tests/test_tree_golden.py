@@ -68,7 +68,7 @@ def _trees(model):
 def _shape(node, out):
     """Pre-order: split (feature, threshold) and leaf class counts."""
     if isinstance(node, _LeafNode):
-        out.append(f"leaf {node.class_counts.tolist()!r}")
+        out.append(f"leaf {list(node.class_counts)!r}")
         return 0
     out.append(f"split {node.feature} {node.threshold!r}")
     return 1 + _shape(node.left, out) + _shape(node.right, out)

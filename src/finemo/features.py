@@ -23,7 +23,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from finemo.lexicons import LexiconSet
+from finemo.lexicons import LexiconSet, remember
 from finemo.segmenter import NUMBER_RE, EmotionLabel
 from finemo.textproc import _DATE_RE, ProcessedSegment
 
@@ -108,6 +108,12 @@ class VocabularyModel:
     ``bow_index`` maps each BOW entry to the position in BOW_CLASSES of
     every list that holds it, once per occurrence. It is built with the
     model, so change the BOW lists with ``dataclasses.replace``.
+
+    ``ngram_memo()`` keeps the retained n-gram columns of each token for
+    ``vectorize``. It holds for one selection mask object: assign a new
+    mask (or None) to ``selection_mask`` rather than change the set in
+    place. Change the vocabularies and the n-gram range with
+    ``dataclasses.replace``, which starts an empty memo.
     """
 
     char_vocab: dict[str, int]
@@ -120,10 +126,21 @@ class VocabularyModel:
     selection_mask: set[int] | None = None
 
     def __post_init__(self):
+        if self.ngram_range[0] < 1:
+            raise VocabularyError(f"n-grams must be at least 1 long, got {self.ngram_range}")
         self.bow_index: dict[str, list[int]] = {}
         for k, bow in enumerate((self.bow_pre, self.bow_neu, self.bow_opp)):
             for entry in bow:
                 self.bow_index.setdefault(entry, []).append(k)
+        self._memo_mask, self._memo = self.selection_mask, {}
+
+    def ngram_memo(self) -> dict[str, tuple]:
+        """The per-token n-gram column memo for the selection mask in force
+        now; under a different mask object than the last call's, an empty
+        one. It is cleared at ``MEMO_SIZE`` entries."""
+        if self._memo_mask is not self.selection_mask:
+            self._memo_mask, self._memo = self.selection_mask, {}
+        return self._memo
 
     @property
     def n_text_columns(self) -> int:
@@ -431,34 +448,92 @@ def compute_trend(ticker: str, post_time: datetime, prices: PriceSeries) -> bool
     return next_close > prev_close
 
 
+def _token_columns(
+    token: str,
+    vocabs: tuple[dict[str, int], dict[str, int], dict[str, int]],
+    ngram_range: tuple[int, int],
+    mask: set[int] | None,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
+    """The vocabulary indices, in counting order and kept by ``mask``, of
+    the n-grams that ``token`` alone makes: its char n-grams for each n, its
+    word unigram and its within-word n-grams. Indices, not global columns:
+    they are the vocabularies' own int objects, so a memo entry makes no
+    new ints."""
+    n_min, n_max = ngram_range
+    char_vocab, word_vocab, wordbound_vocab = vocabs
+
+    def indices(grams, vocab, offset):
+        found = [i for i in map(vocab.get, grams) if i is not None]
+        return tuple(found if mask is None else [i for i in found if offset + i in mask])
+
+    word_offset = len(char_vocab)
+    return (
+        tuple(indices(char_ngrams(token, n, n), char_vocab, 0) for n in range(n_min, n_max + 1)),
+        indices([token] if n_min == 1 <= n_max else [], word_vocab, word_offset),
+        indices(
+            charwb_ngrams([token], n_min, n_max), wordbound_vocab, word_offset + len(word_vocab)
+        ),
+    )
+
+
 def _count_ngrams(
     seg: ProcessedSegment,
     vocabs: tuple[dict[str, int], dict[str, int], dict[str, int]],
     ngram_range: tuple[int, int],
     mask: set[int] | None,
+    memo: dict[str, tuple],
 ) -> dict[int, float]:
     """Nonzero n-gram counts of ``seg`` by global column, each column in
     the order of its first occurrence; with a ``mask``, only the columns it
-    retains."""
+    retains.
+
+    ``memo`` maps a casefolded token to its ``_token_columns`` under these
+    vocabularies, n-gram range and mask; a missing token is added, and the
+    memo is cleared at ``MEMO_SIZE`` entries. Only the n-grams that span
+    tokens are looked up here: char n-grams that start in a token's last
+    n - 1 characters or on the space after it, and word n-grams with n >= 2.
+    """
     tokens = _norm_tokens(seg)
+    entries = []
+    for token in tokens:
+        entry = memo.get(token)
+        if entry is None:
+            entry = remember(memo, token, _token_columns(token, vocabs, ngram_range, mask))
+        entries.append(entry)
     n_min, n_max = ngram_range
-    char_vocab, word_vocab, wordbound_vocab = vocabs
+    char_vocab, word_vocab, _ = vocabs
     counts: dict[int, float] = {}
-    offset = 0
-    for grams, vocab in (
-        (char_ngrams(" ".join(tokens), n_min, n_max), char_vocab),
-        (word_ngrams(tokens, n_min, n_max), word_vocab),
-        (charwb_ngrams(tokens, n_min, n_max), wordbound_vocab),
-    ):
-        # a column enters at its first occurrence: items() and the order
-        # of SGD's sums depend on that order
-        for gram in grams:
-            idx = vocab.get(gram)
-            if idx is not None:
-                key = offset + idx
-                if mask is None or key in mask:
-                    counts[key] = counts.get(key, 0.0) + 1.0
-        offset += len(vocab)
+    get = counts.get
+    # a column enters at its first occurrence, by kind, then n, then
+    # position: items() and the order of SGD's sums depend on that order
+    text = " ".join(tokens)
+    for k, n in enumerate(range(n_min, n_max + 1)):
+        start, last = 0, len(text) - n
+        for token, entry in zip(tokens, entries):
+            for key in entry[0][k]:
+                counts[key] = get(key, 0.0) + 1.0
+            end = start + len(token)
+            for i in range(max(start, end - n + 1), min(end, last) + 1):
+                key = char_vocab.get(text[i : i + n])
+                if key is not None and (mask is None or key in mask):
+                    counts[key] = get(key, 0.0) + 1.0
+            start = end + 1
+    offset = len(char_vocab)
+    for entry in entries:
+        for idx in entry[1]:
+            key = offset + idx
+            counts[key] = get(key, 0.0) + 1.0
+    for gram in word_ngrams(tokens, max(n_min, 2), n_max):
+        idx = word_vocab.get(gram)
+        if idx is not None:
+            key = offset + idx
+            if mask is None or key in mask:
+                counts[key] = get(key, 0.0) + 1.0
+    offset += len(word_vocab)
+    for entry in entries:
+        for idx in entry[2]:
+            key = offset + idx
+            counts[key] = get(key, 0.0) + 1.0
     return counts
 
 
@@ -488,4 +563,6 @@ def vectorize(
     vocabs = (vm.char_vocab, vm.word_vocab, vm.wordbound_vocab)
     # the segment, not its casefolded tokens: a block of vectors waiting
     # for their first read then holds no copies of the tokens
-    return FeatureVector(partial(_count_ngrams, seg, vocabs, vm.ngram_range, mask), dense, n_text)
+    return FeatureVector(
+        partial(_count_ngrams, seg, vocabs, vm.ngram_range, mask, vm.ngram_memo()), dense, n_text
+    )

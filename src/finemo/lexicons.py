@@ -28,6 +28,11 @@ from itertools import repeat
 import numpy as np
 
 
+# every per-token memo (spelling correction, hashtag splits, n-gram columns)
+# is cleared when it holds this many entries, so it cannot grow with the stream
+MEMO_SIZE = 4096
+
+
 class LexiconError(Exception):
     """Raised on missing files, malformed lines or duplicate entries."""
 
@@ -51,7 +56,16 @@ _FILES = {
 
 @dataclass(frozen=True)
 class LexiconSet:
-    """Immutable bundle of all lexicon resources. Safe to share across threads."""
+    """Immutable bundle of all lexicon resources. Safe to share across threads.
+
+    Besides the resources it keeps three caches, each built on first use:
+    the spelling-correction ``delete_index``, and the ``corrections`` and
+    ``splits`` memos in which ``textproc`` keeps the ``lemmatize_correct``
+    and ``split_hashtags`` result of each out-of-dictionary token. A memo is
+    cleared when it holds ``MEMO_SIZE`` entries. The caches are not fields:
+    equality ignores them, and a pickled copy or a ``dataclasses.replace``
+    starts without them.
+    """
 
     tickers: dict[str, str]  # case-folded alias -> canonical ticker
     stopwords: frozenset[str]
@@ -71,11 +85,32 @@ class LexiconSet:
         """Spelling-correction index over ``dictionary``, built on first use."""
         return DeleteIndex(self.dictionary)
 
+    @cached_property
+    def corrections(self) -> dict[str, str]:
+        """``lemmatize_correct``'s result by out-of-dictionary token."""
+        return {}
+
+    @cached_property
+    def splits(self) -> dict[str, tuple[str, ...]]:
+        """``split_hashtags``'s result by out-of-dictionary token."""
+        return {}
+
     def __getstate__(self) -> dict:
-        # the index holds this process's string hashes; a copy builds its own
+        # the index holds this process's string hashes, and the memos are
+        # only caches: a copy builds its own
         state = dict(self.__dict__)
-        state.pop("delete_index", None)
+        for cache in ("delete_index", "corrections", "splits"):
+            state.pop(cache, None)
         return state
+
+
+def remember(memo: dict, key, value):
+    """Store ``value`` under ``key`` and return it; a memo that already
+    holds ``MEMO_SIZE`` entries is cleared first."""
+    if len(memo) >= MEMO_SIZE:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 def _deletes(word: str) -> set[str]:

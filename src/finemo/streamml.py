@@ -509,10 +509,11 @@ class AdaptiveRandomForestClassifier(IncrementalLearner):
     def predict(self, fv: FeatureVector) -> dict[EmotionLabel, float]:
         votes = {c: 0.0 for c in self.classes}
         any_vote = False
+        x = fv.dense.tolist()
         for tree in self._trees:
             if tree.n_seen == 0:
                 continue
-            votes[tree.predict_label(fv)] += 1.0
+            votes[tree._leaf_label(x, tree._descend(x)[0])] += 1.0
             any_vote = True
         if not any_vote:
             return self._uniform()

@@ -11,7 +11,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from finemo.lexicons import LexiconSet, lookup_ticker
+from finemo.lexicons import LexiconSet, lookup_ticker, remember
 from finemo.segmenter import FOCUS_TAG, OTHER_TAG, NUMBER_RE, Segment, _TOKEN_RE
 
 TAGS = (FOCUS_TAG, OTHER_TAG, "NEGATIVE", "POSITIVE", "NUMBER")
@@ -103,10 +103,21 @@ def split_hashtags(token: str, lx: LexiconSet) -> list[str]:
 
     Dynamic programming over split points maximizing the product of corpus
     frequencies; the token is returned unchanged when it is already a word
-    or no full segmentation exists.
+    or no full segmentation exists. The split of an out-of-dictionary token
+    is computed once and kept in the ``lx.splits`` memo, which is cleared at
+    ``MEMO_SIZE`` entries.
     """
     if token in lx.dictionary or token in TAGS:
         return [token]
+    parts = lx.splits.get(token)
+    if parts is None:
+        parts = remember(lx.splits, token, tuple(_split(token, lx)))
+    # a new list each call: the caller may change it, the memo must not
+    return list(parts)
+
+
+def _split(token: str, lx: LexiconSet) -> list[str]:
+    """``split_hashtags`` of an out-of-dictionary token, without the memo."""
     n = len(token)
     best: list[float | None] = [None] * (n + 1)
     back: list[int] = [0] * (n + 1)
@@ -188,12 +199,23 @@ def lemmatize_correct(token: str, lx: LexiconSet) -> str:
     (delete string, form) pair, about 0.7 MB for 2.2k forms. Each
     candidate's distance is the bit-parallel ``_edit_distance``, exact up
     to the cap for any token length.
+
+    The result for an out-of-dictionary token is computed once and kept in
+    the ``lx.corrections`` memo, which is cleared at ``MEMO_SIZE`` entries.
     """
     if token in TAGS:
         return token
     lemma = lx.dictionary.get(token)
     if lemma is not None:
         return lemma
+    lemma = lx.corrections.get(token)
+    if lemma is None:
+        lemma = remember(lx.corrections, token, _correct(token, lx))
+    return lemma
+
+
+def _correct(token: str, lx: LexiconSet) -> str:
+    """``lemmatize_correct`` of an out-of-dictionary token, without the memo."""
     best: tuple[int, float, str] | None = None
     for form in lx.delete_index.candidates(token):
         dist = _edit_distance(token, form)

@@ -4,6 +4,7 @@ from collections import Counter
 from dataclasses import replace
 from datetime import date, datetime
 from itertools import islice
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,7 @@ from finemo.features import (
     vectorize,
     word_ngrams,
 )
+from finemo.lexicons import MEMO_SIZE, load_lexicons
 from finemo.segmenter import EmotionLabel, Segment, find_assets
 from finemo.synthetic import make_planted_stream
 from finemo.textproc import ProcessedSegment, process, tag_assets
@@ -330,6 +332,14 @@ def test_empty_corpus_rejected():
         fit_vocabularies([])
 
 
+def test_ngrams_shorter_than_one_rejected():
+    # the per-token column memo splits n-grams at token boundaries, which
+    # empty n-grams do not respect
+    for ngram_range in ((0, 2), (-1, 3)):
+        with pytest.raises(VocabularyError, match="at least 1"):
+            fit_vocabularies(_corpus(), ngram_range, min_df=0.0, max_df=1.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 5), min_size=N_NUMERIC, max_size=N_NUMERIC),
        st.booleans())
@@ -579,3 +589,98 @@ def test_cli_counts_each_vector_at_most_once_and_matches_eager(
     monkeypatch.setattr("finemo.cli.vectorize", _eager_vectorize)
     assert _train_eval(argv, tmp_path / "eager") == deferred
     assert calls == expected_counts
+
+
+# -- the per-token n-gram column memo against the eager oracle --
+
+# "ß" casefolds to two letters and "A" to "a"; a space inside a token and
+# the empty token are no normalized output, but the count must not care
+_MEMO_TOKEN = st.text("abAß ", max_size=5)
+_NUMERIC = (0,) * N_NUMERIC
+
+
+def _processed(tokens):
+    return ProcessedSegment(tweet_id="t", focus="", tokens=tuple(tokens), raw_len=0)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    corpus=st.lists(st.lists(_MEMO_TOKEN, min_size=1, max_size=6), min_size=1, max_size=6),
+    ngram_range=st.sampled_from([(1, 4), (2, 3), (3, 3)]),
+    memo_size=st.sampled_from([1, 3, MEMO_SIZE]),
+    data=st.data(),
+)
+def test_memoized_counts_equal_eager_vectorize(corpus, ngram_range, memo_size, data):
+    pool = sorted({t for tokens in corpus for t in tokens})
+    vm = fit_vocabularies(
+        [_processed(tokens) for tokens in corpus], ngram_range, max_df=1.0, min_df=0.0
+    )
+    segments = [_processed(tokens) for tokens in corpus]
+    segments += [_processed([t]) for t in pool]  # one-token segments
+    segments.append(_processed([pool[0]] * 3))  # one token repeated
+    segments += [
+        _processed(tokens)
+        for tokens in data.draw(
+            st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=8), max_size=4)
+        )
+    ]
+    columns = st.integers(0, vm.total_dim - 1)
+    mask_a, mask_b = data.draw(st.sets(columns)), data.draw(st.sets(columns))
+    deferred = []
+    # a memo smaller than a segment's distinct tokens overflows inside it
+    with mock.patch("finemo.lexicons.MEMO_SIZE", memo_size):
+        for mask in (None, mask_a, None, mask_b):
+            vm.selection_mask = mask
+            for _ in ("cold", "warm"):
+                for seg in segments:
+                    want = _eager_vectorize(seg, vm, _NUMERIC, False)
+                    _assert_same_vector(vectorize(seg, vm, _NUMERIC, False), want)
+                    assert len(vm.ngram_memo()) <= memo_size
+            # counted after the mask has changed again, with the memo of
+            # the mask in force at vectorize
+            deferred += [
+                (vectorize(seg, vm, _NUMERIC, False), _eager_vectorize(seg, vm, _NUMERIC, False))
+                for seg in segments
+            ]
+        for got, want in deferred:
+            _assert_same_vector(got, want)
+
+
+def test_count_ngrams_memo_follows_the_mask_object(sample_stream):
+    vm, pairs = sample_stream
+    vm = replace(vm)  # a model of this test's own, selection_mask None
+    seg = pairs[0][0].processed
+    memo = vm.ngram_memo()
+    vectorize(seg, vm, _NUMERIC, False).arrays
+    assert set(memo) == set(_norm_tokens(seg)) and vm.ngram_memo() is memo
+    mask = {col for col, _ in pairs[0][1].items()}
+    vm.selection_mask = mask
+    assert vm.ngram_memo() == {} and vm.ngram_memo() is vm.ngram_memo()
+    vm.selection_mask = set(mask)  # an equal set is another mask object
+    assert vm.ngram_memo() == {}
+    assert replace(vm).ngram_memo() is not vm.ngram_memo()
+
+
+def test_memos_never_exceed_the_bound(sample_paths):
+    lx = load_lexicons(sample_paths["lexicons"])
+    vm = fit_vocabularies([_processed(["mercado", "sube"])], max_df=1.0, min_df=0.0)
+    memos = {
+        "corrections": lx.corrections, "splits": lx.splits, "n-grams": vm.ngram_memo()
+    }
+    peak = dict.fromkeys(memos, 0)
+    # more distinct out-of-dictionary tokens than the bound, with repeats
+    letters = "bcdfghjklmnpqrstvwxz"
+    words = [
+        "zq" + "".join(letters[i // 20**k % 20] for k in range(3))
+        for i in range(MEMO_SIZE + 500)
+    ]
+    for start in range(0, len(words), 4):
+        chunk = words[start : start + 6]
+        seg = Segment(tweet_id="t", text=" ".join(chunk), assets=(), focus=None)
+        vectorize(process(seg, lx), vm, _NUMERIC, False).arrays
+        for name, memo in memos.items():
+            assert len(memo) <= MEMO_SIZE, name
+            peak[name] = max(peak[name], len(memo))
+    for name, memo in memos.items():
+        # each memo filled up to within a segment of the bound, then was cleared
+        assert MEMO_SIZE - 6 < peak[name] and 0 < len(memo) < peak[name] - 6, name

@@ -41,6 +41,7 @@ from finemo.streamml import (
     save_model,
 )
 from finemo.synthetic import make_planted_stream
+from tests.test_tree_golden import FOREST, _drifting_stream
 
 P, N, O = EmotionLabel.PRECAUTION, EmotionLabel.NEUTRAL, EmotionLabel.OPPORTUNITY
 
@@ -708,27 +709,53 @@ def test_split_attempt_makes_one_log2_call(monkeypatch):
 
 
 def test_stacked_forest_on_sample_builds_no_tree_scores(monkeypatch, tmp_path, sample_paths):
-    calls = {"predict": 0, "predict_label": 0}
+    # the forest votes with each tree's _leaf_label on one list of the
+    # dense block, and majority leaves build no score dict
+    calls = {"predict": 0, "_leaf_scores": 0, "_leaf_label": 0}
     real_predict = HoeffdingTreeClassifier.predict
-    real_predict_label = HoeffdingTreeClassifier.predict_label
+    real_leaf_scores = HoeffdingTreeClassifier._leaf_scores
+    real_leaf_label = HoeffdingTreeClassifier._leaf_label
 
     def counting_predict(self, fv):
         calls["predict"] += 1
         return real_predict(self, fv)
 
-    def counting_predict_label(self, fv):
-        calls["predict_label"] += 1
-        return real_predict_label(self, fv)
+    def counting_leaf_scores(self, x, leaf):
+        calls["_leaf_scores"] += 1
+        return real_leaf_scores(self, x, leaf)
+
+    def counting_leaf_label(self, x, leaf):
+        calls["_leaf_label"] += 1
+        return real_leaf_label(self, x, leaf)
 
     monkeypatch.setattr(HoeffdingTreeClassifier, "predict", counting_predict)
-    monkeypatch.setattr(HoeffdingTreeClassifier, "predict_label", counting_predict_label)
+    monkeypatch.setattr(HoeffdingTreeClassifier, "_leaf_scores", counting_leaf_scores)
+    monkeypatch.setattr(HoeffdingTreeClassifier, "_leaf_label", counting_leaf_label)
     argv = ["train-eval", "--warmup", "10", "--learner", "rf", "--stacked"]
     for key in ("lexicons", "tweets", "labels", "prices"):
         argv += [f"--{key}", sample_paths[key]]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([*argv, "--out", str(tmp_path)]) == 0
-    assert calls["predict"] == 0
-    assert calls["predict_label"] > 0
+    assert calls["predict"] == calls["_leaf_scores"] == 0
+    assert calls["_leaf_label"] > 0
+
+
+@pytest.mark.parametrize("leaf_prediction", ["majority", "nb"])
+def test_forest_votes_equal_per_tree_predict_label(leaf_prediction):
+    # the forest reads the dense block once and votes with each tree's
+    # _leaf_label; the votes are those of the trees' public predict_label
+    forest = AdaptiveRandomForestClassifier(leaf_prediction=leaf_prediction, **FOREST)
+    voted = split = 0
+    for fv, label in _drifting_stream():
+        fitted = [tree for tree in forest._trees if tree.n_seen > 0]
+        expected = {c: 0.0 for c in forest.classes}
+        for tree in fitted:
+            expected[tree.predict_label(fv)] += 1.0
+        assert forest.predict(fv) == (expected if fitted else forest._uniform())
+        voted += bool(fitted)
+        split += any(isinstance(tree._root, _SplitNode) for tree in fitted)
+        forest.partial_fit(fv, label)
+    assert voted == 999 and split > 500 and forest.n_resets > 0
 
 
 class _ReferenceTree(HoeffdingTreeClassifier):

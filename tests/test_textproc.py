@@ -393,3 +393,70 @@ def test_correction_scores_a_tenth_of_the_scan_on_the_sample(monkeypatch, sample
     scan_calls = calls["oov"] * len(fresh.dictionary)
     assert scan_calls == 3458  # 38 out-of-dictionary tokens x 91 forms
     assert 0 < calls["distance"] <= scan_calls // 10
+
+
+# -- the per-token normalization memos against the unmemoized bodies --
+
+
+def _unmemoized_split(token: str, lx: LexiconSet) -> list[str]:
+    if token in lx.dictionary or token in TAGS:
+        return [token]
+    return textproc._split(token, lx)
+
+
+@st.composite
+def _normalization_tokens(draw, forms):
+    """Misspelled forms, compounds of up to three forms, and tags, with
+    repeats."""
+    token = st.one_of(
+        _misspelled(forms),
+        st.lists(st.sampled_from(forms), min_size=1, max_size=3).map("".join),
+        st.sampled_from(TAGS),
+    )
+    tokens = draw(st.lists(token, min_size=1, max_size=8))
+    return tokens + draw(st.lists(st.sampled_from(tokens), max_size=4))
+
+
+@pytest.mark.parametrize("which", ["bundled", "syllables"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_memoized_normalization_equals_unmemoized(lx, syllable_lx, which, data):
+    lexicon = {"bundled": lx, "syllables": syllable_lx}[which]
+    tokens = data.draw(_normalization_tokens(sorted(lexicon.dictionary)), label="tokens")
+    lexicon.corrections.clear()
+    lexicon.splits.clear()
+    for _ in ("cold", "warm"):
+        for token in tokens:
+            parts = split_hashtags(token, lexicon)
+            assert parts == _unmemoized_split(token, lexicon)
+            parts.append("changed")  # a caller's list is its own
+            assert lemmatize_correct(token, lexicon) == _scan_lemmatize(token, lexicon)
+    oov = {t for t in tokens if t not in TAGS and t not in lexicon.dictionary}
+    assert set(lexicon.corrections) == set(lexicon.splits) == oov
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_replaced_lexicons_never_read_the_old_memos(syllable_lx, data):
+    forms = sorted(syllable_lx.dictionary)
+    tokens = data.draw(_normalization_tokens(forms), label="tokens")
+    for token in tokens:  # warm the memos of the original
+        split_hashtags(token, syllable_lx)
+        lemmatize_correct(token, syllable_lx)
+    kept = data.draw(st.sets(st.sampled_from(forms), max_size=200), label="kept")
+    swapped = replace(syllable_lx, dictionary={f: f"otro{f}" for f in kept})
+    assert "corrections" not in vars(swapped) and "splits" not in vars(swapped)
+    for token in tokens:
+        assert split_hashtags(token, swapped) == _unmemoized_split(token, swapped)
+        assert lemmatize_correct(token, swapped) == _scan_lemmatize(token, swapped)
+
+
+def test_pickled_lexicons_drop_the_memos_and_compare_equal(lx):
+    assert lemmatize_correct("sigen", lx) == "seguir"
+    assert split_hashtags("mayorcaída", lx) == ["mayor", "caída"]
+    assert lx.corrections["sigen"] == "seguir" and lx.splits["mayorcaída"] == ("mayor", "caída")
+    copy = pickle.loads(pickle.dumps(lx))
+    assert copy == lx
+    assert "corrections" not in vars(copy) and "splits" not in vars(copy)
+    assert lemmatize_correct("sigen", copy) == "seguir"
+    assert split_hashtags("mayorcaída", copy) == ["mayor", "caída"]

@@ -4,11 +4,14 @@ Builds a small labeled tweet stream over the bundled lexicons, with labels
 derived from simple keyword rules, plus a matching closing-price series.
 Run from the repository root:
 
-    python3 scripts/make_sample_data.py
+    python3 scripts/make_sample_data.py [--out DIR]
+
+``--out`` defaults to data/sample.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
@@ -20,7 +23,6 @@ from finemo.lexicons import load_lexicons
 from finemo.segmenter import RawTweet, replicate_per_asset, segment_tweet
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
-OUT = os.path.join(ROOT, "data", "sample")
 
 TWEETS = [
     ("2019-08-05T09:15:00", "#Ibex35 -2,48% mucho cuidado con la banca, posible caída mientras $SAN sigue bajista"),
@@ -66,11 +68,15 @@ def label_for(text: str) -> str:
 
 
 def main() -> None:
-    os.makedirs(OUT, exist_ok=True)
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--out", default=os.path.join(ROOT, "data", "sample"),
+                        help="directory to write the sample into (default: data/sample)")
+    out = parser.parse_args().out
+    os.makedirs(out, exist_ok=True)
     lx = load_lexicons(os.path.join(ROOT, "data", "lexicons"))
 
     tweets = []
-    with open(os.path.join(OUT, "tweets.jsonl"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out, "tweets.jsonl"), "w", encoding="utf-8") as fh:
         for i, (created_at, text) in enumerate(TWEETS):
             tweet = RawTweet(id=f"t{i:03d}", timestamp=datetime.fromisoformat(created_at), text=text)
             tweets.append(tweet)
@@ -79,7 +85,7 @@ def main() -> None:
 
     tickers = set()
     n_replicas = 0
-    with open(os.path.join(OUT, "labels.tsv"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out, "labels.tsv"), "w", encoding="utf-8") as fh:
         fh.write("# tweet_id\tsegment_index\tfocus_ticker\tlabel\n")
         for tweet in tweets:
             for index, seg in enumerate(segment_tweet(tweet, lx)):
@@ -96,7 +102,7 @@ def main() -> None:
         ("IBEX35", date(2019, 8, 5)): 9000.0,
         ("IBEX35", date(2019, 8, 7)): 9050.0,
     }
-    with open(os.path.join(OUT, "prices.csv"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out, "prices.csv"), "w", encoding="utf-8") as fh:
         fh.write("ticker,date,close\n")
         for t, ticker in enumerate(sorted(tickers)):
             day = date(2019, 7, 26)
@@ -111,7 +117,7 @@ def main() -> None:
                 day += timedelta(days=1)
 
     print(f"wrote {len(tweets)} tweets, {n_replicas} labeled replicas, "
-          f"{len(tickers)} price series to {os.path.normpath(OUT)}")
+          f"{len(tickers)} price series to {os.path.normpath(out)}")
 
 
 if __name__ == "__main__":

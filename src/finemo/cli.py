@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from datetime import datetime
 from itertools import islice
 from typing import get_args, get_type_hints
@@ -209,7 +209,7 @@ def build_instances(tweets, lx, labels=None) -> Iterator[Instance]:
                 label = labels.get((tweet.id, index, replica.focus)) if labels else None
                 if labels is not None and label is None:
                     continue
-                ps = replace(process(replica, lx), label=label)
+                ps = process(replica, lx)
                 yield Instance(tweet, index, ps, replica.text, replica.focus, label)
 
 
@@ -278,6 +278,7 @@ class FeatureStream:
             max_df=cfg.max_df,
             min_df=cfg.min_df,
             bow_size=cfg.bow_size,
+            labels=[inst.label for inst in window],
         )
         self.warmup = [(inst, self._vectorize(inst)) for inst in window]
         if cfg.percentile:

@@ -14,9 +14,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-import re
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from functools import cached_property, partial
@@ -24,7 +23,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from finemo.lexicons import LexiconSet, remember
-from finemo.segmenter import NUMBER_RE, EmotionLabel
+from finemo.segmenter import NUMBER_RE, WORD_RE, EmotionLabel
 from finemo.textproc import _DATE_RE, ProcessedSegment
 
 NUMERIC_NAMES = (
@@ -271,8 +270,10 @@ def fit_vocabularies(
     max_df: float = 0.5,
     min_df: float = 0.001,
     bow_size: int = 500,
+    labels: Sequence[EmotionLabel | None] | None = None,
 ) -> VocabularyModel:
-    """Fit the three textual vocabularies and per-emotion exclusive BOWs."""
+    """Fit the three textual vocabularies and per-emotion exclusive BOWs;
+    ``labels`` gives each segment's gold label (None: unknown) for the BOWs."""
     if not corpus:
         raise VocabularyError("empty fitting corpus")
     n_min, n_max = ngram_range
@@ -282,15 +283,16 @@ def fit_vocabularies(
     class_docs: dict[EmotionLabel, set[str]] = {c: set() for c in BOW_CLASSES}
     term_freq: Counter = Counter()
 
-    for seg in corpus:
+    known = [None] * len(corpus) if labels is None else labels
+    for seg, label in zip(corpus, known, strict=True):
         tokens = _norm_tokens(seg)
         text = " ".join(tokens)
         char_df.update(set(char_ngrams(text, n_min, n_max)))
         word_df.update(set(word_ngrams(tokens, n_min, n_max)))
         wb_df.update(set(charwb_ngrams(tokens, n_min, n_max)))
-        if seg.label is not None:
+        if label is not None:
             candidates = word_ngrams(tokens, 1, 2)
-            class_docs[seg.label].update(candidates)
+            class_docs[label].update(candidates)
             term_freq.update(candidates)
 
     n_docs = len(corpus)
@@ -340,7 +342,7 @@ def extract_numeric(
             neg_num += negative
             pos_num += not negative
 
-    words = [w.casefold() for w in re.findall(r"\w[\w.]*", pre_clean_text, re.UNICODE)]
+    words = [w.casefold() for w in WORD_RE.findall(pre_clean_text)]
     fin_abbr = sum(w in lx.abbreviations for w in words)
     exclamation = pre_clean_text.count("!") + pre_clean_text.count("¡")
     interrogation = pre_clean_text.count("?") + pre_clean_text.count("¿")

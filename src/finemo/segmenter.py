@@ -2,8 +2,8 @@
 
 Pipeline: heuristic clause splitting -> forward-propagation grouping
 (two rules) -> re-splitting of asset report lists -> retention of
-asset-bearing segments only. All operations are pure functions of
-(text, LexiconSet).
+asset-bearing segments only. Each clause is scanned for assets once;
+grouping and list splitting carry the (ticker, span) lists along.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from finemo.lexicons import LexiconSet, lookup_ticker
 # numeric token: optional sign, digit runs, comma/dot decimals, optional %
 NUMBER_RE = re.compile(r"[-+]?\d+(?:[.,]\d+)*%?")
 
-# candidate asset token: optional $/#/@ marker, word chars with internal dots
-_TOKEN_RE = re.compile(r"[$#@]?\w[\w.]*", re.UNICODE)
+# a word: word chars with internal dots; an asset token may carry a marker
+WORD_RE = re.compile(r"\w[\w.]*", re.UNICODE)
+_TOKEN_RE = re.compile(r"[$#@]?" + WORD_RE.pattern, re.UNICODE)
 
 _SENT_PUNCT = ".;:!?"
 
@@ -75,28 +76,21 @@ class Segment:
         return tuple(t for t, _ in self.assets)
 
 
-def find_assets(text: str, lx: LexiconSet) -> list[tuple[str, tuple[int, int]]]:
+Mentions = list[tuple[str, tuple[int, int]]]  # (ticker, (start, end)) in a text
+Group = tuple[str, Mentions]  # a clause or group of clauses, and its mentions
+
+
+def find_assets(text: str, lx: LexiconSet) -> Mentions:
     """Locate ticker/alias mentions (with $/#/@ markers included in spans)."""
-    out = []
+    out: Mentions = []
     for m in _TOKEN_RE.finditer(text):
-        token = m.group(0)
-        end = m.end()
-        stripped = token.rstrip(".")
-        end -= len(token) - len(stripped)
-        if stripped in (FOCUS_TAG, OTHER_TAG):
+        token = m.group(0).rstrip(".")
+        if token in (FOCUS_TAG, OTHER_TAG):
             continue
-        ticker = lookup_ticker(stripped, lx)
+        ticker = lookup_ticker(token, lx)
         if ticker is not None:
-            out.append((ticker, (m.start(), end)))
+            out.append((ticker, (m.start(), m.start() + len(token))))
     return out
-
-
-def _has_ticker(text: str, lx: LexiconSet) -> bool:
-    return bool(find_assets(text, lx)) or FOCUS_TAG in text
-
-
-def _words(text: str) -> list[str]:
-    return [w.casefold() for w in re.findall(r"\w[\w.]*", text, re.UNICODE)]
 
 
 def segment_clauses(text: str, lx: LexiconSet) -> list[str]:
@@ -140,15 +134,12 @@ def segment_clauses(text: str, lx: LexiconSet) -> list[str]:
             i += 1
     chunks.append(text[start:])
 
-    boundary = set(lx.boundary_words)
     clauses: list[str] = []
     for chunk in chunks:
-        if not chunk.strip():
-            continue
         piece_start = 0
         pieces = []
-        for m in re.finditer(r"\w[\w.]*", chunk, re.UNICODE):
-            if m.group(0).casefold() in boundary and m.start() > piece_start:
+        for m in WORD_RE.finditer(chunk):
+            if m.group(0).casefold() in lx.boundary_words and m.start() > piece_start:
                 before = chunk[piece_start:m.start()]
                 if before.strip():
                     pieces.append(before)
@@ -158,8 +149,20 @@ def segment_clauses(text: str, lx: LexiconSet) -> list[str]:
     return clauses
 
 
-def group_forward(clauses: list[str], lx: LexiconSet) -> list[str]:
-    """Apply the two forward-propagation grouping rules, in order.
+def _join(first: Group, second: Group) -> Group:
+    """Join two groups with one space; the second's spans move with it."""
+    shift = len(first[0]) + 1
+    moved = [(ticker, (s + shift, e + shift)) for ticker, (s, e) in second[1]]
+    return f"{first[0]} {second[0]}", first[1] + moved
+
+
+def _bears_asset(group: Group) -> bool:
+    return bool(group[1]) or FOCUS_TAG in group[0]
+
+
+def group_forward(clauses: list[Group]) -> list[Group]:
+    """Apply the two forward-propagation grouping rules, in order, to
+    (clause, assets) pairs.
 
     Rule 1: a clause containing an asset, the additive conjunction, a comma
     or a hyphen starts a new group; anything else is appended to the current
@@ -167,79 +170,48 @@ def group_forward(clauses: list[str], lx: LexiconSet) -> list[str]:
     later one starts with the relative conjunction, the earlier is merged
     into it.
     """
-    groups: list[str] = []
-    aux = ""
+    groups: list[Group] = []
     for clause in clauses:
-        words = set(_words(clause))
-        starts_group = (
-            _has_ticker(clause, lx)
-            or any(w in words for w in ADDITIVE_WORDS)
-            or "," in clause
-            or "-" in clause
-        )
-        if starts_group:
-            if aux:
-                groups.append(aux)
-            aux = clause
+        text = clause[0]
+        additive = any(w.casefold() in ADDITIVE_WORDS for w in WORD_RE.findall(text))
+        if groups and not (_bears_asset(clause) or additive or "," in text or "-" in text):
+            groups[-1] = _join(groups[-1], clause)
         else:
-            aux = f"{aux} {clause}".strip() if aux else clause
-    if aux:
-        groups.append(aux)
-
-    merged: list[str] = []
+            groups.append(clause)
+    merged: list[Group] = []
     for group in groups:
-        first = _words(group)[:1]
-        if (
-            merged
-            and first
-            and first[0] in RELATIVE_WORDS
-            and _has_ticker(merged[-1], lx)
-            and _has_ticker(group, lx)
-        ):
-            merged[-1] = f"{merged[-1]} {group}"
+        first = WORD_RE.search(group[0])
+        relative = first is not None and first[0].casefold() in RELATIVE_WORDS
+        if merged and relative and _bears_asset(merged[-1]) and _bears_asset(group):
+            merged[-1] = _join(merged[-1], group)
         else:
             merged.append(group)
     return merged
 
 
-def split_asset_lists(segment: str, lx: LexiconSet) -> list[str]:
-    """Re-split asset report lists.
-
-    When a segment contains more than one numeric token, it is split right
-    before each asset occurrence except the first; otherwise it is returned
-    unchanged.
-    """
-    if len(NUMBER_RE.findall(segment)) <= 1:
-        return [segment]
-    assets = find_assets(segment, lx)
-    if len(assets) <= 1:
-        return [segment]
-    cuts = [start for _, (start, _) in assets[1:]]
-    pieces = []
-    prev = 0
-    for cut in cuts:
-        piece = segment[prev:cut].strip()
-        if piece:
-            pieces.append(piece)
-        prev = cut
-    tail = segment[prev:].strip()
-    if tail:
-        pieces.append(tail)
-    return pieces
+def split_asset_lists(group: Group) -> list[Group]:
+    """Re-split an asset report list: a group with more than one numeric
+    token is cut right before each asset but the first, so piece k holds
+    asset k alone. Any other group is returned whole."""
+    text, assets = group
+    if len(assets) <= 1 or len(NUMBER_RE.findall(text)) <= 1:
+        return [group]
+    cuts = [0] + [start for _, (start, _) in assets[1:]]
+    return [
+        (text[cut:end].rstrip(), [(ticker, (s - cut, e - cut))])
+        for cut, end, (ticker, (s, e)) in zip(cuts, cuts[1:] + [len(text)], assets)
+    ]
 
 
 def segment_tweet(tweet: RawTweet, lx: LexiconSet) -> list[Segment]:
     """Full segmentation of one tweet; only asset-bearing segments remain."""
-    clauses = segment_clauses(tweet.text, lx)
-    segments: list[Segment] = []
-    for group in group_forward(clauses, lx):
-        for piece in split_asset_lists(group, lx):
-            assets = find_assets(piece, lx)
-            if assets:
-                segments.append(
-                    Segment(tweet_id=tweet.id, text=piece, assets=tuple(assets))
-                )
-    return segments
+    clauses = [(c, find_assets(c, lx)) for c in segment_clauses(tweet.text, lx)]
+    return [
+        Segment(tweet_id=tweet.id, text=text, assets=tuple(assets))
+        for group in group_forward(clauses)
+        for text, assets in split_asset_lists(group)
+        if assets
+    ]
 
 
 def replicate_per_asset(seg: Segment) -> list[Segment]:
@@ -247,14 +219,10 @@ def replicate_per_asset(seg: Segment) -> list[Segment]:
     rest OTHER_TICKER."""
     if not seg.assets:
         raise ValueError("segment has no assets")
-    order: list[str] = []
-    for ticker, _ in seg.assets:
-        if ticker not in order:
-            order.append(ticker)
     replicas = []
-    for focus in order:
+    for focus in dict.fromkeys(seg.asset_names):
         text = seg.text
-        new_assets: list[tuple[str, tuple[int, int]]] = []
+        new_assets: Mentions = []
         shift = 0
         for ticker, (start, end) in seg.assets:
             tag = FOCUS_TAG if ticker == focus else OTHER_TAG
@@ -262,7 +230,5 @@ def replicate_per_asset(seg: Segment) -> list[Segment]:
             text = text[:s] + tag + text[e:]
             new_assets.append((ticker, (s, s + len(tag))))
             shift += len(tag) - (end - start)
-        replicas.append(
-            replace(seg, text=text, assets=tuple(new_assets), focus=focus)
-        )
+        replicas.append(replace(seg, text=text, assets=tuple(new_assets), focus=focus))
     return replicas

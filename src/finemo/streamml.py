@@ -593,21 +593,20 @@ class SGDLinearClassifier(IncrementalLearner):
 class StackedClassifier:
     """Two-stage cascade: a three-class stage followed by a binary
     emotion-vs-neutral re-check of non-neutral predictions. Stage 2 can only
-    demote a prediction to neutral, never promote."""
+    demote a prediction to neutral, never promote. Each stage-2 learner trains
+    on the instances whose gold label is one of its two classes."""
 
     def __init__(
         self,
         stage1: IncrementalLearner,
         stage2_pre: IncrementalLearner,
         stage2_opp: IncrementalLearner,
-        train_stage2_on_predictions: bool = False,
     ):
         if stage1 is stage2_pre or stage1 is stage2_opp or stage2_pre is stage2_opp:
             raise ValueError("the three learners must be independent instances")
         self.stage1 = stage1
         self.stage2_pre = stage2_pre
         self.stage2_opp = stage2_opp
-        self.train_stage2_on_predictions = train_stage2_on_predictions
         self.classes = DEFAULT_CLASSES
 
     def predict_label(self, fv: FeatureVector) -> EmotionLabel:
@@ -619,17 +618,11 @@ class StackedClassifier:
         return self.stage2_opp.predict_label(fv)
 
     def partial_fit(self, fv: FeatureVector, label: EmotionLabel) -> None:
-        if self.train_stage2_on_predictions:
-            routed = self.stage1.predict_label(fv)
-        else:
-            routed = label
         self.stage1.partial_fit(fv, label)
         if label in (EmotionLabel.PRECAUTION, EmotionLabel.NEUTRAL):
-            if not self.train_stage2_on_predictions or routed is not EmotionLabel.OPPORTUNITY:
-                self.stage2_pre.partial_fit(fv, label)
+            self.stage2_pre.partial_fit(fv, label)
         if label in (EmotionLabel.OPPORTUNITY, EmotionLabel.NEUTRAL):
-            if not self.train_stage2_on_predictions or routed is not EmotionLabel.PRECAUTION:
-                self.stage2_opp.partial_fit(fv, label)
+            self.stage2_opp.partial_fit(fv, label)
 
 
 def make_stacked(factory) -> StackedClassifier:

@@ -66,8 +66,8 @@ def make_planted_segments(
     plant_prob: float = 0.95,
     filler_vocab: int = 40,
     balance: dict | None = None,
-) -> list[ProcessedSegment]:
-    """Labeled ProcessedSegments with class-exclusive planted bigrams."""
+) -> tuple[list[ProcessedSegment], list[EmotionLabel]]:
+    """ProcessedSegments with class-exclusive planted bigrams, and their labels."""
     rng = np.random.default_rng(seed)
     counts = scaled_balance(n, balance)
     labels = [c for c, k in counts.items() for _ in range(k)]
@@ -87,10 +87,9 @@ def make_planted_segments(
                 focus="TICK",
                 tokens=tuple(tokens),
                 raw_len=len(" ".join(tokens)),
-                label=label,
             )
         )
-    return segments
+    return segments, labels
 
 
 def make_planted_stream(
@@ -108,12 +107,12 @@ def make_planted_stream(
     keeping the rest of the space identical.
     """
     rng = np.random.default_rng(seed + 1)
-    segments = make_planted_segments(n, seed=seed, plant_prob=plant_prob, balance=balance)
-    vm = fit_vocabularies(segments[:warmup])
+    segments, labels = make_planted_segments(n, seed=seed, plant_prob=plant_prob, balance=balance)
+    vm = fit_vocabularies(segments[:warmup], labels=labels[:warmup])
     if ablate_bow:
         vm = replace(vm, bow_pre=[], bow_neu=[], bow_opp=[])
     stream = []
-    for seg in segments:
-        fv = vectorize(seg, vm, _numeric_for(seg.label, rng), _trend_for(seg.label, rng))
-        stream.append((fv, seg.label))
+    for seg, label in zip(segments, labels):
+        fv = vectorize(seg, vm, _numeric_for(label, rng), _trend_for(label, rng))
+        stream.append((fv, label))
     return stream, vm

@@ -1,8 +1,9 @@
 """Segment text normalization.
 
-Order is fixed: asset tagging -> number tagging -> filtering/cleaning ->
-hashtag/compound splitting -> lemmatization with spelling correction.
-Tagging precedes cleaning so tickers survive the removal of $/@/# markers.
+Order is fixed: number tagging -> filtering/cleaning -> hashtag/compound
+splitting -> lemmatization with spelling correction. Asset mentions arrive
+already tagged by ``segmenter.replicate_per_asset``, so tickers survive the
+removal of $/@/# markers.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ import math
 import re
 from dataclasses import dataclass
 
-from finemo.lexicons import LexiconSet, lookup_ticker, remember
-from finemo.segmenter import FOCUS_TAG, OTHER_TAG, NUMBER_RE, Segment, _TOKEN_RE
+from finemo.lexicons import LexiconSet, remember
+from finemo.segmenter import FOCUS_TAG, OTHER_TAG, NUMBER_RE, Segment
 
 TAGS = (FOCUS_TAG, OTHER_TAG, "NEGATIVE", "POSITIVE", "NUMBER")
 
@@ -28,30 +29,6 @@ class ProcessedSegment:
     focus: str
     tokens: tuple[str, ...]
     raw_len: int
-    label: object = None  # gold EmotionLabel, when known; read by fit_vocabularies
-
-    @property
-    def text(self) -> str:
-        return " ".join(self.tokens)
-
-
-def tag_assets(text: str, focus: str | None, lx: LexiconSet) -> str:
-    """Replace every asset mention with TICKER (the focus) or OTHER_TICKER."""
-    out = []
-    last = 0
-    for m in _TOKEN_RE.finditer(text):
-        token = m.group(0).rstrip(".")
-        if token in (FOCUS_TAG, OTHER_TAG):
-            continue
-        ticker = lookup_ticker(token, lx)
-        if ticker is None:
-            continue
-        tag = FOCUS_TAG if focus is not None and ticker == focus else OTHER_TAG
-        out.append(text[last:m.start()])
-        out.append(tag)
-        last = m.start() + len(token)
-    out.append(text[last:])
-    return "".join(out)
 
 
 _DATE_OR_NUMBER_RE = re.compile(rf"(?P<date>{_DATE_RE.pattern})|{NUMBER_RE.pattern}")
@@ -230,11 +207,9 @@ def _correct(token: str, lx: LexiconSet) -> str:
 
 
 def process(seg: Segment, lx: LexiconSet) -> ProcessedSegment:
-    """Full normalization of one replicated segment."""
-    raw_len = len(seg.text)
-    text = tag_assets(seg.text, seg.focus, lx)
-    text = tag_numbers(text)
-    text = clean_filter(text, lx)
+    """Full normalization of one replica from ``replicate_per_asset``, whose
+    asset mentions are already TICKER/OTHER_TICKER."""
+    text = clean_filter(tag_numbers(seg.text), lx)
     tokens: list[str] = []
     for token in text.split():
         for word in split_hashtags(token, lx):
@@ -245,5 +220,5 @@ def process(seg: Segment, lx: LexiconSet) -> ProcessedSegment:
         tweet_id=seg.tweet_id,
         focus=seg.focus or "",
         tokens=tuple(tokens),
-        raw_len=raw_len,
+        raw_len=len(seg.text),
     )

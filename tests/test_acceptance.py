@@ -21,10 +21,9 @@ from finemo.features import (
     PriceSeries,
     VocabularyModel,
     compute_trend,
-    extract_numeric,
     vectorize,
 )
-from finemo.segmenter import EmotionLabel, RawTweet, Segment, find_assets, segment_tweet
+from finemo.segmenter import EmotionLabel, RawTweet, segment_tweet
 from finemo.selection import pearson, select_percentile, chi2_scores
 from finemo.streamml import (
     RF_GRID,
@@ -35,7 +34,7 @@ from finemo.streamml import (
     make_stacked,
 )
 from finemo.synthetic import make_planted_stream
-from finemo.textproc import process, tag_assets
+from finemo.textproc import process
 from tests.conftest import LEXICON_DIR, SAMPLE_DIR
 from tests.segmentation_cases import CASES
 from tests.test_evaluation import ANNOTATION_ALPHA, ANNOTATION_MATRIX
@@ -44,8 +43,10 @@ from tests.test_features import (
     SAMPLE_1_TEXT,
     SAMPLE_2_EXPECTED,
     SAMPLE_2_TEXT,
+    _numeric_for_text,
 )
 from tests.test_streamml import _batch_nb_argmax, make_fv, random_stream
+from tests.test_textproc import _replica
 
 P, N, O = EmotionLabel.PRECAUTION, EmotionLabel.NEUTRAL, EmotionLabel.OPPORTUNITY
 
@@ -97,8 +98,7 @@ def test_acceptance_02_text_processing_golden(lx):
         "$Bankia sigue el crack bursátil. -1,925 euros, del IBEX35 "
         "#mayorcaída https://t.co/S73BxUSKiR"
     )
-    seg = Segment(tweet_id="t", text=text, assets=tuple(find_assets(text, lx)), focus="BKIA")
-    got = process(seg, lx).tokens
+    got = process(_replica(text, lx, "BKIA"), lx).tokens
     want = ("TICKER", "seguir", "bursátil", "NEGATIVE", "euros",
             "OTHER_TICKER", "mayor", "caída")
     _verdict("text-processing token golden", got == want, " ".join(got))
@@ -112,10 +112,7 @@ def test_acceptance_03_feature_goldens(lx):
         (SAMPLE_1_TEXT, SAMPLE_1_EXPECTED, datetime(2019, 7, 30, 10, 0), False),
         (SAMPLE_2_TEXT, SAMPLE_2_EXPECTED, datetime(2019, 8, 6, 10, 0), True),
     ):
-        seg = Segment(tweet_id="t", text=text,
-                      assets=tuple(find_assets(text, lx)), focus="IBEX35")
-        ps = process(seg, lx)
-        numeric = extract_numeric(ps, tag_assets(text, "IBEX35", lx), lx)
+        _, numeric = _numeric_for_text(text, lx)
         want = tuple(expected.get(name, 0) for name in NUMERIC_NAMES)
         ok &= numeric == want
         trend = compute_trend("IBEX35", posted, prices)
@@ -124,10 +121,8 @@ def test_acceptance_03_feature_goldens(lx):
     # BOW hit counters land in the first three dense columns
     vm = VocabularyModel(char_vocab={}, word_vocab={}, wordbound_vocab={},
                          bow_pre=["mucho cuidar"], bow_neu=[], bow_opp=["vez number"])
-    seg1 = Segment(tweet_id="t", text=SAMPLE_1_TEXT,
-                   assets=tuple(find_assets(SAMPLE_1_TEXT, lx)), focus="IBEX35")
-    seg2 = Segment(tweet_id="t", text=SAMPLE_2_TEXT,
-                   assets=tuple(find_assets(SAMPLE_2_TEXT, lx)), focus="IBEX35")
+    seg1 = _replica(SAMPLE_1_TEXT, lx, "IBEX35")
+    seg2 = _replica(SAMPLE_2_TEXT, lx, "IBEX35")
     fv1 = vectorize(process(seg1, lx), vm, (0,) * N_NUMERIC, False)
     fv2 = vectorize(process(seg2, lx), vm, (0,) * N_NUMERIC, True)
     ok &= fv1.dense[0] == 1.0 and fv1.dense[2] == 0.0

@@ -38,9 +38,9 @@ from finemo.features import (
     word_ngrams,
 )
 from finemo.lexicons import MEMO_SIZE, load_lexicons
-from finemo.segmenter import EmotionLabel, Segment, find_assets
+from finemo.segmenter import EmotionLabel, Segment, find_assets, replicate_per_asset
 from finemo.synthetic import make_planted_stream
-from finemo.textproc import ProcessedSegment, process, tag_assets
+from finemo.textproc import ProcessedSegment, process
 from tests.conftest import SAMPLE_DIR
 
 import os
@@ -78,10 +78,12 @@ SAMPLE_2_EXPECTED = {
 
 
 def _numeric_for_text(text, lx, focus="IBEX35"):
-    seg = Segment(tweet_id="t", text=text, assets=tuple(find_assets(text, lx)), focus=focus)
-    ps = process(seg, lx)
-    tagged = tag_assets(text, focus, lx)
-    return ps, extract_numeric(ps, tagged, lx)
+    seg = Segment(tweet_id="t", text=text, assets=tuple(find_assets(text, lx)))
+    (replica,) = [r for r in replicate_per_asset(seg) if r.focus == focus]
+    # the published profiles count LEN_TWEET on the text as posted, before
+    # its tickers were tagged
+    ps = replace(process(replica, lx), raw_len=len(text))
+    return ps, extract_numeric(ps, replica.text, lx)
 
 
 def _expected_tuple(profile):
@@ -204,26 +206,26 @@ def test_ngram_analyzers_small_cases():
     assert charwb_ngrams(["a"], 4, 4) == [" a "]
 
 
-def _corpus(labeled=True):
-    docs = [
-        ("mucho cuidar banca", EmotionLabel.PRECAUTION),
-        ("mucho cuidar caída", EmotionLabel.PRECAUTION),
-        ("mercado sesión normal", EmotionLabel.NEUTRAL),
-        ("mercado sesión banca", EmotionLabel.NEUTRAL),
-        ("ganancia alcista banca", EmotionLabel.OPPORTUNITY),
-        ("ganancia subir fuerte", EmotionLabel.OPPORTUNITY),
-    ]
+_DOCS = [
+    ("mucho cuidar banca", EmotionLabel.PRECAUTION),
+    ("mucho cuidar caída", EmotionLabel.PRECAUTION),
+    ("mercado sesión normal", EmotionLabel.NEUTRAL),
+    ("mercado sesión banca", EmotionLabel.NEUTRAL),
+    ("ganancia alcista banca", EmotionLabel.OPPORTUNITY),
+    ("ganancia subir fuerte", EmotionLabel.OPPORTUNITY),
+]
+_LABELS = [label for _, label in _DOCS]
+
+
+def _corpus():
     return [
-        ProcessedSegment(
-            tweet_id=f"d{i}", focus="X", tokens=tuple(text.split()),
-            raw_len=len(text), label=(label if labeled else None),
-        )
-        for i, (text, label) in enumerate(docs)
+        ProcessedSegment(tweet_id=f"d{i}", focus="X", tokens=tuple(text.split()), raw_len=len(text))
+        for i, (text, _) in enumerate(_DOCS)
     ]
 
 
 def test_bow_exclusivity():
-    vm = fit_vocabularies(_corpus(), min_df=0.0, max_df=1.0)
+    vm = fit_vocabularies(_corpus(), min_df=0.0, max_df=1.0, labels=_LABELS)
     pre, neu, opp = set(vm.bow_pre), set(vm.bow_neu), set(vm.bow_opp)
     assert "mucho cuidar" in pre
     assert not pre & neu and not pre & opp and not neu & opp
@@ -232,7 +234,7 @@ def test_bow_exclusivity():
 
 
 def test_bow_ranking_frequency_then_lexicographic():
-    vm = fit_vocabularies(_corpus(), min_df=0.0, max_df=1.0, bow_size=3)
+    vm = fit_vocabularies(_corpus(), min_df=0.0, max_df=1.0, bow_size=3, labels=_LABELS)
     # "ganancia" appears twice in opportunity docs, everything else once
     assert vm.bow_opp[0] == "ganancia"
     assert vm.bow_opp[1:] == sorted(vm.bow_opp[1:])
@@ -240,7 +242,7 @@ def test_bow_ranking_frequency_then_lexicographic():
 
 def test_df_bounds_respected():
     corpus = _corpus()
-    vm = fit_vocabularies(corpus, min_df=0.3, max_df=0.5)
+    vm = fit_vocabularies(corpus, min_df=0.3, max_df=0.5, labels=_LABELS)
     n = len(corpus)
     for vocab, analyzer in (
         (vm.char_vocab, lambda s: char_ngrams(" ".join(s.tokens), 1, 4)),
@@ -254,7 +256,7 @@ def test_df_bounds_respected():
 
 def test_vectorize_counts_match_manual_recount():
     corpus = _corpus()
-    vm = fit_vocabularies(corpus, min_df=0.0, max_df=1.0)
+    vm = fit_vocabularies(corpus, min_df=0.0, max_df=1.0, labels=_LABELS)
     seg = corpus[0]
     fv = vectorize(seg, vm, (0,) * N_NUMERIC, False)
     text = " ".join(seg.tokens)
@@ -298,7 +300,7 @@ def test_numeric_length_validated():
 
 def test_selection_mask_filters_all_blocks():
     corpus = _corpus()
-    vm = fit_vocabularies(corpus, min_df=0.0, max_df=1.0)
+    vm = fit_vocabularies(corpus, min_df=0.0, max_df=1.0, labels=_LABELS)
     keep_numeric = vm.n_text_columns + 3 + 2
     vm.selection_mask = {0, 1, keep_numeric}  # drops trend and most columns
     fv = vectorize(corpus[0], vm, tuple(range(N_NUMERIC)), True)
@@ -309,7 +311,7 @@ def test_selection_mask_filters_all_blocks():
 
 
 def test_vocabulary_json_round_trip():
-    vm = fit_vocabularies(_corpus(), min_df=0.0, max_df=1.0)
+    vm = fit_vocabularies(_corpus(), min_df=0.0, max_df=1.0, labels=_LABELS)
     vm.selection_mask = {1, 5, 9}
     back = VocabularyModel.from_json(vm.to_json())
     assert back.char_vocab == vm.char_vocab
@@ -321,7 +323,7 @@ def test_vocabulary_json_round_trip():
 
 
 def test_vocabulary_version_check():
-    vm = fit_vocabularies(_corpus(), min_df=0.0, max_df=1.0)
+    vm = fit_vocabularies(_corpus(), min_df=0.0, max_df=1.0, labels=_LABELS)
     payload = vm.to_json().replace('"version": 1', '"version": 99')
     with pytest.raises(VocabularyError, match="version"):
         VocabularyModel.from_json(payload)
@@ -332,12 +334,19 @@ def test_empty_corpus_rejected():
         fit_vocabularies([])
 
 
+def test_one_label_per_segment():
+    with pytest.raises(ValueError):
+        fit_vocabularies(_corpus(), labels=_LABELS[:-1])
+    with pytest.raises(ValueError):
+        fit_vocabularies(_corpus(), labels=[])
+
+
 def test_ngrams_shorter_than_one_rejected():
     # the per-token column memo splits n-grams at token boundaries, which
     # empty n-grams do not respect
     for ngram_range in ((0, 2), (-1, 3)):
         with pytest.raises(VocabularyError, match="at least 1"):
-            fit_vocabularies(_corpus(), ngram_range, min_df=0.0, max_df=1.0)
+            fit_vocabularies(_corpus(), ngram_range, min_df=0.0, max_df=1.0, labels=_LABELS)
 
 
 @settings(max_examples=60, deadline=None)

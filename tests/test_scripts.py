@@ -47,3 +47,16 @@ def test_run_sample_pipeline_writes_report_and_artifacts(tmp_path):
     for name in ("report.json", "confusion.csv", "accuracy_series.csv",
                  "indicators.jsonl", "vocabulary.json"):
         assert (out / name).is_file(), name
+
+
+def test_make_sample_data_reproduces_the_bundled_sample(tmp_path):
+    # labels.tsv keys each label by (tweet, segment, focus), so this also pins
+    # the segmentation of the sample tweets
+    result = _run_script("make_sample_data.py", "--out", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    sample = os.path.join(ROOT, "data", "sample")
+    names = sorted(os.listdir(sample))
+    assert sorted(os.listdir(tmp_path)) == names
+    for name in names:
+        with open(os.path.join(sample, name), "rb") as want, open(tmp_path / name, "rb") as got:
+            assert got.read() == want.read(), name

@@ -1,16 +1,23 @@
+import re
+import sys
 from datetime import datetime
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finemo.cli import read_tweets
+from finemo.cli import build_instances, read_tweets
+from finemo.lexicons import load_lexicons, lookup_ticker
 from finemo.segmenter import (
+    ADDITIVE_WORDS,
     FOCUS_TAG,
+    NUMBER_RE,
     OTHER_TAG,
+    RELATIVE_WORDS,
     EmotionLabel,
     RawTweet,
     Segment,
+    _TOKEN_RE,
     find_assets,
     group_forward,
     replicate_per_asset,
@@ -18,7 +25,8 @@ from finemo.segmenter import (
     segment_tweet,
     split_asset_lists,
 )
-from finemo.textproc import tag_assets
+from perfbench.workloads import SPECS, generate
+from tests.conftest import ROOT
 from tests.segmentation_cases import CASES
 
 
@@ -69,14 +77,25 @@ def test_handcrafted_corpus(lx):
 
 
 def test_group_forward_rule_order(lx):
-    # rule 1 groups the asset-free clause first, then rule 2 merges
+    # rule 1 groups the asset-free clause first, then rule 2 merges; the
+    # merged clause's span moves with it
     clauses = ["El $IBEX35 cae", "sin freno", "que $TEF aguante"]
-    assert group_forward(clauses, lx) == ["El $IBEX35 cae sin freno que $TEF aguante"]
+    assert group_forward([(c, find_assets(c, lx)) for c in clauses]) == [
+        ("El $IBEX35 cae sin freno que $TEF aguante", [("IBEX35", (3, 10)), ("TEF", (29, 33))])
+    ]
 
 
 def test_split_asset_lists_requires_multiple_numbers(lx):
-    assert split_asset_lists("$BBVA $SAN suben 3%", lx) == ["$BBVA $SAN suben 3%"]
-    assert split_asset_lists("$BBVA -1% $SAN +2%", lx) == ["$BBVA -1%", "$SAN +2%"]
+    def split(text):
+        return split_asset_lists((text, find_assets(text, lx)))
+
+    assert split("$BBVA $SAN suben 3%") == [
+        ("$BBVA $SAN suben 3%", [("BBVA", (0, 5)), ("SAN", (6, 10))])
+    ]
+    # each piece holds one asset, its span relative to the piece
+    assert split("$BBVA -1% $SAN +2%") == [
+        ("$BBVA -1%", [("BBVA", (0, 5))]), ("$SAN +2%", [("SAN", (0, 4))])
+    ]
 
 
 def test_find_assets_spans(lx):
@@ -115,11 +134,14 @@ ASSET_FORMS = [
 ]
 
 
+SEPARATORS = [" ", " ", " ", ". ", ", ", " - "]
+
+
 @st.composite
-def tweets(draw, words=WORDS):
+def tweets(draw, words=WORDS, separators=SEPARATORS):
     words = draw(st.lists(st.sampled_from(words), min_size=1, max_size=12))
     seps = draw(
-        st.lists(st.sampled_from([" ", " ", " ", ". ", ", ", " - "]),
+        st.lists(st.sampled_from(separators),
                  min_size=len(words) - 1, max_size=len(words) - 1)
     )
     text = words[0]
@@ -165,10 +187,10 @@ def test_clauses_cover_all_words(lx, text):
 
 
 def _assert_replicas_are_tagged(tweet, lx):
-    # process() tags asset mentions again; on a replica that must change nothing
+    # process() tags no assets: a replica must hold no mention left to tag
     for seg in segment_tweet(tweet, lx):
         for replica in replicate_per_asset(seg):
-            assert tag_assets(replica.text, replica.focus, lx) == replica.text
+            assert find_assets(replica.text, lx) == []
 
 
 def test_sample_replicas_are_already_tagged(lx, sample_paths):
@@ -180,3 +202,128 @@ def test_sample_replicas_are_already_tagged(lx, sample_paths):
 @given(tweets(WORDS + ASSET_FORMS))
 def test_replicas_are_already_tagged(lx, text):
     _assert_replicas_are_tagged(_tweet(text), lx)
+
+
+def test_one_ticker_lookup_per_token(lx, sample_paths, monkeypatch):
+    calls = 0
+
+    def counting(token, lexicons):
+        nonlocal calls
+        calls += 1
+        return lookup_ticker(token, lexicons)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("finemo") and getattr(module, "lookup_ticker", None) is lookup_ticker:
+            monkeypatch.setattr(module, "lookup_ticker", counting)
+    tweets = list(read_tweets(sample_paths["tweets"]))
+    assert list(build_instances(tweets, lx))
+    assert 0 < calls <= sum(len(_TOKEN_RE.findall(t.text)) for t in tweets)
+
+
+# -- oracle: the segmenter that rescanned every clause, group and piece --
+
+
+def _ref_has_ticker(text, lx):
+    return bool(find_assets(text, lx)) or FOCUS_TAG in text
+
+
+def _ref_words(text):
+    return [w.casefold() for w in re.findall(r"\w[\w.]*", text, re.UNICODE)]
+
+
+def _ref_group_forward(clauses, lx):
+    groups = []
+    aux = ""
+    for clause in clauses:
+        words = set(_ref_words(clause))
+        starts_group = (
+            _ref_has_ticker(clause, lx)
+            or any(w in words for w in ADDITIVE_WORDS)
+            or "," in clause
+            or "-" in clause
+        )
+        if starts_group:
+            if aux:
+                groups.append(aux)
+            aux = clause
+        else:
+            aux = f"{aux} {clause}".strip() if aux else clause
+    if aux:
+        groups.append(aux)
+
+    merged = []
+    for group in groups:
+        first = _ref_words(group)[:1]
+        if (
+            merged
+            and first
+            and first[0] in RELATIVE_WORDS
+            and _ref_has_ticker(merged[-1], lx)
+            and _ref_has_ticker(group, lx)
+        ):
+            merged[-1] = f"{merged[-1]} {group}"
+        else:
+            merged.append(group)
+    return merged
+
+
+def _ref_split_asset_lists(segment, lx):
+    if len(NUMBER_RE.findall(segment)) <= 1:
+        return [segment]
+    assets = find_assets(segment, lx)
+    if len(assets) <= 1:
+        return [segment]
+    cuts = [start for _, (start, _) in assets[1:]]
+    pieces = []
+    prev = 0
+    for cut in cuts:
+        piece = segment[prev:cut].strip()
+        if piece:
+            pieces.append(piece)
+        prev = cut
+    tail = segment[prev:].strip()
+    if tail:
+        pieces.append(tail)
+    return pieces
+
+
+def _ref_segment_tweet(tweet, lx):
+    clauses = segment_clauses(tweet.text, lx)
+    segments = []
+    for group in _ref_group_forward(clauses, lx):
+        for piece in _ref_split_asset_lists(group, lx):
+            assets = find_assets(piece, lx)
+            if assets:
+                segments.append(Segment(tweet_id=tweet.id, text=piece, assets=tuple(assets)))
+    return segments
+
+
+def _assert_same_as_oracle(tweets, lx):
+    n = 0
+    for tweet in tweets:
+        assert segment_tweet(tweet, lx) == _ref_segment_tweet(tweet, lx), tweet.text
+        n += 1
+    return n
+
+
+# tag literals and their prefixes, markers glued to words, a marked
+# boundary word and a ticker glued to another by a dot
+ORACLE_WORDS = WORDS + ASSET_FORMS + ["TICKERS", "x$BBVA", "$pero", "BBVA.SAN", "aunque"]
+# separators with no space, ellipses and semicolons
+ORACLE_SEPARATORS = SEPARATORS + ["...", "; ", ",", "-", "- ", "!! "]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(tweets(ORACLE_WORDS, ORACLE_SEPARATORS))
+def test_segment_tweet_equals_oracle_on_mixes(lx, text):
+    _assert_same_as_oracle([_tweet(text)], lx)
+
+
+def test_segment_tweet_equals_oracle_on_sample(lx, sample_paths):
+    assert _assert_same_as_oracle(read_tweets(sample_paths["tweets"]), lx) > 0
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_segment_tweet_equals_oracle_on_benchmark_inputs(name, tmp_path):
+    workload = generate(name, 5, f"{ROOT}/data", str(tmp_path))
+    assert _assert_same_as_oracle(read_tweets(workload.tweets), load_lexicons(workload.lexicons)) > 0

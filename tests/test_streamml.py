@@ -1166,18 +1166,6 @@ def test_stacked_routes_gold_labels():
     assert opp.seen == [N, O, O, N]  # never precaution
 
 
-def test_stacked_prediction_routing_switch():
-    s1 = _StubLearner(O)  # always claims opportunity
-    pre, opp = _StubLearner(P, (P, N)), _StubLearner(O, (O, N))
-    stacked = StackedClassifier(s1, pre, opp, train_stage2_on_predictions=True)
-    fv = make_fv()
-    for label in (P, N, O):
-        stacked.partial_fit(fv, label)
-    # stage-1 routed everything to opportunity, starving the precaution leg
-    assert pre.seen == []
-    assert opp.seen == [N, O]
-
-
 def test_stacked_demotion_only():
     rng = np.random.default_rng(11)
     for seed in range(3):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from finemo import cli, lexicons, textproc
 from finemo.lexicons import LexiconSet, load_lexicons
-from finemo.segmenter import Segment, find_assets
+from finemo.segmenter import Segment, find_assets, replicate_per_asset
 from finemo.textproc import (
     TAGS,
     _edit_distance,
@@ -16,13 +16,20 @@ from finemo.textproc import (
     lemmatize_correct,
     process,
     split_hashtags,
-    tag_assets,
     tag_numbers,
 )
 
 
-def _segment(text, lx, focus=None):
-    return Segment(tweet_id="t", text=text, assets=tuple(find_assets(text, lx)), focus=focus)
+def _replicas(text, lx, focus):
+    """``text`` as process() receives it: one replicate_per_asset replica per
+    asset, or ``text`` itself with ``focus`` when it names no asset."""
+    seg = Segment(tweet_id="t", text=text, assets=tuple(find_assets(text, lx)), focus=focus)
+    return replicate_per_asset(seg) if seg.assets else [seg]
+
+
+def _replica(text, lx, focus):
+    (replica,) = [r for r in _replicas(text, lx, focus) if r.focus == focus]
+    return replica
 
 
 def _mini_lexicon(**overrides) -> LexiconSet:
@@ -46,20 +53,14 @@ def test_full_normalization_golden(lx):
         "$Bankia sigue el crack bursátil. -1,925 euros, del IBEX35 "
         "#mayorcaída https://t.co/S73BxUSKiR"
     )
-    ps = process(_segment(text, lx, focus="BKIA"), lx)
+    replica = _replica(text, lx, "BKIA")
+    ps = process(replica, lx)
     assert ps.tokens == (
         "TICKER", "seguir", "bursátil", "NEGATIVE", "euros",
         "OTHER_TICKER", "mayor", "caída",
     )
-    assert ps.raw_len == len(text)
+    assert ps.raw_len == len(replica.text)
     assert ps.focus == "BKIA"
-
-
-def test_tag_assets_focus_vs_other(lx):
-    out = tag_assets("$BKIA frente a BBVA", "BKIA", lx)
-    assert out == "TICKER frente a OTHER_TICKER"
-    out = tag_assets("$BKIA frente a BBVA", None, lx)
-    assert out == "OTHER_TICKER frente a OTHER_TICKER"
 
 
 def test_tag_numbers_cases():
@@ -155,13 +156,13 @@ def test_clean_filter_idempotent(lx, text):
     ["el", "mercado", "sigue", "bursátil", "$BKIA", "BBVA", "-1,925", "euros", "#mayorcaída"]
 ), min_size=1, max_size=10).map(" ".join))
 def test_process_deterministic_and_clean(lx, text):
-    seg = _segment(text, lx, focus="BKIA")
-    first = process(seg, lx)
-    second = process(seg, lx)
-    assert first.tokens == second.tokens
-    for token in first.tokens:
-        assert token and " " not in token
-        assert "$" not in token and "#" not in token
+    for seg in _replicas(text, lx, "BKIA"):
+        first = process(seg, lx)
+        second = process(seg, lx)
+        assert first.tokens == second.tokens
+        for token in first.tokens:
+            assert token and " " not in token
+            assert "$" not in token and "#" not in token
 
 
 # -- spelling correction: the symmetric-delete index against the linear scan --
@@ -351,7 +352,7 @@ def test_delete_index_is_built_lazily_once_per_lexicon_set(monkeypatch, sample_p
 
     # dictionary forms, tags and stopwords only: no correction needed
     known = " ".join(["$BKIA", "sigue", "el", "mercado", "-2,5%", "sube"])
-    ps = process(_segment(known, fresh, focus="BKIA"), fresh)
+    ps = process(_replica(known, fresh, "BKIA"), fresh)
     assert all(t in TAGS or t in fresh.dictionary.values() for t in ps.tokens)
     assert _CountingIndex.builds == 0 and "delete_index" not in vars(fresh)
 

@@ -16,7 +16,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from finemo.evaluation import prequential_run
-from finemo.segmenter import EmotionLabel
+from finemo.segmenter import CLASS_ORDER, EmotionLabel
 from finemo.streamml import (
     AdaptiveRandomForestClassifier,
     HoeffdingTreeClassifier,
@@ -54,9 +54,7 @@ def main() -> None:
         )
         for name, factory in factories(args.seed).items():
             for stacked in (False, True):
-                model = make_stacked(factory) if stacked else factory(
-                    (EmotionLabel.PRECAUTION, EmotionLabel.NEUTRAL, EmotionLabel.OPPORTUNITY)
-                )
+                model = make_stacked(factory) if stacked else factory(CLASS_ORDER)
                 t0 = time.time()
                 for fv, label in stream[: args.warmup]:
                     model.partial_fit(fv, label)

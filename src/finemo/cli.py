@@ -28,7 +28,6 @@ import numpy as np
 import yaml
 
 from finemo.evaluation import (
-    CLASS_ORDER,
     EvaluationError,
     PrequentialReport,
     agreement_report,
@@ -49,7 +48,7 @@ from finemo.features import (
     vectorize,
 )
 from finemo.lexicons import LexiconError, load_lexicons
-from finemo.segmenter import EmotionLabel, RawTweet, replicate_per_asset, segment_tweet
+from finemo.segmenter import CLASS_ORDER, EmotionLabel, RawTweet, replicate_per_asset, segment_tweet
 from finemo.selection import SelectionError, chi2_scores, correlation_report, select_percentile
 from finemo.streamml import (
     RF_GRID,
@@ -78,7 +77,9 @@ class PipelineError(Exception):
 
 @dataclass
 class PipelineConfig:
-    """Everything one run needs; mirrors the CLI flags one to one."""
+    """Everything one run needs. Each CLI flag but --config sets one field;
+    the n-gram, document-frequency and BOW settings can be set only in a
+    config file."""
 
     lexicons: str = "data/lexicons"
     tweets: str | None = None
@@ -90,7 +91,7 @@ class PipelineConfig:
     stacked: bool = True
     seed: int = 0
     percentile: int = 0  # 0 disables chi2 percentile selection
-    grid: str | None = None  # None | rf | sgd: warmup grid search
+    grid: bool = False  # warmup grid search over GRIDS[learner]
     ngram_min: int = 1
     ngram_max: int = 4
     max_df: float = 0.5
@@ -214,12 +215,20 @@ def build_instances(tweets, lx, labels=None) -> Iterator[Instance]:
 
 
 def _check_stream(cfg: PipelineConfig) -> None:
-    """Refuse a missing tweets file, a bad warmup or percentile before any
-    file is read."""
+    """Refuse a missing tweets file, a bad warmup, vocabulary setting or
+    percentile before any file is read."""
     if not cfg.tweets:
         raise PipelineError("a tweets file is required")
     if cfg.warmup < 1:
         raise PipelineError(f"--warmup must be at least 1, got {cfg.warmup}")
+    if not 1 <= cfg.ngram_min <= cfg.ngram_max:
+        raise PipelineError(
+            f"need 1 <= ngram_min <= ngram_max, got {cfg.ngram_min} and {cfg.ngram_max}"
+        )
+    if not 0 <= cfg.min_df <= cfg.max_df <= 1:
+        raise PipelineError(f"need 0 <= min_df <= max_df <= 1, got {cfg.min_df} and {cfg.max_df}")
+    if cfg.bow_size < 0:
+        raise PipelineError(f"bow_size must be non-negative, got {cfg.bow_size}")
     if cfg.percentile and not 1 <= cfg.percentile <= 100:
         raise PipelineError(f"--percentile must be in 1..100 (0 = off), got {cfg.percentile}")
     if cfg.percentile and not cfg.labels:
@@ -233,12 +242,8 @@ def _check_run(cfg: PipelineConfig) -> None:
         raise PipelineError(f"--sample-every must be at least 1, got {cfg.sample_every}")
     if cfg.seed < 0:
         raise PipelineError(f"--seed must be non-negative, got {cfg.seed}")
-    if cfg.grid and cfg.grid not in GRIDS:
-        raise PipelineError(f"unknown grid: {cfg.grid}")
-    if cfg.grid and cfg.grid != cfg.learner:
-        raise PipelineError(
-            f"--grid {cfg.grid} tunes the {cfg.grid} learner, not --learner {cfg.learner}"
-        )
+    if cfg.grid and cfg.learner not in GRIDS:
+        raise PipelineError(f"--grid tunes the rf and sgd learners, not --learner {cfg.learner}")
     _check_stream(cfg)
     if not cfg.labels:
         raise PipelineError("a model must be trained with --labels; there is no inference-only run")
@@ -287,7 +292,7 @@ class FeatureStream:
                 [CLASS_ORDER.index(inst.label) for inst, _ in self.warmup],
                 self.vm.total_dim,
             )
-            mask = self.vm.selection_mask = select_percentile(scores, cfg.percentile).retained
+            mask = self.vm.selection_mask = select_percentile(scores, cfg.percentile)
             self.warmup = [(inst, fv.masked(mask)) for inst, fv in self.warmup]
 
     def _vectorize(self, inst: Instance) -> FeatureVector:
@@ -351,7 +356,7 @@ def run_pipeline(cfg: PipelineConfig) -> PrequentialReport:
     if cfg.grid:
         warm = [(fv, inst.label) for inst, fv in stream.warmup]
         tuned = grid_search(
-            GRIDS[cfg.grid],
+            GRIDS[cfg.learner],
             warm,
             lambda p: make_learner(cfg, p),
             lambda p: learner_args(cfg.learner, p),
@@ -520,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--single", dest="stacked", action="store_false", default=None)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--percentile", type=int, help="chi2 selection percentile (0 = off)")
-    parser.add_argument("--grid", choices=["rf", "sgd"], help="warmup grid search")
+    parser.add_argument("--grid", action="store_true", default=None,
+                        help="tune the rf or sgd learner by a warmup grid search")
     parser.add_argument("--all", dest="emit_all", action="store_true", default=None,
                         help="emit indicators for neutral predictions too")
     parser.add_argument("--sample-every", dest="sample_every", type=int)

@@ -7,13 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from finemo.segmenter import EmotionLabel
-
-CLASS_ORDER = (
-    EmotionLabel.PRECAUTION,
-    EmotionLabel.NEUTRAL,
-    EmotionLabel.OPPORTUNITY,
-)
+from finemo.segmenter import CLASS_ORDER, EmotionLabel
 
 
 class EvaluationError(Exception):
@@ -25,14 +19,13 @@ class PrequentialReport:
     """Cumulative metrics of one test-then-train pass.
 
     confusion rows are gold labels, columns predictions, both in
-    (precaution, neutral, opportunity) order. Precision/recall with an empty
+    CLASS_ORDER. Precision/recall with an empty
     denominator are reported as 0 and flagged.
     """
 
     n: int
     confusion: np.ndarray
     accuracy_series: list[tuple[int, float]]
-    labels: tuple[EmotionLabel, ...] = CLASS_ORDER
     empty_denominators: list[str] = field(default_factory=list)
     default_trend_count: int = 0
 
@@ -41,18 +34,18 @@ class PrequentialReport:
         return float(np.trace(self.confusion)) / self.n if self.n else 0.0
 
     def precision(self, label: EmotionLabel) -> float:
-        c = self.labels.index(label)
+        c = CLASS_ORDER.index(label)
         col = float(self.confusion[:, c].sum())
         return float(self.confusion[c, c]) / col if col else 0.0
 
     def recall(self, label: EmotionLabel) -> float:
-        c = self.labels.index(label)
+        c = CLASS_ORDER.index(label)
         row = float(self.confusion[c, :].sum())
         return float(self.confusion[c, c]) / row if row else 0.0
 
     def finalize_flags(self) -> None:
         self.empty_denominators = []
-        for c, label in enumerate(self.labels):
+        for c, label in enumerate(CLASS_ORDER):
             if self.confusion[:, c].sum() == 0:
                 self.empty_denominators.append(f"precision:{label.name}")
             if self.confusion[c, :].sum() == 0:
@@ -62,11 +55,11 @@ class PrequentialReport:
         return json.dumps(
             {
                 "n": self.n,
-                "labels": [l.name for l in self.labels],
+                "labels": [l.name for l in CLASS_ORDER],
                 "confusion": self.confusion.tolist(),
                 "accuracy": self.accuracy,
-                "precision": {l.name: self.precision(l) for l in self.labels},
-                "recall": {l.name: self.recall(l) for l in self.labels},
+                "precision": {l.name: self.precision(l) for l in CLASS_ORDER},
+                "recall": {l.name: self.recall(l) for l in CLASS_ORDER},
                 "empty_denominators": self.empty_denominators,
                 "default_trend_count": self.default_trend_count,
             },
@@ -75,8 +68,8 @@ class PrequentialReport:
 
     def write_csvs(self, confusion_path: str, series_path: str) -> None:
         with open(confusion_path, "w", encoding="utf-8") as fh:
-            fh.write("," + ",".join(l.name for l in self.labels) + "\n")
-            for c, label in enumerate(self.labels):
+            fh.write("," + ",".join(l.name for l in CLASS_ORDER) + "\n")
+            for c, label in enumerate(CLASS_ORDER):
                 row = ",".join(str(int(v)) for v in self.confusion[c])
                 fh.write(f"{label.name},{row}\n")
         with open(series_path, "w", encoding="utf-8") as fh:
@@ -88,7 +81,6 @@ class PrequentialReport:
 def prequential_run(
     stream,
     learner,
-    labels: tuple[EmotionLabel, ...] = CLASS_ORDER,
     sample_every: int = 1,
     on_predict=None,
 ) -> PrequentialReport:
@@ -99,8 +91,8 @@ def prequential_run(
     with the learner's prediction. The accuracy series samples every
     ``sample_every``-th instance and always ends at the last one.
     """
-    index = {label: i for i, label in enumerate(labels)}
-    confusion = np.zeros((len(labels), len(labels)), dtype=int)
+    index = {label: i for i, label in enumerate(CLASS_ORDER)}
+    confusion = np.zeros((len(CLASS_ORDER), len(CLASS_ORDER)), dtype=int)
     series: list[tuple[int, float]] = []
     correct = n = 0
     for n, item in enumerate(stream, start=1):
@@ -117,7 +109,7 @@ def prequential_run(
         raise EvaluationError("empty stream")
     if n % sample_every:
         series.append((n, correct / n))
-    report = PrequentialReport(n=n, confusion=confusion, accuracy_series=series, labels=labels)
+    report = PrequentialReport(n=n, confusion=confusion, accuracy_series=series)
     report.finalize_flags()
     return report
 
@@ -159,11 +151,11 @@ def krippendorff_alpha(coincidence) -> float:
     return float(1.0 - observed_disagreement / expected_disagreement)
 
 
-def coincidence_matrix(annotations, labels: tuple[EmotionLabel, ...] = CLASS_ORDER) -> np.ndarray:
-    """Coincidence counts from per-item label tuples: each ordered pair of
-    labels within an item contributes 1/(m-1)."""
-    index = {label: i for i, label in enumerate(labels)}
-    c = np.zeros((len(labels), len(labels)))
+def coincidence_matrix(annotations) -> np.ndarray:
+    """Coincidence counts in CLASS_ORDER from per-item label tuples: each
+    ordered pair of labels within an item contributes 1/(m-1)."""
+    index = {label: i for i, label in enumerate(CLASS_ORDER)}
+    c = np.zeros((len(CLASS_ORDER), len(CLASS_ORDER)))
     for item in annotations:
         m = len(item)
         if m < 2:

@@ -23,7 +23,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from finemo.lexicons import LexiconSet, remember
-from finemo.segmenter import NUMBER_RE, WORD_RE, EmotionLabel
+from finemo.segmenter import CLASS_ORDER, NUMBER_RE, WORD_RE, EmotionLabel
 from finemo.textproc import _DATE_RE, ProcessedSegment
 
 NUMERIC_NAMES = (
@@ -50,8 +50,7 @@ NUMERIC_NAMES = (
 )
 
 N_NUMERIC = len(NUMERIC_NAMES)
-BOW_CLASSES = (EmotionLabel.PRECAUTION, EmotionLabel.NEUTRAL, EmotionLabel.OPPORTUNITY)
-N_BOW = len(BOW_CLASSES)
+N_BOW = len(CLASS_ORDER)
 
 DENSE_NAMES = ("BOW_PRECAUTION", "BOW_NEUTRAL", "BOW_OPPORTUNITY", *NUMERIC_NAMES, "TREND")
 N_DENSE = len(DENSE_NAMES)
@@ -104,7 +103,7 @@ def charwb_ngrams(tokens: list[str], n_min: int, n_max: int) -> list[str]:
 class VocabularyModel:
     """Fitted vocabularies, per-emotion BOW lists and the selection mask.
 
-    ``bow_index`` maps each BOW entry to the position in BOW_CLASSES of
+    ``bow_index`` maps each BOW entry to the position in CLASS_ORDER of
     every list that holds it, once per occurrence. It is built with the
     model, so change the BOW lists with ``dataclasses.replace``.
 
@@ -280,7 +279,7 @@ def fit_vocabularies(
     char_df: Counter = Counter()
     word_df: Counter = Counter()
     wb_df: Counter = Counter()
-    class_docs: dict[EmotionLabel, set[str]] = {c: set() for c in BOW_CLASSES}
+    class_docs: dict[EmotionLabel, set[str]] = {c: set() for c in CLASS_ORDER}
     term_freq: Counter = Counter()
 
     known = [None] * len(corpus) if labels is None else labels
@@ -301,8 +300,8 @@ def fit_vocabularies(
     wb_vocab = _df_filter(wb_df, n_docs, min_df, max_df)
 
     bows: dict[EmotionLabel, list[str]] = {}
-    for cls in BOW_CLASSES:
-        others = set().union(*(class_docs[o] for o in BOW_CLASSES if o is not cls))
+    for cls in CLASS_ORDER:
+        others = set().union(*(class_docs[o] for o in CLASS_ORDER if o is not cls))
         exclusive = class_docs[cls] - others
         ranked = sorted(exclusive, key=lambda t: (-term_freq[t], t))
         bows[cls] = ranked[:bow_size]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 
@@ -76,9 +76,6 @@ class LexiconSet:
     abbreviations: frozenset[str]
     freq_corpus: dict[str, float]
     dictionary: dict[str, str]  # inflected form -> lemma
-    boundary_words: tuple[str, ...] = field(
-        default=("mientras", "aunque", "pero", "y", "que")
-    )
 
     @cached_property
     def delete_index(self) -> DeleteIndex:
@@ -184,7 +181,7 @@ def _malformed(name: str, lineno: int, line: str) -> LexiconError:
     return LexiconError(f"malformed {name} line {lineno}: {line!r}")
 
 
-def load_lexicons(dir_path: str, boundary_words: tuple[str, ...] | None = None) -> LexiconSet:
+def load_lexicons(dir_path: str) -> LexiconSet:
     """Load and validate all lexicon files from ``dir_path``.
 
     Entries are case-folded. Keep-words win over stopwords. Duplicate ticker
@@ -258,9 +255,6 @@ def load_lexicons(dir_path: str, boundary_words: tuple[str, ...] | None = None) 
             raise _malformed("dictionary", lineno, line)
         dictionary[parts[0].strip().casefold()] = parts[1].strip().casefold()
 
-    kwargs = {}
-    if boundary_words is not None:
-        kwargs["boundary_words"] = tuple(boundary_words)
     return LexiconSet(
         tickers=tickers,
         stopwords=frozenset(stopwords),
@@ -271,7 +265,6 @@ def load_lexicons(dir_path: str, boundary_words: tuple[str, ...] | None = None) 
         abbreviations=frozenset(abbreviations),
         freq_corpus=freq_corpus,
         dictionary=dictionary,
-        **kwargs,
     )
 
 

@@ -26,6 +26,8 @@ _SENT_PUNCT = ".;:!?"
 
 RELATIVE_WORDS = ("que", "that")
 ADDITIVE_WORDS = ("y", "and")
+# a clause starts at each of these words (case-folded)
+BOUNDARY_WORDS = frozenset(("mientras", "aunque", "pero", "y", "que"))
 
 FOCUS_TAG = "TICKER"
 OTHER_TAG = "OTHER_TICKER"
@@ -43,6 +45,10 @@ class EmotionLabel(Enum):
             if key in (label.value.casefold(), label.name.casefold()):
                 return label
         raise ValueError(f"unknown emotion label: {value!r}")
+
+
+# the class order of every learner, confusion matrix and report
+CLASS_ORDER = (EmotionLabel.PRECAUTION, EmotionLabel.NEUTRAL, EmotionLabel.OPPORTUNITY)
 
 
 @dataclass(frozen=True)
@@ -93,13 +99,12 @@ def find_assets(text: str, lx: LexiconSet) -> Mentions:
     return out
 
 
-def segment_clauses(text: str, lx: LexiconSet) -> list[str]:
+def segment_clauses(text: str) -> list[str]:
     """Split text into simple declarative clauses.
 
     Boundaries: sentence punctuation followed by whitespace/end, commas not
-    inside numbers, space-surrounded hyphens, and configured boundary words
-    (the word starts the next clause). Worst case the whole text is one
-    clause.
+    inside numbers, space-surrounded hyphens, and BOUNDARY_WORDS (the word
+    starts the next clause). Worst case the whole text is one clause.
     """
     chunks: list[str] = []
     start = 0
@@ -139,7 +144,7 @@ def segment_clauses(text: str, lx: LexiconSet) -> list[str]:
         piece_start = 0
         pieces = []
         for m in WORD_RE.finditer(chunk):
-            if m.group(0).casefold() in lx.boundary_words and m.start() > piece_start:
+            if m.group(0).casefold() in BOUNDARY_WORDS and m.start() > piece_start:
                 before = chunk[piece_start:m.start()]
                 if before.strip():
                     pieces.append(before)
@@ -205,7 +210,7 @@ def split_asset_lists(group: Group) -> list[Group]:
 
 def segment_tweet(tweet: RawTweet, lx: LexiconSet) -> list[Segment]:
     """Full segmentation of one tweet; only asset-bearing segments remain."""
-    clauses = [(c, find_assets(c, lx)) for c in segment_clauses(tweet.text, lx)]
+    clauses = [(c, find_assets(c, lx)) for c in segment_clauses(tweet.text)]
     return [
         Segment(tweet_id=tweet.id, text=text, assets=tuple(assets))
         for group in group_forward(clauses)

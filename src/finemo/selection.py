@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -46,19 +45,6 @@ class CorrelationReport:
 
     r_values: dict[int, float]
     constant: list[int]
-    target_mean: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "r_values": {str(k): v for k, v in self.r_values.items()},
-                "constant": self.constant,
-                "target_mean": self.target_mean,
-            }
-        )
-
-    def ranked(self) -> list[tuple[int, float]]:
-        return sorted(self.r_values.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
 
 
 def correlation_report(X, labels: list[EmotionLabel]) -> CorrelationReport:
@@ -72,7 +58,7 @@ def correlation_report(X, labels: list[EmotionLabel]) -> CorrelationReport:
             constant.append(j)
             continue
         r_values[j] = pearson(col, y)
-    return CorrelationReport(r_values=r_values, constant=constant, target_mean=float(y.mean()))
+    return CorrelationReport(r_values=r_values, constant=constant)
 
 
 def chi2_scores(rows, y, n_features: int) -> np.ndarray:
@@ -103,34 +89,9 @@ def chi2_scores(rows, y, n_features: int) -> np.ndarray:
     return terms.sum(axis=0)
 
 
-@dataclass
-class SelectionMask:
-    retained: set[int]
-    percentile: int
-    score_function: str = "chi2"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "retained": sorted(self.retained),
-                "percentile": self.percentile,
-                "score_function": self.score_function,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, payload: str) -> "SelectionMask":
-        data = json.loads(payload)
-        return cls(
-            retained=set(data["retained"]),
-            percentile=data["percentile"],
-            score_function=data["score_function"],
-        )
-
-
-def select_percentile(scores, percentile: int = 15) -> SelectionMask:
-    """Top ceil(percentile/100 * N) features by score; cutoff ties go to the
-    lower column index."""
+def select_percentile(scores, percentile: int = 15) -> set[int]:
+    """The columns of the top ceil(percentile/100 * N) features by score;
+    cutoff ties go to the lower column index."""
     scores = list(scores)
     if not scores:
         raise SelectionError("no scores to select from")
@@ -138,4 +99,4 @@ def select_percentile(scores, percentile: int = 15) -> SelectionMask:
         raise SelectionError("percentile must be in (0, 100]")
     k = math.ceil(percentile / 100 * len(scores))
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    return SelectionMask(retained=set(order[:k]), percentile=percentile)
+    return set(order[:k])

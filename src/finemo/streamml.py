@@ -1,18 +1,21 @@
 """Incremental learners, the two-stage stacking ensemble and grid search.
 
-Every learner exposes predict(fv) -> per-class scores (never mutating) and
-partial_fit(fv, label) -> None (one instance, order-sensitive). Before the
-first fit, predict returns the configured prior (uniform by default).
+The four learners are naive Bayes, the Hoeffding tree, the adaptive random
+forest and the SGD linear model; ``StackedClassifier`` cascades three of one
+kind. Every learner exposes predict(fv) -> per-class scores (never mutating)
+and partial_fit(fv, label) -> None (one instance, order-sensitive). Before
+the first fit, predict returns the uniform prior.
 
 Naive Bayes and the linear model consume the full hybrid feature space
 through ``FeatureVector.arrays``, naive Bayes only its first ``n_counts``
 entries; the tree learners consume only the dense block (``FeatureVector.dense``:
 BOW counters, numeric counters, trend), so a tree run never makes a vector
-count its n-grams. A Hoeffding tree keeps its per-leaf class counts and,
-per leaf feature and value, its per-class weights as lists of Python floats;
-a split attempt makes one ``np.log2`` call, on the probabilities of every
-class distribution it scores. The forest descends each tree once per fitted
-instance: the drift check and the update share the leaf.
+count its n-grams. Hoeffding-tree leaves predict by majority vote. A tree
+keeps its per-leaf class counts and, per leaf feature and value, its
+per-class weights as lists of Python floats; a split attempt makes one
+``np.log2`` call, on the probabilities of every class distribution it
+scores. The forest descends each tree once per fitted instance: the drift
+check and the update share the leaf.
 """
 
 from __future__ import annotations
@@ -34,13 +37,8 @@ from finemo.features import (
     TREND_COLUMN,
     FeatureVector,
 )
-from finemo.segmenter import EmotionLabel
+from finemo.segmenter import CLASS_ORDER, EmotionLabel
 
-DEFAULT_CLASSES = (
-    EmotionLabel.PRECAUTION,
-    EmotionLabel.NEUTRAL,
-    EmotionLabel.OPPORTUNITY,
-)
 VAR_EPSILON = 1e-9  # floor of naive Bayes's per-class numeric variances
 TIE_THRESHOLD = 0.05  # a Hoeffding bound below this splits even on a tie
 
@@ -106,7 +104,7 @@ class StreamingNaiveBayes(IncrementalLearner):
     order, then the Gaussian and Bernoulli terms.
     """
 
-    def __init__(self, classes=DEFAULT_CLASSES):
+    def __init__(self, classes=CLASS_ORDER):
         self.classes = tuple(classes)
         self.n_total = 0
         k = len(self.classes)
@@ -269,28 +267,29 @@ class HoeffdingTreeClassifier(IncrementalLearner):
     A leaf splits once the information-gain gap between its two best
     candidate splits exceeds eps = sqrt(R^2 ln(1/delta) / (2 n)), with
     R = log2(#classes), or once eps falls below TIE_THRESHOLD. Leaves
-    predict by majority vote or a naive-Bayes hybrid over the dense block,
-    which every call reads once as a list of Python floats. A leaf's class
-    counts and its per-feature, per-value class weights are lists of Python
-    floats; a split attempt on a leaf with two or more classes scores every
-    candidate threshold with one ``np.log2`` call (``_best_splits``).
+    predict by majority vote. Every call reads the dense block once as a
+    list of Python floats. A leaf's class counts and its per-feature,
+    per-value class weights are lists of Python floats; a split attempt on
+    a leaf with two or more classes scores every candidate threshold with
+    one ``np.log2`` call (``_best_splits``).
+
+    A ``subspace_size`` below N_DENSE gives each new leaf that many features
+    drawn with ``rng``; None or a larger size gives it every feature.
     """
 
     def __init__(
         self,
-        classes=DEFAULT_CLASSES,
+        classes=CLASS_ORDER,
         delta: float = 1e-7,
         grace_period: int = 200,
-        leaf_prediction: str = "majority",
         subspace_size: int | None = None,
         rng: np.random.Generator | None = None,
     ):
-        if leaf_prediction not in ("majority", "nb"):
-            raise ValueError("leaf_prediction must be 'majority' or 'nb'")
+        if subspace_size is not None and subspace_size < N_DENSE and rng is None:
+            raise ValueError(f"a subspace of {subspace_size} features needs an rng")
         self.classes = tuple(classes)
         self.delta = delta
         self.grace_period = grace_period
-        self.leaf_prediction = leaf_prediction
         self.subspace_size = subspace_size
         self.rng = rng
         self._root = self._new_leaf()
@@ -299,7 +298,6 @@ class HoeffdingTreeClassifier(IncrementalLearner):
     def _new_leaf(self) -> _LeafNode:
         features = list(range(N_DENSE))
         if self.subspace_size is not None and self.subspace_size < N_DENSE:
-            assert self.rng is not None
             chosen = self.rng.choice(N_DENSE, size=self.subspace_size, replace=False)
             features = sorted(int(f) for f in chosen)
         return _LeafNode(len(self.classes), features)
@@ -367,43 +365,24 @@ class HoeffdingTreeClassifier(IncrementalLearner):
                 parent.right = split
 
     def predict_label(self, fv: FeatureVector) -> EmotionLabel:
-        x = fv.dense.tolist()
-        return self._leaf_label(x, self._descend(x)[0])
+        return self._leaf_label(self._descend(fv.dense.tolist())[0])
 
     def predict(self, fv: FeatureVector) -> dict[EmotionLabel, float]:
-        x = fv.dense.tolist()
-        return self._leaf_scores(x, self._descend(x)[0])
+        return self._leaf_scores(self._descend(fv.dense.tolist())[0])
 
-    def _leaf_label(self, x: list[float], leaf: _LeafNode) -> EmotionLabel:
-        if self.leaf_prediction != "majority":
-            return _argmax_label(self._leaf_scores(x, leaf), self.classes)
+    def _leaf_label(self, leaf: _LeafNode) -> EmotionLabel:
         # the first maximum wins, as in _argmax_label; a leaf that has seen
         # nothing has all-zero counts, so it gives the uniform prior's pick
         counts = leaf.class_counts
         return self.classes[counts.index(max(counts))]
 
-    def _leaf_scores(self, x: list[float], leaf: _LeafNode) -> dict[EmotionLabel, float]:
+    def _leaf_scores(self, leaf: _LeafNode) -> dict[EmotionLabel, float]:
         # an unfitted tree's root has all-zero counts: the uniform prior
         counts = leaf.class_counts
         total = _total(counts)
         if total <= 0:
             return self._uniform()
-        if self.leaf_prediction == "majority":
-            return {c: counts[i] / total for i, c in enumerate(self.classes)}
-        # nb hybrid: majority prior re-weighted by per-feature value frequencies
-        scores = {}
-        for i, c in enumerate(self.classes):
-            if counts[i] <= 0:
-                scores[c] = -math.inf
-                continue
-            logp = math.log(counts[i] / total)
-            for f in leaf.features:
-                per_value = leaf.observers[f]
-                stats = per_value.get(x[f])
-                seen = stats[i] if stats is not None else 0.0
-                logp += math.log((seen + 1.0) / (counts[i] + len(per_value) + 1.0))
-            scores[c] = logp
-        return scores
+        return {c: counts[i] / total for i, c in enumerate(self.classes)}
 
 
 class _DriftMonitor:
@@ -448,13 +427,12 @@ class AdaptiveRandomForestClassifier(IncrementalLearner):
 
     def __init__(
         self,
-        classes=DEFAULT_CLASSES,
+        classes=CLASS_ORDER,
         n_estimators: int = 10,
         lam: float | None = 6.0,
-        max_features: int | str | None = "auto",
+        max_features: int | str = "auto",
         delta: float = 1e-7,
         grace_period: int = 200,
-        leaf_prediction: str = "majority",
         seed: int = 0,
         drift_detection: bool = True,
     ):
@@ -463,15 +441,11 @@ class AdaptiveRandomForestClassifier(IncrementalLearner):
         self.lam = lam
         self.delta = delta
         self.grace_period = grace_period
-        self.leaf_prediction = leaf_prediction
         self.drift_detection = drift_detection
         if max_features == "auto":
-            subspace = max(1, round(math.sqrt(N_DENSE)))
-        elif max_features is None:
-            subspace = N_DENSE
+            self.subspace_size = max(1, round(math.sqrt(N_DENSE)))
         else:
-            subspace = min(int(max_features), N_DENSE)
-        self.subspace_size = subspace
+            self.subspace_size = min(int(max_features), N_DENSE)
         self._rngs = [np.random.default_rng(seed + 1000 * k) for k in range(n_estimators)]
         self._trees = [self._new_tree(k) for k in range(n_estimators)]
         self._monitors = [_DriftMonitor() for _ in range(n_estimators)]
@@ -483,8 +457,7 @@ class AdaptiveRandomForestClassifier(IncrementalLearner):
             classes=self.classes,
             delta=self.delta,
             grace_period=self.grace_period,
-            leaf_prediction=self.leaf_prediction,
-            subspace_size=self.subspace_size if self.subspace_size < N_DENSE else None,
+            subspace_size=self.subspace_size,
             rng=self._rngs[k],
         )
 
@@ -497,7 +470,7 @@ class AdaptiveRandomForestClassifier(IncrementalLearner):
             # update then uses, unless a reset leaves only a fresh root
             leaf, parent, side = tree._descend(x)
             if self.drift_detection and tree.n_seen > 0:
-                if self._monitors[k].add(tree._leaf_label(x, leaf) != label):
+                if self._monitors[k].add(tree._leaf_label(leaf) != label):
                     self._trees[k] = tree = self._new_tree(k)
                     self._monitors[k] = _DriftMonitor()
                     self.n_resets += 1
@@ -513,7 +486,7 @@ class AdaptiveRandomForestClassifier(IncrementalLearner):
         for tree in self._trees:
             if tree.n_seen == 0:
                 continue
-            votes[tree._leaf_label(x, tree._descend(x)[0])] += 1.0
+            votes[tree._leaf_label(tree._descend(x)[0])] += 1.0
             any_vote = True
         if not any_vote:
             return self._uniform()
@@ -530,7 +503,7 @@ class SGDLinearClassifier(IncrementalLearner):
 
     def __init__(
         self,
-        classes=DEFAULT_CLASSES,
+        classes=CLASS_ORDER,
         penalty: str = "l2",
         l1_ratio: float = 0.15,
         alpha: float = 1e-4,
@@ -607,7 +580,7 @@ class StackedClassifier:
         self.stage1 = stage1
         self.stage2_pre = stage2_pre
         self.stage2_opp = stage2_opp
-        self.classes = DEFAULT_CLASSES
+        self.classes = CLASS_ORDER
 
     def predict_label(self, fv: FeatureVector) -> EmotionLabel:
         s1 = self.stage1.predict_label(fv)
@@ -628,7 +601,7 @@ class StackedClassifier:
 def make_stacked(factory) -> StackedClassifier:
     """Build a stacked classifier from a learner factory(classes)."""
     return StackedClassifier(
-        stage1=factory(DEFAULT_CLASSES),
+        stage1=factory(CLASS_ORDER),
         stage2_pre=factory((EmotionLabel.PRECAUTION, EmotionLabel.NEUTRAL)),
         stage2_opp=factory((EmotionLabel.OPPORTUNITY, EmotionLabel.NEUTRAL)),
     )

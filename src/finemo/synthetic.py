@@ -28,12 +28,14 @@ REFERENCE_BALANCE = {
     EmotionLabel.NEUTRAL: 4172,
     EmotionLabel.OPPORTUNITY: 2392,
 }
+PLANT_PROB = 0.95  # share of emotion segments that carry their bigram
+FILLER_VOCAB = 40  # distinct filler tokens
 
 
-def scaled_balance(n: int, balance: dict | None = None) -> dict:
-    balance = balance or REFERENCE_BALANCE
-    total = sum(balance.values())
-    counts = {c: round(n * v / total) for c, v in balance.items()}
+def scaled_balance(n: int) -> dict:
+    """Per-class segment counts of REFERENCE_BALANCE scaled to ``n``."""
+    total = sum(REFERENCE_BALANCE.values())
+    counts = {c: round(n * v / total) for c, v in REFERENCE_BALANCE.items()}
     # fix rounding drift on the majority class
     drift = n - sum(counts.values())
     counts[EmotionLabel.NEUTRAL] += drift
@@ -61,24 +63,19 @@ def _trend_for(label: EmotionLabel, rng: np.random.Generator) -> bool:
 
 
 def make_planted_segments(
-    n: int,
-    seed: int = 0,
-    plant_prob: float = 0.95,
-    filler_vocab: int = 40,
-    balance: dict | None = None,
+    n: int, seed: int = 0
 ) -> tuple[list[ProcessedSegment], list[EmotionLabel]]:
     """ProcessedSegments with class-exclusive planted bigrams, and their labels."""
     rng = np.random.default_rng(seed)
-    counts = scaled_balance(n, balance)
-    labels = [c for c, k in counts.items() for _ in range(k)]
+    labels = [c for c, k in scaled_balance(n).items() for _ in range(k)]
     rng.shuffle(labels)
-    fillers = [f"w{k:02d}" for k in range(filler_vocab)]
+    fillers = [f"w{k:02d}" for k in range(FILLER_VOCAB)]
     segments = []
     for i, label in enumerate(labels):
         length = int(rng.integers(8, 16))
-        tokens = ["TICKER"] + [fillers[int(j)] for j in rng.integers(0, filler_vocab, length)]
+        tokens = ["TICKER"] + [fillers[int(j)] for j in rng.integers(0, FILLER_VOCAB, length)]
         planted = PLANTED.get(label)
-        if planted is not None and rng.random() < plant_prob:
+        if planted is not None and rng.random() < PLANT_PROB:
             pos = int(rng.integers(1, len(tokens)))
             tokens[pos:pos] = list(planted)
         segments.append(
@@ -96,9 +93,7 @@ def make_planted_stream(
     n: int,
     seed: int = 0,
     warmup: int = 1000,
-    plant_prob: float = 0.95,
     ablate_bow: bool = False,
-    balance: dict | None = None,
 ):
     """(stream, vocabulary) where stream is a list of (FeatureVector, label).
 
@@ -107,7 +102,7 @@ def make_planted_stream(
     keeping the rest of the space identical.
     """
     rng = np.random.default_rng(seed + 1)
-    segments, labels = make_planted_segments(n, seed=seed, plant_prob=plant_prob, balance=balance)
+    segments, labels = make_planted_segments(n, seed=seed)
     vm = fit_vocabularies(segments[:warmup], labels=labels[:warmup])
     if ablate_bow:
         vm = replace(vm, bow_pre=[], bow_neu=[], bow_opp=[])

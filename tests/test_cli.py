@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from dataclasses import fields
 
 import pytest
 
@@ -105,7 +106,7 @@ def test_percentile_selection_path(sample_paths, tmp_path):
 
 
 def test_grid_search_path(sample_paths, tmp_path, capsys):
-    cfg = _config(sample_paths, tmp_path, learner="rf", grid="rf")
+    cfg = _config(sample_paths, tmp_path, learner="rf", grid=True)
     run_pipeline(cfg)
     assert "grid search:" in capsys.readouterr().out
 
@@ -215,6 +216,13 @@ def test_yaml_config_and_flag_override(sample_paths, tmp_path):
     assert cfg.max_df == 1 and cfg.labels is None  # an int fills a float field
 
 
+def test_every_flag_sets_a_config_field():
+    # config_from_args copies only PipelineConfig fields, so a flag whose
+    # destination is not a field would be parsed and then dropped
+    dests = {a.dest for a in build_parser()._actions} - {"help", "command", "config"}
+    assert dests <= {f.name for f in fields(PipelineConfig)}
+
+
 def test_yaml_config_rejects_unknown_keys(tmp_path):
     config_file = tmp_path / "run.yaml"
     config_file.write_text("learner: nb\nbogus_key: 1\n")
@@ -233,6 +241,7 @@ def test_yaml_config_rejects_unknown_keys(tmp_path):
         ("max_df: high\n", "max_df: expected float, got 'high'"),
         ("stacked: 1\n", "stacked: expected bool, got 1"),
         ("tweets: [a.jsonl]\n", "tweets: expected str | None, got \\['a.jsonl'\\]"),
+        ("grid: rf\n", "grid: expected bool"),
         (None, "No such file"),
     ],
 )
@@ -295,8 +304,7 @@ def test_main_segment_subcommand(sample_paths, capsys):
         # the sample has 31 labeled replicas, so nothing is left to evaluate
         ({"warmup": 31}, "nothing to evaluate"),
         ({"seed": -1}, "--seed must be non-negative, got -1"),
-        ({"learner": "rf", "grid": "sgd"}, "--grid sgd tunes the sgd learner, not --learner rf"),
-        ({"grid": "rf"}, "--grid rf tunes the rf learner, not --learner nb"),
+        ({"grid": True}, "--grid tunes the rf and sgd learners, not --learner nb"),
     ],
 )
 def test_invalid_run_parameters_refused(sample_paths, tmp_path, overrides, message):
@@ -311,16 +319,19 @@ def test_invalid_run_parameters_refused(sample_paths, tmp_path, overrides, messa
         ({"labels": None}, "a model must be trained with --labels"),
         ({"warmup": 0}, "--warmup must be at least 1"),
         ({"sample_every": 0}, "--sample-every must be at least 1"),
-        ({"grid": "svm"}, "unknown grid: svm"),
+        ({"learner": "nb", "grid": True}, "--grid tunes the rf and sgd learners, not --learner nb"),
         ({"percentile": 101}, "--percentile must be in 1..100"),
         ({"percentile": 15, "labels": None}, "--percentile needs labels"),
         # precedence: the parameter checks come before the labels check
         ({"warmup": 0, "labels": None}, "--warmup must be at least 1"),
         ({"sample_every": 0, "warmup": 0}, "--sample-every must be at least 1"),
         ({"seed": -1}, "--seed must be non-negative"),
-        ({"learner": "rf", "grid": "sgd"}, "--grid sgd tunes the sgd learner"),
-        ({"learner": "nb", "grid": "rf"}, "--grid rf tunes the rf learner"),
-        ({"learner": "dt", "grid": "sgd"}, "--grid sgd tunes the sgd learner"),
+        ({"learner": "dt", "grid": True}, "--grid tunes the rf and sgd learners, not --learner dt"),
+        ({"bow_size": -1}, "bow_size must be non-negative, got -1"),
+        ({"ngram_min": 3, "ngram_max": 2}, "need 1 <= ngram_min <= ngram_max, got 3 and 2"),
+        ({"ngram_min": 0}, "need 1 <= ngram_min <= ngram_max, got 0 and 4"),
+        ({"min_df": 0.9, "max_df": 0.1}, "need 0 <= min_df <= max_df <= 1, got 0.9 and 0.1"),
+        ({"max_df": 1.5}, "need 0 <= min_df <= max_df <= 1, got 0.001 and 1.5"),
     ],
 )
 def test_bad_runs_are_refused_before_any_file_is_read(sample_paths, tmp_path, overrides, message):

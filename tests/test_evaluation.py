@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from finemo.evaluation import (
-    CLASS_ORDER,
     EvaluationError,
     agreement_report,
     coincidence_matrix,
@@ -13,7 +12,7 @@ from finemo.evaluation import (
     prequential_run,
 )
 from finemo.features import N_DENSE, FeatureVector
-from finemo.segmenter import EmotionLabel
+from finemo.segmenter import CLASS_ORDER, EmotionLabel
 
 P, N, O = EmotionLabel.PRECAUTION, EmotionLabel.NEUTRAL, EmotionLabel.OPPORTUNITY
 

@@ -31,7 +31,7 @@ CASES = {
         for mode in ("single", "stacked")
     },
     "sgd-stacked-percentile": [*RUN, "--learner", "sgd", "--stacked", "--percentile", "15"],
-    "sgd-grid": [*RUN, "--learner", "sgd", "--single", "--grid", "sgd"],
+    "sgd-grid": [*RUN, "--learner", "sgd", "--single", "--grid"],
     "nb-sample-every-all": [*RUN, "--learner", "nb", "--single", "--sample-every", "3", "--all"],
     "nb-no-prices": [
         "train-eval", *LEXICONS, *TWEETS, *LABELS, "--warmup", "10", "--learner", "nb", "--single",

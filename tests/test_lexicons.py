@@ -35,15 +35,6 @@ def test_ticker_lookup_strips_markers(lx):
     assert lookup_ticker("$", lx) is None
 
 
-def test_default_boundary_words(lx):
-    assert lx.boundary_words == ("mientras", "aunque", "pero", "y", "que")
-
-
-def test_boundary_words_override():
-    custom = load_lexicons(LEXICON_DIR, boundary_words=("pero",))
-    assert custom.boundary_words == ("pero",)
-
-
 def _copy_lexicons(tmp_path):
     dst = tmp_path / "lex"
     shutil.copytree(LEXICON_DIR, dst)

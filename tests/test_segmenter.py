@@ -10,6 +10,7 @@ from finemo.cli import build_instances, read_tweets
 from finemo.lexicons import load_lexicons, lookup_ticker
 from finemo.segmenter import (
     ADDITIVE_WORDS,
+    BOUNDARY_WORDS,
     FOCUS_TAG,
     NUMBER_RE,
     OTHER_TAG,
@@ -49,25 +50,33 @@ def test_raw_tweet_validation():
         RawTweet(id="t", timestamp=datetime(2019, 8, 1), text="   ")
 
 
-def test_clause_splitting_boundaries(lx):
+def test_clause_splitting_boundaries():
     text = (
         "BBVA no puede superar resistencia intraday mientras Santander sigue "
         "presionando a la baja aunque podría confirmar corrección"
     )
-    assert segment_clauses(text, lx) == [
+    assert segment_clauses(text) == [
         "BBVA no puede superar resistencia intraday",
         "mientras Santander sigue presionando a la baja",
         "aunque podría confirmar corrección",
     ]
 
 
-def test_decimal_commas_do_not_split(lx):
-    assert segment_clauses("baja -2,48% hoy", lx) == ["baja -2,48% hoy"]
+def test_decimal_commas_do_not_split():
+    assert segment_clauses("baja -2,48% hoy") == ["baja -2,48% hoy"]
 
 
-def test_boundary_word_never_splits_at_clause_start(lx):
+def test_boundary_word_never_splits_at_clause_start():
     # a clause that already starts with a boundary word stays whole
-    assert segment_clauses("mientras todo sube", lx) == ["mientras todo sube"]
+    assert segment_clauses("mientras todo sube") == ["mientras todo sube"]
+
+
+@pytest.mark.parametrize("word", sorted(BOUNDARY_WORDS))
+def test_each_boundary_word_starts_a_clause(word):
+    assert segment_clauses(f"todo sube {word.upper()} nada baja") == [
+        "todo sube",
+        f"{word.upper()} nada baja",
+    ]
 
 
 def test_handcrafted_corpus(lx):
@@ -173,8 +182,8 @@ def test_segmentation_properties(lx, text):
 
 @settings(max_examples=100, deadline=None)
 @given(tweets())
-def test_clauses_cover_all_words(lx, text):
-    clauses = segment_clauses(text, lx)
+def test_clauses_cover_all_words(text):
+    clauses = segment_clauses(text)
     import re
 
     def words(s):
@@ -288,7 +297,7 @@ def _ref_split_asset_lists(segment, lx):
 
 
 def _ref_segment_tweet(tweet, lx):
-    clauses = segment_clauses(tweet.text, lx)
+    clauses = segment_clauses(tweet.text)
     segments = []
     for group in _ref_group_forward(clauses, lx):
         for piece in _ref_split_asset_lists(group, lx):

@@ -13,10 +13,9 @@ from finemo import cli
 from finemo.cli import FeatureStream, PipelineConfig, main, make_learner
 from finemo.evaluation import prequential_run
 from finemo.features import N_DENSE, N_NUMERIC, NUMERIC_COLUMNS, TREND_COLUMN, FeatureVector
-from finemo.segmenter import EmotionLabel
+from finemo.segmenter import CLASS_ORDER, EmotionLabel
 from finemo.streamml import (
     CHECKPOINT_FORMAT_VERSION,
-    DEFAULT_CLASSES,
     RF_GRID,
     SGD_GRID,
     TIE_THRESHOLD,
@@ -76,7 +75,7 @@ def random_stream(rng, n, sparse_dim=30):
         sparse = {int(c): float(rng.integers(1, 4)) for c in cols}
         numeric = tuple(int(v) for v in rng.integers(0, 5, N_NUMERIC))
         trend = bool(rng.integers(0, 2))
-        label = DEFAULT_CLASSES[int(rng.integers(0, 3))]
+        label = CLASS_ORDER[int(rng.integers(0, 3))]
         stream.append((make_fv(sparse, numeric, trend, sparse_dim), label))
     return stream
 
@@ -101,10 +100,10 @@ def _batch_nb_argmax(history, fv, var_epsilon=1e-9):
     what depends on one history vector alone is memoized; every score is
     summed again from the whole history."""
     if not history:
-        return DEFAULT_CLASSES[0]  # uniform scores: first class wins ties
+        return CLASS_ORDER[0]  # uniform scores: first class wins ties
     n_total = len(history)
     best, best_score = None, -math.inf
-    for cls in DEFAULT_CLASSES:
+    for cls in CLASS_ORDER:
         docs = [h for h in history if h[1] is cls]
         if not docs:
             score = -math.inf
@@ -162,7 +161,7 @@ class _LoopNB(StreamingNaiveBayes):
     """The per-class dicts and per-term loops that the count-matrix kernel
     replaced."""
 
-    def __init__(self, classes=DEFAULT_CLASSES, var_epsilon=1e-9):
+    def __init__(self, classes=CLASS_ORDER, var_epsilon=1e-9):
         self.classes = tuple(classes)
         self.var_epsilon = var_epsilon
         self.n_total = 0
@@ -256,7 +255,7 @@ def _nb_vector(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
-    classes=st.sampled_from([DEFAULT_CLASSES, (P, N), (O, N)]),
+    classes=st.sampled_from([CLASS_ORDER, (P, N), (O, N)]),
     # labels drawn from a prefix of the classes leave the others unseen
     n_labels=st.integers(1, 3),
     stream=st.lists(st.tuples(_nb_vector(), st.integers(0, 2)), max_size=30),
@@ -331,7 +330,7 @@ def _dense_stream(rng, n, centers):
     """Stream separable on numeric counter 0 (dense column 3)."""
     stream = []
     for _ in range(n):
-        label = DEFAULT_CLASSES[int(rng.integers(0, 3))]
+        label = CLASS_ORDER[int(rng.integers(0, 3))]
         numeric = [0] * N_NUMERIC
         numeric[0] = centers[label] + int(rng.integers(0, 2))
         stream.append((make_fv(numeric=numeric), label))
@@ -367,16 +366,17 @@ def test_tree_delta_one_splits_at_first_check():
     assert not isinstance(tree._root, _LeafNode)
 
 
-def test_tree_nb_leaves_and_validation():
-    with pytest.raises(ValueError):
-        HoeffdingTreeClassifier(leaf_prediction="bogus")
-    rng = np.random.default_rng(3)
-    stream = _dense_stream(rng, 300, {P: 0, N: 10, O: 20})
-    tree = HoeffdingTreeClassifier(leaf_prediction="nb", grace_period=50)
-    for fv, label in stream:
-        tree.partial_fit(fv, label)
-    correct = sum(tree.predict_label(fv) is label for fv, label in stream[:100])
-    assert correct / 100 > 0.9
+def test_tree_subspace_needs_an_rng():
+    # refused in the constructor, not by an assert that python -O strips
+    with pytest.raises(ValueError, match="needs an rng"):
+        HoeffdingTreeClassifier(subspace_size=N_DENSE - 1)
+    # a subspace of every feature or more draws nothing
+    for size in (None, N_DENSE, N_DENSE + 5):
+        tree = HoeffdingTreeClassifier(subspace_size=size)
+        assert tree._root.features == list(range(N_DENSE))
+    rng = np.random.default_rng(0)
+    tree = HoeffdingTreeClassifier(subspace_size=3, rng=rng)
+    assert len(tree._root.features) == 3
 
 
 def test_tree_observer_caps_distinct_values():
@@ -388,7 +388,7 @@ def test_tree_observer_caps_distinct_values():
     assert len(tree._root.observers[3]) <= 64
 
 
-@pytest.mark.parametrize("classes", [DEFAULT_CLASSES, (P, N), (O, N)])
+@pytest.mark.parametrize("classes", [CLASS_ORDER, (P, N), (O, N)])
 def test_tree_unfitted_and_all_zero_leaves_give_the_first_class(classes):
     tree = HoeffdingTreeClassifier(classes=classes)
     assert tree.predict_label(make_fv()) is classes[0]
@@ -408,7 +408,7 @@ def test_tree_unfitted_and_all_zero_leaves_give_the_first_class(classes):
 def test_tree_majority_tie_goes_to_the_first_class_that_has_it(counts, winner):
     tree = HoeffdingTreeClassifier()
     tree._root.class_counts = list(counts)
-    assert tree.predict_label(make_fv()) is DEFAULT_CLASSES[winner]
+    assert tree.predict_label(make_fv()) is CLASS_ORDER[winner]
 
 
 def test_two_class_tree_labels_from_its_own_classes():
@@ -435,10 +435,10 @@ def test_two_class_tree_labels_from_its_own_classes():
 def test_fractional_weight_leaf_label_is_numpy_argmax(fits):
     tree = HoeffdingTreeClassifier(grace_period=10**9)
     for ci, weight in fits:
-        tree.partial_fit(make_fv(), DEFAULT_CLASSES[ci], weight=weight)
+        tree.partial_fit(make_fv(), CLASS_ORDER[ci], weight=weight)
     counts = tree._root.class_counts
     assert all(type(c) is float for c in counts)
-    assert tree.predict_label(make_fv()) is DEFAULT_CLASSES[int(np.argmax(counts))]
+    assert tree.predict_label(make_fv()) is CLASS_ORDER[int(np.argmax(counts))]
 
 
 # -------------------------------------------------- adaptive random forest
@@ -462,7 +462,7 @@ def test_forest_unit_weights_when_lambda_none():
     rng = np.random.default_rng(5)
     stream = _dense_stream(rng, 100, {P: 0, N: 10, O: 20})
     forest = AdaptiveRandomForestClassifier(
-        n_estimators=3, lam=None, max_features=None, drift_detection=False, seed=0
+        n_estimators=3, lam=None, max_features=N_DENSE, drift_detection=False, seed=0
     )
     for fv, label in stream:
         forest.partial_fit(fv, label)
@@ -501,7 +501,7 @@ def test_forest_drift_replaces_trees():
     # abrupt concept flip: same inputs, swapped labels
     flipped = [(fv, {P: O, O: P, N: N}[label]) for fv, label in first]
     forest = AdaptiveRandomForestClassifier(
-        n_estimators=3, grace_period=50, max_features=None, seed=1
+        n_estimators=3, grace_period=50, max_features=N_DENSE, seed=1
     )
     for fv, label in first + flipped:
         forest.partial_fit(fv, label)
@@ -532,12 +532,9 @@ def _planted(classes, n=600):
     return [(fv, label) for fv, label in stream if label in classes]
 
 
-@pytest.mark.parametrize("leaf_prediction", ["majority", "nb"])
-@pytest.mark.parametrize("classes", [DEFAULT_CLASSES, (P, N), (O, N)])
-def test_tree_predict_label_is_argmax_of_scores(classes, leaf_prediction):
-    tree = HoeffdingTreeClassifier(
-        classes=classes, grace_period=30, delta=0.05, leaf_prediction=leaf_prediction
-    )
+@pytest.mark.parametrize("classes", [CLASS_ORDER, (P, N), (O, N)])
+def test_tree_predict_label_is_argmax_of_scores(classes):
+    tree = HoeffdingTreeClassifier(classes=classes, grace_period=30, delta=0.05)
     _assert_label_is_score_argmax(tree, make_fv())  # unfitted: the uniform prior
     for fv, label in _planted(classes):
         _assert_label_is_score_argmax(tree, fv)
@@ -545,7 +542,7 @@ def test_tree_predict_label_is_argmax_of_scores(classes, leaf_prediction):
     assert _n_splits(tree._root) >= 1
 
 
-@pytest.mark.parametrize("classes", [DEFAULT_CLASSES, (P, N)])
+@pytest.mark.parametrize("classes", [CLASS_ORDER, (P, N)])
 def test_forest_subspace_trees_predict_label_is_argmax_of_scores(classes):
     forest = AdaptiveRandomForestClassifier(
         classes=classes, n_estimators=4, grace_period=30, delta=0.05, seed=0,
@@ -561,7 +558,7 @@ def test_forest_subspace_trees_predict_label_is_argmax_of_scores(classes):
 
 def test_tree_predict_label_on_a_leaf_without_weight():
     # fitted with weight 0: n_seen is 1 but every class count is 0
-    for classes in (DEFAULT_CLASSES, (O, N)):
+    for classes in (CLASS_ORDER, (O, N)):
         tree = HoeffdingTreeClassifier(classes=classes)
         tree.partial_fit(make_fv(), classes[-1], weight=0.0)
         _assert_label_is_score_argmax(tree, make_fv())
@@ -635,7 +632,7 @@ def _observed_leaves(draw):
     sequence of weighted rows in the order of ``_learn``, over counts that a
     split may have handed it. Few distinct values give tied and single-valued
     features; one present class gives a pure leaf."""
-    classes = draw(st.sampled_from([DEFAULT_CLASSES, (P, N)]))
+    classes = draw(st.sampled_from([CLASS_ORDER, (P, N)]))
     k = len(classes)
     present = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
     if draw(st.booleans()):
@@ -661,7 +658,7 @@ def _observed_leaves(draw):
 
 def _two_values(left, right):
     """A leaf whose one feature saw weights ``left`` at 0 and ``right`` at 1."""
-    classes = DEFAULT_CLASSES if len(left) == 3 else (P, N)
+    classes = CLASS_ORDER if len(left) == 3 else (P, N)
     return classes, [a + b for a, b in zip(left, right)], {0: {0.0: left, 1.0: right}}
 
 
@@ -710,7 +707,7 @@ def test_split_attempt_makes_one_log2_call(monkeypatch):
 
 def test_stacked_forest_on_sample_builds_no_tree_scores(monkeypatch, tmp_path, sample_paths):
     # the forest votes with each tree's _leaf_label on one list of the
-    # dense block, and majority leaves build no score dict
+    # dense block and builds no score dict
     calls = {"predict": 0, "_leaf_scores": 0, "_leaf_label": 0}
     real_predict = HoeffdingTreeClassifier.predict
     real_leaf_scores = HoeffdingTreeClassifier._leaf_scores
@@ -720,13 +717,13 @@ def test_stacked_forest_on_sample_builds_no_tree_scores(monkeypatch, tmp_path, s
         calls["predict"] += 1
         return real_predict(self, fv)
 
-    def counting_leaf_scores(self, x, leaf):
+    def counting_leaf_scores(self, leaf):
         calls["_leaf_scores"] += 1
-        return real_leaf_scores(self, x, leaf)
+        return real_leaf_scores(self, leaf)
 
-    def counting_leaf_label(self, x, leaf):
+    def counting_leaf_label(self, leaf):
         calls["_leaf_label"] += 1
-        return real_leaf_label(self, x, leaf)
+        return real_leaf_label(self, leaf)
 
     monkeypatch.setattr(HoeffdingTreeClassifier, "predict", counting_predict)
     monkeypatch.setattr(HoeffdingTreeClassifier, "_leaf_scores", counting_leaf_scores)
@@ -740,11 +737,10 @@ def test_stacked_forest_on_sample_builds_no_tree_scores(monkeypatch, tmp_path, s
     assert calls["_leaf_label"] > 0
 
 
-@pytest.mark.parametrize("leaf_prediction", ["majority", "nb"])
-def test_forest_votes_equal_per_tree_predict_label(leaf_prediction):
+def test_forest_votes_equal_per_tree_predict_label():
     # the forest reads the dense block once and votes with each tree's
     # _leaf_label; the votes are those of the trees' public predict_label
-    forest = AdaptiveRandomForestClassifier(leaf_prediction=leaf_prediction, **FOREST)
+    forest = AdaptiveRandomForestClassifier(**FOREST)
     voted = split = 0
     for fv, label in _drifting_stream():
         fitted = [tree for tree in forest._trees if tree.n_seen > 0]
@@ -786,8 +782,6 @@ class _ReferenceTree(HoeffdingTreeClassifier):
             self._attempt_split(node, parent, side)
 
     def predict_label(self, fv):
-        if self.leaf_prediction != "majority":
-            return _argmax_label(self.predict(fv), self.classes)
         x = fv.dense.tolist()
         node = self._root
         while isinstance(node, _SplitNode):
@@ -805,7 +799,6 @@ class _ReferenceForest(AdaptiveRandomForestClassifier):
             classes=self.classes,
             delta=self.delta,
             grace_period=self.grace_period,
-            leaf_prediction=self.leaf_prediction,
             subspace_size=self.subspace_size if self.subspace_size < N_DENSE else None,
             rng=self._rngs[k],
         )
@@ -850,7 +843,7 @@ def _forest_state(forest, trees=True):
     return state
 
 
-def _swapping_stream(n, seed, classes=DEFAULT_CLASSES):
+def _swapping_stream(n, seed, classes=CLASS_ORDER):
     """A planted stream whose precaution and opportunity labels swap halfway."""
     stream, _ = make_planted_stream(n, seed=seed, warmup=n // 4)
     swap = {P: O, O: P, N: N}
@@ -858,18 +851,16 @@ def _swapping_stream(n, seed, classes=DEFAULT_CLASSES):
     return [(fv, label) for fv, label in swapped if label in classes]
 
 
-@pytest.mark.parametrize("max_features", ["auto", None])
-@pytest.mark.parametrize("leaf_prediction", ["majority", "nb"])
+@pytest.mark.parametrize("max_features", ["auto", N_DENSE])
 @pytest.mark.parametrize("drift_detection", [True, False])
 @pytest.mark.parametrize("lam", [None, 6.0])
-def test_forest_matches_reference_step_by_step(lam, drift_detection, leaf_prediction, max_features):
+def test_forest_matches_reference_step_by_step(lam, drift_detection, max_features):
     kwargs = dict(
         n_estimators=4, grace_period=40, delta=0.05, seed=7, lam=lam,
-        drift_detection=drift_detection, leaf_prediction=leaf_prediction,
-        max_features=max_features,
+        drift_detection=drift_detection, max_features=max_features,
     )
     resets = splits = 0
-    for classes, seed in ((DEFAULT_CLASSES, 3), ((P, N), 4)):
+    for classes, seed in ((CLASS_ORDER, 3), ((P, N), 4)):
         forest = AdaptiveRandomForestClassifier(classes=classes, **kwargs)
         reference = _ReferenceForest(classes=classes, **kwargs)
         for step, (fv, label) in enumerate(_swapping_stream(600, seed, classes)):
@@ -941,10 +932,10 @@ def test_sgd_first_update_matches_learning_rate():
     fv = make_fv({2: 3.0}, sparse_dim=5)
     sgd.partial_fit(fv, P)
     eta = 1.0 / (alpha * 1)
-    i = DEFAULT_CLASSES.index(P)
+    i = CLASS_ORDER.index(P)
     assert sgd._w[i, 2] == pytest.approx(eta * 3.0)
     assert sgd._b[i] == pytest.approx(eta)
-    j = DEFAULT_CLASSES.index(N)
+    j = CLASS_ORDER.index(N)
     assert sgd._w[j, 2] == pytest.approx(-eta * 3.0)
 
 
@@ -952,7 +943,7 @@ def test_sgd_converges_on_separable_stream():
     rng = np.random.default_rng(8)
     stream = []
     for _ in range(300):
-        label = DEFAULT_CLASSES[int(rng.integers(0, 3))]
+        label = CLASS_ORDER[int(rng.integers(0, 3))]
         col = {P: 0, N: 1, O: 2}[label]
         stream.append((make_fv({col: 1.0}, sparse_dim=3), label))
     sgd = SGDLinearClassifier(alpha=1e-2)
@@ -973,7 +964,7 @@ def test_sgd_penalty_mechanics():
     # applies only the penalty to it: soft threshold for l1, shrink for l2
     small = make_fv({0: 0.2}, sparse_dim=3)
     empty = make_fv({}, sparse_dim=3)
-    i = DEFAULT_CLASSES.index(P)
+    i = CLASS_ORDER.index(P)
     l1 = SGDLinearClassifier(penalty="l1", alpha=1.0)
     l1.partial_fit(small, P)
     assert l1._w[i, 0] == pytest.approx(0.2)
@@ -1054,7 +1045,7 @@ def _sgd_vector(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
-    classes=st.sampled_from([DEFAULT_CLASSES, (P, N), (O, N)]),
+    classes=st.sampled_from([CLASS_ORDER, (P, N), (O, N)]),
     penalty=st.sampled_from(["l1", "l2", "elasticnet"]),
     l1_ratio=st.sampled_from(SGD_GRID["l1_ratio"]),
     alpha=st.one_of(st.sampled_from(SGD_GRID["alpha"] + (1.0,)), st.floats(1e-5, 1.0)),
@@ -1134,7 +1125,7 @@ def test_stacked_sgd_on_sample_reads_each_vector_once(monkeypatch, tmp_path, sam
 class _StubLearner:
     """Records training labels; predicts a fixed label."""
 
-    def __init__(self, fixed, classes=DEFAULT_CLASSES):
+    def __init__(self, fixed, classes=CLASS_ORDER):
         self.fixed = fixed
         self.classes = classes
         self.seen = []

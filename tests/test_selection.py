@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finemo.features import VocabularyModel
 from finemo.segmenter import CLASS_ORDER, EmotionLabel
 from finemo.selection import (
     TARGET_ENCODING,
@@ -160,3 +161,16 @@ def test_select_percentile_nesting(scores, p1, p2):
     lo, hi = sorted((p1, p2))
     assert select_percentile(scores, lo) <= select_percentile(scores, hi)
 
+
+
+def test_selection_mask_round_trip():
+    # the retained set is stored as the selection mask of vocabulary.json
+    mask = select_percentile([0.5, 3.0, 0.0, 2.0, 1.0, 4.0, 0.2], 40)
+    assert mask == {1, 3, 5}
+    for stored in (mask, None):
+        vm = VocabularyModel(
+            char_vocab={}, word_vocab={}, wordbound_vocab={},
+            bow_pre=[], bow_neu=[], bow_opp=[], selection_mask=stored,
+        )
+        back = VocabularyModel.from_json(vm.to_json())
+        assert back.selection_mask == stored

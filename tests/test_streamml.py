@@ -532,12 +532,33 @@ def _planted(classes, n=600):
     return [(fv, label) for fv, label in stream if label in classes]
 
 
+def _leaf_majority(tree, fv):
+    """The class with the most weight at the leaf that ``fv`` reaches, the
+    first on ties, found by a descent of its own."""
+    x = fv.dense.tolist()
+    node = tree._root
+    while isinstance(node, _SplitNode):
+        node = node.left if x[node.feature] <= node.threshold else node.right
+    return tree.classes[int(np.argmax(node.class_counts))]
+
+
+def _score_argmax(tree, fv):
+    return _argmax_label(tree.predict(fv), tree.classes)
+
+
+# two references for a tree's label: the majority class of its leaf, and
+# the argmax of its public scores
+LABEL_REFERENCES = {"majority": _leaf_majority, "scores": _score_argmax}
+
+
+@pytest.mark.parametrize("reference", sorted(LABEL_REFERENCES))
 @pytest.mark.parametrize("classes", [CLASS_ORDER, (P, N), (O, N)])
-def test_tree_predict_label_is_argmax_of_scores(classes):
+def test_tree_predict_label_is_argmax_of_scores(classes, reference):
+    want = LABEL_REFERENCES[reference]
     tree = HoeffdingTreeClassifier(classes=classes, grace_period=30, delta=0.05)
-    _assert_label_is_score_argmax(tree, make_fv())  # unfitted: the uniform prior
+    assert tree.predict_label(make_fv()) is want(tree, make_fv())  # unfitted
     for fv, label in _planted(classes):
-        _assert_label_is_score_argmax(tree, fv)
+        assert tree.predict_label(fv) is want(tree, fv)
         tree.partial_fit(fv, label)
     assert _n_splits(tree._root) >= 1
 
@@ -737,16 +758,19 @@ def test_stacked_forest_on_sample_builds_no_tree_scores(monkeypatch, tmp_path, s
     assert calls["_leaf_label"] > 0
 
 
-def test_forest_votes_equal_per_tree_predict_label():
+@pytest.mark.parametrize("reference", ["majority", "predict_label"])
+def test_forest_votes_equal_per_tree_predict_label(reference):
     # the forest reads the dense block once and votes with each tree's
-    # _leaf_label; the votes are those of the trees' public predict_label
+    # _leaf_label; the votes are those of the trees' public predict_label,
+    # and so the majority class of the leaf each tree reaches
+    want = _leaf_majority if reference == "majority" else HoeffdingTreeClassifier.predict_label
     forest = AdaptiveRandomForestClassifier(**FOREST)
     voted = split = 0
     for fv, label in _drifting_stream():
         fitted = [tree for tree in forest._trees if tree.n_seen > 0]
         expected = {c: 0.0 for c in forest.classes}
         for tree in fitted:
-            expected[tree.predict_label(fv)] += 1.0
+            expected[want(tree, fv)] += 1.0
         assert forest.predict(fv) == (expected if fitted else forest._uniform())
         voted += bool(fitted)
         split += any(isinstance(tree._root, _SplitNode) for tree in fitted)

@@ -22,7 +22,9 @@ NUMBER_RE = re.compile(r"[-+]?\d+(?:[.,]\d+)*%?")
 WORD_RE = re.compile(r"\w[\w.]*", re.UNICODE)
 _TOKEN_RE = re.compile(r"[$#@]?" + WORD_RE.pattern, re.UNICODE)
 
-_SENT_PUNCT = ".;:!?"
+# clause cut candidates: a run of sentence punctuation, a comma, a hyphen
+# between spaces; segment_clauses decides which of them cut
+_CUT_RE = re.compile(r"[.;:!?]+|,|(?<= )-(?= )")
 
 RELATIVE_WORDS = ("que", "that")
 ADDITIVE_WORDS = ("y", "and")
@@ -108,35 +110,17 @@ def segment_clauses(text: str) -> list[str]:
     """
     chunks: list[str] = []
     start = 0
-    i = 0
     n = len(text)
-    while i < n:
+    for m in _CUT_RE.finditer(text):
+        i, end = m.span()
         c = text[i]
-        cut = False
-        if c in _SENT_PUNCT:
-            j = i
-            while j + 1 < n and text[j + 1] in _SENT_PUNCT:
-                j += 1
-            if j + 1 >= n or text[j + 1].isspace():
-                chunks.append(text[start:i])
-                i = j + 1
-                start = i
-                cut = True
-        elif c == ",":
-            prev_digit = i > 0 and text[i - 1].isdigit()
-            next_digit = i + 1 < n and text[i + 1].isdigit()
-            if not (prev_digit and next_digit):
-                chunks.append(text[start:i])
-                start = i + 1
-                i += 1
-                cut = True
-        elif c == "-" and i > 0 and text[i - 1] == " " and i + 1 < n and text[i + 1] == " ":
-            chunks.append(text[start:i])
-            start = i + 1
-            i += 1
-            cut = True
-        if not cut:
-            i += 1
+        if c == ",":
+            if 0 < i and end < n and text[i - 1].isdigit() and text[end].isdigit():
+                continue
+        elif c != "-" and end < n and not text[end].isspace():
+            continue
+        chunks.append(text[start:i])
+        start = end
     chunks.append(text[start:])
 
     clauses: list[str] = []

@@ -12,10 +12,17 @@ entries; the tree learners consume only the dense block (``FeatureVector.dense``
 BOW counters, numeric counters, trend), so a tree run never makes a vector
 count its n-grams. Hoeffding-tree leaves predict by majority vote. A tree
 keeps its per-leaf class counts and, per leaf feature and value, its
-per-class weights as lists of Python floats; a split attempt makes one
-``np.log2`` call, on the probabilities of every class distribution it
-scores. The forest descends each tree once per fitted instance: the drift
-check and the update share the leaf.
+per-class weights as lists of Python floats; each leaf also keeps the index
+of its first-maximum class, updated with every weight it learns, so no
+label or vote rescans the counts. A split attempt makes one ``np.log2``
+call, on the probabilities of every class distribution it scores.
+
+The forest descends each tree once per fitted instance, inline: the drift
+check and the update share the leaf. Each tree's Poisson weights are drawn
+``POISSON_BATCH`` at a time from the generator that also picks the tree's
+leaf subspaces; before any other draw from it the batch is rewound to the
+weights used (``_BatchedPoisson``), so every weight, subspace and reset has
+the bits of one scalar draw per weight.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from finemo.segmenter import CLASS_ORDER, EmotionLabel
 
 VAR_EPSILON = 1e-9  # floor of naive Bayes's per-class numeric variances
 TIE_THRESHOLD = 0.05  # a Hoeffding bound below this splits even on a tie
+POISSON_BATCH = 64  # forest weights drawn per generator call
 
 
 def _argmax_label(scores: dict, classes) -> EmotionLabel:
@@ -179,14 +187,14 @@ class StreamingNaiveBayes(IncrementalLearner):
 
 
 class _LeafNode:
-    __slots__ = ("class_counts", "observers", "n_since", "features")
+    __slots__ = ("class_counts", "best", "observers", "n_since")
 
     def __init__(self, n_classes: int, features: list[int]):
         self.class_counts = [0.0] * n_classes
-        # per feature: value -> per-class weights
+        self.best = 0  # the index of the first maximum of class_counts
+        # per feature of the leaf, in order: value -> per-class weights
         self.observers: dict[int, dict[float, list[float]]] = {f: {} for f in features}
         self.n_since = 0.0
-        self.features = features
 
 
 class _SplitNode:
@@ -269,12 +277,16 @@ class HoeffdingTreeClassifier(IncrementalLearner):
     R = log2(#classes), or once eps falls below TIE_THRESHOLD. Leaves
     predict by majority vote. Every call reads the dense block once as a
     list of Python floats. A leaf's class counts and its per-feature,
-    per-value class weights are lists of Python floats; a split attempt on
-    a leaf with two or more classes scores every candidate threshold with
-    one ``np.log2`` call (``_best_splits``).
+    per-value class weights are lists of Python floats. Each leaf keeps the
+    index of its first-maximum class: a weight for class ``ci`` makes ``ci``
+    the majority when its count passes the majority's, or equals it with
+    ``ci`` first in class order, which is exact because weights are never
+    negative. A split attempt on a leaf with two or more classes scores
+    every candidate threshold with one ``np.log2`` call (``_best_splits``).
 
     A ``subspace_size`` below N_DENSE gives each new leaf that many features
-    drawn with ``rng``; None or a larger size gives it every feature.
+    drawn with ``rng.choice`` (a ``Generator``, or the forest's
+    ``_BatchedPoisson``); None or a larger size gives it every feature.
     """
 
     def __init__(
@@ -312,17 +324,23 @@ class HoeffdingTreeClassifier(IncrementalLearner):
         return node, parent, side
 
     def partial_fit(self, fv: FeatureVector, label: EmotionLabel, weight: float = 1.0) -> None:
+        if not 0.0 <= weight < math.inf:
+            raise ValueError(f"weight must be finite and non-negative, got {weight!r}")
         x = fv.dense.tolist()
         self._learn(x, self.classes.index(label), weight, *self._descend(x))
 
     def _learn(self, x: list[float], ci: int, weight: float, leaf: _LeafNode, parent, side) -> None:
-        """Add ``x`` with class index ``ci`` and ``weight`` to the leaf that
-        ``_descend(x)`` returned, then try to split it."""
+        """Add ``x`` with class index ``ci`` and ``weight`` (finite, not
+        negative) to the leaf that ``_descend(x)`` returned, then try to
+        split it."""
         self.n_seen += 1
-        leaf.class_counts[ci] += weight
+        counts = leaf.class_counts
+        counts[ci] += weight
+        best = leaf.best
+        if counts[ci] > counts[best] or (counts[ci] == counts[best] and ci < best):
+            leaf.best = ci
         leaf.n_since += weight
-        for f in leaf.features:
-            per_value = leaf.observers[f]
+        for f, per_value in leaf.observers.items():
             v = x[f]
             stats = per_value.get(v)
             if stats is None:
@@ -356,6 +374,8 @@ class HoeffdingTreeClassifier(IncrementalLearner):
             for v, stats in per_value.items():
                 child = left_leaf if v <= threshold else right_leaf
                 child.class_counts = [a + b for a, b in zip(child.class_counts, stats)]
+            for child in (left_leaf, right_leaf):
+                child.best = child.class_counts.index(max(child.class_counts))
             split = _SplitNode(feature, threshold, left_leaf, right_leaf)
             if parent is None:
                 self._root = split
@@ -373,8 +393,7 @@ class HoeffdingTreeClassifier(IncrementalLearner):
     def _leaf_label(self, leaf: _LeafNode) -> EmotionLabel:
         # the first maximum wins, as in _argmax_label; a leaf that has seen
         # nothing has all-zero counts, so it gives the uniform prior's pick
-        counts = leaf.class_counts
-        return self.classes[counts.index(max(counts))]
+        return self.classes[leaf.best]
 
     def _leaf_scores(self, leaf: _LeafNode) -> dict[EmotionLabel, float]:
         # an unfitted tree's root has all-zero counts: the uniform prior
@@ -390,6 +409,9 @@ class _DriftMonitor:
     exceeds the lifetime rate by three binomial standard deviations.
 
     The window keeps a running count of its errors, so ``add`` is O(1).
+    While the recent rate is at most the lifetime rate, which integer
+    counts decide exactly, no drift is possible and ``add`` does no float
+    work.
     """
 
     def __init__(self, window: int = 100, min_instances: int = 200):
@@ -410,10 +432,52 @@ class _DriftMonitor:
             self.recent_errors -= self.recent.popleft()
         if self.n < self.min_instances or len(self.recent) < self.window:
             return False
+        # recent <= lifetime; float division is monotone and sigma >= 0
+        if self.recent_errors * self.n <= self.errors * self.window:
+            return False
         lifetime = self.errors / self.n
         recent = self.recent_errors / len(self.recent)
         sigma = math.sqrt(max(lifetime * (1.0 - lifetime), 1e-12) / self.window)
         return recent > lifetime + 3.0 * sigma
+
+
+class _BatchedPoisson:
+    """Poisson(``lam``) weights drawn ``POISSON_BATCH`` at a time from
+    ``rng``, with the values and generator states of one scalar draw each.
+
+    ``Generator.poisson(lam, n)`` consumes the stream as ``n`` scalar calls
+    do, so a batch holds the next weights in order. Its tree draws leaf
+    subspaces from the same generator through ``choice``, which first
+    rewinds: it restores the state from before the batch, redraws the
+    weights used so far and drops the rest.
+    """
+
+    __slots__ = ("rng", "lam", "_batch", "_used", "_state")
+
+    def __init__(self, rng: np.random.Generator, lam: float | None):
+        self.rng = rng
+        self.lam = lam
+        self._batch: list[float] = []
+        self._used = 0
+        self._state = None  # the generator state before the batch
+
+    def next(self) -> float:
+        i = self._used
+        if i == len(self._batch):
+            # every drawn weight is used: the generator is where scalar
+            # draws would have left it
+            self._state = self.rng.bit_generator.state
+            self._batch = self.rng.poisson(self.lam, POISSON_BATCH).astype(float).tolist()
+            i = 0
+        self._used = i + 1
+        return self._batch[i]
+
+    def choice(self, *args, **kwargs):
+        if self._used < len(self._batch):
+            self.rng.bit_generator.state = self._state
+            self.rng.poisson(self.lam, self._used)
+        self._batch, self._used = [], 0
+        return self.rng.choice(*args, **kwargs)
 
 
 class AdaptiveRandomForestClassifier(IncrementalLearner):
@@ -423,6 +487,13 @@ class AdaptiveRandomForestClassifier(IncrementalLearner):
     subsets of size max_features, and a per-tree drift monitor that replaces
     a drifting tree with a fresh one. Prediction is a majority vote, ties
     resolved by class order.
+
+    Tree ``k`` draws its weights and its leaf subspaces from one generator,
+    seeded ``seed + 1000 k``, in the order of one scalar Poisson draw per
+    fitted instance; ``_BatchedPoisson`` draws the weights in batches and
+    keeps that order. ``lam=None`` gives every instance weight 1 and draws
+    nothing. Fitting and voting descend each tree inline and read each
+    leaf's cached majority.
     """
 
     def __init__(
@@ -446,7 +517,9 @@ class AdaptiveRandomForestClassifier(IncrementalLearner):
             self.subspace_size = max(1, round(math.sqrt(N_DENSE)))
         else:
             self.subspace_size = min(int(max_features), N_DENSE)
-        self._rngs = [np.random.default_rng(seed + 1000 * k) for k in range(n_estimators)]
+        self._draws = [
+            _BatchedPoisson(np.random.default_rng(seed + 1000 * k), lam) for k in range(n_estimators)
+        ]
         self._trees = [self._new_tree(k) for k in range(n_estimators)]
         self._monitors = [_DriftMonitor() for _ in range(n_estimators)]
         self.n_seen = 0
@@ -458,39 +531,54 @@ class AdaptiveRandomForestClassifier(IncrementalLearner):
             delta=self.delta,
             grace_period=self.grace_period,
             subspace_size=self.subspace_size,
-            rng=self._rngs[k],
+            rng=self._draws[k],
         )
 
     def partial_fit(self, fv: FeatureVector, label: EmotionLabel) -> None:
         self.n_seen += 1
         x = fv.dense.tolist()
         ci = self.classes.index(label)
+        drift_detection, draws = self.drift_detection, self.lam is not None
         for k, tree in enumerate(self._trees):
-            # one descent per tree: the drift check reads the leaf that the
-            # update then uses, unless a reset leaves only a fresh root
-            leaf, parent, side = tree._descend(x)
-            if self.drift_detection and tree.n_seen > 0:
-                if self._monitors[k].add(tree._leaf_label(leaf) != label):
-                    self._trees[k] = tree = self._new_tree(k)
-                    self._monitors[k] = _DriftMonitor()
-                    self.n_resets += 1
-                    leaf, parent, side = tree._root, None, None
-            w = 1.0 if self.lam is None else float(self._rngs[k].poisson(self.lam))
+            # one descent per tree, as in HoeffdingTreeClassifier._descend:
+            # the drift check reads the leaf that the update then uses,
+            # unless a reset leaves only a fresh root
+            leaf, parent, side = tree._root, None, None
+            while isinstance(leaf, _SplitNode):
+                parent, side = leaf, x[leaf.feature] <= leaf.threshold
+                leaf = leaf.left if side else leaf.right
+            if drift_detection and tree.n_seen > 0 and self._monitors[k].add(leaf.best != ci):
+                self._trees[k] = tree = self._new_tree(k)
+                self._monitors[k] = _DriftMonitor()
+                self.n_resets += 1
+                leaf, parent, side = tree._root, None, None
+            w = self._draws[k].next() if draws else 1.0
             if w > 0:
                 tree._learn(x, ci, w, leaf, parent, side)
 
-    def predict(self, fv: FeatureVector) -> dict[EmotionLabel, float]:
-        votes = {c: 0.0 for c in self.classes}
-        any_vote = False
+    def _votes(self, fv: FeatureVector) -> list[float]:
+        """Per class, the number of fitted trees whose leaf it is the
+        majority of."""
+        votes = [0.0] * len(self.classes)
         x = fv.dense.tolist()
         for tree in self._trees:
-            if tree.n_seen == 0:
-                continue
-            votes[tree._leaf_label(tree._descend(x)[0])] += 1.0
-            any_vote = True
-        if not any_vote:
-            return self._uniform()
+            if tree.n_seen > 0:
+                node = tree._root
+                while isinstance(node, _SplitNode):
+                    node = node.left if x[node.feature] <= node.threshold else node.right
+                votes[node.best] += 1.0
         return votes
+
+    def predict(self, fv: FeatureVector) -> dict[EmotionLabel, float]:
+        votes = self._votes(fv)
+        if not any(votes):
+            return self._uniform()
+        return dict(zip(self.classes, votes))
+
+    def predict_label(self, fv: FeatureVector) -> EmotionLabel:
+        # the first maximum, as _argmax_label gives; no votes: the first class
+        votes = self._votes(fv)
+        return self.classes[votes.index(max(votes))]
 
 
 class SGDLinearClassifier(IncrementalLearner):

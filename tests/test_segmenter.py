@@ -307,6 +307,71 @@ def _ref_segment_tweet(tweet, lx):
     return segments
 
 
+def _ref_segment_clauses(text):
+    """``segment_clauses`` as a walk over every character."""
+    chunks = []
+    start = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        cut = False
+        if c in ".;:!?":
+            j = i
+            while j + 1 < n and text[j + 1] in ".;:!?":
+                j += 1
+            if j + 1 >= n or text[j + 1].isspace():
+                chunks.append(text[start:i])
+                i = j + 1
+                start = i
+                cut = True
+        elif c == ",":
+            prev_digit = i > 0 and text[i - 1].isdigit()
+            next_digit = i + 1 < n and text[i + 1].isdigit()
+            if not (prev_digit and next_digit):
+                chunks.append(text[start:i])
+                start = i + 1
+                i += 1
+                cut = True
+        elif c == "-" and i > 0 and text[i - 1] == " " and i + 1 < n and text[i + 1] == " ":
+            chunks.append(text[start:i])
+            start = i + 1
+            i += 1
+            cut = True
+        if not cut:
+            i += 1
+    chunks.append(text[start:])
+
+    clauses = []
+    for chunk in chunks:
+        piece_start = 0
+        pieces = []
+        for m in re.finditer(r"\w[\w.]*", chunk):
+            if m.group(0).casefold() in BOUNDARY_WORDS and m.start() > piece_start:
+                before = chunk[piece_start:m.start()]
+                if before.strip():
+                    pieces.append(before)
+                    piece_start = m.start()
+        pieces.append(chunk[piece_start:])
+        clauses.extend(p.strip() for p in pieces if p.strip())
+    return clauses
+
+
+# ellipses, runs of marks, decimal and leading or trailing commas, hyphens
+# with and without spaces, digits from other scripts
+CLAUSE_PIECES = [
+    "sube", "1,5", "2", ",", ", ", " ,", ",3", "4,", "...", ". ", "!!", "!! ", "?!", ";",
+    ":", " - ", " -", "- ", "-", "a -b", " - - ", "  ", "\t", "\n", "y", "pero", "$SAN.",
+    "1.000,5%", "٣", "²,", ",٣", ".x", "x.", " ",
+]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(CLAUSE_PIECES), max_size=14).map("".join))
+def test_segment_clauses_equals_character_walk(text):
+    assert segment_clauses(text) == _ref_segment_clauses(text)
+
+
 def _assert_same_as_oracle(tweets, lx):
     n = 0
     for tweet in tweets:
@@ -332,7 +397,24 @@ def test_segment_tweet_equals_oracle_on_sample(lx, sample_paths):
     assert _assert_same_as_oracle(read_tweets(sample_paths["tweets"]), lx) > 0
 
 
+@pytest.fixture(scope="module")
+def benchmark_inputs(tmp_path_factory):
+    """The three benchmark workloads at seed 5, generated once."""
+    return {
+        name: generate(name, 5, f"{ROOT}/data", str(tmp_path_factory.mktemp(name)))
+        for name in sorted(SPECS)
+    }
+
+
 @pytest.mark.parametrize("name", sorted(SPECS))
-def test_segment_tweet_equals_oracle_on_benchmark_inputs(name, tmp_path):
-    workload = generate(name, 5, f"{ROOT}/data", str(tmp_path))
+def test_segment_tweet_equals_oracle_on_benchmark_inputs(name, benchmark_inputs):
+    workload = benchmark_inputs[name]
     assert _assert_same_as_oracle(read_tweets(workload.tweets), load_lexicons(workload.lexicons)) > 0
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_segment_clauses_equals_character_walk_on_benchmark_inputs(name, benchmark_inputs):
+    tweets = read_tweets(benchmark_inputs[name].tweets)
+    for tweet in tweets:
+        assert segment_clauses(tweet.text) == _ref_segment_clauses(tweet.text), tweet.text
+    assert tweets

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import math
 import pickle
 import weakref
@@ -29,6 +30,8 @@ from finemo.streamml import (
     _best_splits,
     _log_quotients,
     _MAX_DISTINCT,
+    POISSON_BATCH,
+    _BatchedPoisson,
     _DriftMonitor,
     _LeafNode,
     _SplitNode,
@@ -373,10 +376,10 @@ def test_tree_subspace_needs_an_rng():
     # a subspace of every feature or more draws nothing
     for size in (None, N_DENSE, N_DENSE + 5):
         tree = HoeffdingTreeClassifier(subspace_size=size)
-        assert tree._root.features == list(range(N_DENSE))
+        assert list(tree._root.observers) == list(range(N_DENSE))
     rng = np.random.default_rng(0)
     tree = HoeffdingTreeClassifier(subspace_size=3, rng=rng)
-    assert len(tree._root.features) == 3
+    assert len(tree._root.observers) == 3
 
 
 def test_tree_observer_caps_distinct_values():
@@ -390,13 +393,19 @@ def test_tree_observer_caps_distinct_values():
 
 @pytest.mark.parametrize("classes", [CLASS_ORDER, (P, N), (O, N)])
 def test_tree_unfitted_and_all_zero_leaves_give_the_first_class(classes):
-    tree = HoeffdingTreeClassifier(classes=classes)
+    tree = HoeffdingTreeClassifier(classes=classes, delta=1.0, grace_period=5 + len(classes))
     assert tree.predict_label(make_fv()) is classes[0]
-    # a split on the first BOW counter: 0 goes left to a filled leaf, 1 goes
-    # right to a leaf that no weight reached
-    filled, empty = _LeafNode(len(classes), [0]), _LeafNode(len(classes), [0])
-    filled.class_counts[-1] = 5.0
-    tree._root = _SplitNode(0, 0.5, filled, empty)
+    # weight 0 reaches the root but leaves its counts all zero
+    tree.partial_fit(make_fv(), classes[-1], weight=0.0)
+    assert tree.predict_label(make_fv()) is classes[0]
+    # a split on the first BOW counter, at the grace period: 0 goes left to
+    # a leaf of the last class, 1 goes right to a leaf whose classes all
+    # tie. A split needs weight on both sides, so no fit reaches a child
+    # that holds none.
+    for cls in classes:
+        tree.partial_fit(make_fv({27: 1.0}), cls)
+    tree.partial_fit(make_fv(), classes[-1], weight=5.0)
+    assert (tree._root.feature, tree._root.threshold) == (0, 0.0)
     assert tree.predict_label(make_fv()) is classes[-1]
     assert tree.predict_label(make_fv({27: 1.0})) is classes[0]
 
@@ -406,9 +415,53 @@ def test_tree_unfitted_and_all_zero_leaves_give_the_first_class(classes):
     [([1.0, 3.0, 3.0], 1), ([2.0, 2.0, 1.0], 0), ([0.5, 0.5, 0.5], 0), ([0.0, 0.0, 4.0], 2)],
 )
 def test_tree_majority_tie_goes_to_the_first_class_that_has_it(counts, winner):
+    # each count is one weighted fit, in every order of the classes
+    for order in itertools.permutations(range(3)):
+        tree = HoeffdingTreeClassifier()
+        for ci in order:
+            tree.partial_fit(make_fv(), CLASS_ORDER[ci], weight=counts[ci])
+        assert tree._root.class_counts == counts
+        assert tree.predict_label(make_fv()) is CLASS_ORDER[winner]
+
+
+@pytest.mark.parametrize("weight", [-3.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_tree_refuses_a_negative_or_non_finite_weight(weight):
     tree = HoeffdingTreeClassifier()
-    tree._root.class_counts = list(counts)
-    assert tree.predict_label(make_fv()) is CLASS_ORDER[winner]
+    tree.partial_fit(make_fv(), N, weight=5.0)
+    with pytest.raises(ValueError, match="weight"):
+        tree.partial_fit(make_fv(), P, weight=weight)
+    assert tree._root.class_counts == [0.0, 5.0, 0.0]
+    assert tree.n_seen == 1
+
+
+def _leaves(node):
+    if isinstance(node, _LeafNode):
+        return [node]
+    return _leaves(node.left) + _leaves(node.right)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    classes=st.sampled_from([CLASS_ORDER, (P, N)]),
+    fits=st.lists(
+        st.tuples(
+            st.integers(0, 2),
+            st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.0, 0.1, 0.2, 0.3]),
+            st.sampled_from([0.0, 1.0, 2.0]),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+)
+def test_cached_majority_is_the_first_maximum_after_every_fit(classes, fits):
+    # weights from few values tie often; delta 1 splits at every grace
+    # period, so children get their majority from their counts
+    tree = HoeffdingTreeClassifier(classes=classes, delta=1.0, grace_period=4)
+    for ci, weight, value in fits:
+        tree.partial_fit(make_fv(numeric=[value] * N_NUMERIC), classes[ci % len(classes)], weight=weight)
+        for leaf in _leaves(tree._root):
+            counts = leaf.class_counts
+            assert leaf.best == counts.index(max(counts))
 
 
 def test_two_class_tree_labels_from_its_own_classes():
@@ -727,12 +780,11 @@ def test_split_attempt_makes_one_log2_call(monkeypatch):
 
 
 def test_stacked_forest_on_sample_builds_no_tree_scores(monkeypatch, tmp_path, sample_paths):
-    # the forest votes with each tree's _leaf_label on one list of the
+    # the forest votes with each leaf's cached majority on one list of the
     # dense block and builds no score dict
-    calls = {"predict": 0, "_leaf_scores": 0, "_leaf_label": 0}
+    calls = {"predict": 0, "_leaf_scores": 0}
     real_predict = HoeffdingTreeClassifier.predict
     real_leaf_scores = HoeffdingTreeClassifier._leaf_scores
-    real_leaf_label = HoeffdingTreeClassifier._leaf_label
 
     def counting_predict(self, fv):
         calls["predict"] += 1
@@ -742,27 +794,21 @@ def test_stacked_forest_on_sample_builds_no_tree_scores(monkeypatch, tmp_path, s
         calls["_leaf_scores"] += 1
         return real_leaf_scores(self, leaf)
 
-    def counting_leaf_label(self, leaf):
-        calls["_leaf_label"] += 1
-        return real_leaf_label(self, leaf)
-
     monkeypatch.setattr(HoeffdingTreeClassifier, "predict", counting_predict)
     monkeypatch.setattr(HoeffdingTreeClassifier, "_leaf_scores", counting_leaf_scores)
-    monkeypatch.setattr(HoeffdingTreeClassifier, "_leaf_label", counting_leaf_label)
     argv = ["train-eval", "--warmup", "10", "--learner", "rf", "--stacked"]
     for key in ("lexicons", "tweets", "labels", "prices"):
         argv += [f"--{key}", sample_paths[key]]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([*argv, "--out", str(tmp_path)]) == 0
     assert calls["predict"] == calls["_leaf_scores"] == 0
-    assert calls["_leaf_label"] > 0
 
 
 @pytest.mark.parametrize("reference", ["majority", "predict_label"])
 def test_forest_votes_equal_per_tree_predict_label(reference):
-    # the forest reads the dense block once and votes with each tree's
-    # _leaf_label; the votes are those of the trees' public predict_label,
-    # and so the majority class of the leaf each tree reaches
+    # the forest reads the dense block once and votes with each leaf's
+    # cached majority; the votes are those of the trees' public
+    # predict_label, and so the majority class of the leaf each tree reaches
     want = _leaf_majority if reference == "majority" else HoeffdingTreeClassifier.predict_label
     forest = AdaptiveRandomForestClassifier(**FOREST)
     voted = split = 0
@@ -792,7 +838,7 @@ class _ReferenceTree(HoeffdingTreeClassifier):
         ci = self.classes.index(label)
         node.class_counts[ci] += weight
         node.n_since += weight
-        for f in node.features:
+        for f in node.observers:
             per_value = node.observers[f]
             v = x[f]
             if v not in per_value and len(per_value) >= _MAX_DISTINCT:
@@ -815,8 +861,9 @@ class _ReferenceTree(HoeffdingTreeClassifier):
 
 class _ReferenceForest(AdaptiveRandomForestClassifier):
     """The forest's fit loop before one descent per tree: per tree,
-    predict_label for the drift check, the monitor (and a reset), the
-    Poisson draw, then partial_fit; every tree is a _ReferenceTree."""
+    predict_label for the drift check, the monitor (and a reset), one scalar
+    Poisson draw, then partial_fit; every tree is a _ReferenceTree, and the
+    vote is the argmax of a dict of the trees' predict_label."""
 
     def _new_tree(self, k):
         return _ReferenceTree(
@@ -824,8 +871,15 @@ class _ReferenceForest(AdaptiveRandomForestClassifier):
             delta=self.delta,
             grace_period=self.grace_period,
             subspace_size=self.subspace_size if self.subspace_size < N_DENSE else None,
-            rng=self._rngs[k],
+            rng=self._draws[k].rng,
         )
+
+    def predict_label(self, fv):
+        votes = {c: 0.0 for c in self.classes}
+        for tree in self._trees:
+            if tree.n_seen > 0:
+                votes[tree.predict_label(fv)] += 1.0
+        return _argmax_label(votes, self.classes)
 
     def partial_fit(self, fv, label):
         self.n_seen += 1
@@ -836,7 +890,7 @@ class _ReferenceForest(AdaptiveRandomForestClassifier):
                     self._trees[k] = tree = self._new_tree(k)
                     self._monitors[k] = _DriftMonitor()
                     self.n_resets += 1
-            w = 1.0 if self.lam is None else float(self._rngs[k].poisson(self.lam))
+            w = 1.0 if self.lam is None else float(self._draws[k].rng.poisson(self.lam))
             if w > 0:
                 tree.partial_fit(fv, label, weight=w)
 
@@ -850,7 +904,19 @@ def _node_state(node):
         (f, [(v, [float(w) for w in stats]) for v, stats in per_value.items()])
         for f, per_value in node.observers.items()
     ]
-    return [("leaf", node.features, list(node.class_counts), node.n_since, observers)]
+    return [("leaf", list(node.observers), list(node.class_counts), node.n_since, observers)]
+
+
+def _consumed_state(draws):
+    """The state of ``draws.rng`` after the weights used so far, as scalar
+    draws leave it: a batch drawn ahead is replayed on a copy up to its
+    used part."""
+    if draws._used == len(draws._batch):
+        return draws.rng.bit_generator.state
+    rng = np.random.Generator(type(draws.rng.bit_generator)())
+    rng.bit_generator.state = draws._state
+    rng.poisson(draws.lam, draws._used)
+    return rng.bit_generator.state
 
 
 def _forest_state(forest, trees=True):
@@ -860,7 +926,7 @@ def _forest_state(forest, trees=True):
         forest.n_resets,
         [tree.n_seen for tree in forest._trees],
         monitors,
-        [rng.bit_generator.state for rng in forest._rngs],
+        [_consumed_state(draws) for draws in forest._draws],
     ]
     if trees:
         state.append([_node_state(tree._root) for tree in forest._trees])
@@ -900,6 +966,25 @@ def test_forest_matches_reference_step_by_step(lam, drift_detection, max_feature
     # the streams must exercise splits and, with drift detection, resets
     assert splits >= 1
     assert (resets >= 1) is drift_detection
+
+
+@pytest.mark.parametrize("lam", [6, 35, 50, 100])
+def test_batched_poisson_replays_scalar_draws(lam):
+    # runs of weights with subspace choices in between, across batch
+    # boundaries: every value and the final state are those of scalar draws
+    scalar, batched = np.random.default_rng(lam), _BatchedPoisson(np.random.default_rng(lam), lam)
+    runs = [0, 1, 3, POISSON_BATCH - 1, POISSON_BATCH, POISSON_BATCH + 1, 2 * POISSON_BATCH + 5, 7]
+    for i, run in enumerate(runs * 3):
+        want = [float(scalar.poisson(lam)) for _ in range(run)]
+        assert [batched.next() for _ in range(run)] == want
+        if i % 4 != 3:
+            size = 1 + i % 5
+            want = scalar.choice(N_DENSE, size=size, replace=False).tolist()
+            assert batched.choice(N_DENSE, size=size, replace=False).tolist() == want
+    assert _consumed_state(batched) == scalar.bit_generator.state
+    batched.choice(N_DENSE, size=1, replace=False)
+    scalar.choice(N_DENSE, size=1, replace=False)
+    assert batched.rng.bit_generator.state == scalar.bit_generator.state
 
 
 class _ListDriftMonitor:

@@ -143,6 +143,10 @@ def read_tweets(path: str | None) -> list[RawTweet]:
                     raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
                 if not isinstance(obj.get("text", ""), str):
                     raise ValueError(f"text must be a string, got {type(obj['text']).__name__}")
+                tweet_id = obj["id"]
+                if type(tweet_id) not in (str, int) or tweet_id == "":
+                    got = json.dumps(tweet_id)
+                    raise ValueError(f"id must be a non-empty string or an integer, got {got}")
                 timestamp = datetime.fromisoformat(obj["created_at"])
                 has_offset = timestamp.utcoffset() is not None
                 if tweets and has_offset != (tweets[0].timestamp.utcoffset() is not None):
@@ -150,7 +154,7 @@ def read_tweets(path: str | None) -> list[RawTweet]:
                         f"timestamp {obj['created_at']!r} {'has' if has_offset else 'lacks'} "
                         "a UTC offset, unlike the first record's"
                     )
-                tweets.append(RawTweet(id=str(obj["id"]), timestamp=timestamp, text=obj["text"]))
+                tweets.append(RawTweet(id=str(tweet_id), timestamp=timestamp, text=obj["text"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise PipelineError(f"{path}:{lineno}: bad tweet record: {exc}") from exc
     tweets.sort(key=lambda t: t.timestamp)

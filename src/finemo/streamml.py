@@ -2,9 +2,11 @@
 
 The four learners are naive Bayes, the Hoeffding tree, the adaptive random
 forest and the SGD linear model; ``StackedClassifier`` cascades three of one
-kind. Every learner exposes predict(fv) -> per-class scores (never mutating)
-and partial_fit(fv, label) -> None (one instance, order-sensitive). Before
-the first fit, predict returns the uniform prior.
+kind. Every learner, stacked or not, has one protocol, that of
+prequential test-then-train: predict_label(fv) -> the predicted class (never
+mutating) and partial_fit(fv, label) -> None (one instance,
+order-sensitive). Ties go to the first class in the learner's class order,
+and so does every prediction before the first fit.
 
 Naive Bayes and the linear model consume the full hybrid feature space
 through ``FeatureVector.arrays``, naive Bayes only its first ``n_counts``
@@ -51,36 +53,6 @@ TIE_THRESHOLD = 0.05  # a Hoeffding bound below this splits even on a tie
 POISSON_BATCH = 64  # forest weights drawn per generator call
 
 
-def _argmax_label(scores: dict, classes) -> EmotionLabel:
-    # ties resolved by class order
-    best = None
-    best_score = -math.inf
-    for cls in classes:
-        s = scores[cls]
-        if s > best_score:
-            best, best_score = cls, s
-    return best
-
-
-class IncrementalLearner:
-    """Shared predict-label plumbing; subclasses implement predict/partial_fit."""
-
-    classes: tuple[EmotionLabel, ...]
-
-    def predict(self, fv: FeatureVector) -> dict[EmotionLabel, float]:
-        raise NotImplementedError
-
-    def partial_fit(self, fv: FeatureVector, label: EmotionLabel) -> None:
-        raise NotImplementedError
-
-    def predict_label(self, fv: FeatureVector) -> EmotionLabel:
-        return _argmax_label(self.predict(fv), self.classes)
-
-    def _uniform(self) -> dict[EmotionLabel, float]:
-        p = 1.0 / len(self.classes)
-        return {c: p for c in self.classes}
-
-
 def _log_quotients(counts: np.ndarray, denom: np.ndarray) -> np.ndarray:
     """``math.log((counts[k, j] + 1.0) / denom[k])`` for every cell, with one
     ``math.log`` per row and distinct count: counts repeat a few small
@@ -97,7 +69,7 @@ def _log_quotients(counts: np.ndarray, denom: np.ndarray) -> np.ndarray:
     return np.take_along_axis(logs, np.searchsorted(values, counts), axis=1)
 
 
-class StreamingNaiveBayes(IncrementalLearner):
+class StreamingNaiveBayes:
     """Mixed-likelihood incremental Naive Bayes.
 
     Multinomial with add-1 smoothing over the count columns (n-grams and
@@ -106,10 +78,10 @@ class StreamingNaiveBayes(IncrementalLearner):
 
     The counts are one ``(n_classes, n_text + N_BOW)`` matrix, sized on the
     first fit; every vector must have that many count columns. Both
-    ``partial_fit`` and ``predict`` read the first ``n_counts`` entries of the
-    vector's ``arrays``, so they cost O(nnz) per class, and every score has
-    the bits of the per-term loop: prior, then each count term in ``arrays``
-    order, then the Gaussian and Bernoulli terms.
+    ``partial_fit`` and ``predict_label`` read the first ``n_counts`` entries
+    of the vector's ``arrays``, so they cost O(nnz) per class, and every
+    score has the bits of the per-term loop: prior, then each count term in
+    ``arrays`` order, then the Gaussian and Bernoulli terms.
     """
 
     def __init__(self, classes=CLASS_ORDER):
@@ -155,9 +127,16 @@ class StreamingNaiveBayes(IncrementalLearner):
         self._n[k] += 1
         self.n_total += 1
 
-    def predict(self, fv: FeatureVector) -> dict[EmotionLabel, float]:
+    def predict_label(self, fv: FeatureVector) -> EmotionLabel:
+        scores = self._scores(fv)
+        return self.classes[scores.index(max(scores))]
+
+    def _scores(self, fv: FeatureVector) -> list[float]:
+        """Per class, in class order, the log joint likelihood of ``fv``; -inf
+        for a class not fitted yet (every class before the first fit)."""
+        scores = [-math.inf] * len(self.classes)
         if self.n_total == 0:
-            return self._uniform()
+            return scores
         idx, vals = self._count_terms(fv)
         seen = [k for k, n in enumerate(self._n) if n]
         ns = [self._n[k] for k in seen]
@@ -179,10 +158,9 @@ class StreamingNaiveBayes(IncrementalLearner):
             -0.5 * np.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var), axis=1
         ).tolist()
         trend = fv.dense[TREND_COLUMN]
-        scores = {c: -math.inf for c in self.classes}
         for k, n, logp, gauss in zip(seen, ns, multinomial, gaussian):
             p_true = (self._trend_true[k] + 1.0) / (n + 2.0)
-            scores[self.classes[k]] = logp + gauss + math.log(p_true if trend else 1.0 - p_true)
+            scores[k] = logp + gauss + math.log(p_true if trend else 1.0 - p_true)
         return scores
 
 
@@ -269,7 +247,7 @@ def _best_splits(counts: list[float], observers: dict) -> list[tuple[float, int,
 _MAX_DISTINCT = 64
 
 
-class HoeffdingTreeClassifier(IncrementalLearner):
+class HoeffdingTreeClassifier:
     """Incremental decision tree with Hoeffding-bound split decisions.
 
     A leaf splits once the information-gain gap between its two best
@@ -385,23 +363,8 @@ class HoeffdingTreeClassifier(IncrementalLearner):
                 parent.right = split
 
     def predict_label(self, fv: FeatureVector) -> EmotionLabel:
-        return self._leaf_label(self._descend(fv.dense.tolist())[0])
-
-    def predict(self, fv: FeatureVector) -> dict[EmotionLabel, float]:
-        return self._leaf_scores(self._descend(fv.dense.tolist())[0])
-
-    def _leaf_label(self, leaf: _LeafNode) -> EmotionLabel:
-        # the first maximum wins, as in _argmax_label; a leaf that has seen
-        # nothing has all-zero counts, so it gives the uniform prior's pick
-        return self.classes[leaf.best]
-
-    def _leaf_scores(self, leaf: _LeafNode) -> dict[EmotionLabel, float]:
-        # an unfitted tree's root has all-zero counts: the uniform prior
-        counts = leaf.class_counts
-        total = _total(counts)
-        if total <= 0:
-            return self._uniform()
-        return {c: counts[i] / total for i, c in enumerate(self.classes)}
+        # a leaf that has seen no weight has all-zero counts: the first class
+        return self.classes[self._descend(fv.dense.tolist())[0].best]
 
 
 class _DriftMonitor:
@@ -480,7 +443,7 @@ class _BatchedPoisson:
         return self.rng.choice(*args, **kwargs)
 
 
-class AdaptiveRandomForestClassifier(IncrementalLearner):
+class AdaptiveRandomForestClassifier:
     """Online bagging ensemble of Hoeffding trees.
 
     Per-tree Poisson(lambda) instance weighting, per-leaf random feature
@@ -569,19 +532,13 @@ class AdaptiveRandomForestClassifier(IncrementalLearner):
                 votes[node.best] += 1.0
         return votes
 
-    def predict(self, fv: FeatureVector) -> dict[EmotionLabel, float]:
-        votes = self._votes(fv)
-        if not any(votes):
-            return self._uniform()
-        return dict(zip(self.classes, votes))
-
     def predict_label(self, fv: FeatureVector) -> EmotionLabel:
-        # the first maximum, as _argmax_label gives; no votes: the first class
+        # the first maximum; no fitted tree, no votes: the first class
         votes = self._votes(fv)
         return self.classes[votes.index(max(votes))]
 
 
-class SGDLinearClassifier(IncrementalLearner):
+class SGDLinearClassifier:
     """One-vs-rest linear model with hinge loss and eta_t = 1/(alpha t).
 
     Exactly one update per instance. Scoring and the hinge update read the
@@ -644,11 +601,11 @@ class SGDLinearClassifier(IncrementalLearner):
                 self._w[i, idx] += eta * y * vals
                 self._b[i] += eta * y
 
-    def predict(self, fv: FeatureVector) -> dict[EmotionLabel, float]:
-        if self.t == 0 or self._w is None:
-            return self._uniform()
-        scores = self._scores(fv)
-        return {c: float(scores[i]) for i, c in enumerate(self.classes)}
+    def predict_label(self, fv: FeatureVector) -> EmotionLabel:
+        if self.t == 0:
+            return self.classes[0]
+        scores = self._scores(fv).tolist()
+        return self.classes[scores.index(max(scores))]
 
 
 class StackedClassifier:
@@ -657,12 +614,7 @@ class StackedClassifier:
     demote a prediction to neutral, never promote. Each stage-2 learner trains
     on the instances whose gold label is one of its two classes."""
 
-    def __init__(
-        self,
-        stage1: IncrementalLearner,
-        stage2_pre: IncrementalLearner,
-        stage2_opp: IncrementalLearner,
-    ):
+    def __init__(self, stage1, stage2_pre, stage2_opp):
         if stage1 is stage2_pre or stage1 is stage2_opp or stage2_pre is stage2_opp:
             raise ValueError("the three learners must be independent instances")
         self.stage1 = stage1
@@ -695,7 +647,8 @@ def make_stacked(factory) -> StackedClassifier:
     )
 
 
-CHECKPOINT_FORMAT_VERSION = 1
+# 2: tree leaves cache their majority class and forests batch their Poisson draws
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 def save_model(model, path: str) -> None:
@@ -705,6 +658,12 @@ def save_model(model, path: str) -> None:
 
 
 def load_model(path: str):
+    """The learner (or stacked cascade) that ``save_model`` wrote to ``path``.
+
+    The file is a pickle of the learner alone: it holds no vocabulary,
+    selection mask or config, so it cannot vectorize new text. Unpickling
+    can run arbitrary code, so load only files from a trusted source. A file
+    of another format version is refused with a ``ValueError``."""
     with open(path, "rb") as fh:
         payload = pickle.load(fh)
     version = payload.get("format_version") if isinstance(payload, dict) else None

@@ -132,6 +132,12 @@ def test_read_tweets_sorted_and_validated(sample_paths, tmp_path):
         ('{"id": "x", "created_at": "2019-08-01T10:00:00", "text": 5}', "text must be a string"),
         ('{"id": "x", "created_at": 5, "text": "hola"}', "bad tweet record"),
         ("{not json", "bad tweet record"),
+        # str() would make tweet "None" of null and "['a']" of ["a"]
+        *(
+            (f'{{"id": {tweet_id}, "created_at": "2019-08-01T10:00:00", "text": "hola"}}',
+             f"id must be a non-empty string or an integer, got {re.escape(tweet_id)}$")
+            for tweet_id in ("null", '["a"]', '{"a": 1}', "true", "1.5", '""')
+        ),
         # sorting would compare offset-naive and offset-aware datetimes
         ('{"id": "x", "created_at": "2019-08-01T09:00:00+02:00", "text": "hola"}',
          "'2019-08-01T09:00:00\\+02:00' has a UTC offset, unlike the first record's"),
@@ -139,6 +145,8 @@ def test_read_tweets_sorted_and_validated(sample_paths, tmp_path):
         bad.write_text(good + record + "\n")
         with pytest.raises(PipelineError, match=f"bad.jsonl:2: .*{message}"):
             read_tweets(str(bad))
+    bad.write_text(good.replace('"t"', "7"))
+    assert [t.id for t in read_tweets(str(bad))] == ["7"]
 
 
 @pytest.mark.parametrize(

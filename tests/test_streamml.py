@@ -26,7 +26,6 @@ from finemo.streamml import (
     SGDLinearClassifier,
     StackedClassifier,
     StreamingNaiveBayes,
-    _argmax_label,
     _best_splits,
     _log_quotients,
     _MAX_DISTINCT,
@@ -46,6 +45,18 @@ from finemo.synthetic import make_planted_stream
 from tests.test_tree_golden import FOREST, _drifting_stream
 
 P, N, O = EmotionLabel.PRECAUTION, EmotionLabel.NEUTRAL, EmotionLabel.OPPORTUNITY
+
+
+def _argmax_label(scores: dict, classes):
+    """The reference tie rule: the first class, in class order, whose score
+    is strictly above every earlier one."""
+    best = None
+    best_score = -math.inf
+    for cls in classes:
+        s = scores[cls]
+        if s > best_score:
+            best, best_score = cls, s
+    return best
 
 
 def make_fv(sparse=None, numeric=None, trend=False, sparse_dim=30):
@@ -145,18 +156,13 @@ def test_nb_matches_batch_oracle_per_prefix():
             history.append((fv, label))
 
 
-def test_nb_unfitted_is_uniform():
-    nb = StreamingNaiveBayes()
-    scores = nb.predict(make_fv())
-    assert all(abs(v - 1 / 3) < 1e-12 for v in scores.values())
-
-
 def test_nb_unseen_class_scores_minus_inf():
     nb = StreamingNaiveBayes()
     fv = make_fv({1: 2.0})
+    assert nb._scores(fv) == [-math.inf] * 3
     nb.partial_fit(fv, P)
-    scores = nb.predict(fv)
-    assert scores[N] == -math.inf and scores[O] == -math.inf
+    scores = nb._scores(fv)
+    assert scores[0] > -math.inf and scores[1:] == [-math.inf, -math.inf]
     assert nb.predict_label(fv) is P
 
 
@@ -187,18 +193,18 @@ class _LoopNB(StreamingNaiveBayes):
         self._num_sumsq[label] += x * x
         self._trend_true[label] += int(fv.dense[TREND_COLUMN])
 
-    def predict(self, fv):
+    def _scores(self, fv):
         if self.n_total == 0:
-            return self._uniform()
+            return [-math.inf] * len(self.classes)
         vocab_size = fv.n_text + 3
         observed = count_pairs(fv)
         x = fv.dense[NUMERIC_COLUMNS]
         trend = fv.dense[TREND_COLUMN]
-        scores = {}
+        scores = []
         for cls in self.classes:
             n = self._n[cls]
             if n == 0:
-                scores[cls] = -math.inf
+                scores.append(-math.inf)
                 continue
             logp = math.log(n / self.n_total)
             denom = self._counts_total[cls] + vocab_size
@@ -213,23 +219,23 @@ class _LoopNB(StreamingNaiveBayes):
             )
             p_true = (self._trend_true[cls] + 1.0) / (n + 2.0)
             logp += math.log(p_true if trend else 1.0 - p_true)
-            scores[cls] = logp
+            scores.append(logp)
         return scores
 
 
 def _score_bytes(scores):
-    return list(scores), np.array(list(scores.values())).tobytes()
+    return np.array(scores).tobytes()
 
 
 def _assert_nb_matches_loop(make, stream):
     """Scores before every step and after the last one, bit for bit."""
     fast, slow = make(StreamingNaiveBayes), make(_LoopNB)
     for fv, label in stream:
-        assert _score_bytes(fast.predict(fv)) == _score_bytes(slow.predict(fv))
+        assert _score_bytes(fast._scores(fv)) == _score_bytes(slow._scores(fv))
         fast.partial_fit(fv, label)
         slow.partial_fit(fv, label)
     for fv, _ in stream[-1:]:
-        assert _score_bytes(fast.predict(fv)) == _score_bytes(slow.predict(fv))
+        assert _score_bytes(fast._scores(fv)) == _score_bytes(slow._scores(fv))
     assert fast.n_total == slow.n_total
 
 
@@ -297,7 +303,7 @@ def test_nb_refuses_a_vector_of_another_width(sparse_dim):
     other = make_fv({1: 1.0, sparse_dim - 1: 2.0}, sparse_dim=sparse_dim)
     names_both = rf"\b{sparse_dim}\b.*\b30\b"
     with pytest.raises(ValueError, match=names_both):
-        nb.predict(other)
+        nb.predict_label(other)
     with pytest.raises(ValueError, match=names_both):
         nb.partial_fit(other, N)
     assert pickle.dumps(nb.__dict__) == state
@@ -561,17 +567,7 @@ def test_forest_drift_replaces_trees():
     assert forest.n_resets > 0
 
 
-def test_forest_unfitted_uniform():
-    forest = AdaptiveRandomForestClassifier(n_estimators=2)
-    scores = forest.predict(make_fv())
-    assert all(abs(v - 1 / 3) < 1e-12 for v in scores.values())
-
-
 # ------------------------------------ fast paths against their reference
-
-
-def _assert_label_is_score_argmax(tree, fv):
-    assert tree.predict_label(fv) is _argmax_label(tree.predict(fv), tree.classes)
 
 
 def _n_splits(node):
@@ -595,13 +591,8 @@ def _leaf_majority(tree, fv):
     return tree.classes[int(np.argmax(node.class_counts))]
 
 
-def _score_argmax(tree, fv):
-    return _argmax_label(tree.predict(fv), tree.classes)
-
-
-# two references for a tree's label: the majority class of its leaf, and
-# the argmax of its public scores
-LABEL_REFERENCES = {"majority": _leaf_majority, "scores": _score_argmax}
+# the reference for a tree's label: the majority class of its leaf
+LABEL_REFERENCES = {"majority": _leaf_majority}
 
 
 @pytest.mark.parametrize("reference", sorted(LABEL_REFERENCES))
@@ -625,7 +616,7 @@ def test_forest_subspace_trees_predict_label_is_argmax_of_scores(classes):
     assert forest.subspace_size < N_DENSE
     for fv, label in _planted(classes):
         for tree in forest._trees:
-            _assert_label_is_score_argmax(tree, fv)
+            assert tree.predict_label(fv) is _leaf_majority(tree, fv)
         forest.partial_fit(fv, label)
     assert all(_n_splits(tree._root) >= 1 for tree in forest._trees)
 
@@ -635,7 +626,7 @@ def test_tree_predict_label_on_a_leaf_without_weight():
     for classes in (CLASS_ORDER, (O, N)):
         tree = HoeffdingTreeClassifier(classes=classes)
         tree.partial_fit(make_fv(), classes[-1], weight=0.0)
-        _assert_label_is_score_argmax(tree, make_fv())
+        assert _leaf_majority(tree, make_fv()) is classes[0]
         assert tree.predict_label(make_fv()) is classes[0]
 
 
@@ -779,36 +770,12 @@ def test_split_attempt_makes_one_log2_call(monkeypatch):
     assert calls == [3 + 1 + 2]
 
 
-def test_stacked_forest_on_sample_builds_no_tree_scores(monkeypatch, tmp_path, sample_paths):
-    # the forest votes with each leaf's cached majority on one list of the
-    # dense block and builds no score dict
-    calls = {"predict": 0, "_leaf_scores": 0}
-    real_predict = HoeffdingTreeClassifier.predict
-    real_leaf_scores = HoeffdingTreeClassifier._leaf_scores
-
-    def counting_predict(self, fv):
-        calls["predict"] += 1
-        return real_predict(self, fv)
-
-    def counting_leaf_scores(self, leaf):
-        calls["_leaf_scores"] += 1
-        return real_leaf_scores(self, leaf)
-
-    monkeypatch.setattr(HoeffdingTreeClassifier, "predict", counting_predict)
-    monkeypatch.setattr(HoeffdingTreeClassifier, "_leaf_scores", counting_leaf_scores)
-    argv = ["train-eval", "--warmup", "10", "--learner", "rf", "--stacked"]
-    for key in ("lexicons", "tweets", "labels", "prices"):
-        argv += [f"--{key}", sample_paths[key]]
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main([*argv, "--out", str(tmp_path)]) == 0
-    assert calls["predict"] == calls["_leaf_scores"] == 0
-
-
 @pytest.mark.parametrize("reference", ["majority", "predict_label"])
 def test_forest_votes_equal_per_tree_predict_label(reference):
     # the forest reads the dense block once and votes with each leaf's
     # cached majority; the votes are those of the trees' public
-    # predict_label, and so the majority class of the leaf each tree reaches
+    # predict_label, and so the majority class of the leaf each tree reaches,
+    # and its label is their first maximum
     want = _leaf_majority if reference == "majority" else HoeffdingTreeClassifier.predict_label
     forest = AdaptiveRandomForestClassifier(**FOREST)
     voted = split = 0
@@ -817,7 +784,8 @@ def test_forest_votes_equal_per_tree_predict_label(reference):
         expected = {c: 0.0 for c in forest.classes}
         for tree in fitted:
             expected[want(tree, fv)] += 1.0
-        assert forest.predict(fv) == (expected if fitted else forest._uniform())
+        assert forest._votes(fv) == list(expected.values())
+        assert forest.predict_label(fv) is _argmax_label(expected, forest.classes)
         voted += bool(fitted)
         split += any(isinstance(tree._root, _SplitNode) for tree in fitted)
         forest.partial_fit(fv, label)
@@ -1201,7 +1169,7 @@ def test_sgd_refuses_a_vector_of_another_width(sparse_dim):
     other = make_fv({1: 1.0, sparse_dim - 1: 2.0}, sparse_dim=sparse_dim)
     names_both = rf"\b{other.total_dim}\b.*\b{make_fv().total_dim}\b"
     with pytest.raises(ValueError, match=names_both):
-        sgd.predict(other)
+        sgd.predict_label(other)
     with pytest.raises(ValueError, match=names_both):
         sgd.partial_fit(other, N)
     assert sgd.t == 1
@@ -1228,6 +1196,24 @@ def test_stacked_sgd_on_sample_reads_each_vector_once(monkeypatch, tmp_path, sam
     assert calls <= 10 + 31
 
 
+# --------------------------------------------------- the learner protocol
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+@pytest.mark.parametrize("learner", ["nb", "dt", "rf", "sgd"])
+def test_every_learner_has_one_protocol(learner, stacked):
+    model = make_learner(PipelineConfig(learner=learner, stacked=stacked))
+    # before the first fit, the first class: what a uniform prior gives
+    assert model.predict_label(make_fv()) is CLASS_ORDER[0]
+    learners = [model]
+    if stacked:
+        learners += [model.stage1, model.stage2_pre, model.stage2_opp]
+    for m in learners:
+        methods = vars(type(m))
+        assert "predict_label" in methods and "partial_fit" in methods
+        assert not hasattr(m, "predict")
+
+
 # ------------------------------------------------------------- stacking
 
 
@@ -1241,9 +1227,6 @@ class _StubLearner:
 
     def predict_label(self, fv):
         return self.fixed
-
-    def predict(self, fv):
-        return {c: float(c is self.fixed) for c in self.classes}
 
     def partial_fit(self, fv, label):
         self.seen.append(label)
@@ -1373,13 +1356,17 @@ def test_checkpoint_round_trip(tmp_path):
     save_model(nb, path)
     back = load_model(path)
     for fv, _ in stream:
-        assert back.predict(fv) == nb.predict(fv)
+        assert back._scores(fv) == nb._scores(fv)
+        assert back.predict_label(fv) is nb.predict_label(fv)
 
 
 def test_checkpoint_version_check(tmp_path):
+    # version 1 trees had no cached leaf majority and version 1 forests no
+    # batched Poisson draws: such a learner would fail on its first call
     path = str(tmp_path / "bad.bin")
-    with open(path, "wb") as fh:
-        pickle.dump({"format_version": 999, "model": None}, fh)
-    with pytest.raises(ValueError, match="version"):
-        load_model(path)
-    assert CHECKPOINT_FORMAT_VERSION == 1
+    for version in (999, 1):
+        with open(path, "wb") as fh:
+            pickle.dump({"format_version": version, "model": HoeffdingTreeClassifier()}, fh)
+        with pytest.raises(ValueError, match=f"^unsupported checkpoint format version: {version}$"):
+            load_model(path)
+    assert CHECKPOINT_FORMAT_VERSION == 2

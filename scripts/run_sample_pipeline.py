@@ -11,14 +11,14 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from finemo.cli import PipelineConfig, run_pipeline
+from finemo.cli import LEARNERS, PipelineConfig, run_pipeline
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 def main() -> None:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--learner", default="nb", choices=["nb", "dt", "rf", "sgd"])
+    parser.add_argument("--learner", default="nb", choices=list(LEARNERS))
     parser.add_argument("--stacked", action="store_true")
     parser.add_argument("--warmup", type=int, default=10)
     parser.add_argument("--out", default=os.path.join(ROOT, "out", "sample"))

@@ -47,7 +47,7 @@ from finemo.features import (
     fit_vocabularies,
     vectorize,
 )
-from finemo.lexicons import LexiconError, load_lexicons
+from finemo.lexicons import LexiconError, data_lines, load_lexicons
 from finemo.segmenter import CLASS_ORDER, EmotionLabel, RawTweet, replicate_per_asset, segment_tweet
 from finemo.selection import SelectionError, chi2_scores, correlation_report, select_percentile
 from finemo.streamml import (
@@ -64,6 +64,8 @@ from finemo.streamml import (
 )
 from finemo.textproc import ProcessedSegment, process
 
+LEARNERS = {"nb": StreamingNaiveBayes, "dt": HoeffdingTreeClassifier,
+            "rf": AdaptiveRandomForestClassifier, "sgd": SGDLinearClassifier}
 GRIDS = {"rf": RF_GRID, "sgd": SGD_GRID}
 
 # Instances after the warmup window are built and vectorized in blocks of this
@@ -87,7 +89,7 @@ class PipelineConfig:
     labels: str | None = None
     out: str = "out"
     warmup: int = 1000
-    learner: str = "rf"  # nb | dt | rf | sgd
+    learner: str = "rf"  # a key of LEARNERS
     stacked: bool = True
     seed: int = 0
     percentile: int = 0  # 0 disables chi2 percentile selection
@@ -166,27 +168,23 @@ def read_labels(path: str) -> dict[tuple[str, int, str], EmotionLabel]:
     per replica; a second row for the same key is refused."""
     out: dict[tuple[str, int, str], EmotionLabel] = {}
     first_line: dict[tuple[str, int, str], int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise PipelineError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            tweet_id, index, focus, label = parts
-            try:
-                key = (tweet_id, int(index), focus)
-                emotion = EmotionLabel.parse(label)
-            except ValueError as exc:
-                raise PipelineError(f"{path}:{lineno}: {exc}") from exc
-            if key in first_line:
-                raise PipelineError(
-                    f"{path}:{lineno}: duplicate label for tweet {tweet_id}, segment {index}, "
-                    f"focus {focus} (first given on line {first_line[key]})"
-                )
-            first_line[key] = lineno
-            out[key] = emotion
+    for lineno, line in data_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise PipelineError(f"{path}:{lineno}: expected 4 tab-separated fields")
+        tweet_id, index, focus, label = parts
+        try:
+            key = (tweet_id, int(index), focus)
+            emotion = EmotionLabel.parse(label)
+        except ValueError as exc:
+            raise PipelineError(f"{path}:{lineno}: {exc}") from exc
+        if key in first_line:
+            raise PipelineError(
+                f"{path}:{lineno}: duplicate label for tweet {tweet_id}, segment {index}, "
+                f"focus {focus} (first given on line {first_line[key]})"
+            )
+        first_line[key] = lineno
+        out[key] = emotion
     return out
 
 
@@ -242,6 +240,8 @@ def _check_stream(cfg: PipelineConfig) -> None:
 def _check_run(cfg: PipelineConfig) -> None:
     """Refuse a bad ``train-eval`` configuration before any file is read;
     the first failing check names the error."""
+    if cfg.learner not in LEARNERS:
+        raise PipelineError(f"unknown learner: {cfg.learner}")
     if cfg.sample_every < 1:
         raise PipelineError(f"--sample-every must be at least 1, got {cfg.sample_every}")
     if cfg.seed < 0:
@@ -330,16 +330,12 @@ class FeatureStream:
 def make_learner(cfg: PipelineConfig, params: dict | None = None):
     """Instantiate the configured learner from the arguments that grid point
     ``params`` resolves to (``streamml.learner_args``)."""
-    learners = {"nb": StreamingNaiveBayes, "dt": HoeffdingTreeClassifier,
-                "rf": AdaptiveRandomForestClassifier, "sgd": SGDLinearClassifier}
-    if cfg.learner not in learners:
-        raise PipelineError(f"unknown learner: {cfg.learner}")
     args = learner_args(cfg.learner, params or {})
     if cfg.learner == "rf":
         args["seed"] = cfg.seed
 
     def factory(classes):
-        return learners[cfg.learner](classes=classes, **args)
+        return LEARNERS[cfg.learner](classes=classes, **args)
 
     if cfg.stacked:
         return make_stacked(factory)
@@ -493,19 +489,21 @@ def _cmd_analyze(cfg: PipelineConfig) -> None:
 
 
 def _cmd_agreement(cfg: PipelineConfig) -> None:
-    """cfg.labels: TSV where each row is the per-annotator labels of one item."""
+    """cfg.labels: TSV where each row is the per-annotator labels of one
+    item; every row has the first row's width, at least two."""
     if not cfg.labels:
         raise PipelineError("agreement needs a labels file")
     rows = []
-    with open(cfg.labels, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                rows.append(tuple(EmotionLabel.parse(v) for v in line.split("\t")))
-            except ValueError as exc:
-                raise PipelineError(f"{cfg.labels}:{lineno}: {exc}") from exc
+    for lineno, line in data_lines(cfg.labels):
+        try:
+            row = tuple(EmotionLabel.parse(v) for v in line.strip().split("\t"))
+            if len(row) < 2:
+                raise ValueError("expected at least two annotators' labels")
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"{len(row)} labels, but the first row has {len(rows[0])}")
+        except ValueError as exc:
+            raise PipelineError(f"{cfg.labels}:{lineno}: {exc}") from exc
+        rows.append(row)
     print(agreement_report(rows).to_json())
 
 
@@ -524,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--labels", help="labels TSV")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--warmup", type=int, help="cold-start window size")
-    parser.add_argument("--learner", choices=["nb", "dt", "rf", "sgd"])
+    parser.add_argument("--learner", choices=list(LEARNERS))
     parser.add_argument("--stacked", dest="stacked", action="store_true", default=None)
     parser.add_argument("--single", dest="stacked", action="store_false", default=None)
     parser.add_argument("--seed", type=int)

@@ -14,15 +14,19 @@ single directory:
     freq.tsv           word<TAB>relative frequency in (0, 1]
     dictionary.tsv     inflected form<TAB>lemma
 
-Lines starting with '#' are comments.
+Blank lines and lines whose first non-blank character is '#' are skipped
+(``data_lines``). Words are case-folded. A word given twice in a two-column
+file, or a ticker alias given twice, is refused; every refusal names the
+file and line.
 """
 
 from __future__ import annotations
 
 import os
 from array import array
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
 
 import numpy as np
@@ -34,7 +38,8 @@ MEMO_SIZE = 4096
 
 
 class LexiconError(Exception):
-    """Raised on missing files, malformed lines or duplicate entries."""
+    """Raised on a missing file, or on a malformed or duplicate entry, which
+    the message names as ``path:line``."""
 
 
 POLARITY_CODES = {"neg": "negative", "neu": "neutral", "pos": "positive"}
@@ -164,107 +169,101 @@ class DeleteIndex:
         return [self._forms[i] for i in found]
 
 
-def _read_lines(path: str, name: str) -> list[tuple[int, str]]:
-    if not os.path.isfile(path):
-        raise LexiconError(f"{name} lexicon not found: {path}")
-    out = []
+def data_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of the UTF-8 file at ``path`` that
+    is neither blank nor a ``#`` comment, without its newline."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            out.append((lineno, line))
+            if line.strip() and not line.lstrip().startswith("#"):
+                yield lineno, line
+
+
+def _column_map(path: str, parse: Callable[[str], object]) -> dict:
+    """The ``word<TAB>value`` rows of ``path`` as {case-folded word:
+    parse(stripped value)}. A row without exactly one tab, with an empty
+    field, with a value that ``parse`` refuses (``ValueError``) or with a
+    word given before is refused, naming ``path:line``."""
+    out = {}
+    first: dict[str, int] = {}
+    for lineno, line in data_lines(path):
+        fields = [field.strip() for field in line.split("\t")]
+        word = fields[0].casefold()
+        try:
+            if len(fields) != 2:
+                raise ValueError("expected word<TAB>value")
+            if not all(fields):
+                raise ValueError(f"empty {'value' if word else 'word'}")
+            if word in first:
+                raise ValueError(f"duplicate word {word!r} (first on line {first[word]})")
+            out[word] = parse(fields[1])
+        except ValueError as exc:
+            raise LexiconError(f"{path}:{lineno}: {exc}: {line!r}") from None
+        first[word] = lineno
     return out
 
 
-def _malformed(name: str, lineno: int, line: str) -> LexiconError:
-    return LexiconError(f"malformed {name} line {lineno}: {line!r}")
+def _code(codes: dict[str, str], value: str) -> str:
+    if value not in codes:
+        raise ValueError(f"expected {'|'.join(codes)}")
+    return codes[value]
+
+
+def _adverb_classes(value: str) -> frozenset[str]:
+    classes = frozenset(c.strip() for c in value.split(",") if c.strip())
+    if not classes or not classes <= ADVERB_CLASSES:
+        raise ValueError(f"expected comma-separated classes from {sorted(ADVERB_CLASSES)}")
+    return classes
+
+
+def _frequency(value: str) -> float:
+    freq = float(value)
+    if not 0.0 < freq <= 1.0:
+        raise ValueError("freq value out of (0,1]")
+    return freq
 
 
 def load_lexicons(dir_path: str) -> LexiconSet:
     """Load and validate all lexicon files from ``dir_path``.
 
-    Entries are case-folded. Keep-words win over stopwords. Duplicate ticker
-    aliases (after case folding) are an error.
+    Entries are case-folded. Keep-words win over stopwords. A ticker alias
+    given twice (after case folding) is an error.
     """
     paths = {key: os.path.join(dir_path, fname) for key, fname in _FILES.items()}
+    for key, path in paths.items():
+        if not os.path.isfile(path):
+            raise LexiconError(f"{key} lexicon not found: {path}")
 
     tickers: dict[str, str] = {}
-    for lineno, line in _read_lines(paths["tickers"], "tickers"):
-        parts = [p.strip() for p in line.split("\t") if p.strip()]
-        if not parts:
-            raise _malformed("tickers", lineno, line)
-        canonical = parts[0]
+    first: dict[str, int] = {}
+    for lineno, line in data_lines(paths["tickers"]):
+        parts = [p.strip() for p in line.split("\t")]
+        if not all(parts):
+            raise LexiconError(f"{paths['tickers']}:{lineno}: empty field: {line!r}")
         for alias in parts:
             key = alias.casefold()
-            if key in tickers:
+            if key in first:
                 raise LexiconError(
-                    f"duplicate ticker alias {alias!r} (tickers.tsv line {lineno})"
+                    f"{paths['tickers']}:{lineno}: duplicate ticker alias {alias!r} "
+                    f"(first on line {first[key]})"
                 )
-            tickers[key] = canonical
+            first[key] = lineno
+            tickers[key] = parts[0]
 
-    stopwords = {line.strip().casefold() for _, line in _read_lines(paths["stopwords"], "stopwords")}
-    keep_words = {line.strip().casefold() for _, line in _read_lines(paths["keepwords"], "keepwords")}
-    stopwords -= keep_words
+    def words(key: str) -> set[str]:
+        return {line.strip().casefold() for _, line in data_lines(paths[key])}
 
-    polarity: dict[str, str] = {}
-    for lineno, line in _read_lines(paths["polarity"], "polarity"):
-        parts = line.split("\t")
-        if len(parts) != 2 or parts[1].strip() not in POLARITY_CODES:
-            raise _malformed("polarity", lineno, line)
-        polarity[parts[0].strip().casefold()] = POLARITY_CODES[parts[1].strip()]
-
-    emotions: dict[str, str] = {}
-    for lineno, line in _read_lines(paths["emotions"], "emotions"):
-        parts = line.split("\t")
-        if len(parts) != 2 or parts[1].strip() not in EMOTION_CODES:
-            raise _malformed("emotions", lineno, line)
-        emotions[parts[0].strip().casefold()] = EMOTION_CODES[parts[1].strip()]
-
-    adverbs: dict[str, frozenset[str]] = {}
-    for lineno, line in _read_lines(paths["adverbs"], "adverbs"):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise _malformed("adverbs", lineno, line)
-        classes = frozenset(c.strip() for c in parts[1].split(",") if c.strip())
-        if not classes or not classes <= ADVERB_CLASSES:
-            raise _malformed("adverbs", lineno, line)
-        adverbs[parts[0].strip().casefold()] = classes
-
-    abbreviations = {
-        line.strip().casefold() for _, line in _read_lines(paths["abbreviations"], "abbreviations")
-    }
-
-    freq_corpus: dict[str, float] = {}
-    for lineno, line in _read_lines(paths["freq"], "freq"):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise _malformed("freq", lineno, line)
-        try:
-            value = float(parts[1])
-        except ValueError:
-            raise _malformed("freq", lineno, line) from None
-        if not 0.0 < value <= 1.0:
-            raise LexiconError(f"freq value out of (0,1] on line {lineno}: {line!r}")
-        freq_corpus[parts[0].strip().casefold()] = value
-
-    dictionary: dict[str, str] = {}
-    for lineno, line in _read_lines(paths["dictionary"], "dictionary"):
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-            raise _malformed("dictionary", lineno, line)
-        dictionary[parts[0].strip().casefold()] = parts[1].strip().casefold()
-
+    keep_words = words("keepwords")
     return LexiconSet(
         tickers=tickers,
-        stopwords=frozenset(stopwords),
+        stopwords=frozenset(words("stopwords") - keep_words),
         keep_words=frozenset(keep_words),
-        polarity=polarity,
-        emotions=emotions,
-        adverbs=adverbs,
-        abbreviations=frozenset(abbreviations),
-        freq_corpus=freq_corpus,
-        dictionary=dictionary,
+        polarity=_column_map(paths["polarity"], partial(_code, POLARITY_CODES)),
+        emotions=_column_map(paths["emotions"], partial(_code, EMOTION_CODES)),
+        adverbs=_column_map(paths["adverbs"], _adverb_classes),
+        abbreviations=frozenset(words("abbreviations")),
+        freq_corpus=_column_map(paths["freq"], _frequency),
+        dictionary=_column_map(paths["dictionary"], str.casefold),
     )
 
 

@@ -93,8 +93,6 @@ def find_assets(text: str, lx: LexiconSet) -> Mentions:
     out: Mentions = []
     for m in _TOKEN_RE.finditer(text):
         token = m.group(0).rstrip(".")
-        if token in (FOCUS_TAG, OTHER_TAG):
-            continue
         ticker = lookup_ticker(token, lx)
         if ticker is not None:
             out.append((ticker, (m.start(), m.start() + len(token))))
@@ -145,10 +143,6 @@ def _join(first: Group, second: Group) -> Group:
     return f"{first[0]} {second[0]}", first[1] + moved
 
 
-def _bears_asset(group: Group) -> bool:
-    return bool(group[1]) or FOCUS_TAG in group[0]
-
-
 def group_forward(clauses: list[Group]) -> list[Group]:
     """Apply the two forward-propagation grouping rules, in order, to
     (clause, assets) pairs.
@@ -161,9 +155,9 @@ def group_forward(clauses: list[Group]) -> list[Group]:
     """
     groups: list[Group] = []
     for clause in clauses:
-        text = clause[0]
+        text, assets = clause
         additive = any(w.casefold() in ADDITIVE_WORDS for w in WORD_RE.findall(text))
-        if groups and not (_bears_asset(clause) or additive or "," in text or "-" in text):
+        if groups and not (assets or additive or "," in text or "-" in text):
             groups[-1] = _join(groups[-1], clause)
         else:
             groups.append(clause)
@@ -171,7 +165,7 @@ def group_forward(clauses: list[Group]) -> list[Group]:
     for group in groups:
         first = WORD_RE.search(group[0])
         relative = first is not None and first[0].casefold() in RELATIVE_WORDS
-        if merged and relative and _bears_asset(merged[-1]) and _bears_asset(group):
+        if merged and relative and merged[-1][1] and group[1]:
             merged[-1] = _join(merged[-1], group)
         else:
             merged.append(group)

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 from dataclasses import fields
 
 import pytest
@@ -19,6 +20,7 @@ from finemo.cli import (
 )
 from finemo.features import PriceError, PriceSeries
 from finemo.lexicons import load_lexicons
+from finemo.segmenter import EmotionLabel
 from finemo.streamml import load_model
 
 
@@ -172,12 +174,28 @@ def test_agreement_unknown_label_names_file_and_line(tmp_path, capsys):
     assert "ann.tsv:2: unknown emotion label" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, lineno, message",
+    [
+        ("P\n", 1, "expected at least two annotators' labels"),
+        ("P\tN\n# nota\nO\n", 3, "expected at least two annotators' labels"),
+        ("P\tN\nO\tO\nN\tN\tP\n", 3, "3 labels, but the first row has 2"),
+        ("P\tN\tO\n\nN\tN\n", 3, "2 labels, but the first row has 3"),
+    ],
+)
+def test_agreement_refuses_short_and_ragged_rows(tmp_path, capsys, text, lineno, message):
+    ann = tmp_path / "ann.tsv"
+    ann.write_text(text)
+    assert main(["agreement", "--labels", str(ann)]) == 1
+    assert capsys.readouterr().err == f"error: {ann}:{lineno}: {message}\n"
+
+
 def test_read_labels_validated(sample_paths, tmp_path):
     labels = read_labels(sample_paths["labels"])
     assert labels  # sample corpus ships labels for every replica
     bad = tmp_path / "bad.tsv"
-    bad.write_text("t0\t0\tBBVA\n")
-    with pytest.raises(PipelineError, match="expected 4 tab-separated fields"):
+    bad.write_text("# comment\nt0\t0\tBBVA\n")
+    with pytest.raises(PipelineError, match=re.escape(f"{bad}:2: expected 4 tab-separated fields")):
         read_labels(str(bad))
     bad.write_text("t0\t0\tBBVA\tZ\n")
     with pytest.raises(PipelineError, match="bad.tsv:1"):
@@ -197,6 +215,40 @@ def test_read_labels_refuses_a_duplicate_key(tmp_path):
         read_labels(str(path))
     path.write_text("t0\t0\tBBVA\tP\nt0\t0\tSAN\tP\nt0\t1\tBBVA\tP\n")
     assert len(read_labels(str(path))) == 3
+
+
+def test_read_labels_skips_blank_and_indented_comment_lines(tmp_path):
+    path = tmp_path / "labels.tsv"
+    path.write_text("t0\t0\tBBVA\tP\n   \n\t\n  # note\nt1\t0\tSAN\tN\n")
+    assert list(read_labels(str(path)).values()) == [EmotionLabel.PRECAUTION, EmotionLabel.NEUTRAL]
+
+
+@pytest.mark.parametrize(
+    "file, row, message",
+    [
+        ("polarity.tsv", "\tneg", "empty word"),
+        ("dictionary.tsv", "sigue\tir", "duplicate word 'sigue' (first on line 2)"),
+        ("tickers.tsv", "SAN2\t\tbanco", "empty field"),
+        ("labels.tsv", "t9\t0\tBBVA", "expected 4 tab-separated fields"),
+    ],
+)
+def test_bad_input_rows_are_named_by_path_and_line(
+    sample_paths, tmp_path, capsys, file, row, message
+):
+    lexicons = tmp_path / "lexicons"
+    shutil.copytree(sample_paths["lexicons"], lexicons)
+    labels = tmp_path / "labels.tsv"
+    shutil.copyfile(sample_paths["labels"], labels)
+    path = labels if file == "labels.tsv" else lexicons / file
+    with open(path, encoding="utf-8") as fh:
+        lineno = sum(1 for _ in fh) + 1
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(row + "\n")
+    rc = main(["train-eval", "--lexicons", str(lexicons), "--tweets", sample_paths["tweets"],
+               "--labels", str(labels), "--warmup", "10", "--learner", "nb",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}:{lineno}: {message}")
 
 
 def test_build_instances_covers_all_replicas(sample_paths):
@@ -340,6 +392,9 @@ def test_invalid_run_parameters_refused(sample_paths, tmp_path, overrides, messa
         ({"ngram_min": 0}, "need 1 <= ngram_min <= ngram_max, got 0 and 4"),
         ({"min_df": 0.9, "max_df": 0.1}, "need 0 <= min_df <= max_df <= 1, got 0.9 and 0.1"),
         ({"max_df": 1.5}, "need 0 <= min_df <= max_df <= 1, got 0.001 and 1.5"),
+        # a config file can name a learner that --learner's choices would refuse
+        ({"learner": "foo"}, "unknown learner: foo"),
+        ({"learner": "foo", "grid": True, "warmup": 0}, "unknown learner: foo"),
     ],
 )
 def test_bad_runs_are_refused_before_any_file_is_read(sample_paths, tmp_path, overrides, message):

@@ -26,8 +26,7 @@ from finemo.segmenter import (
     segment_tweet,
     split_asset_lists,
 )
-from perfbench.workloads import SPECS, generate
-from tests.conftest import ROOT
+from perfbench.workloads import SPECS
 from tests.segmentation_cases import CASES
 
 
@@ -122,6 +121,14 @@ def test_replicate_per_asset_tags_focus(lx):
     assert [r.focus for r in replicas] == ["BBVA", "SAN"]
     assert replicas[0].text == f"Dice cosas de {FOCUS_TAG} que {OTHER_TAG} confirmará con {FOCUS_TAG}"
     assert replicas[1].text == f"Dice cosas de {OTHER_TAG} que {FOCUS_TAG} confirmará con {OTHER_TAG}"
+
+
+@pytest.mark.parametrize("word", ["TICKERS", "tickers", FOCUS_TAG, OTHER_TAG])
+def test_tag_letters_in_raw_text_bear_no_asset(lx, word):
+    # segmentation runs on raw text, so a word that spells a tag is an
+    # ordinary word: its asset-free clause joins the group before it
+    got = [s.text for s in segment_tweet(_tweet(f"$SAN sube fuerte. Los {word} hoy"), lx)]
+    assert got == [f"$SAN sube fuerte Los {word} hoy"]
 
 
 def test_replicate_requires_assets():
@@ -233,7 +240,7 @@ def test_one_ticker_lookup_per_token(lx, sample_paths, monkeypatch):
 
 
 def _ref_has_ticker(text, lx):
-    return bool(find_assets(text, lx)) or FOCUS_TAG in text
+    return bool(find_assets(text, lx))
 
 
 def _ref_words(text):
@@ -395,15 +402,6 @@ def test_segment_tweet_equals_oracle_on_mixes(lx, text):
 
 def test_segment_tweet_equals_oracle_on_sample(lx, sample_paths):
     assert _assert_same_as_oracle(read_tweets(sample_paths["tweets"]), lx) > 0
-
-
-@pytest.fixture(scope="module")
-def benchmark_inputs(tmp_path_factory):
-    """The three benchmark workloads at seed 5, generated once."""
-    return {
-        name: generate(name, 5, f"{ROOT}/data", str(tmp_path_factory.mktemp(name)))
-        for name in sorted(SPECS)
-    }
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))

@@ -47,7 +47,7 @@ from finemo.features import (
     fit_vocabularies,
     vectorize,
 )
-from finemo.lexicons import LexiconError, data_lines, load_lexicons
+from finemo.lexicons import EncodingError, LexiconError, data_lines, load_lexicons, text_lines
 from finemo.segmenter import CLASS_ORDER, EmotionLabel, RawTweet, replicate_per_asset, segment_tweet
 from finemo.selection import SelectionError, chi2_scores, correlation_report, select_percentile
 from finemo.streamml import (
@@ -105,7 +105,8 @@ class PipelineConfig:
 
     @classmethod
     def from_yaml(cls, path: str) -> "PipelineConfig":
-        with open(path, encoding="utf-8") as fh:
+        # as bytes, so yaml decodes them and refuses a non-UTF-8 file itself
+        with open(path, "rb") as fh:
             try:
                 data = yaml.safe_load(fh)
             except yaml.YAMLError as exc:
@@ -134,31 +135,30 @@ def read_tweets(path: str | None) -> list[RawTweet]:
     if not path:
         raise PipelineError("a tweets file is required")
     tweets = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-                if not isinstance(obj.get("text", ""), str):
-                    raise ValueError(f"text must be a string, got {type(obj['text']).__name__}")
-                tweet_id = obj["id"]
-                if type(tweet_id) not in (str, int) or tweet_id == "":
-                    got = json.dumps(tweet_id)
-                    raise ValueError(f"id must be a non-empty string or an integer, got {got}")
-                timestamp = datetime.fromisoformat(obj["created_at"])
-                has_offset = timestamp.utcoffset() is not None
-                if tweets and has_offset != (tweets[0].timestamp.utcoffset() is not None):
-                    raise ValueError(
-                        f"timestamp {obj['created_at']!r} {'has' if has_offset else 'lacks'} "
-                        "a UTC offset, unlike the first record's"
-                    )
-                tweets.append(RawTweet(id=str(tweet_id), timestamp=timestamp, text=obj["text"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise PipelineError(f"{path}:{lineno}: bad tweet record: {exc}") from exc
+    for lineno, line in text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+            if not isinstance(obj.get("text", ""), str):
+                raise ValueError(f"text must be a string, got {type(obj['text']).__name__}")
+            tweet_id = obj["id"]
+            if type(tweet_id) not in (str, int) or tweet_id == "":
+                got = json.dumps(tweet_id)
+                raise ValueError(f"id must be a non-empty string or an integer, got {got}")
+            timestamp = datetime.fromisoformat(obj["created_at"])
+            has_offset = timestamp.utcoffset() is not None
+            if tweets and has_offset != (tweets[0].timestamp.utcoffset() is not None):
+                raise ValueError(
+                    f"timestamp {obj['created_at']!r} {'has' if has_offset else 'lacks'} "
+                    "a UTC offset, unlike the first record's"
+                )
+            tweets.append(RawTweet(id=str(tweet_id), timestamp=timestamp, text=obj["text"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise PipelineError(f"{path}:{lineno}: bad tweet record: {exc}") from exc
     tweets.sort(key=lambda t: t.timestamp)
     return tweets
 
@@ -563,8 +563,8 @@ def main(argv: list[str] | None = None) -> int:
             _cmd_agreement(cfg)
     except BrokenPipeError:
         return 0
-    except (PipelineError, OSError, LexiconError, PriceError, VocabularyError, SelectionError,
-            EvaluationError) as exc:
+    except (PipelineError, OSError, LexiconError, EncodingError, PriceError, VocabularyError,
+            SelectionError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

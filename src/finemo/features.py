@@ -22,7 +22,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from finemo.lexicons import LexiconSet, remember
+from finemo.lexicons import LexiconSet, remember, text_lines
 from finemo.segmenter import CLASS_ORDER, NUMBER_RE, WORD_RE, EmotionLabel
 from finemo.textproc import _DATE_RE, ProcessedSegment
 
@@ -403,17 +403,16 @@ class PriceSeries:
         """Read ``ticker,date,close`` rows; a bad row raises PriceError
         naming the file and line."""
         series = cls()
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
-                if not row or row[0].startswith("#") or row[0] == "ticker":
-                    continue
-                try:
-                    if len(row) < 3:
-                        raise ValueError("expected ticker,date,close")
-                    series.add(row[0], date.fromisoformat(row[1]), float(row[2]))
-                except ValueError as exc:
-                    raise PriceError(f"{path}:{reader.line_num}: {exc}") from None
+        reader = csv.reader(line for _, line in text_lines(path, newline=""))
+        for row in reader:
+            if not row or row[0].startswith("#") or row[0] == "ticker":
+                continue
+            try:
+                if len(row) < 3:
+                    raise ValueError("expected ticker,date,close")
+                series.add(row[0], date.fromisoformat(row[1]), float(row[2]))
+            except ValueError as exc:
+                raise PriceError(f"{path}:{reader.line_num}: {exc}") from None
         return series
 
 

@@ -42,6 +42,11 @@ class LexiconError(Exception):
     the message names as ``path:line``."""
 
 
+class EncodingError(Exception):
+    """Raised on an input line that is not UTF-8, which the message names as
+    ``path:line``."""
+
+
 POLARITY_CODES = {"neg": "negative", "neu": "neutral", "pos": "positive"}
 EMOTION_CODES = {"neg": "negative_emotion", "pos": "positive_emotion"}
 ADVERB_CLASSES = frozenset({"negation", "affirmation", "doubt", "intensifier"})
@@ -169,14 +174,30 @@ class DeleteIndex:
         return [self._forms[i] for i in found]
 
 
-def data_lines(path: str) -> Iterator[tuple[int, str]]:
-    """(line number, line) for each line of the UTF-8 file at ``path`` that
-    is neither blank nor a ``#`` comment, without its newline."""
-    with open(path, encoding="utf-8") as fh:
+def text_lines(path: str, newline: str | None = None) -> Iterator[tuple[int, str]]:
+    """(line number, line) for every line of the UTF-8 file at ``path``, as
+    ``open(path, encoding="utf-8", newline=newline)`` reads them. A line that
+    is not UTF-8 raises ``EncodingError`` naming ``path:line``: each bad byte
+    decodes to a lone surrogate, which valid UTF-8 never gives."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if line.strip() and not line.lstrip().startswith("#"):
-                yield lineno, line
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise EncodingError(
+                    f"{path}:{lineno}: not UTF-8: byte 0x{byte:02x} at character {exc.start + 1}"
+                ) from None
+            yield lineno, line
+
+
+def data_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of ``text_lines(path)`` that is
+    neither blank nor a ``#`` comment, without its newline."""
+    for lineno, line in text_lines(path):
+        line = line.rstrip("\n")
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield lineno, line
 
 
 def _column_map(path: str, parse: Callable[[str], object]) -> dict:

@@ -13,18 +13,20 @@ through ``FeatureVector.arrays``, naive Bayes only its first ``n_counts``
 entries; the tree learners consume only the dense block (``FeatureVector.dense``:
 BOW counters, numeric counters, trend), so a tree run never makes a vector
 count its n-grams. Hoeffding-tree leaves predict by majority vote. A tree
+has one node type, a leaf that splits in place, and one descent,
+``HoeffdingTreeClassifier._descend``, for the tree and the forest. A tree
 keeps its per-leaf class counts and, per leaf feature and value, its
 per-class weights as lists of Python floats; each leaf also keeps the index
 of its first-maximum class, updated with every weight it learns, so no
 label or vote rescans the counts. A split attempt makes one ``np.log2``
 call, on the probabilities of every class distribution it scores.
 
-The forest descends each tree once per fitted instance, inline: the drift
-check and the update share the leaf. Each tree's Poisson weights are drawn
-``POISSON_BATCH`` at a time from the generator that also picks the tree's
-leaf subspaces; before any other draw from it the batch is rewound to the
-weights used (``_BatchedPoisson``), so every weight, subspace and reset has
-the bits of one scalar draw per weight.
+The forest descends each tree once per fitted instance: the drift check
+and the update share the leaf. Each tree's ``rng`` is its weight stream, a
+``_BatchedPoisson`` that draws the tree's Poisson weights ``POISSON_BATCH``
+at a time from the generator that also picks the tree's leaf subspaces;
+before any other draw from it the batch is rewound to the weights used,
+so every weight, subspace and reset has the bits of one scalar draw each.
 """
 
 from __future__ import annotations
@@ -164,25 +166,19 @@ class StreamingNaiveBayes:
         return scores
 
 
-class _LeafNode:
-    __slots__ = ("class_counts", "best", "observers", "n_since")
+class _Node:
+    """A leaf (``left is None``) until it splits in place: it then sends
+    ``x`` left when ``x[feature] <= threshold`` and drops its observers."""
+
+    __slots__ = ("class_counts", "best", "observers", "n_since", "feature", "threshold", "left", "right")
 
     def __init__(self, n_classes: int, features: list[int]):
         self.class_counts = [0.0] * n_classes
         self.best = 0  # the index of the first maximum of class_counts
         # per feature of the leaf, in order: value -> per-class weights
-        self.observers: dict[int, dict[float, list[float]]] = {f: {} for f in features}
+        self.observers: dict[int, dict[float, list[float]]] | None = {f: {} for f in features}
         self.n_since = 0.0
-
-
-class _SplitNode:
-    __slots__ = ("feature", "threshold", "left", "right")
-
-    def __init__(self, feature: int, threshold: float, left, right):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
+        self.feature = self.threshold = self.left = self.right = None
 
 
 def _total(values) -> float:
@@ -262,9 +258,13 @@ class HoeffdingTreeClassifier:
     negative. A split attempt on a leaf with two or more classes scores
     every candidate threshold with one ``np.log2`` call (``_best_splits``).
 
+    A leaf splits in place, so no node knows its parent; ``_descend`` is the
+    only loop that walks a tree, and the forest calls it too.
+
     A ``subspace_size`` below N_DENSE gives each new leaf that many features
-    drawn with ``rng.choice`` (a ``Generator``, or the forest's
-    ``_BatchedPoisson``); None or a larger size gives it every feature.
+    drawn with ``rng.choice`` (a ``Generator``, or in a forest the tree's
+    weight stream, a ``_BatchedPoisson``); None or a larger size gives it
+    every feature.
     """
 
     def __init__(
@@ -285,29 +285,27 @@ class HoeffdingTreeClassifier:
         self._root = self._new_leaf()
         self.n_seen = 0
 
-    def _new_leaf(self) -> _LeafNode:
+    def _new_leaf(self) -> _Node:
         features = list(range(N_DENSE))
         if self.subspace_size is not None and self.subspace_size < N_DENSE:
             chosen = self.rng.choice(N_DENSE, size=self.subspace_size, replace=False)
             features = sorted(int(f) for f in chosen)
-        return _LeafNode(len(self.classes), features)
+        return _Node(len(self.classes), features)
 
-    def _descend(self, x: list[float]) -> tuple[_LeafNode, _SplitNode | None, bool | None]:
-        """The leaf that ``x`` reaches, its parent split and the side taken
-        there (True: left); (root, None, None) while the root is a leaf."""
-        node, parent, side = self._root, None, None
-        while isinstance(node, _SplitNode):
-            parent, side = node, x[node.feature] <= node.threshold
-            node = node.left if side else node.right
-        return node, parent, side
+    def _descend(self, x: list[float]) -> _Node:
+        """The leaf that ``x`` reaches."""
+        node = self._root
+        while node.left is not None:
+            node = node.left if x[node.feature] <= node.threshold else node.right
+        return node
 
     def partial_fit(self, fv: FeatureVector, label: EmotionLabel, weight: float = 1.0) -> None:
         if not 0.0 <= weight < math.inf:
             raise ValueError(f"weight must be finite and non-negative, got {weight!r}")
         x = fv.dense.tolist()
-        self._learn(x, self.classes.index(label), weight, *self._descend(x))
+        self._learn(x, self.classes.index(label), weight, self._descend(x))
 
-    def _learn(self, x: list[float], ci: int, weight: float, leaf: _LeafNode, parent, side) -> None:
+    def _learn(self, x: list[float], ci: int, weight: float, leaf: _Node) -> None:
         """Add ``x`` with class index ``ci`` and ``weight`` (finite, not
         negative) to the leaf that ``_descend(x)`` returned, then try to
         split it."""
@@ -329,9 +327,9 @@ class HoeffdingTreeClassifier:
             stats[ci] += weight
         if leaf.n_since >= self.grace_period:
             leaf.n_since = 0.0
-            self._attempt_split(leaf, parent, side)
+            self._attempt_split(leaf)
 
-    def _attempt_split(self, leaf: _LeafNode, parent, side) -> None:
+    def _attempt_split(self, leaf: _Node) -> None:
         counts = leaf.class_counts
         if len(counts) - counts.count(0.0) < 2:  # a pure leaf
             return
@@ -347,24 +345,18 @@ class HoeffdingTreeClassifier:
         r = math.log2(len(self.classes))
         eps = math.sqrt(r * r * math.log(1.0 / self.delta) / (2.0 * n)) if self.delta < 1 else 0.0
         if gain - second > eps or eps < TIE_THRESHOLD:
-            left_leaf, right_leaf = self._new_leaf(), self._new_leaf()
-            per_value = leaf.observers[feature]
-            for v, stats in per_value.items():
-                child = left_leaf if v <= threshold else right_leaf
+            left, right = self._new_leaf(), self._new_leaf()
+            for v, stats in leaf.observers[feature].items():
+                child = left if v <= threshold else right
                 child.class_counts = [a + b for a, b in zip(child.class_counts, stats)]
-            for child in (left_leaf, right_leaf):
+            for child in (left, right):
                 child.best = child.class_counts.index(max(child.class_counts))
-            split = _SplitNode(feature, threshold, left_leaf, right_leaf)
-            if parent is None:
-                self._root = split
-            elif side:
-                parent.left = split
-            else:
-                parent.right = split
+            leaf.feature, leaf.threshold, leaf.left, leaf.right = feature, threshold, left, right
+            leaf.observers = None
 
     def predict_label(self, fv: FeatureVector) -> EmotionLabel:
         # a leaf that has seen no weight has all-zero counts: the first class
-        return self.classes[self._descend(fv.dense.tolist())[0].best]
+        return self.classes[self._descend(fv.dense.tolist()).best]
 
 
 class _DriftMonitor:
@@ -453,10 +445,11 @@ class AdaptiveRandomForestClassifier:
 
     Tree ``k`` draws its weights and its leaf subspaces from one generator,
     seeded ``seed + 1000 k``, in the order of one scalar Poisson draw per
-    fitted instance; ``_BatchedPoisson`` draws the weights in batches and
-    keeps that order. ``lam=None`` gives every instance weight 1 and draws
-    nothing. Fitting and voting descend each tree inline and read each
-    leaf's cached majority.
+    fitted instance; the tree's ``rng``, a ``_BatchedPoisson``, draws the
+    weights in batches and keeps that order, and a reset builds the new
+    tree on the old tree's ``rng``. ``lam=None`` gives every instance weight
+    1 and draws nothing. Fitting and voting descend each tree with its
+    ``_descend`` and read each leaf's cached majority.
     """
 
     def __init__(
@@ -480,21 +473,21 @@ class AdaptiveRandomForestClassifier:
             self.subspace_size = max(1, round(math.sqrt(N_DENSE)))
         else:
             self.subspace_size = min(int(max_features), N_DENSE)
-        self._draws = [
-            _BatchedPoisson(np.random.default_rng(seed + 1000 * k), lam) for k in range(n_estimators)
+        self._trees = [
+            self._new_tree(_BatchedPoisson(np.random.default_rng(seed + 1000 * k), lam))
+            for k in range(n_estimators)
         ]
-        self._trees = [self._new_tree(k) for k in range(n_estimators)]
         self._monitors = [_DriftMonitor() for _ in range(n_estimators)]
         self.n_seen = 0
         self.n_resets = 0
 
-    def _new_tree(self, k: int) -> HoeffdingTreeClassifier:
+    def _new_tree(self, rng: _BatchedPoisson) -> HoeffdingTreeClassifier:
         return HoeffdingTreeClassifier(
             classes=self.classes,
             delta=self.delta,
             grace_period=self.grace_period,
             subspace_size=self.subspace_size,
-            rng=self._draws[k],
+            rng=rng,
         )
 
     def partial_fit(self, fv: FeatureVector, label: EmotionLabel) -> None:
@@ -503,21 +496,17 @@ class AdaptiveRandomForestClassifier:
         ci = self.classes.index(label)
         drift_detection, draws = self.drift_detection, self.lam is not None
         for k, tree in enumerate(self._trees):
-            # one descent per tree, as in HoeffdingTreeClassifier._descend:
-            # the drift check reads the leaf that the update then uses,
-            # unless a reset leaves only a fresh root
-            leaf, parent, side = tree._root, None, None
-            while isinstance(leaf, _SplitNode):
-                parent, side = leaf, x[leaf.feature] <= leaf.threshold
-                leaf = leaf.left if side else leaf.right
+            # one descent per tree: the drift check reads the leaf that the
+            # update then uses, unless a reset leaves only a fresh root
+            leaf = tree._descend(x)
             if drift_detection and tree.n_seen > 0 and self._monitors[k].add(leaf.best != ci):
-                self._trees[k] = tree = self._new_tree(k)
+                self._trees[k] = tree = self._new_tree(tree.rng)
                 self._monitors[k] = _DriftMonitor()
                 self.n_resets += 1
-                leaf, parent, side = tree._root, None, None
-            w = self._draws[k].next() if draws else 1.0
+                leaf = tree._root
+            w = tree.rng.next() if draws else 1.0
             if w > 0:
-                tree._learn(x, ci, w, leaf, parent, side)
+                tree._learn(x, ci, w, leaf)
 
     def _votes(self, fv: FeatureVector) -> list[float]:
         """Per class, the number of fitted trees whose leaf it is the
@@ -526,10 +515,7 @@ class AdaptiveRandomForestClassifier:
         x = fv.dense.tolist()
         for tree in self._trees:
             if tree.n_seen > 0:
-                node = tree._root
-                while isinstance(node, _SplitNode):
-                    node = node.left if x[node.feature] <= node.threshold else node.right
-                votes[node.best] += 1.0
+                votes[tree._descend(x).best] += 1.0
         return votes
 
     def predict_label(self, fv: FeatureVector) -> EmotionLabel:
@@ -647,8 +633,8 @@ def make_stacked(factory) -> StackedClassifier:
     )
 
 
-# 2: tree leaves cache their majority class and forests batch their Poisson draws
-CHECKPOINT_FORMAT_VERSION = 2
+# 3: one tree node type that splits in place; a forest's weight streams are its trees' rngs
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 def save_model(model, path: str) -> None:

@@ -71,21 +71,14 @@ def make_planted_segments(
     rng.shuffle(labels)
     fillers = [f"w{k:02d}" for k in range(FILLER_VOCAB)]
     segments = []
-    for i, label in enumerate(labels):
+    for label in labels:
         length = int(rng.integers(8, 16))
         tokens = ["TICKER"] + [fillers[int(j)] for j in rng.integers(0, FILLER_VOCAB, length)]
         planted = PLANTED.get(label)
         if planted is not None and rng.random() < PLANT_PROB:
             pos = int(rng.integers(1, len(tokens)))
             tokens[pos:pos] = list(planted)
-        segments.append(
-            ProcessedSegment(
-                tweet_id=f"s{i:05d}",
-                focus="TICK",
-                tokens=tuple(tokens),
-                raw_len=len(" ".join(tokens)),
-            )
-        )
+        segments.append(ProcessedSegment(tokens=tuple(tokens), raw_len=len(" ".join(tokens))))
     return segments, labels
 
 

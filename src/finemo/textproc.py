@@ -25,8 +25,6 @@ _DATE_RE = re.compile(r"\b\d{1,4}(?:[-/]\d{1,2}){1,2}(?:[-/]\d{1,4})?\b")
 
 @dataclass(frozen=True)
 class ProcessedSegment:
-    tweet_id: str
-    focus: str
     tokens: tuple[str, ...]
     raw_len: int
 
@@ -216,9 +214,4 @@ def process(seg: Segment, lx: LexiconSet) -> ProcessedSegment:
             tokens.append(lemmatize_correct(word, lx))
     if seg.focus is not None and FOCUS_TAG not in tokens:
         tokens.insert(0, FOCUS_TAG)
-    return ProcessedSegment(
-        tweet_id=seg.tweet_id,
-        focus=seg.focus or "",
-        tokens=tuple(tokens),
-        raw_len=len(seg.text),
-    )
+    return ProcessedSegment(tokens=tuple(tokens), raw_len=len(seg.text))

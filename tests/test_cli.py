@@ -251,6 +251,68 @@ def test_bad_input_rows_are_named_by_path_and_line(
     assert capsys.readouterr().err.startswith(f"error: {path}:{lineno}: {message}")
 
 
+def _input_copies(sample_paths, tmp_path):
+    """Copies of the bundled lexicons, tweets, labels and prices, and a
+    two-annotator annotations file, by input kind."""
+    lexicons = tmp_path / "lexicons"
+    shutil.copytree(sample_paths["lexicons"], lexicons)
+    paths = {"lexicons": lexicons}
+    for kind in ("tweets", "labels", "prices"):
+        paths[kind] = tmp_path / os.path.basename(sample_paths[kind])
+        shutil.copyfile(sample_paths[kind], paths[kind])
+    paths["annotations"] = tmp_path / "annotations.tsv"
+    paths["annotations"].write_text("P\tP\nN\tO\nO\tO\n")
+    return paths
+
+
+def _argv(paths, command, out):
+    if command == "agreement":
+        return ["agreement", "--labels", str(paths["annotations"])]
+    return ["train-eval", "--lexicons", str(paths["lexicons"]), "--tweets", str(paths["tweets"]),
+            "--labels", str(paths["labels"]), "--prices", str(paths["prices"]),
+            "--warmup", "10", "--learner", "nb", "--single", "--out", str(out)]
+
+
+@pytest.mark.parametrize(
+    "kind, line",
+    [
+        ("lexicons", b"caf\xe9\tpos"),
+        ("labels", b"t000\t9\tSAN\t\xe9"),
+        ("annotations", b"P\t\xe9"),
+        ("tweets", b'{"id": "t999", "created_at": "2019-08-05T09:15:00", "text": "caf\xe9"}'),
+        ("prices", b"SAN,2019-08-05,1\xe9"),
+    ],
+)
+def test_non_utf8_input_is_refused_by_path_and_line(sample_paths, tmp_path, capsys, kind, line):
+    paths = _input_copies(sample_paths, tmp_path)
+    path = paths["lexicons"] / "polarity.tsv" if kind == "lexicons" else paths[kind]
+    first, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(first + b"\n" + line + b"\n" + rest)
+    command = "agreement" if kind == "annotations" else "train-eval"
+    assert main(_argv(paths, command, tmp_path / "out")) == 1
+    column = line.index(b"\xe9") + 1
+    assert capsys.readouterr().err.endswith(
+        f"error: {path}:2: not UTF-8: byte 0xe9 at character {column}\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["train-eval", "agreement"])
+def test_crlf_inputs_read_as_lf(sample_paths, tmp_path, capsys, command):
+    # every input file with CRLF line ends gives the same output
+    outputs = []
+    for ends in ("lf", "crlf"):
+        paths = _input_copies(sample_paths, tmp_path / ends)
+        if ends == "crlf":
+            files = [*paths["lexicons"].iterdir(), *(paths[k] for k in paths if k != "lexicons")]
+            for path in files:
+                path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        out = tmp_path / ends / "out"
+        assert main(_argv(paths, command, out)) == 0
+        artifacts = sorted(out.iterdir()) if command == "train-eval" else []
+        outputs.append((capsys.readouterr().out, [(a.name, a.read_bytes()) for a in artifacts]))
+    assert outputs[0] == outputs[1]
+
+
 def test_build_instances_covers_all_replicas(sample_paths):
     lx = load_lexicons(sample_paths["lexicons"])
     tweets = read_tweets(sample_paths["tweets"])
@@ -313,6 +375,17 @@ def test_bad_config_refused_without_traceback(tmp_path, capsys, text, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(config_file) in err
     assert re.search(message, err), err
+
+
+def test_non_utf8_config_refused_as_bad_yaml_and_crlf_read_as_lf(tmp_path, capsys):
+    config_file = tmp_path / "run.yaml"
+    config_file.write_bytes(b"learner: nb\r\nwarmup: 7\r\n")
+    cfg = PipelineConfig.from_yaml(str(config_file))
+    assert (cfg.learner, cfg.warmup) == ("nb", 7)
+    config_file.write_bytes(b"learner: nb\n# caf\xe9\n")
+    assert main(["train-eval", "--config", str(config_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config_file}: bad YAML: ") and "Traceback" not in err
 
 
 def test_main_exit_codes(sample_paths, tmp_path, capsys):

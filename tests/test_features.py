@@ -150,7 +150,7 @@ def test_bow_hits_equal_entry_scan(tokens, bows):
         char_vocab={}, word_vocab={}, wordbound_vocab={},
         bow_pre=bows[0], bow_neu=bows[1], bow_opp=bows[2],
     )
-    seg = ProcessedSegment(tweet_id="t", focus="X", tokens=tuple(tokens), raw_len=0)
+    seg = ProcessedSegment(tokens=tuple(tokens), raw_len=0)
     fv = vectorize(seg, vm, (0,) * N_NUMERIC, False)
     assert fv.dense[BOW_COLUMNS].tolist() == _scan_bow_hits(tokens, vm)
 
@@ -219,8 +219,8 @@ _LABELS = [label for _, label in _DOCS]
 
 def _corpus():
     return [
-        ProcessedSegment(tweet_id=f"d{i}", focus="X", tokens=tuple(text.split()), raw_len=len(text))
-        for i, (text, _) in enumerate(_DOCS)
+        ProcessedSegment(tokens=tuple(text.split()), raw_len=len(text))
+        for text, _ in _DOCS
     ]
 
 
@@ -609,7 +609,7 @@ _NUMERIC = (0,) * N_NUMERIC
 
 
 def _processed(tokens):
-    return ProcessedSegment(tweet_id="t", focus="", tokens=tuple(tokens), raw_len=0)
+    return ProcessedSegment(tokens=tuple(tokens), raw_len=0)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

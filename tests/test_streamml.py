@@ -32,8 +32,7 @@ from finemo.streamml import (
     POISSON_BATCH,
     _BatchedPoisson,
     _DriftMonitor,
-    _LeafNode,
-    _SplitNode,
+    _Node,
     enumerate_grid,
     grid_search,
     learner_args,
@@ -42,7 +41,7 @@ from finemo.streamml import (
     save_model,
 )
 from finemo.synthetic import make_planted_stream
-from tests.test_tree_golden import FOREST, _drifting_stream
+from tests.test_tree_golden import FOREST, _drifting_stream, _models, _trees
 
 P, N, O = EmotionLabel.PRECAUTION, EmotionLabel.NEUTRAL, EmotionLabel.OPPORTUNITY
 
@@ -362,7 +361,7 @@ def test_tree_never_splits_on_constant_features():
     fv = make_fv(numeric=[1] * N_NUMERIC)
     for i in range(100):
         tree.partial_fit(fv, P if i % 2 else O)
-    assert isinstance(tree._root, _LeafNode)
+    assert tree._root.left is None
 
 
 def test_tree_delta_one_splits_at_first_check():
@@ -372,7 +371,7 @@ def test_tree_delta_one_splits_at_first_check():
     tree = HoeffdingTreeClassifier(delta=1.0, grace_period=10)
     for fv, label in stream:
         tree.partial_fit(fv, label)
-    assert not isinstance(tree._root, _LeafNode)
+    assert tree._root.left is not None
 
 
 def test_tree_subspace_needs_an_rng():
@@ -395,6 +394,42 @@ def test_tree_observer_caps_distinct_values():
         numeric[0] = i
         tree.partial_fit(make_fv(numeric=numeric), P)
     assert len(tree._root.observers[3]) <= 64
+
+
+def _nodes(node):
+    if node.left is None:
+        return [node]
+    return [node, *_nodes(node.left), *_nodes(node.right)]
+
+
+def test_split_node_keeps_no_observers(monkeypatch):
+    # a leaf splits in place and drops its observers; every leaf observes
+    # exactly the subspace it was made with: sorted distinct features of the
+    # tree's subspace size, all of them without one
+    subspaces = {}  # id of a leaf -> its features when made
+    new_leaf = HoeffdingTreeClassifier._new_leaf
+
+    def recording_new_leaf(self):
+        leaf = new_leaf(self)
+        subspaces[id(leaf)] = sorted(set(leaf.observers))
+        return leaf
+
+    monkeypatch.setattr(HoeffdingTreeClassifier, "_new_leaf", recording_new_leaf)
+    stream = _drifting_stream()
+    for name, model in _models().items():
+        for fv, label in stream:
+            model.partial_fit(fv, label)
+        n_splits = 0
+        for tree in _trees(model):
+            size = tree.subspace_size if tree.subspace_size is not None else N_DENSE
+            for node in _nodes(tree._root):
+                if node.left is None:
+                    assert list(node.observers) == subspaces[id(node)], name
+                    assert len(node.observers) == size, name
+                else:
+                    n_splits += 1
+                    assert node.observers is None and node.right is not None, name
+        assert n_splits >= len(_trees(model)), name
 
 
 @pytest.mark.parametrize("classes", [CLASS_ORDER, (P, N), (O, N)])
@@ -441,7 +476,7 @@ def test_tree_refuses_a_negative_or_non_finite_weight(weight):
 
 
 def _leaves(node):
-    if isinstance(node, _LeafNode):
+    if node.left is None:
         return [node]
     return _leaves(node.left) + _leaves(node.right)
 
@@ -529,13 +564,13 @@ def test_forest_unit_weights_when_lambda_none():
     for tree in forest._trees:
         assert tree.n_seen == 100
         node = tree._root
-        while not isinstance(node, _LeafNode):
+        while node.left is not None:
             node = node.left
         # class counts across the frontier sum to the stream length
     counts = []
 
     def collect(node, acc):
-        if isinstance(node, _LeafNode):
+        if node.left is None:
             acc.append(sum(node.class_counts))
         else:
             collect(node.left, acc)
@@ -571,7 +606,7 @@ def test_forest_drift_replaces_trees():
 
 
 def _n_splits(node):
-    if isinstance(node, _LeafNode):
+    if node.left is None:
         return 0
     return 1 + _n_splits(node.left) + _n_splits(node.right)
 
@@ -586,7 +621,7 @@ def _leaf_majority(tree, fv):
     first on ties, found by a descent of its own."""
     x = fv.dense.tolist()
     node = tree._root
-    while isinstance(node, _SplitNode):
+    while node.left is not None:
         node = node.left if x[node.feature] <= node.threshold else node.right
     return tree.classes[int(np.argmax(node.class_counts))]
 
@@ -738,18 +773,18 @@ def test_split_search_matches_numpy_loop_bit_for_bit(leaf, delta):
     got = _best_splits(counts, observers)
     assert [(float(g).hex(), f, v) for g, f, v in got] == [(float(g).hex(), f, v) for g, f, v in want]
     tree = HoeffdingTreeClassifier(classes=classes, delta=delta)
-    root = _LeafNode(len(classes), sorted(observers))
+    root = _Node(len(classes), sorted(observers))
     root.class_counts, root.observers = list(counts), observers
     tree._root = root
-    tree._attempt_split(root, None, None)
+    tree._attempt_split(root)
     decision = _loop_split_decision(tree, counts, observers)
+    assert tree._root is root  # a split happens in place
     if decision is None:
-        assert tree._root is root
+        assert root.left is None and root.observers is observers
     else:
-        split = tree._root
-        assert (split.feature, split.threshold) == decision[:2]
-        assert split.left.class_counts == decision[2]
-        assert split.right.class_counts == decision[3]
+        assert (root.feature, root.threshold) == decision[:2]
+        assert root.left.class_counts == decision[2]
+        assert root.right.class_counts == decision[3]
 
 
 def test_split_attempt_makes_one_log2_call(monkeypatch):
@@ -757,15 +792,15 @@ def test_split_attempt_makes_one_log2_call(monkeypatch):
     log2 = np.log2
     monkeypatch.setattr(np, "log2", lambda a: calls.append(len(a)) or log2(a))
     tree = HoeffdingTreeClassifier()
-    pure, mixed = _LeafNode(3, [0, 1]), _LeafNode(3, [0, 1])
+    pure, mixed = _Node(3, [0, 1]), _Node(3, [0, 1])
     pure.class_counts = [6.0, 0.0, 0.0]
     mixed.class_counts = [3.0, 2.0, 1.0]
     observers = {0: {0.0: [3.0, 0.0, 0.0], 1.0: [0.0, 2.0, 1.0]}, 1: {0.0: [3.0, 2.0, 1.0]}}
     mixed.observers = observers
     pure.observers = {0: {0.0: [3.0, 0.0, 0.0], 1.0: [3.0, 0.0, 0.0]}, 1: {}}
-    tree._attempt_split(pure, None, None)
+    tree._attempt_split(pure)
     assert calls == []
-    tree._attempt_split(mixed, None, None)
+    tree._attempt_split(mixed)
     # the parent's three probabilities, then one per class on each side of 0.0
     assert calls == [3 + 1 + 2]
 
@@ -787,7 +822,7 @@ def test_forest_votes_equal_per_tree_predict_label(reference):
         assert forest._votes(fv) == list(expected.values())
         assert forest.predict_label(fv) is _argmax_label(expected, forest.classes)
         voted += bool(fitted)
-        split += any(isinstance(tree._root, _SplitNode) for tree in fitted)
+        split += any(tree._root.left is not None for tree in fitted)
         forest.partial_fit(fv, label)
     assert voted == 999 and split > 500 and forest.n_resets > 0
 
@@ -799,10 +834,9 @@ class _ReferenceTree(HoeffdingTreeClassifier):
     def partial_fit(self, fv, label, weight=1.0):
         x = fv.dense.tolist()
         self.n_seen += 1
-        node, parent, side = self._root, None, None
-        while isinstance(node, _SplitNode):
-            parent, side = node, x[node.feature] <= node.threshold
-            node = node.left if side else node.right
+        node = self._root
+        while node.left is not None:
+            node = node.left if x[node.feature] <= node.threshold else node.right
         ci = self.classes.index(label)
         node.class_counts[ci] += weight
         node.n_since += weight
@@ -817,12 +851,12 @@ class _ReferenceTree(HoeffdingTreeClassifier):
             stats[ci] += weight
         if node.n_since >= self.grace_period:
             node.n_since = 0.0
-            self._attempt_split(node, parent, side)
+            self._attempt_split(node)
 
     def predict_label(self, fv):
         x = fv.dense.tolist()
         node = self._root
-        while isinstance(node, _SplitNode):
+        while node.left is not None:
             node = node.left if x[node.feature] <= node.threshold else node.right
         return self.classes[int(np.argmax(node.class_counts))]
 
@@ -831,15 +865,17 @@ class _ReferenceForest(AdaptiveRandomForestClassifier):
     """The forest's fit loop before one descent per tree: per tree,
     predict_label for the drift check, the monitor (and a reset), one scalar
     Poisson draw, then partial_fit; every tree is a _ReferenceTree, and the
-    vote is the argmax of a dict of the trees' predict_label."""
+    vote is the argmax of a dict of the trees' predict_label. The weights are
+    scalar draws on the generator under each tree's ``_BatchedPoisson``, whose
+    batch so stays empty and whose ``choice`` is the generator's."""
 
-    def _new_tree(self, k):
+    def _new_tree(self, rng):
         return _ReferenceTree(
             classes=self.classes,
             delta=self.delta,
             grace_period=self.grace_period,
             subspace_size=self.subspace_size if self.subspace_size < N_DENSE else None,
-            rng=self._draws[k].rng,
+            rng=rng,
         )
 
     def predict_label(self, fv):
@@ -855,10 +891,10 @@ class _ReferenceForest(AdaptiveRandomForestClassifier):
             if self.drift_detection and tree.n_seen > 0:
                 err = tree.predict_label(fv) != label
                 if self._monitors[k].add(err):
-                    self._trees[k] = tree = self._new_tree(k)
+                    self._trees[k] = tree = self._new_tree(tree.rng)
                     self._monitors[k] = _DriftMonitor()
                     self.n_resets += 1
-            w = 1.0 if self.lam is None else float(self._draws[k].rng.poisson(self.lam))
+            w = 1.0 if self.lam is None else float(tree.rng.rng.poisson(self.lam))
             if w > 0:
                 tree.partial_fit(fv, label, weight=w)
 
@@ -866,7 +902,7 @@ class _ReferenceForest(AdaptiveRandomForestClassifier):
 def _node_state(node):
     """Pre-order splits and leaves; a leaf with its features, class counts,
     weight since the last split attempt and observer stats in key order."""
-    if isinstance(node, _SplitNode):
+    if node.left is not None:
         return [("split", node.feature, node.threshold), *_node_state(node.left), *_node_state(node.right)]
     observers = [
         (f, [(v, [float(w) for w in stats]) for v, stats in per_value.items()])
@@ -894,7 +930,7 @@ def _forest_state(forest, trees=True):
         forest.n_resets,
         [tree.n_seen for tree in forest._trees],
         monitors,
-        [_consumed_state(draws) for draws in forest._draws],
+        [_consumed_state(tree.rng) for tree in forest._trees],
     ]
     if trees:
         state.append([_node_state(tree._root) for tree in forest._trees])
@@ -1361,12 +1397,14 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_version_check(tmp_path):
-    # version 1 trees had no cached leaf majority and version 1 forests no
-    # batched Poisson draws: such a learner would fail on its first call
+    # version 1 trees had no cached leaf majority, version 1 forests no
+    # batched Poisson draws, and version 2 trees had two node types and
+    # forests a separate list of weight streams: such a learner would fail
+    # on its first call
     path = str(tmp_path / "bad.bin")
-    for version in (999, 1):
+    for version in (999, 1, 2):
         with open(path, "wb") as fh:
             pickle.dump({"format_version": version, "model": HoeffdingTreeClassifier()}, fh)
         with pytest.raises(ValueError, match=f"^unsupported checkpoint format version: {version}$"):
             load_model(path)
-    assert CHECKPOINT_FORMAT_VERSION == 2
+    assert CHECKPOINT_FORMAT_VERSION == 3

@@ -60,7 +60,6 @@ def test_full_normalization_golden(lx):
         "OTHER_TICKER", "mayor", "caída",
     )
     assert ps.raw_len == len(replica.text)
-    assert ps.focus == "BKIA"
 
 
 def test_tag_numbers_cases():

@@ -17,7 +17,6 @@ from finemo.segmenter import EmotionLabel
 from finemo.streamml import (
     AdaptiveRandomForestClassifier,
     HoeffdingTreeClassifier,
-    _LeafNode,
     make_stacked,
 )
 from finemo.synthetic import make_planted_stream
@@ -66,7 +65,7 @@ def _trees(model):
 
 def _shape(node, out):
     """Pre-order: split (feature, threshold) and leaf class counts."""
-    if isinstance(node, _LeafNode):
+    if node.left is None:
         out.append(f"leaf {list(node.class_counts)!r}")
         return 0
     out.append(f"split {node.feature} {node.threshold!r}")

@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import datetime
 from itertools import islice
 from typing import get_args, get_type_hints
@@ -256,12 +256,13 @@ def _check_run(cfg: PipelineConfig) -> None:
 class FeatureStream:
     """tweets -> instances -> (instance, feature vector), in arrival order.
 
-    The lexicons, labels and prices named by ``cfg`` are read once. The
-    vocabulary, and with ``cfg.percentile`` the chi-squared mask, is fitted
-    on the first ``cfg.warmup`` instances; that window is the only part of
-    the stream held in memory. Iterating yields the warmup pairs, then the
-    rest of the stream. ``default_trends`` counts the instances, so far,
-    whose trend fell back to downward for want of a closing price.
+    The lexicons, labels, prices and tweets (sorted by time) that ``cfg``
+    names are read once and held for the run. The vocabulary, and with
+    ``cfg.percentile`` the chi-squared mask, is fitted on the first
+    ``cfg.warmup`` instances, whose pairs are held too; the rest are built
+    and vectorized ``BLOCK`` at a time. Iterating yields the warmup pairs,
+    then the rest. ``default_trends`` counts the instances, so far, whose
+    trend fell back to downward for want of a closing price.
     """
 
     def __init__(self, cfg: PipelineConfig):
@@ -296,8 +297,8 @@ class FeatureStream:
                 [CLASS_ORDER.index(inst.label) for inst, _ in self.warmup],
                 self.vm.total_dim,
             )
-            mask = self.vm.selection_mask = select_percentile(scores, cfg.percentile)
-            self.warmup = [(inst, fv.masked(mask)) for inst, fv in self.warmup]
+            self.vm = replace(self.vm, selection_mask=select_percentile(scores, cfg.percentile))
+            self.warmup = [(inst, fv.masked(self.vm.selection_mask)) for inst, fv in self.warmup]
 
     def _vectorize(self, inst: Instance) -> FeatureVector:
         numeric = extract_numeric(inst.processed, inst.tagged_text, self.lx)

@@ -6,7 +6,8 @@ This module alone spells out the hybrid feature vector's column layout,
   BOW_COLUMNS     - three per-emotion BOW hit counters
   NUMERIC_COLUMNS - 20 integer counters (see NUMERIC_NAMES)
   TREND_COLUMN    - upward (1) / downward (0) price movement around post time
-The n-grams and the BOW counters are the count columns.
+The n-grams and the BOW counters are the count columns. A vector keeps the
+count tables of the (frozen) model that built it; set a mask with ``replace``.
 """
 
 from __future__ import annotations
@@ -99,19 +100,15 @@ def charwb_ngrams(tokens: list[str], n_min: int, n_max: int) -> list[str]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class VocabularyModel:
     """Fitted vocabularies, per-emotion BOW lists and the selection mask.
 
-    ``bow_index`` maps each BOW entry to the position in CLASS_ORDER of
-    every list that holds it, once per occurrence. It is built with the
-    model, so change the BOW lists with ``dataclasses.replace``.
-
-    ``ngram_memo()`` keeps the retained n-gram columns of each token for
-    ``vectorize``. It holds for one selection mask object: assign a new
-    mask (or None) to ``selection_mask`` rather than change the set in
-    place. Change the vocabularies and the n-gram range with
-    ``dataclasses.replace``, which starts an empty memo.
+    A fixed value: ``dataclasses.replace`` with a new mask, BOW lists or
+    vocabularies makes a new model, whose derived state is built on first
+    use and kept as long as the model: ``bow_index``, the ``count_tables``
+    that number and select the n-gram columns, and the ``ngram_memo``. A
+    vector keeps the tables and the memo of the model that built it.
     """
 
     char_vocab: dict[str, int]
@@ -126,19 +123,35 @@ class VocabularyModel:
     def __post_init__(self):
         if self.ngram_range[0] < 1:
             raise VocabularyError(f"n-grams must be at least 1 long, got {self.ngram_range}")
-        self.bow_index: dict[str, list[int]] = {}
+
+    @cached_property
+    def bow_index(self) -> dict[str, list[int]]:
+        """Each BOW entry's positions in CLASS_ORDER, once per list holding it."""
+        index: dict[str, list[int]] = {}
         for k, bow in enumerate((self.bow_pre, self.bow_neu, self.bow_opp)):
             for entry in bow:
-                self.bow_index.setdefault(entry, []).append(k)
-        self._memo_mask, self._memo = self.selection_mask, {}
+                index.setdefault(entry, []).append(k)
+        return index
 
+    @cached_property
+    def count_tables(self) -> tuple[dict[str, int], dict[str, int], dict[str, int]]:
+        """Char, word and within-word tables from n-gram to global column,
+        each holding only the columns ``selection_mask`` keeps (all without
+        a mask). Unmasked, the char table is ``char_vocab`` itself."""
+        mask, offset, tables = self.selection_mask, 0, []
+        for vocab in (self.char_vocab, self.word_vocab, self.wordbound_vocab):
+            if mask is None and offset == 0:
+                tables.append(vocab)
+            else:
+                pairs = ((gram, offset + i) for gram, i in vocab.items())
+                tables.append({g: c for g, c in pairs if mask is None or c in mask})
+            offset += len(vocab)
+        return tuple(tables)
+
+    @cached_property
     def ngram_memo(self) -> dict[str, tuple]:
-        """The per-token n-gram column memo for the selection mask in force
-        now; under a different mask object than the last call's, an empty
-        one. It is cleared at ``MEMO_SIZE`` entries."""
-        if self._memo_mask is not self.selection_mask:
-            self._memo_mask, self._memo = self.selection_mask, {}
-        return self._memo
+        """``_token_columns`` by token, cleared at ``MEMO_SIZE`` entries."""
+        return {}
 
     @property
     def n_text_columns(self) -> int:
@@ -450,58 +463,51 @@ def compute_trend(ticker: str, post_time: datetime, prices: PriceSeries) -> bool
 
 def _token_columns(
     token: str,
-    vocabs: tuple[dict[str, int], dict[str, int], dict[str, int]],
+    tables: tuple[dict[str, int], dict[str, int], dict[str, int]],
     ngram_range: tuple[int, int],
-    mask: set[int] | None,
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
-    """The vocabulary indices, in counting order and kept by ``mask``, of
-    the n-grams that ``token`` alone makes: its char n-grams for each n, its
-    word unigram and its within-word n-grams. Indices, not global columns:
-    they are the vocabularies' own int objects, so a memo entry makes no
-    new ints."""
+    """The columns in ``tables``, in counting order, of the n-grams that
+    ``token`` alone makes: its char n-grams for each n, its word unigram and
+    its within-word n-grams. They are the tables' own int objects, so a memo
+    entry makes no new ints."""
     n_min, n_max = ngram_range
-    char_vocab, word_vocab, wordbound_vocab = vocabs
+    char_table, word_table, wordbound_table = tables
 
-    def indices(grams, vocab, offset):
-        found = [i for i in map(vocab.get, grams) if i is not None]
-        return tuple(found if mask is None else [i for i in found if offset + i in mask])
+    def columns(grams, table):
+        return tuple([c for c in map(table.get, grams) if c is not None])
 
-    word_offset = len(char_vocab)
     return (
-        tuple(indices(char_ngrams(token, n, n), char_vocab, 0) for n in range(n_min, n_max + 1)),
-        indices([token] if n_min == 1 <= n_max else [], word_vocab, word_offset),
-        indices(
-            charwb_ngrams([token], n_min, n_max), wordbound_vocab, word_offset + len(word_vocab)
-        ),
+        tuple(columns(char_ngrams(token, n, n), char_table) for n in range(n_min, n_max + 1)),
+        columns([token] if n_min == 1 <= n_max else [], word_table),
+        columns(charwb_ngrams([token], n_min, n_max), wordbound_table),
     )
 
 
 def _count_ngrams(
     seg: ProcessedSegment,
-    vocabs: tuple[dict[str, int], dict[str, int], dict[str, int]],
+    tables: tuple[dict[str, int], dict[str, int], dict[str, int]],
     ngram_range: tuple[int, int],
-    mask: set[int] | None,
     memo: dict[str, tuple],
 ) -> dict[int, float]:
-    """Nonzero n-gram counts of ``seg`` by global column, each column in
-    the order of its first occurrence; with a ``mask``, only the columns it
-    retains.
+    """Nonzero n-gram counts of ``seg`` by the global column that
+    ``tables`` give (``VocabularyModel.count_tables``), each column in the
+    order of its first occurrence.
 
     ``memo`` maps a casefolded token to its ``_token_columns`` under these
-    vocabularies, n-gram range and mask; a missing token is added, and the
-    memo is cleared at ``MEMO_SIZE`` entries. Only the n-grams that span
-    tokens are looked up here: char n-grams that start in a token's last
-    n - 1 characters or on the space after it, and word n-grams with n >= 2.
+    tables and n-gram range; a missing token is added, and the memo is
+    cleared at ``MEMO_SIZE`` entries. Only the n-grams that span tokens are
+    looked up here: char n-grams that start in a token's last n - 1
+    characters or on the space after it, and word n-grams with n >= 2.
     """
     tokens = _norm_tokens(seg)
     entries = []
     for token in tokens:
         entry = memo.get(token)
         if entry is None:
-            entry = remember(memo, token, _token_columns(token, vocabs, ngram_range, mask))
+            entry = remember(memo, token, _token_columns(token, tables, ngram_range))
         entries.append(entry)
     n_min, n_max = ngram_range
-    char_vocab, word_vocab, _ = vocabs
+    char_table, word_table, _ = tables
     counts: dict[int, float] = {}
     get = counts.get
     # a column enters at its first occurrence, by kind, then n, then
@@ -514,25 +520,19 @@ def _count_ngrams(
                 counts[key] = get(key, 0.0) + 1.0
             end = start + len(token)
             for i in range(max(start, end - n + 1), min(end, last) + 1):
-                key = char_vocab.get(text[i : i + n])
-                if key is not None and (mask is None or key in mask):
+                key = char_table.get(text[i : i + n])
+                if key is not None:
                     counts[key] = get(key, 0.0) + 1.0
             start = end + 1
-    offset = len(char_vocab)
     for entry in entries:
-        for idx in entry[1]:
-            key = offset + idx
+        for key in entry[1]:
             counts[key] = get(key, 0.0) + 1.0
     for gram in word_ngrams(tokens, max(n_min, 2), n_max):
-        idx = word_vocab.get(gram)
-        if idx is not None:
-            key = offset + idx
-            if mask is None or key in mask:
-                counts[key] = get(key, 0.0) + 1.0
-    offset += len(word_vocab)
+        key = word_table.get(gram)
+        if key is not None:
+            counts[key] = get(key, 0.0) + 1.0
     for entry in entries:
-        for idx in entry[2]:
-            key = offset + idx
+        for key in entry[2]:
             counts[key] = get(key, 0.0) + 1.0
     return counts
 
@@ -546,7 +546,7 @@ def vectorize(
     """Map one processed segment onto the hybrid feature space.
 
     The dense block is built now. The n-gram counts are counted on their
-    first read, with the vocabularies and the selection mask in force now.
+    first read, with the count tables and the memo of ``vm``.
     """
     if vm is None:
         raise VocabularyError("vocabulary model not fitted")
@@ -557,12 +557,10 @@ def vectorize(
             hits[k] += 1
     dense = np.array([*hits, *numeric, trend], dtype=float)
     n_text = vm.n_text_columns
-    mask = vm.selection_mask
-    if mask is not None:
-        dense = _masked_dense(dense, n_text, mask)
-    vocabs = (vm.char_vocab, vm.word_vocab, vm.wordbound_vocab)
+    if vm.selection_mask is not None:
+        dense = _masked_dense(dense, n_text, vm.selection_mask)
     # the segment, not its casefolded tokens: a block of vectors waiting
     # for their first read then holds no copies of the tokens
     return FeatureVector(
-        partial(_count_ngrams, seg, vocabs, vm.ngram_range, mask, vm.ngram_memo()), dense, n_text
+        partial(_count_ngrams, seg, vm.count_tables, vm.ngram_range, vm.ngram_memo), dense, n_text
     )

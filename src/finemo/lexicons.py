@@ -176,10 +176,10 @@ class DeleteIndex:
 
 def text_lines(path: str, newline: str | None = None) -> Iterator[tuple[int, str]]:
     """(line number, line) for every line of the UTF-8 file at ``path``, as
-    ``open(path, encoding="utf-8", newline=newline)`` reads them. A line that
-    is not UTF-8 raises ``EncodingError`` naming ``path:line``: each bad byte
-    decodes to a lone surrogate, which valid UTF-8 never gives."""
-    with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+    ``open(path, encoding="utf-8-sig", newline=newline)`` reads them, with no
+    leading byte-order mark. A line that is not UTF-8 raises ``EncodingError``
+    naming ``path:line``: each bad byte decodes to a lone surrogate."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline=newline) as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 line.encode("utf-8")

@@ -74,7 +74,6 @@ class Segment:
     ``text``. ``focus`` is set by replicate_per_asset.
     """
 
-    tweet_id: str
     text: str
     assets: tuple[tuple[str, tuple[int, int]], ...]
     focus: str | None = None
@@ -190,7 +189,7 @@ def segment_tweet(tweet: RawTweet, lx: LexiconSet) -> list[Segment]:
     """Full segmentation of one tweet; only asset-bearing segments remain."""
     clauses = [(c, find_assets(c, lx)) for c in segment_clauses(tweet.text)]
     return [
-        Segment(tweet_id=tweet.id, text=text, assets=tuple(assets))
+        Segment(text=text, assets=tuple(assets))
         for group in group_forward(clauses)
         for text, assets in split_asset_lists(group)
         if assets

@@ -296,6 +296,31 @@ def test_non_utf8_input_is_refused_by_path_and_line(sample_paths, tmp_path, caps
     )
 
 
+_READERS = {
+    "lexicons": load_lexicons,
+    "labels": read_labels,
+    "tweets": read_tweets,
+    "prices": lambda path: PriceSeries.from_csv(path).closes,
+}
+
+
+@pytest.mark.parametrize("kind", ["lexicons", "labels", "annotations", "tweets", "prices"])
+def test_utf8_byte_order_mark_is_dropped(sample_paths, tmp_path, capsys, kind):
+    # each input kind reads the same with a leading BOM as without it
+    results = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        paths = _input_copies(sample_paths, tmp_path / f"bom-{len(bom)}")
+        files = list(paths["lexicons"].iterdir()) if kind == "lexicons" else [paths[kind]]
+        for path in files:
+            path.write_bytes(bom + path.read_bytes())
+        if kind == "annotations":
+            assert main(_argv(paths, "agreement", None)) == 0
+            results.append(capsys.readouterr().out)
+        else:
+            results.append(_READERS[kind](str(paths[kind])))
+    assert results[0] == results[1]
+
+
 @pytest.mark.parametrize("command", ["train-eval", "agreement"])
 def test_crlf_inputs_read_as_lf(sample_paths, tmp_path, capsys, command):
     # every input file with CRLF line ends gives the same output

@@ -1,7 +1,7 @@
 import contextlib
 import io
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from datetime import date, datetime
 from itertools import islice
 from unittest import mock
@@ -78,7 +78,7 @@ SAMPLE_2_EXPECTED = {
 
 
 def _numeric_for_text(text, lx, focus="IBEX35"):
-    seg = Segment(tweet_id="t", text=text, assets=tuple(find_assets(text, lx)))
+    seg = Segment(text=text, assets=tuple(find_assets(text, lx)))
     (replica,) = [r for r in replicate_per_asset(seg) if r.focus == focus]
     # the published profiles count LEN_TWEET on the text as posted, before
     # its tickers were tagged
@@ -302,7 +302,7 @@ def test_selection_mask_filters_all_blocks():
     corpus = _corpus()
     vm = fit_vocabularies(corpus, min_df=0.0, max_df=1.0, labels=_LABELS)
     keep_numeric = vm.n_text_columns + 3 + 2
-    vm.selection_mask = {0, 1, keep_numeric}  # drops trend and most columns
+    vm = replace(vm, selection_mask={0, 1, keep_numeric})  # drops trend and most columns
     fv = vectorize(corpus[0], vm, tuple(range(N_NUMERIC)), True)
     assert set(_counts(fv)) <= {0, 1}
     assert fv.dense[NUMERIC_COLUMNS][2] == 2
@@ -312,7 +312,7 @@ def test_selection_mask_filters_all_blocks():
 
 def test_vocabulary_json_round_trip():
     vm = fit_vocabularies(_corpus(), min_df=0.0, max_df=1.0, labels=_LABELS)
-    vm.selection_mask = {1, 5, 9}
+    vm = replace(vm, selection_mask={1, 5, 9})
     back = VocabularyModel.from_json(vm.to_json())
     assert back.char_vocab == vm.char_vocab
     assert back.word_vocab == vm.word_vocab
@@ -364,7 +364,7 @@ def test_items_reconstruct_dense_blocks(values, trend):
 
 def test_marks_and_lexicon_counters(lx):
     text = "¡Cuidado! ¿Sube el ebitda? miedo y alegría, no posiblemente"
-    seg = Segment(tweet_id="t", text=text, assets=(("BBVA", (0, 1)),), focus="BBVA")
+    seg = Segment(text=text, assets=(("BBVA", (0, 1)),), focus="BBVA")
     ps = process(seg, lx)
     numeric = dict(zip(NUMERIC_NAMES, extract_numeric(ps, text, lx)))
     assert numeric["EXCLAMATION"] == 2  # both ¡ and !
@@ -548,10 +548,10 @@ def test_deferred_counts_keep_the_mask_in_force_at_vectorize(sample_stream):
     eager = [_rebuild(_eager_vectorize, vm, inst, fv) for inst, fv in pairs]
     unmasked = [_rebuild(vectorize, vm, inst, fv) for inst, fv in pairs]
     # FeatureStream sets the mask after it has built the warmup vectors
-    vm.selection_mask = mask
+    vm = replace(vm, selection_mask=mask)
     eager_masked = [_rebuild(_eager_vectorize, vm, inst, fv) for inst, fv in pairs]
     masked = [_rebuild(vectorize, vm, inst, fv) for inst, fv in pairs]
-    vm.selection_mask = None  # nor does clearing it unmask the later ones
+    vm = replace(vm, selection_mask=None)  # nor does clearing it unmask the later ones
     assert any(list(e.items()) != list(m.items()) for e, m in zip(eager, eager_masked))
     for got, want in [*zip(unmasked, eager), *zip(masked, eager_masked)]:
         _assert_same_vector(got, want)
@@ -621,7 +621,7 @@ def _processed(tokens):
 )
 def test_memoized_counts_equal_eager_vectorize(corpus, ngram_range, memo_size, data):
     pool = sorted({t for tokens in corpus for t in tokens})
-    vm = fit_vocabularies(
+    fitted = fit_vocabularies(
         [_processed(tokens) for tokens in corpus], ngram_range, max_df=1.0, min_df=0.0
     )
     segments = [_processed(tokens) for tokens in corpus]
@@ -633,20 +633,20 @@ def test_memoized_counts_equal_eager_vectorize(corpus, ngram_range, memo_size, d
             st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=8), max_size=4)
         )
     ]
-    columns = st.integers(0, vm.total_dim - 1)
+    columns = st.integers(0, fitted.total_dim - 1)
     mask_a, mask_b = data.draw(st.sets(columns)), data.draw(st.sets(columns))
     deferred = []
     # a memo smaller than a segment's distinct tokens overflows inside it
     with mock.patch("finemo.lexicons.MEMO_SIZE", memo_size):
         for mask in (None, mask_a, None, mask_b):
-            vm.selection_mask = mask
+            vm = replace(fitted, selection_mask=mask)
             for _ in ("cold", "warm"):
                 for seg in segments:
                     want = _eager_vectorize(seg, vm, _NUMERIC, False)
                     _assert_same_vector(vectorize(seg, vm, _NUMERIC, False), want)
-                    assert len(vm.ngram_memo()) <= memo_size
-            # counted after the mask has changed again, with the memo of
-            # the mask in force at vectorize
+                    assert len(vm.ngram_memo) <= memo_size
+            # counted after the next model has been made, with the tables
+            # and the memo of the model that built them
             deferred += [
                 (vectorize(seg, vm, _NUMERIC, False), _eager_vectorize(seg, vm, _NUMERIC, False))
                 for seg in segments
@@ -655,26 +655,58 @@ def test_memoized_counts_equal_eager_vectorize(corpus, ngram_range, memo_size, d
             _assert_same_vector(got, want)
 
 
-def test_count_ngrams_memo_follows_the_mask_object(sample_stream):
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_count_tables_hold_the_retained_columns(sample_stream, data):
+    vm, pairs = sample_stream
+    used = sorted({col for _, fv in pairs for col, _ in fv.items()})
+    drawn = data.draw(
+        st.sets(st.one_of(st.sampled_from(used), st.integers(0, vm.total_dim - 1)))
+    )
+    for mask in (None, drawn):
+        model = replace(vm, selection_mask=mask)
+        vocabs = (model.char_vocab, model.word_vocab, model.wordbound_vocab)
+        offset, found = 0, []
+        for table, vocab in zip(model.count_tables, vocabs):
+            for gram, column in table.items():
+                assert column == offset + vocab[gram]
+                assert mask is None or column in mask
+            found += table.values()
+            offset += len(vocab)
+        # every retained n-gram column, each in exactly one table
+        assert sorted(found) == [
+            col for col in range(model.n_text_columns) if mask is None or col in mask
+        ]
+        with pytest.raises(FrozenInstanceError):
+            model.selection_mask = drawn
+
+
+def test_replaced_model_starts_new_tables_and_an_empty_memo(sample_stream):
     vm, pairs = sample_stream
     vm = replace(vm)  # a model of this test's own, selection_mask None
     seg = pairs[0][0].processed
-    memo = vm.ngram_memo()
     vectorize(seg, vm, _NUMERIC, False).arrays
-    assert set(memo) == set(_norm_tokens(seg)) and vm.ngram_memo() is memo
-    mask = {col for col, _ in pairs[0][1].items()}
-    vm.selection_mask = mask
-    assert vm.ngram_memo() == {} and vm.ngram_memo() is vm.ngram_memo()
-    vm.selection_mask = set(mask)  # an equal set is another mask object
-    assert vm.ngram_memo() == {}
-    assert replace(vm).ngram_memo() is not vm.ngram_memo()
+    memo, tables = vm.ngram_memo, vm.count_tables
+    assert set(memo) == set(_norm_tokens(seg))
+    entries = dict(memo)
+    assert vm.ngram_memo is memo and vm.count_tables is tables
+    assert tables[0] is vm.char_vocab  # unmasked char indices are global columns
+    mask = set(sorted(col for col, _ in pairs[0][1].items())[::2])
+    masked = replace(vm, selection_mask=mask)
+    assert masked.ngram_memo == {}
+    assert not any(new is old for new, old in zip(masked.count_tables, tables))
+    vectorize(seg, masked, _NUMERIC, False).arrays
+    assert set(masked.ngram_memo) == set(memo) and masked.ngram_memo != memo
+    # the old model keeps its own tables and memo
+    assert vm.ngram_memo is memo and vm.count_tables is tables and memo == entries
+    assert replace(masked).ngram_memo == {}  # a copy under the same mask too
 
 
 def test_memos_never_exceed_the_bound(sample_paths):
     lx = load_lexicons(sample_paths["lexicons"])
     vm = fit_vocabularies([_processed(["mercado", "sube"])], max_df=1.0, min_df=0.0)
     memos = {
-        "corrections": lx.corrections, "splits": lx.splits, "n-grams": vm.ngram_memo()
+        "corrections": lx.corrections, "splits": lx.splits, "n-grams": vm.ngram_memo
     }
     peak = dict.fromkeys(memos, 0)
     # more distinct out-of-dictionary tokens than the bound, with repeats
@@ -685,7 +717,7 @@ def test_memos_never_exceed_the_bound(sample_paths):
     ]
     for start in range(0, len(words), 4):
         chunk = words[start : start + 6]
-        seg = Segment(tweet_id="t", text=" ".join(chunk), assets=(), focus=None)
+        seg = Segment(text=" ".join(chunk), assets=(), focus=None)
         vectorize(process(seg, lx), vm, _NUMERIC, False).arrays
         for name, memo in memos.items():
             assert len(memo) <= MEMO_SIZE, name

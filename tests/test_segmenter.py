@@ -116,7 +116,7 @@ def test_find_assets_spans(lx):
 
 def test_replicate_per_asset_tags_focus(lx):
     text = "Dice cosas de $BBVA que $SAN confirmará con $BBVA"
-    seg = Segment(tweet_id="t", text=text, assets=tuple(find_assets(text, lx)))
+    seg = Segment(text=text, assets=tuple(find_assets(text, lx)))
     replicas = replicate_per_asset(seg)
     assert [r.focus for r in replicas] == ["BBVA", "SAN"]
     assert replicas[0].text == f"Dice cosas de {FOCUS_TAG} que {OTHER_TAG} confirmará con {FOCUS_TAG}"
@@ -133,7 +133,7 @@ def test_tag_letters_in_raw_text_bear_no_asset(lx, word):
 
 def test_replicate_requires_assets():
     with pytest.raises(ValueError):
-        replicate_per_asset(Segment(tweet_id="t", text="hola", assets=()))
+        replicate_per_asset(Segment(text="hola", assets=()))
 
 
 WORDS = [
@@ -310,7 +310,7 @@ def _ref_segment_tweet(tweet, lx):
         for piece in _ref_split_asset_lists(group, lx):
             assets = find_assets(piece, lx)
             if assets:
-                segments.append(Segment(tweet_id=tweet.id, text=piece, assets=tuple(assets)))
+                segments.append(Segment(text=piece, assets=tuple(assets)))
     return segments
 
 

@@ -23,7 +23,7 @@ from finemo.textproc import (
 def _replicas(text, lx, focus):
     """``text`` as process() receives it: one replicate_per_asset replica per
     asset, or ``text`` itself with ``focus`` when it names no asset."""
-    seg = Segment(tweet_id="t", text=text, assets=tuple(find_assets(text, lx)), focus=focus)
+    seg = Segment(text=text, assets=tuple(find_assets(text, lx)), focus=focus)
     return replicate_per_asset(seg) if seg.assets else [seg]
 
 
@@ -136,7 +136,7 @@ def test_correction_reaches_two_insertions_past_the_longest_form():
 def test_process_inserts_focus_tag_when_missing(lx):
     # focus asset mentioned only via an alias the cleaner strips is not the
     # case here; force it by passing focus without a mention
-    seg = Segment(tweet_id="t", text="la banca sube", assets=(("BBVA", (0, 2)),), focus="BBVA")
+    seg = Segment(text="la banca sube", assets=(("BBVA", (0, 2)),), focus="BBVA")
     ps = process(seg, lx)
     assert ps.tokens[0] == "TICKER"
 

@@ -11,7 +11,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from finemo.cli import LEARNERS, PipelineConfig, run_pipeline
+from finemo.cli import PipelineConfig, run_pipeline
+from finemo.streamml import LEARNERS
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 

@@ -16,26 +16,12 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from finemo.evaluation import prequential_run
-from finemo.segmenter import CLASS_ORDER, EmotionLabel
-from finemo.streamml import (
-    AdaptiveRandomForestClassifier,
-    HoeffdingTreeClassifier,
-    SGDLinearClassifier,
-    StreamingNaiveBayes,
-    make_stacked,
-)
+from finemo.segmenter import EmotionLabel
+from finemo.streamml import LEARNERS, learner_args, make_learner
 from finemo.synthetic import make_planted_stream
 
-
-def factories(seed: int):
-    return {
-        "nb": lambda classes: StreamingNaiveBayes(classes=classes),
-        "dt": lambda classes: HoeffdingTreeClassifier(classes=classes, grace_period=50),
-        "rf": lambda classes: AdaptiveRandomForestClassifier(
-            classes=classes, n_estimators=10, grace_period=50, seed=seed
-        ),
-        "sgd": lambda classes: SGDLinearClassifier(classes=classes),
-    }
+# the trees try a split every 50 instances on these short streams
+LEARNER_ARGS = {"dt": {"grace_period": 50}, "rf": {"grace_period": 50}}
 
 
 def main() -> None:
@@ -52,9 +38,10 @@ def main() -> None:
         stream, _ = make_planted_stream(
             args.n, seed=args.seed, warmup=args.warmup, ablate_bow=ablate
         )
-        for name, factory in factories(args.seed).items():
+        for name in LEARNERS:
+            learner = {**learner_args(name, {}, args.seed), **LEARNER_ARGS.get(name, {})}
             for stacked in (False, True):
-                model = make_stacked(factory) if stacked else factory(CLASS_ORDER)
+                model = make_learner(name, learner, stacked)
                 t0 = time.time()
                 for fv, label in stream[: args.warmup]:
                     model.partial_fit(fv, label)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
@@ -50,23 +51,8 @@ from finemo.features import (
 from finemo.lexicons import EncodingError, LexiconError, data_lines, load_lexicons, text_lines
 from finemo.segmenter import CLASS_ORDER, EmotionLabel, RawTweet, replicate_per_asset, segment_tweet
 from finemo.selection import SelectionError, chi2_scores, correlation_report, select_percentile
-from finemo.streamml import (
-    RF_GRID,
-    SGD_GRID,
-    AdaptiveRandomForestClassifier,
-    HoeffdingTreeClassifier,
-    SGDLinearClassifier,
-    StreamingNaiveBayes,
-    grid_search,
-    learner_args,
-    make_stacked,
-    save_model,
-)
+from finemo.streamml import GRIDS, LEARNERS, grid_search, learner_args, make_learner, save_model
 from finemo.textproc import ProcessedSegment, process
-
-LEARNERS = {"nb": StreamingNaiveBayes, "dt": HoeffdingTreeClassifier,
-            "rf": AdaptiveRandomForestClassifier, "sgd": SGDLinearClassifier}
-GRIDS = {"rf": RF_GRID, "sgd": SGD_GRID}
 
 # Instances after the warmup window are built and vectorized in blocks of this
 # size: interleaving vectorize and learn per instance costs tree learners locality.
@@ -89,11 +75,11 @@ class PipelineConfig:
     labels: str | None = None
     out: str = "out"
     warmup: int = 1000
-    learner: str = "rf"  # a key of LEARNERS
+    learner: str = "rf"  # a key of streamml.LEARNERS
     stacked: bool = True
     seed: int = 0
     percentile: int = 0  # 0 disables chi2 percentile selection
-    grid: bool = False  # warmup grid search over GRIDS[learner]
+    grid: bool = False  # warmup grid search over streamml.GRIDS[learner]
     ngram_min: int = 1
     ngram_max: int = 4
     max_df: float = 0.5
@@ -129,9 +115,16 @@ class PipelineConfig:
         return cls(**data)
 
 
+# ISO 8601 extended form; fromisoformat reads more from Python 3.11 on
+_TIMESTAMP = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+    r"([T ][0-9]{2}:[0-9]{2}(:[0-9]{2}(\.[0-9]{3}([0-9]{3})?)?)?(Z|[+-][0-9]{2}:[0-9]{2})?)?"
+)
+
+
 def read_tweets(path: str | None) -> list[RawTweet]:
-    """The tweets of a JSONL file, sorted by timestamp. Either every
-    timestamp has a UTC offset or none has."""
+    """The tweets of a JSONL file, sorted by timestamp. A timestamp matches
+    ``_TIMESTAMP``, Z meaning +00:00; every one has a UTC offset or none has."""
     if not path:
         raise PipelineError("a tweets file is required")
     tweets = []
@@ -149,7 +142,10 @@ def read_tweets(path: str | None) -> list[RawTweet]:
             if type(tweet_id) not in (str, int) or tweet_id == "":
                 got = json.dumps(tweet_id)
                 raise ValueError(f"id must be a non-empty string or an integer, got {got}")
-            timestamp = datetime.fromisoformat(obj["created_at"])
+            created_at = obj["created_at"]
+            if not isinstance(created_at, str) or not _TIMESTAMP.fullmatch(created_at):
+                raise ValueError(f"created_at must be an ISO 8601 timestamp, got {created_at!r}")
+            timestamp = datetime.fromisoformat(created_at.replace("Z", "+00:00"))
             has_offset = timestamp.utcoffset() is not None
             if tweets and has_offset != (tweets[0].timestamp.utcoffset() is not None):
                 raise ValueError(
@@ -174,6 +170,8 @@ def read_labels(path: str) -> dict[tuple[str, int, str], EmotionLabel]:
             raise PipelineError(f"{path}:{lineno}: expected 4 tab-separated fields")
         tweet_id, index, focus, label = parts
         try:
+            if not (index.isascii() and index.isdigit()):
+                raise ValueError(f"segment_index must be ASCII digits, got {index!r}")
             key = (tweet_id, int(index), focus)
             emotion = EmotionLabel.parse(label)
         except ValueError as exc:
@@ -328,21 +326,6 @@ class FeatureStream:
             fh.write(self.vm.to_json())
 
 
-def make_learner(cfg: PipelineConfig, params: dict | None = None):
-    """Instantiate the configured learner from the arguments that grid point
-    ``params`` resolves to (``streamml.learner_args``)."""
-    args = learner_args(cfg.learner, params or {})
-    if cfg.learner == "rf":
-        args["seed"] = cfg.seed
-
-    def factory(classes):
-        return LEARNERS[cfg.learner](classes=classes, **args)
-
-    if cfg.stacked:
-        return make_stacked(factory)
-    return factory(CLASS_ORDER)
-
-
 def run_pipeline(cfg: PipelineConfig) -> PrequentialReport:
     """Segment, normalize, vectorize and evaluate one labeled stream.
 
@@ -353,19 +336,15 @@ def run_pipeline(cfg: PipelineConfig) -> PrequentialReport:
     stream = FeatureStream(cfg)
     stream.write_vocabulary(cfg.out)
 
-    params = None
     if cfg.grid:
         warm = [(fv, inst.label) for inst, fv in stream.warmup]
-        tuned = grid_search(
-            GRIDS[cfg.learner],
-            warm,
-            lambda p: make_learner(cfg, p),
-            lambda p: learner_args(cfg.learner, p),
-        )
-        params = tuned.config
-        print(f"grid search: {tuned.config} (warmup accuracy {tuned.accuracy:.4f})")
+        tuned = grid_search(cfg.learner, warm, cfg.stacked, cfg.seed)
+        args = tuned.args
+        print(f"grid search: {tuned.point} (warmup accuracy {tuned.accuracy:.4f})")
+    else:
+        args = learner_args(cfg.learner, {}, cfg.seed)
 
-    model = make_learner(cfg, params)
+    model = make_learner(cfg.learner, args, cfg.stacked)
     with open(os.path.join(cfg.out, "indicators.jsonl"), "w", encoding="utf-8") as fh:
 
         def emit(inst: Instance, predicted: EmotionLabel) -> None:

@@ -108,7 +108,7 @@ class VocabularyModel:
     vocabularies makes a new model, whose derived state is built on first
     use and kept as long as the model: ``bow_index``, the ``count_tables``
     that number and select the n-gram columns, and the ``ngram_memo``. A
-    vector keeps the tables and the memo of the model that built it.
+    vector keeps the model that built it until it counts its n-grams.
     """
 
     char_vocab: dict[str, int]
@@ -483,22 +483,18 @@ def _token_columns(
     )
 
 
-def _count_ngrams(
-    seg: ProcessedSegment,
-    tables: tuple[dict[str, int], dict[str, int], dict[str, int]],
-    ngram_range: tuple[int, int],
-    memo: dict[str, tuple],
-) -> dict[int, float]:
+def _count_ngrams(seg: ProcessedSegment, vm: VocabularyModel) -> dict[int, float]:
     """Nonzero n-gram counts of ``seg`` by the global column that
-    ``tables`` give (``VocabularyModel.count_tables``), each column in the
-    order of its first occurrence.
+    ``vm.count_tables`` give, each column in the order of its first
+    occurrence.
 
-    ``memo`` maps a casefolded token to its ``_token_columns`` under these
-    tables and n-gram range; a missing token is added, and the memo is
-    cleared at ``MEMO_SIZE`` entries. Only the n-grams that span tokens are
-    looked up here: char n-grams that start in a token's last n - 1
-    characters or on the space after it, and word n-grams with n >= 2.
+    ``vm.ngram_memo`` maps a casefolded token to its ``_token_columns``
+    under these tables and n-gram range; a missing token is added, and the
+    memo is cleared at ``MEMO_SIZE`` entries. Only the n-grams that span
+    tokens are looked up here: char n-grams that start in a token's last
+    n - 1 characters or on the space after it, and word n-grams with n >= 2.
     """
+    tables, ngram_range, memo = vm.count_tables, vm.ngram_range, vm.ngram_memo
     tokens = _norm_tokens(seg)
     entries = []
     for token in tokens:
@@ -546,7 +542,9 @@ def vectorize(
     """Map one processed segment onto the hybrid feature space.
 
     The dense block is built now. The n-gram counts are counted on their
-    first read, with the count tables and the memo of ``vm``.
+    first read, with the count tables and the memo of ``vm``, which the
+    vector keeps until then; a run that never reads them never builds the
+    tables.
     """
     if vm is None:
         raise VocabularyError("vocabulary model not fitted")
@@ -561,6 +559,4 @@ def vectorize(
         dense = _masked_dense(dense, n_text, vm.selection_mask)
     # the segment, not its casefolded tokens: a block of vectors waiting
     # for their first read then holds no copies of the tokens
-    return FeatureVector(
-        partial(_count_ngrams, seg, vm.count_tables, vm.ngram_range, vm.ngram_memo), dense, n_text
-    )
+    return FeatureVector(partial(_count_ngrams, seg, vm), dense, n_text)

@@ -8,6 +8,10 @@ mutating) and partial_fit(fv, label) -> None (one instance,
 order-sensitive). Ties go to the first class in the learner's class order,
 and so does every prediction before the first fit.
 
+Only this module names, builds and tunes the learners: callers pass a
+``LEARNERS`` name and constructor arguments, every default lives in its
+constructor, and ``grid_search`` tunes a learner over ``GRIDS[name]``.
+
 Naive Bayes and the linear model consume the full hybrid feature space
 through ``FeatureVector.arrays``, naive Bayes only its first ``n_counts``
 entries; the tree learners consume only the dense block (``FeatureVector.dense``:
@@ -624,15 +628,6 @@ class StackedClassifier:
             self.stage2_opp.partial_fit(fv, label)
 
 
-def make_stacked(factory) -> StackedClassifier:
-    """Build a stacked classifier from a learner factory(classes)."""
-    return StackedClassifier(
-        stage1=factory(CLASS_ORDER),
-        stage2_pre=factory((EmotionLabel.PRECAUTION, EmotionLabel.NEUTRAL)),
-        stage2_opp=factory((EmotionLabel.OPPORTUNITY, EmotionLabel.NEUTRAL)),
-    )
-
-
 # 3: one tree node type that splits in place; a forest's weight streams are its trees' rngs
 CHECKPOINT_FORMAT_VERSION = 3
 
@@ -658,6 +653,29 @@ def load_model(path: str):
     return payload["model"]
 
 
+LEARNERS = {"nb": StreamingNaiveBayes, "dt": HoeffdingTreeClassifier,
+            "rf": AdaptiveRandomForestClassifier, "sgd": SGDLinearClassifier}
+
+
+def make_stacked(factory) -> StackedClassifier:
+    """Build a stacked classifier from a learner factory(classes)."""
+    return StackedClassifier(
+        stage1=factory(CLASS_ORDER),
+        stage2_pre=factory((EmotionLabel.PRECAUTION, EmotionLabel.NEUTRAL)),
+        stage2_opp=factory((EmotionLabel.OPPORTUNITY, EmotionLabel.NEUTRAL)),
+    )
+
+
+def make_learner(name: str, args: dict, stacked: bool):
+    """``LEARNERS[name]`` built from the constructor arguments ``args`` (the
+    rest keep their defaults), or with ``stacked`` a cascade of three."""
+
+    def build(classes):
+        return LEARNERS[name](classes=classes, **args)
+
+    return make_stacked(build) if stacked else build(CLASS_ORDER)
+
+
 RF_GRID = {
     "estimators": (10, 35, 50, 100),
     "max_features": ("auto", 35, 50, 100),
@@ -673,23 +691,29 @@ SGD_GRID = {
     "tol": (1e-1, 1e-3, 1e-5),
 }
 
+GRIDS = {"rf": RF_GRID, "sgd": SGD_GRID}
 
-def learner_args(learner: str, point: dict) -> dict:
-    """The constructor arguments of ``learner`` that grid ``point`` sets, with
-    pipeline defaults for missing keys. Unread keys are dropped and ``max_features``
-    is clipped to the dense block, so equal learners resolve to equal mappings."""
-    if learner == "rf":
-        max_features = point.get("max_features", "auto")
-        if isinstance(max_features, int):
-            max_features = min(max_features, N_DENSE)
-        return {"n_estimators": point.get("estimators", 10), "max_features": max_features,
-                "lam": point.get("lambda", 6)}
-    if learner == "sgd":
-        args = {"penalty": point.get("penalty", "l2"), "alpha": point.get("alpha", 1e-4)}
-        if args["penalty"] == "elasticnet":
-            args["l1_ratio"] = point.get("l1_ratio", 0.15)
-        return args
-    return {}
+# per learner, grid key -> the constructor argument it sets; other keys set none
+_GRID_ARGS = {
+    "rf": {"estimators": "n_estimators", "max_features": "max_features", "lambda": "lam"},
+    "sgd": {"penalty": "penalty", "l1_ratio": "l1_ratio", "alpha": "alpha"},
+}
+
+
+def learner_args(name: str, point: dict, seed: int) -> dict:
+    """The constructor arguments that grid ``point`` sets, plus ``seed`` for
+    the forest. Unread keys are dropped, ``l1_ratio`` too under a penalty but
+    ``elasticnet``, and ``max_features`` is clipped to the dense block, so
+    equal learners get equal dicts."""
+    names = _GRID_ARGS.get(name, {})
+    args = {names[key]: value for key, value in point.items() if key in names}
+    if isinstance(args.get("max_features"), int):
+        args["max_features"] = min(args["max_features"], N_DENSE)
+    if "penalty" in args and args["penalty"] != "elasticnet":
+        args.pop("l1_ratio", None)
+    if name == "rf":
+        args["seed"] = seed
+    return args
 
 
 def enumerate_grid(grid: dict) -> list[dict]:
@@ -700,29 +724,25 @@ def enumerate_grid(grid: dict) -> list[dict]:
 
 @dataclass
 class GridSearchResult:
-    config: dict
+    point: dict  # as declared in the grid
+    args: dict  # learner_args of the point
     accuracy: float
-    n_evaluated: int  # grid points scored, not prequential runs
 
 
-def grid_search(grid: dict, warmup, factory, resolve=dict) -> GridSearchResult:
-    """Prequential accuracy over the warmup window per grid point; ties go to
-    the first configuration in enumeration order. ``resolve(config)`` gives
-    the arguments that ``factory(config)`` builds its deterministic learner
-    from, so points that resolve alike would tie: only the first is run."""
-    if not grid:
-        raise ValueError("empty grid")
-    configs = enumerate_grid(grid)
+def grid_search(name: str, warmup, stacked: bool, seed: int) -> GridSearchResult:
+    """The point of ``GRIDS[name]`` whose learner has the best prequential
+    accuracy over the warmup window; ties go to the first point in
+    enumeration order. Points with equal ``learner_args`` build equal
+    deterministic learners, so only the first of them is run."""
     if not warmup:
         raise ValueError("empty warmup window")
-    best_cfg, best_acc = None, -1.0
-    seen = set()
-    for cfg in configs:
-        key = frozenset(resolve(cfg).items())
-        if key in seen:
+    best, seen = None, []
+    for point in enumerate_grid(GRIDS[name]):
+        args = learner_args(name, point, seed)
+        if args in seen:
             continue
-        seen.add(key)
-        acc = prequential_run(warmup, factory(cfg)).accuracy
-        if acc > best_acc:
-            best_cfg, best_acc = cfg, acc
-    return GridSearchResult(config=best_cfg, accuracy=best_acc, n_evaluated=len(configs))
+        seen.append(args)
+        accuracy = prequential_run(warmup, make_learner(name, args, stacked)).accuracy
+        if best is None or accuracy > best.accuracy:
+            best = GridSearchResult(point, args, accuracy)
+    return best

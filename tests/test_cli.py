@@ -3,10 +3,11 @@ import os
 import re
 import shutil
 from dataclasses import fields
+from datetime import datetime, timezone
 
 import pytest
 
-from finemo import cli
+from finemo import cli, streamml
 from finemo.cli import (
     PipelineConfig,
     PipelineError,
@@ -113,6 +114,31 @@ def test_grid_search_path(sample_paths, tmp_path, capsys):
     assert "grid search:" in capsys.readouterr().out
 
 
+def test_grid_run_builds_its_model_from_the_tuned_args(sample_paths, tmp_path, monkeypatch):
+    cfg = _config(sample_paths, tmp_path, learner="sgd", grid=True)
+    built, tuned = [], []
+    real_learner, real_search = streamml.LEARNERS["sgd"], cli.grid_search
+
+    def counting(classes, **args):
+        built.append(args)
+        return real_learner(classes=classes, **args)
+
+    def recording(*args):
+        tuned.append(real_search(*args))
+        return tuned[-1]
+
+    def resolve_again(*args):
+        pytest.fail("the tuned point was resolved a second time")
+
+    monkeypatch.setitem(streamml.LEARNERS, "sgd", counting)
+    monkeypatch.setattr(cli, "grid_search", recording)
+    monkeypatch.setattr(cli, "learner_args", resolve_again)
+    run_pipeline(cfg)
+    # one build per distinct point of the 243, then the model itself
+    assert len(built) == 15 + 1
+    assert built[-1] == tuned[0].args
+
+
 def test_save_and_reload_model(sample_paths, tmp_path):
     path = str(tmp_path / "model.bin")
     cfg = _config(sample_paths, tmp_path, save_model=path)
@@ -149,6 +175,28 @@ def test_read_tweets_sorted_and_validated(sample_paths, tmp_path):
             read_tweets(str(bad))
     bad.write_text(good.replace('"t"', "7"))
     assert [t.id for t in read_tweets(str(bad))] == ["7"]
+
+
+def test_read_tweets_reads_one_timestamp_grammar(tmp_path):
+    path = tmp_path / "tweets.jsonl"
+
+    def record(stamp):
+        return json.dumps({"id": "t", "created_at": stamp, "text": "hola"}) + "\n"
+
+    # Z, as Twitter writes it, is +00:00 on every supported Python
+    path.write_text(record("2019-08-05T09:15:00Z"))
+    assert [t.timestamp for t in read_tweets(str(path))] == [
+        datetime(2019, 8, 5, 9, 15, tzinfo=timezone.utc)
+    ]
+    for stamp in ("2019-08-05", "2019-08-05 09:15", "2019-08-05T09:15:00.123456"):
+        path.write_text(record(stamp))
+        assert [t.timestamp for t in read_tweets(str(path))] == [datetime.fromisoformat(stamp)]
+    # the basic form and the other forms only Python 3.11 and later read
+    for stamp in ("20190805T091500", "2019-08-05T0915", "2019-08-05T09:15:00.12", "2019-W32-1"):
+        path.write_text(record("2019-08-05T09:00:00") + record(stamp))
+        message = f"{path}:2: bad tweet record: created_at must be an ISO 8601 timestamp, got {stamp!r}"
+        with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
+            read_tweets(str(path))
 
 
 @pytest.mark.parametrize(
@@ -200,6 +248,12 @@ def test_read_labels_validated(sample_paths, tmp_path):
     bad.write_text("t0\t0\tBBVA\tZ\n")
     with pytest.raises(PipelineError, match="bad.tsv:1"):
         read_labels(str(bad))
+    # -1 would match no replica, 1_0 would read as 10 and " 1" as 1
+    for index in ("-1", "1_0", " 1", "1 ", "+1", "", "\u0661", "\u00b2"):
+        bad.write_text(f"t0\t0\tBBVA\tP\nt0\t{index}\tBBVA\tP\n", encoding="utf-8")
+        message = f"{bad}:2: segment_index must be ASCII digits, got {index!r}"
+        with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
+            read_labels(str(bad))
 
 
 def test_read_labels_refuses_a_duplicate_key(tmp_path):

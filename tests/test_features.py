@@ -600,6 +600,26 @@ def test_cli_counts_each_vector_at_most_once_and_matches_eager(
     assert calls == expected_counts
 
 
+@pytest.mark.parametrize("learner, counts", [("dt", False), ("rf", False), ("nb", True), ("sgd", True)])
+def test_only_runs_that_count_ngrams_build_the_count_tables(
+    learner, counts, monkeypatch, tmp_path, sample_paths
+):
+    streams = []
+
+    class RecordingStream(FeatureStream):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            streams.append(self)
+
+    monkeypatch.setattr("finemo.cli.FeatureStream", RecordingStream)
+    argv = ["train-eval", "--warmup", "10", "--learner", learner]
+    for key in ("lexicons", "tweets", "labels", "prices"):
+        argv += [f"--{key}", sample_paths[key]]
+    _train_eval(argv, tmp_path)
+    (stream,) = streams
+    assert ("count_tables" in vars(stream.vm)) is counts
+
+
 # -- the per-token n-gram column memo against the eager oracle --
 
 # "ß" casefolds to two letters and "A" to "a"; a space inside a token and

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finemo import cli
-from finemo.cli import FeatureStream, PipelineConfig, main, make_learner
+from finemo import streamml
+from finemo.cli import FeatureStream, PipelineConfig, main
 from finemo.evaluation import prequential_run
 from finemo.features import N_DENSE, N_NUMERIC, NUMERIC_COLUMNS, TREND_COLUMN, FeatureVector
 from finemo.segmenter import CLASS_ORDER, EmotionLabel
 from finemo.streamml import (
     CHECKPOINT_FORMAT_VERSION,
+    GRIDS,
     RF_GRID,
     SGD_GRID,
     TIE_THRESHOLD,
@@ -37,6 +38,7 @@ from finemo.streamml import (
     grid_search,
     learner_args,
     load_model,
+    make_learner,
     make_stacked,
     save_model,
 )
@@ -319,7 +321,7 @@ def test_nb_kernel_matches_loop_on_the_selected_sample_cli(
         argv += [f"--{key}", sample_paths[key]]
     outputs = []
     for learner in (StreamingNaiveBayes, _LoopNB):
-        monkeypatch.setattr(cli, "StreamingNaiveBayes", learner)
+        monkeypatch.setitem(streamml.LEARNERS, "nb", learner)
         out = tmp_path / learner.__name__
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
@@ -1238,7 +1240,7 @@ def test_stacked_sgd_on_sample_reads_each_vector_once(monkeypatch, tmp_path, sam
 @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
 @pytest.mark.parametrize("learner", ["nb", "dt", "rf", "sgd"])
 def test_every_learner_has_one_protocol(learner, stacked):
-    model = make_learner(PipelineConfig(learner=learner, stacked=stacked))
+    model = make_learner(learner, learner_args(learner, {}, 0), stacked)
     # before the first fit, the first class: what a uniform prior gives
     assert model.predict_label(make_fv()) is CLASS_ORDER[0]
     learners = [model]
@@ -1324,14 +1326,18 @@ def test_grid_enumeration_order():
     assert configs[-1] == {"estimators": 100, "max_features": 100, "lambda": 100}
 
 
-def test_grid_search_tie_goes_to_first():
+def test_grid_search_tie_goes_to_first(monkeypatch):
     rng = np.random.default_rng(12)
     warmup = random_stream(rng, 20)
-    # the learner ignores the grid parameter, so every accuracy ties
-    result = grid_search({"a": (1, 2, 3)}, warmup, lambda cfg: StreamingNaiveBayes())
+    # the learner ignores its arguments, so every accuracy ties
+    monkeypatch.setitem(
+        streamml.LEARNERS, "sgd", lambda classes, **args: StreamingNaiveBayes(classes=classes)
+    )
+    result = grid_search("sgd", warmup, False, 0)
     assert isinstance(result, GridSearchResult)
-    assert result.config == {"a": 1}
-    assert result.n_evaluated == 3
+    first = enumerate_grid(SGD_GRID)[0]
+    assert result.point == first
+    assert result.args == learner_args("sgd", first, 0)
 
 
 def _full_grid_search(grid, warmup, factory):
@@ -1346,37 +1352,68 @@ def _full_grid_search(grid, warmup, factory):
 
 
 @pytest.mark.parametrize("learner, grid, runs", [("sgd", SGD_GRID, 15), ("rf", RF_GRID, 32)])
-def test_grid_search_runs_each_distinct_learner_once(learner, grid, runs):
+def test_grid_search_runs_each_distinct_learner_once(monkeypatch, learner, grid, runs):
     # small, because the full enumeration of RF_GRID builds forests of up to 100 trees
     warmup, _ = make_planted_stream(20, seed=1, warmup=20)
-    cfg = PipelineConfig(learner=learner, stacked=False, seed=7)
+    assert GRIDS[learner] is grid
     built = []
+    real = streamml.LEARNERS[learner]
 
-    def counting_factory(point):
-        built.append(point)
-        return make_learner(cfg, point)
+    def counting(classes, **args):
+        built.append(args)
+        return real(classes=classes, **args)
 
-    result = grid_search(grid, warmup, counting_factory, lambda p: learner_args(learner, p))
-    scored, best = _full_grid_search(grid, warmup, lambda p: make_learner(cfg, p))
+    with monkeypatch.context() as patch:
+        patch.setitem(streamml.LEARNERS, learner, counting)
+        result = grid_search(learner, warmup, False, 7)
+    scored, best = _full_grid_search(
+        grid, warmup, lambda p: make_learner(learner, learner_args(learner, p, 7), False)
+    )
     assert len(built) == runs
-    assert (result.config, result.accuracy) == best
-    assert result.n_evaluated == len(scored)
+    assert (result.point, result.accuracy) == best
+    assert result.args == learner_args(learner, result.point, 7)
     # the window tells the learners apart, and points that resolve alike
     # really do score alike
     by_args = {}
     for point, acc in scored:
-        by_args.setdefault(frozenset(learner_args(learner, point).items()), set()).add(acc)
+        by_args.setdefault(frozenset(learner_args(learner, point, 7).items()), set()).add(acc)
     assert len(by_args) == runs
     assert all(len(accs) == 1 for accs in by_args.values())
     assert len({acc for _, acc in scored}) > 1
-    assert result.config != scored[0][0]
+    assert result.point != scored[0][0]
 
 
 def test_grid_search_validation():
-    with pytest.raises(ValueError):
-        grid_search(RF_GRID, [], lambda cfg: StreamingNaiveBayes())
-    with pytest.raises(ValueError):
-        grid_search({}, [(make_fv(), P)], lambda cfg: StreamingNaiveBayes())
+    with pytest.raises(ValueError, match="empty warmup window"):
+        grid_search("rf", [], False, 0)
+    with pytest.raises(KeyError):  # naive Bayes has no grid
+        grid_search("nb", [(make_fv(), P)], False, 0)
+
+
+@pytest.mark.parametrize("learner", ["nb", "dt", "rf", "sgd"])
+def test_learner_args_set_only_what_the_point_sets(learner):
+    seed = 11
+    args = learner_args(learner, {}, seed)
+    assert args == ({"seed": seed} if learner == "rf" else {})
+    # built from them, a learner has the state of the bare constructor
+    cls = streamml.LEARNERS[learner]
+    bare = cls(seed=seed) if learner == "rf" else cls()
+    built = make_learner(learner, args, False)
+    assert type(built) is cls
+    assert pickle.dumps(built) == pickle.dumps(bare)
+
+
+def test_learner_args_rename_clip_and_drop_unread_keys():
+    assert learner_args("rf", {"estimators": 35, "max_features": 100, "lambda": 50}, 3) == {
+        "n_estimators": 35, "max_features": N_DENSE, "lam": 50, "seed": 3
+    }
+    assert learner_args("rf", {"max_features": "auto"}, 0) == {"max_features": "auto", "seed": 0}
+    point = {"penalty": "l1", "l1_ratio": 0.9, "alpha": 0.001, "max_iter": 100, "tol": 0.1}
+    assert learner_args("sgd", point, 0) == {"penalty": "l1", "alpha": 0.001}
+    point["penalty"] = "elasticnet"
+    assert learner_args("sgd", point, 0) == {"penalty": "elasticnet", "l1_ratio": 0.9, "alpha": 0.001}
+    # no key of a grid sets anything on a learner without one
+    assert learner_args("dt", point, 0) == learner_args("nb", point, 0) == {}
 
 
 # ------------------------------------------------------------ checkpoints

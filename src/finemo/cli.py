@@ -51,7 +51,7 @@ from finemo.features import (
 from finemo.lexicons import EncodingError, LexiconError, data_lines, load_lexicons, text_lines
 from finemo.segmenter import CLASS_ORDER, EmotionLabel, RawTweet, replicate_per_asset, segment_tweet
 from finemo.selection import SelectionError, chi2_scores, correlation_report, select_percentile
-from finemo.streamml import GRIDS, LEARNERS, grid_search, learner_args, make_learner, save_model
+from finemo.streamml import GRIDS, LEARNERS, grid_search, learner_args, make_learner
 from finemo.textproc import ProcessedSegment, process
 
 # Instances after the warmup window are built and vectorized in blocks of this
@@ -87,7 +87,6 @@ class PipelineConfig:
     bow_size: int = 500
     emit_all: bool = False  # indicators for every prediction, not only non-neutral
     sample_every: int = 1
-    save_model: str | None = None
 
     @classmethod
     def from_yaml(cls, path: str) -> "PipelineConfig":
@@ -379,8 +378,6 @@ def run_pipeline(cfg: PipelineConfig) -> PrequentialReport:
         os.path.join(cfg.out, "confusion.csv"),
         os.path.join(cfg.out, "accuracy_series.csv"),
     )
-    if cfg.save_model:
-        save_model(model, cfg.save_model)
     return report
 
 
@@ -512,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--all", dest="emit_all", action="store_true", default=None,
                         help="emit indicators for neutral predictions too")
     parser.add_argument("--sample-every", dest="sample_every", type=int)
-    parser.add_argument("--save-model", dest="save_model")
     return parser
 
 

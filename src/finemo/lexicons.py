@@ -73,8 +73,8 @@ class LexiconSet:
     ``splits`` memos in which ``textproc`` keeps the ``lemmatize_correct``
     and ``split_hashtags`` result of each out-of-dictionary token. A memo is
     cleared when it holds ``MEMO_SIZE`` entries. The caches are not fields:
-    equality ignores them, and a pickled copy or a ``dataclasses.replace``
-    starts without them.
+    equality ignores them, and a ``dataclasses.replace`` copy starts
+    without them.
     """
 
     tickers: dict[str, str]  # case-folded alias -> canonical ticker
@@ -101,14 +101,6 @@ class LexiconSet:
     def splits(self) -> dict[str, tuple[str, ...]]:
         """``split_hashtags``'s result by out-of-dictionary token."""
         return {}
-
-    def __getstate__(self) -> dict:
-        # the index holds this process's string hashes, and the memos are
-        # only caches: a copy builds its own
-        state = dict(self.__dict__)
-        for cache in ("delete_index", "corrections", "splits"):
-            state.pop(cache, None)
-        return state
 
 
 def remember(memo: dict, key, value):
@@ -146,7 +138,7 @@ class DeleteIndex:
     collision only adds a candidate, which the caller's distance check
     rejects. ``_deletes`` makes each pair of deleted positions once, so a
     form of length n costs about n^2 / 2 string slices. String hashes are
-    salted per process, so the index is never pickled.
+    salted per process, so an index holds only in the process that built it.
     """
 
     def __init__(self, forms) -> None:

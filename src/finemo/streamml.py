@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import pickle
 from collections import deque
 from dataclasses import dataclass
 
@@ -628,42 +627,8 @@ class StackedClassifier:
             self.stage2_opp.partial_fit(fv, label)
 
 
-# 3: one tree node type that splits in place; a forest's weight streams are its trees' rngs
-CHECKPOINT_FORMAT_VERSION = 3
-
-
-def save_model(model, path: str) -> None:
-    """Serialize a learner (or stacked cascade) to a versioned checkpoint."""
-    with open(path, "wb") as fh:
-        pickle.dump({"format_version": CHECKPOINT_FORMAT_VERSION, "model": model}, fh)
-
-
-def load_model(path: str):
-    """The learner (or stacked cascade) that ``save_model`` wrote to ``path``.
-
-    The file is a pickle of the learner alone: it holds no vocabulary,
-    selection mask or config, so it cannot vectorize new text. Unpickling
-    can run arbitrary code, so load only files from a trusted source. A file
-    of another format version is refused with a ``ValueError``."""
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    version = payload.get("format_version") if isinstance(payload, dict) else None
-    if version != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format version: {version!r}")
-    return payload["model"]
-
-
 LEARNERS = {"nb": StreamingNaiveBayes, "dt": HoeffdingTreeClassifier,
             "rf": AdaptiveRandomForestClassifier, "sgd": SGDLinearClassifier}
-
-
-def make_stacked(factory) -> StackedClassifier:
-    """Build a stacked classifier from a learner factory(classes)."""
-    return StackedClassifier(
-        stage1=factory(CLASS_ORDER),
-        stage2_pre=factory((EmotionLabel.PRECAUTION, EmotionLabel.NEUTRAL)),
-        stage2_opp=factory((EmotionLabel.OPPORTUNITY, EmotionLabel.NEUTRAL)),
-    )
 
 
 def make_learner(name: str, args: dict, stacked: bool):
@@ -673,7 +638,13 @@ def make_learner(name: str, args: dict, stacked: bool):
     def build(classes):
         return LEARNERS[name](classes=classes, **args)
 
-    return make_stacked(build) if stacked else build(CLASS_ORDER)
+    if not stacked:
+        return build(CLASS_ORDER)
+    return StackedClassifier(
+        stage1=build(CLASS_ORDER),
+        stage2_pre=build((EmotionLabel.PRECAUTION, EmotionLabel.NEUTRAL)),
+        stage2_opp=build((EmotionLabel.OPPORTUNITY, EmotionLabel.NEUTRAL)),
+    )
 
 
 RF_GRID = {

@@ -28,10 +28,9 @@ from finemo.selection import pearson, select_percentile, chi2_scores
 from finemo.streamml import (
     RF_GRID,
     SGD_GRID,
-    AdaptiveRandomForestClassifier,
     StreamingNaiveBayes,
     enumerate_grid,
-    make_stacked,
+    make_learner,
 )
 from finemo.synthetic import make_planted_stream
 from finemo.textproc import process
@@ -239,7 +238,7 @@ def test_acceptance_07_stacking_demotion():
     checked = 0
     for seed in range(10):
         stream = random_stream(np.random.default_rng(100 + seed), 150)
-        stacked = make_stacked(lambda c: StreamingNaiveBayes(classes=c))
+        stacked = make_learner("nb", {}, True)
         for fv, label in stream:
             s1 = stacked.stage1.predict_label(fv)
             combined = stacked.predict_label(fv)
@@ -262,7 +261,7 @@ def test_acceptance_07_stacking_demotion():
         return {c: (hit[c] / col[c] if col[c] else 0.0) for c in (P, O)}
 
     single = precisions(StreamingNaiveBayes())
-    stacked = precisions(make_stacked(lambda c: StreamingNaiveBayes(classes=c)))
+    stacked = precisions(make_learner("nb", {}, True))
     ok &= stacked[P] >= single[P] and stacked[O] >= single[O]
     _verdict("stacking demotion property", bool(ok),
              f"{checked} non-neutral predictions checked; "
@@ -275,11 +274,7 @@ def test_acceptance_08_end_to_end_synthetic():
 
     def run(ablate):
         stream, _ = make_planted_stream(5000, seed=7, warmup=1000, ablate_bow=ablate)
-        model = make_stacked(
-            lambda c: AdaptiveRandomForestClassifier(
-                classes=c, n_estimators=10, grace_period=50, seed=7
-            )
-        )
+        model = make_learner("rf", {"n_estimators": 10, "grace_period": 50, "seed": 7}, True)
         for fv, label in stream[:1000]:
             model.partial_fit(fv, label)
         col, hit = Counter(), Counter()

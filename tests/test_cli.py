@@ -22,7 +22,6 @@ from finemo.cli import (
 from finemo.features import PriceError, PriceSeries
 from finemo.lexicons import load_lexicons
 from finemo.segmenter import EmotionLabel
-from finemo.streamml import load_model
 
 
 def _config(sample_paths, tmp_path, **overrides):
@@ -137,14 +136,6 @@ def test_grid_run_builds_its_model_from_the_tuned_args(sample_paths, tmp_path, m
     # one build per distinct point of the 243, then the model itself
     assert len(built) == 15 + 1
     assert built[-1] == tuned[0].args
-
-
-def test_save_and_reload_model(sample_paths, tmp_path):
-    path = str(tmp_path / "model.bin")
-    cfg = _config(sample_paths, tmp_path, save_model=path)
-    run_pipeline(cfg)
-    model = load_model(path)
-    assert hasattr(model, "predict_label")
 
 
 def test_read_tweets_sorted_and_validated(sample_paths, tmp_path):
@@ -426,9 +417,21 @@ def test_every_flag_sets_a_config_field():
 
 def test_yaml_config_rejects_unknown_keys(tmp_path):
     config_file = tmp_path / "run.yaml"
-    config_file.write_text("learner: nb\nbogus_key: 1\n")
-    with pytest.raises(PipelineError, match="run.yaml: unknown config keys"):
-        PipelineConfig.from_yaml(str(config_file))
+    # no trained model can be saved, so save_model is no config field
+    for text in ("learner: nb\nbogus_key: 1\n", "save_model: m.bin\n"):
+        config_file.write_text(text)
+        with pytest.raises(PipelineError, match="run.yaml: unknown config keys"):
+            PipelineConfig.from_yaml(str(config_file))
+
+
+def test_save_model_flag_is_gone(sample_paths, tmp_path, capsys):
+    argv = ["train-eval", "--tweets", sample_paths["tweets"], "--out", str(tmp_path),
+            "--save-model", str(tmp_path / "m.bin")]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --save-model" in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,6 @@ from finemo.evaluation import prequential_run
 from finemo.features import N_DENSE, N_NUMERIC, NUMERIC_COLUMNS, TREND_COLUMN, FeatureVector
 from finemo.segmenter import CLASS_ORDER, EmotionLabel
 from finemo.streamml import (
-    CHECKPOINT_FORMAT_VERSION,
     GRIDS,
     RF_GRID,
     SGD_GRID,
@@ -37,10 +36,7 @@ from finemo.streamml import (
     enumerate_grid,
     grid_search,
     learner_args,
-    load_model,
     make_learner,
-    make_stacked,
-    save_model,
 )
 from finemo.synthetic import make_planted_stream
 from tests.test_tree_golden import FOREST, _drifting_stream, _models, _trees
@@ -589,6 +585,27 @@ def test_forest_unit_weights_when_lambda_none():
 def test_forest_auto_subspace_size():
     forest = AdaptiveRandomForestClassifier(n_estimators=2)
     assert forest.subspace_size == round(math.sqrt(N_NUMERIC + 4))
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+def test_degenerate_forest_equals_the_tree(stacked):
+    # one tree over every dense feature, unit weights and no drift resets:
+    # Gomes et al.'s forest reduces to a Hoeffding tree whose vote decides alone
+    stream, _ = make_planted_stream(3000, seed=7, warmup=600)
+    forest_args = {"n_estimators": 1, "lam": None, "max_features": N_DENSE,
+                   "drift_detection": False, "grace_period": 50}
+    labels, accuracy = [], []
+    for model in (make_learner("rf", forest_args, stacked),
+                  make_learner("dt", {"grace_period": 50}, stacked)):
+        for fv, label in stream[:600]:
+            model.partial_fit(fv, label)
+        predicted = []
+        report = prequential_run(stream[600:], model,
+                                 on_predict=lambda item, label: predicted.append(label))
+        labels.append(predicted)
+        accuracy.append(report.accuracy)
+    assert len(labels[0]) == 2400 and labels[0] == labels[1]
+    assert round(accuracy[0], 4) == round(accuracy[1], 4) == 0.8771
 
 
 def test_forest_drift_replaces_trees():
@@ -1287,11 +1304,20 @@ def test_stacked_routes_gold_labels():
     assert opp.seen == [N, O, O, N]  # never precaution
 
 
+def test_stacked_with_confirming_stage2_gives_stage1_labels():
+    # a stage-2 learner that predicts its non-neutral class confirms stage 1
+    fv = make_fv()
+    for s1_label in CLASS_ORDER:
+        stacked = StackedClassifier(_StubLearner(s1_label), _StubLearner(P, (P, N)),
+                                    _StubLearner(O, (O, N)))
+        assert stacked.predict_label(fv) is s1_label
+
+
 def test_stacked_demotion_only():
     rng = np.random.default_rng(11)
     for seed in range(3):
         stream = random_stream(np.random.default_rng(seed), 150)
-        stacked = make_stacked(lambda classes: StreamingNaiveBayes(classes=classes))
+        stacked = make_learner("nb", {}, True)
         for fv, label in stream:
             s1 = stacked.stage1.predict_label(fv)
             combined = stacked.predict_label(fv)
@@ -1414,34 +1440,3 @@ def test_learner_args_rename_clip_and_drop_unread_keys():
     assert learner_args("sgd", point, 0) == {"penalty": "elasticnet", "l1_ratio": 0.9, "alpha": 0.001}
     # no key of a grid sets anything on a learner without one
     assert learner_args("dt", point, 0) == learner_args("nb", point, 0) == {}
-
-
-# ------------------------------------------------------------ checkpoints
-
-
-def test_checkpoint_round_trip(tmp_path):
-    rng = np.random.default_rng(13)
-    stream = random_stream(rng, 50)
-    nb = StreamingNaiveBayes()
-    for fv, label in stream:
-        nb.partial_fit(fv, label)
-    path = str(tmp_path / "model.bin")
-    save_model(nb, path)
-    back = load_model(path)
-    for fv, _ in stream:
-        assert back._scores(fv) == nb._scores(fv)
-        assert back.predict_label(fv) is nb.predict_label(fv)
-
-
-def test_checkpoint_version_check(tmp_path):
-    # version 1 trees had no cached leaf majority, version 1 forests no
-    # batched Poisson draws, and version 2 trees had two node types and
-    # forests a separate list of weight streams: such a learner would fail
-    # on its first call
-    path = str(tmp_path / "bad.bin")
-    for version in (999, 1, 2):
-        with open(path, "wb") as fh:
-            pickle.dump({"format_version": version, "model": HoeffdingTreeClassifier()}, fh)
-        with pytest.raises(ValueError, match=f"^unsupported checkpoint format version: {version}$"):
-            load_model(path)
-    assert CHECKPOINT_FORMAT_VERSION == 3

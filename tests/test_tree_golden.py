@@ -17,7 +17,7 @@ from finemo.segmenter import EmotionLabel
 from finemo.streamml import (
     AdaptiveRandomForestClassifier,
     HoeffdingTreeClassifier,
-    make_stacked,
+    make_learner,
 )
 from finemo.synthetic import make_planted_stream
 
@@ -43,9 +43,7 @@ def _models():
     return {
         "tree": HoeffdingTreeClassifier(**TREE),
         "arf": AdaptiveRandomForestClassifier(**FOREST),
-        "arf-stacked": make_stacked(
-            lambda classes: AdaptiveRandomForestClassifier(classes=classes, **FOREST)
-        ),
+        "arf-stacked": make_learner("rf", FOREST, True),
     }
 
 

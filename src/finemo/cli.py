@@ -9,7 +9,7 @@ Subcommands:
   run         alias of train-eval
   agreement   annotator-agreement report from a label matrix (TSV)
 
-Options come from flags or a YAML config file; flags win.
+Options come from flags only.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 from datetime import datetime
 from itertools import islice
-from typing import get_args, get_type_hints
 
 import numpy as np
-import yaml
 
 from finemo.evaluation import (
     EvaluationError,
@@ -65,9 +63,7 @@ class PipelineError(Exception):
 
 @dataclass
 class PipelineConfig:
-    """Everything one run needs. Each CLI flag but --config sets one field;
-    the n-gram, document-frequency and BOW settings can be set only in a
-    config file."""
+    """Everything one run needs. Each CLI flag sets one field."""
 
     lexicons: str = "data/lexicons"
     tweets: str | None = None
@@ -80,38 +76,8 @@ class PipelineConfig:
     seed: int = 0
     percentile: int = 0  # 0 disables chi2 percentile selection
     grid: bool = False  # warmup grid search over streamml.GRIDS[learner]
-    ngram_min: int = 1
-    ngram_max: int = 4
-    max_df: float = 0.5
-    min_df: float = 0.001
-    bow_size: int = 500
     emit_all: bool = False  # indicators for every prediction, not only non-neutral
     sample_every: int = 1
-
-    @classmethod
-    def from_yaml(cls, path: str) -> "PipelineConfig":
-        # as bytes, so yaml decodes them and refuses a non-UTF-8 file itself
-        with open(path, "rb") as fh:
-            try:
-                data = yaml.safe_load(fh)
-            except yaml.YAMLError as exc:
-                raise PipelineError(f"{path}: bad YAML: {exc}") from None
-        data = {} if data is None else data
-        if not isinstance(data, dict):
-            raise PipelineError(f"{path}: expected a mapping of option names to values")
-        declared = {f.name: f.type for f in fields(cls)}
-        unknown = set(data) - set(declared)
-        if unknown:
-            raise PipelineError(f"{path}: unknown config keys: {sorted(unknown, key=str)}")
-        hints = get_type_hints(cls)
-        for key, value in data.items():
-            allowed = get_args(hints[key]) or (hints[key],)
-            if float in allowed:
-                allowed += (int,)
-            # bool is an int subclass, but `warmup: true` is no warmup size
-            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
-                raise PipelineError(f"{path}: {key}: expected {declared[key]}, got {value!r}")
-        return cls(**data)
 
 
 # ISO 8601 extended form; fromisoformat reads more from Python 3.11 on
@@ -214,20 +180,12 @@ def build_instances(tweets, lx, labels=None) -> Iterator[Instance]:
 
 
 def _check_stream(cfg: PipelineConfig) -> None:
-    """Refuse a missing tweets file, a bad warmup, vocabulary setting or
-    percentile before any file is read."""
+    """Refuse a missing tweets file, a bad warmup or percentile before any
+    file is read."""
     if not cfg.tweets:
         raise PipelineError("a tweets file is required")
     if cfg.warmup < 1:
         raise PipelineError(f"--warmup must be at least 1, got {cfg.warmup}")
-    if not 1 <= cfg.ngram_min <= cfg.ngram_max:
-        raise PipelineError(
-            f"need 1 <= ngram_min <= ngram_max, got {cfg.ngram_min} and {cfg.ngram_max}"
-        )
-    if not 0 <= cfg.min_df <= cfg.max_df <= 1:
-        raise PipelineError(f"need 0 <= min_df <= max_df <= 1, got {cfg.min_df} and {cfg.max_df}")
-    if cfg.bow_size < 0:
-        raise PipelineError(f"bow_size must be non-negative, got {cfg.bow_size}")
     if cfg.percentile and not 1 <= cfg.percentile <= 100:
         raise PipelineError(f"--percentile must be in 1..100 (0 = off), got {cfg.percentile}")
     if cfg.percentile and not cfg.labels:
@@ -280,12 +238,7 @@ class FeatureStream:
                 f"insufficient warmup data: need {cfg.warmup} instances, have {len(window)}"
             )
         self.vm = fit_vocabularies(
-            [inst.processed for inst in window],
-            ngram_range=(cfg.ngram_min, cfg.ngram_max),
-            max_df=cfg.max_df,
-            min_df=cfg.min_df,
-            bow_size=cfg.bow_size,
-            labels=[inst.label for inst in window],
+            [inst.processed for inst in window], labels=[inst.label for inst in window]
         )
         self.warmup = [(inst, self._vectorize(inst)) for inst in window]
         if cfg.percentile:
@@ -481,6 +434,8 @@ def _cmd_agreement(cfg: PipelineConfig) -> None:
         except ValueError as exc:
             raise PipelineError(f"{cfg.labels}:{lineno}: {exc}") from exc
         rows.append(row)
+    if not rows:
+        raise PipelineError(f"{cfg.labels}: no annotated items")
     print(agreement_report(rows).to_json())
 
 
@@ -492,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=[
         "segment", "process", "features", "analyze", "train-eval", "run", "agreement",
     ])
-    parser.add_argument("--config", help="YAML config file")
     parser.add_argument("--lexicons", help="lexicon directory")
     parser.add_argument("--tweets", help="tweets JSONL file")
     parser.add_argument("--prices", help="closing prices CSV")
@@ -513,12 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    cfg = PipelineConfig.from_yaml(args.config) if args.config else PipelineConfig()
-    for f in fields(PipelineConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(cfg, f.name, value)
-    return cfg
+    given = {f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)}
+    return PipelineConfig(**{name: value for name, value in given.items() if value is not None})
 
 
 def main(argv: list[str] | None = None) -> int:

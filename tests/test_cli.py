@@ -229,6 +229,14 @@ def test_agreement_refuses_short_and_ragged_rows(tmp_path, capsys, text, lineno,
     assert capsys.readouterr().err == f"error: {ann}:{lineno}: {message}\n"
 
 
+@pytest.mark.parametrize("text", ["", "# annotator A\tannotator B\n\n"])
+def test_agreement_refuses_a_file_without_items(tmp_path, capsys, text):
+    ann = tmp_path / "ann.tsv"
+    ann.write_text(text)
+    assert main(["agreement", "--labels", str(ann)]) == 1
+    assert capsys.readouterr().err == f"error: {ann}: no annotated items\n"
+
+
 def test_read_labels_validated(sample_paths, tmp_path):
     labels = read_labels(sample_paths["labels"])
     assert labels  # sample corpus ships labels for every replica
@@ -392,82 +400,29 @@ def test_build_instances_covers_all_replicas(sample_paths):
     assert len(labeled) == len(labels)
 
 
-def test_yaml_config_and_flag_override(sample_paths, tmp_path):
-    config_file = tmp_path / "run.yaml"
-    config_file.write_text(
-        "learner: sgd\nwarmup: 5\nmax_df: 1\nlabels: null\nlexicons: {0}\n".format(
-            sample_paths["lexicons"]
-        )
-    )
+def test_config_from_args_sets_only_the_flags_given():
     parser = build_parser()
-    args = parser.parse_args(["run", "--config", str(config_file), "--warmup", "7"])
-    cfg = config_from_args(args)
-    assert cfg.learner == "sgd"  # from the file
-    assert cfg.warmup == 7  # flag wins
-    assert cfg.lexicons == sample_paths["lexicons"]
-    assert cfg.max_df == 1 and cfg.labels is None  # an int fills a float field
+    assert config_from_args(parser.parse_args(["run"])) == PipelineConfig()
+    cfg = config_from_args(parser.parse_args(["run", "--warmup", "7", "--learner", "sgd"]))
+    assert cfg == PipelineConfig(warmup=7, learner="sgd")
 
 
 def test_every_flag_sets_a_config_field():
     # config_from_args copies only PipelineConfig fields, so a flag whose
     # destination is not a field would be parsed and then dropped
-    dests = {a.dest for a in build_parser()._actions} - {"help", "command", "config"}
+    dests = {a.dest for a in build_parser()._actions} - {"help", "command"}
     assert dests <= {f.name for f in fields(PipelineConfig)}
 
 
-def test_yaml_config_rejects_unknown_keys(tmp_path):
-    config_file = tmp_path / "run.yaml"
-    # no trained model can be saved, so save_model is no config field
-    for text in ("learner: nb\nbogus_key: 1\n", "save_model: m.bin\n"):
-        config_file.write_text(text)
-        with pytest.raises(PipelineError, match="run.yaml: unknown config keys"):
-            PipelineConfig.from_yaml(str(config_file))
-
-
-def test_save_model_flag_is_gone(sample_paths, tmp_path, capsys):
+@pytest.mark.parametrize("flag", ["--save-model", "--config"])
+def test_save_model_flag_is_gone(sample_paths, tmp_path, capsys, flag):
     argv = ["train-eval", "--tweets", sample_paths["tweets"], "--out", str(tmp_path),
-            "--save-model", str(tmp_path / "m.bin")]
+            flag, str(tmp_path / "m.bin")]
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
-    assert "unrecognized arguments: --save-model" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not (tmp_path / "m.bin").exists()
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("learner: nb\nwarmup: [1\n", "bad YAML"),
-        ("- learner\n- nb\n", "expected a mapping"),
-        ("42\n", "expected a mapping"),
-        ("warmup: abc\n", "warmup: expected int, got 'abc'"),
-        ("warmup: true\n", "warmup: expected int, got True"),
-        ("max_df: high\n", "max_df: expected float, got 'high'"),
-        ("stacked: 1\n", "stacked: expected bool, got 1"),
-        ("tweets: [a.jsonl]\n", "tweets: expected str | None, got \\['a.jsonl'\\]"),
-        ("grid: rf\n", "grid: expected bool"),
-        (None, "No such file"),
-    ],
-)
-def test_bad_config_refused_without_traceback(tmp_path, capsys, text, message):
-    config_file = tmp_path / "run.yaml"
-    if text is not None:
-        config_file.write_text(text)
-    assert main(["train-eval", "--config", str(config_file)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(config_file) in err
-    assert re.search(message, err), err
-
-
-def test_non_utf8_config_refused_as_bad_yaml_and_crlf_read_as_lf(tmp_path, capsys):
-    config_file = tmp_path / "run.yaml"
-    config_file.write_bytes(b"learner: nb\r\nwarmup: 7\r\n")
-    cfg = PipelineConfig.from_yaml(str(config_file))
-    assert (cfg.learner, cfg.warmup) == ("nb", 7)
-    config_file.write_bytes(b"learner: nb\n# caf\xe9\n")
-    assert main(["train-eval", "--config", str(config_file)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {config_file}: bad YAML: ") and "Traceback" not in err
 
 
 def test_main_exit_codes(sample_paths, tmp_path, capsys):
@@ -542,12 +497,8 @@ def test_invalid_run_parameters_refused(sample_paths, tmp_path, overrides, messa
         ({"sample_every": 0, "warmup": 0}, "--sample-every must be at least 1"),
         ({"seed": -1}, "--seed must be non-negative"),
         ({"learner": "dt", "grid": True}, "--grid tunes the rf and sgd learners, not --learner dt"),
-        ({"bow_size": -1}, "bow_size must be non-negative, got -1"),
-        ({"ngram_min": 3, "ngram_max": 2}, "need 1 <= ngram_min <= ngram_max, got 3 and 2"),
-        ({"ngram_min": 0}, "need 1 <= ngram_min <= ngram_max, got 0 and 4"),
-        ({"min_df": 0.9, "max_df": 0.1}, "need 0 <= min_df <= max_df <= 1, got 0.9 and 0.1"),
-        ({"max_df": 1.5}, "need 0 <= min_df <= max_df <= 1, got 0.001 and 1.5"),
-        # a config file can name a learner that --learner's choices would refuse
+        # a PipelineConfig built in code can name a learner that --learner's
+        # choices would refuse
         ({"learner": "foo"}, "unknown learner: foo"),
         ({"learner": "foo", "grid": True, "warmup": 0}, "unknown learner: foo"),
     ],

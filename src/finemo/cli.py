@@ -19,10 +19,11 @@ import json
 import os
 import re
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields, replace
 from datetime import datetime
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,12 +88,11 @@ _TIMESTAMP = re.compile(
 )
 
 
-def read_tweets(path: str | None) -> list[RawTweet]:
-    """The tweets of a JSONL file, sorted by timestamp. A timestamp matches
-    ``_TIMESTAMP``, Z meaning +00:00; every one has a UTC offset or none has."""
-    if not path:
-        raise PipelineError("a tweets file is required")
-    tweets = []
+def read_tweets(path: str) -> Iterator[RawTweet]:
+    """The tweets of a JSONL file, read lazily in file order. A timestamp
+    matches ``_TIMESTAMP``, Z meaning +00:00; every one has a UTC offset or
+    none has, and none is earlier than the one before it."""
+    first_has_offset = previous = None  # previous: (timestamp, created_at, line)
     for lineno, line in text_lines(path):
         line = line.strip()
         if not line:
@@ -112,23 +112,38 @@ def read_tweets(path: str | None) -> list[RawTweet]:
                 raise ValueError(f"created_at must be an ISO 8601 timestamp, got {created_at!r}")
             timestamp = datetime.fromisoformat(created_at.replace("Z", "+00:00"))
             has_offset = timestamp.utcoffset() is not None
-            if tweets and has_offset != (tweets[0].timestamp.utcoffset() is not None):
+            if first_has_offset is None:
+                first_has_offset = has_offset
+            elif has_offset != first_has_offset:
                 raise ValueError(
-                    f"timestamp {obj['created_at']!r} {'has' if has_offset else 'lacks'} "
+                    f"timestamp {created_at!r} {'has' if has_offset else 'lacks'} "
                     "a UTC offset, unlike the first record's"
                 )
-            tweets.append(RawTweet(id=str(tweet_id), timestamp=timestamp, text=obj["text"]))
+            if previous is not None and timestamp < previous[0]:
+                raise ValueError(
+                    f"created_at {created_at!r} is earlier than {previous[1]!r} on line "
+                    f"{previous[2]}: tweets must be in time order"
+                )
+            tweet = RawTweet(id=str(tweet_id), timestamp=timestamp, text=obj["text"])
         except (KeyError, TypeError, ValueError) as exc:
             raise PipelineError(f"{path}:{lineno}: bad tweet record: {exc}") from exc
-    tweets.sort(key=lambda t: t.timestamp)
-    return tweets
+        previous = (timestamp, created_at, lineno)
+        yield tweet
 
 
-def read_labels(path: str) -> dict[tuple[str, int, str], EmotionLabel]:
-    """tweet_id <TAB> segment_index <TAB> focus_ticker <TAB> P|N|O, one row
-    per replica; a second row for the same key is refused."""
-    out: dict[tuple[str, int, str], EmotionLabel] = {}
-    first_line: dict[tuple[str, int, str], int] = {}
+class LabelRow(NamedTuple):
+    """One row of a labels file."""
+
+    lineno: int
+    key: tuple[str, int, str]  # tweet_id, segment_index, focus
+    label: EmotionLabel
+    index: str  # segment_index as written
+
+
+def read_label_rows(path: str) -> Iterator[LabelRow]:
+    """The rows of a labels file, read lazily in file order:
+    tweet_id <TAB> segment_index <TAB> focus_ticker <TAB> P|N|O, one row per
+    replica."""
     for lineno, line in data_lines(path):
         parts = line.split("\t")
         if len(parts) != 4:
@@ -137,18 +152,55 @@ def read_labels(path: str) -> dict[tuple[str, int, str], EmotionLabel]:
         try:
             if not (index.isascii() and index.isdigit()):
                 raise ValueError(f"segment_index must be ASCII digits, got {index!r}")
-            key = (tweet_id, int(index), focus)
-            emotion = EmotionLabel.parse(label)
+            row = LabelRow(lineno, (tweet_id, int(index), focus), EmotionLabel.parse(label), index)
         except ValueError as exc:
             raise PipelineError(f"{path}:{lineno}: {exc}") from exc
-        if key in first_line:
-            raise PipelineError(
-                f"{path}:{lineno}: duplicate label for tweet {tweet_id}, segment {index}, "
-                f"focus {focus} (first given on line {first_line[key]})"
-            )
-        first_line[key] = lineno
-        out[key] = emotion
-    return out
+        yield row
+
+
+def _hold(path: str, held: dict[tuple[str, int, str], LabelRow], row: LabelRow) -> None:
+    """Add ``row`` to ``held`` by its key; a second row for a key is refused."""
+    first = held.setdefault(row.key, row)
+    if first is not row:
+        tweet_id, _, focus = row.key
+        raise PipelineError(
+            f"{path}:{row.lineno}: duplicate label for tweet {tweet_id}, segment {row.index}, "
+            f"focus {focus} (first given on line {first.lineno})"
+        )
+
+
+def read_labels(path: str) -> dict[tuple[str, int, str], EmotionLabel]:
+    """Every row of a labels file by key; a second row for a key anywhere in
+    the file is refused. The pipeline reads labels by ``join_labels``."""
+    held: dict[tuple[str, int, str], LabelRow] = {}
+    for row in read_label_rows(path):
+        _hold(path, held, row)
+    return {key: row.label for key, row in held.items()}
+
+
+def join_labels(
+    tweets: Iterable[RawTweet], path: str
+) -> Iterator[tuple[RawTweet, dict[tuple[str, int, str], LabelRow]]]:
+    """Each tweet with its rows of the labels file ``path``, by key.
+
+    The rows come in tweet order, so the join holds only the current tweet's
+    rows, and a second row for a key within them is refused. A row still
+    unread when the tweets run out names a tweet that never arrived or that
+    came before the rows above it; it is refused by its line.
+    """
+    rows = read_label_rows(path)
+    row = next(rows, None)
+    for tweet in tweets:
+        held: dict[tuple[str, int, str], LabelRow] = {}
+        while row is not None and row.key[0] == tweet.id:
+            _hold(path, held, row)
+            row = next(rows, None)
+        yield tweet, held
+    if row is not None:
+        raise PipelineError(
+            f"{path}:{row.lineno}: label for tweet {row.key[0]}, which no later tweet has: "
+            "labels must follow the order of the tweets file"
+        )
 
 
 @dataclass
@@ -163,27 +215,35 @@ class Instance:
     label: EmotionLabel | None
 
 
-def build_instances(tweets, lx, labels=None) -> Iterator[Instance]:
+def build_instances(tweets, lx, labels: str | None = None) -> Iterator[Instance]:
     """Every per-asset replica of ``tweets``, in arrival order.
 
-    With ``labels``, replicas without a label are dropped before they are
-    processed.
+    With a ``labels`` file, the replicas that ``join_labels`` gives no row
+    are dropped before they are processed.
     """
-    for tweet in tweets:
+    joined = join_labels(tweets, labels) if labels else ((tweet, None) for tweet in tweets)
+    for tweet, held in joined:
         for index, seg in enumerate(segment_tweet(tweet, lx)):
             for replica in replicate_per_asset(seg):
-                label = labels.get((tweet.id, index, replica.focus)) if labels else None
-                if labels is not None and label is None:
-                    continue
+                label = None
+                if held is not None:
+                    row = held.get((tweet.id, index, replica.focus))
+                    if row is None:
+                        continue
+                    label = row.label
                 ps = process(replica, lx)
                 yield Instance(tweet, index, ps, replica.text, replica.focus, label)
+
+
+def _require_tweets(cfg: PipelineConfig) -> None:
+    if not cfg.tweets:
+        raise PipelineError("a tweets file is required")
 
 
 def _check_stream(cfg: PipelineConfig) -> None:
     """Refuse a missing tweets file, a bad warmup or percentile before any
     file is read."""
-    if not cfg.tweets:
-        raise PipelineError("a tweets file is required")
+    _require_tweets(cfg)
     if cfg.warmup < 1:
         raise PipelineError(f"--warmup must be at least 1, got {cfg.warmup}")
     if cfg.percentile and not 1 <= cfg.percentile <= 100:
@@ -211,24 +271,24 @@ def _check_run(cfg: PipelineConfig) -> None:
 class FeatureStream:
     """tweets -> instances -> (instance, feature vector), in arrival order.
 
-    The lexicons, labels, prices and tweets (sorted by time) that ``cfg``
-    names are read once and held for the run. The vocabulary, and with
-    ``cfg.percentile`` the chi-squared mask, is fitted on the first
-    ``cfg.warmup`` instances, whose pairs are held too; the rest are built
-    and vectorized ``BLOCK`` at a time. Iterating yields the warmup pairs,
-    then the rest. ``default_trends`` counts the instances, so far, whose
-    trend fell back to downward for want of a closing price.
+    The lexicons and prices that ``cfg`` names are read once and held for the
+    run; the tweets and labels are read in one pass, as the stream needs
+    them (``build_instances``). The vocabulary, and with ``cfg.percentile``
+    the chi-squared mask, is fitted on the first ``cfg.warmup`` instances,
+    whose pairs are held until ``fit_warmup``; the rest are built and
+    vectorized ``BLOCK`` at a time. Iterating yields the warmup pairs, then
+    the rest. ``default_trends`` counts the instances, so far, whose trend
+    fell back to downward for want of a closing price.
     """
 
     def __init__(self, cfg: PipelineConfig):
         _check_stream(cfg)
         self.lx = load_lexicons(cfg.lexicons)
-        labels = read_labels(cfg.labels) if cfg.labels else None
         self.prices = PriceSeries.from_csv(cfg.prices) if cfg.prices else None
         if self.prices is None:
             print("warning: no prices file, trend defaults to downward", file=sys.stderr)
         self.default_trends = 0
-        self._instances = build_instances(read_tweets(cfg.tweets), self.lx, labels)
+        self._instances = build_instances(read_tweets(cfg.tweets), self.lx, cfg.labels)
 
         window = list(islice(self._instances, cfg.warmup))
         if not window:
@@ -262,6 +322,12 @@ class FeatureStream:
                 self.default_trends += 1
         return vectorize(inst.processed, self.vm, numeric, trend)
 
+    def fit_warmup(self, model) -> None:
+        """Train ``model`` on the warmup pairs, then drop them."""
+        for inst, fv in self.warmup:
+            model.partial_fit(fv, inst.label)
+        self.warmup = []
+
     def rest(self) -> Iterator[tuple[Instance, FeatureVector]]:
         """The pairs after the warmup window, built and vectorized BLOCK
         instances at a time."""
@@ -291,6 +357,7 @@ def run_pipeline(cfg: PipelineConfig) -> PrequentialReport:
     if cfg.grid:
         warm = [(fv, inst.label) for inst, fv in stream.warmup]
         tuned = grid_search(cfg.learner, warm, cfg.stacked, cfg.seed)
+        del warm  # the grid's copy of the warmup pairs; fit_warmup drops the pairs
         args = tuned.args
         print(f"grid search: {tuned.point} (warmup accuracy {tuned.accuracy:.4f})")
     else:
@@ -313,8 +380,7 @@ def run_pipeline(cfg: PipelineConfig) -> PrequentialReport:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
         # warmup: train only; evaluation starts after the cold-start window
-        for inst, fv in stream.warmup:
-            model.partial_fit(fv, inst.label)
+        stream.fit_warmup(model)
         try:
             report = prequential_run(
                 ((fv, inst.label, inst) for inst, fv in stream.rest()),
@@ -338,8 +404,7 @@ def run_pipeline(cfg: PipelineConfig) -> PrequentialReport:
 
 
 def _cmd_segment(cfg: PipelineConfig) -> None:
-    if not cfg.tweets:
-        raise PipelineError("a tweets file is required")
+    _require_tweets(cfg)
     lx = load_lexicons(cfg.lexicons)
     for tweet in read_tweets(cfg.tweets):
         for index, seg in enumerate(segment_tweet(tweet, lx)):
@@ -360,6 +425,7 @@ def _cmd_segment(cfg: PipelineConfig) -> None:
 
 
 def _cmd_process(cfg: PipelineConfig) -> None:
+    _require_tweets(cfg)
     for inst in build_instances(read_tweets(cfg.tweets), load_lexicons(cfg.lexicons)):
         print(
             json.dumps(
@@ -436,7 +502,11 @@ def _cmd_agreement(cfg: PipelineConfig) -> None:
         rows.append(row)
     if not rows:
         raise PipelineError(f"{cfg.labels}: no annotated items")
-    print(agreement_report(rows).to_json())
+    try:
+        report = agreement_report(rows)
+    except EvaluationError as exc:
+        raise PipelineError(f"{cfg.labels}: {exc}") from exc
+    print(report.to_json())
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,7 +1,10 @@
+import gc
 import json
 import os
 import re
 import shutil
+import tracemalloc
+import weakref
 from dataclasses import fields
 from datetime import datetime, timezone
 
@@ -14,7 +17,9 @@ from finemo.cli import (
     build_instances,
     config_from_args,
     build_parser,
+    join_labels,
     main,
+    read_label_rows,
     read_labels,
     read_tweets,
     run_pipeline,
@@ -139,7 +144,8 @@ def test_grid_run_builds_its_model_from_the_tuned_args(sample_paths, tmp_path, m
 
 
 def test_read_tweets_sorted_and_validated(sample_paths, tmp_path):
-    tweets = read_tweets(sample_paths["tweets"])
+    # the records come in file order, which must be time order
+    tweets = list(read_tweets(sample_paths["tweets"]))
     stamps = [t.timestamp for t in tweets]
     assert stamps == sorted(stamps)
     bad = tmp_path / "bad.jsonl"
@@ -157,13 +163,16 @@ def test_read_tweets_sorted_and_validated(sample_paths, tmp_path):
              f"id must be a non-empty string or an integer, got {re.escape(tweet_id)}$")
             for tweet_id in ("null", '["a"]', '{"a": 1}', "true", "1.5", '""')
         ),
-        # sorting would compare offset-naive and offset-aware datetimes
+        # the order check would compare offset-naive and offset-aware datetimes
         ('{"id": "x", "created_at": "2019-08-01T09:00:00+02:00", "text": "hola"}',
          "'2019-08-01T09:00:00\\+02:00' has a UTC offset, unlike the first record's"),
+        ('{"id": "x", "created_at": "2019-08-01T09:59:59", "text": "hola"}',
+         "'2019-08-01T09:59:59' is earlier than '2019-08-01T10:00:00' on line 1: "
+         "tweets must be in time order$"),
     ]:
         bad.write_text(good + record + "\n")
         with pytest.raises(PipelineError, match=f"bad.jsonl:2: .*{message}"):
-            read_tweets(str(bad))
+            list(read_tweets(str(bad)))
     bad.write_text(good.replace('"t"', "7"))
     assert [t.id for t in read_tweets(str(bad))] == ["7"]
 
@@ -187,7 +196,181 @@ def test_read_tweets_reads_one_timestamp_grammar(tmp_path):
         path.write_text(record("2019-08-05T09:00:00") + record(stamp))
         message = f"{path}:2: bad tweet record: created_at must be an ISO 8601 timestamp, got {stamp!r}"
         with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
-            read_tweets(str(path))
+            list(read_tweets(str(path)))
+
+
+def _tweet_line(tweet_id, stamp, text="$SAN sube"):
+    return json.dumps({"id": tweet_id, "created_at": stamp, "text": text}) + "\n"
+
+
+def test_read_tweets_yields_records_before_a_later_bad_line(tmp_path):
+    path = tmp_path / "tweets.jsonl"
+    path.write_text(
+        _tweet_line("t0", "2019-08-01T10:00:00") + _tweet_line("t1", "2019-08-01T11:00:00")
+        + "{not json\n"
+    )
+    tweets = read_tweets(str(path))
+    assert [next(tweets).id, next(tweets).id] == ["t0", "t1"]
+    with pytest.raises(PipelineError, match=f"^{re.escape(str(path))}:3: bad tweet record"):
+        next(tweets)
+
+
+def test_read_tweets_refuses_an_earlier_timestamp_by_line(tmp_path):
+    path = tmp_path / "tweets.jsonl"
+    path.write_text(
+        _tweet_line("t0", "2019-08-01T10:00:00Z")
+        + "\n"
+        + _tweet_line("t1", "2019-08-01T11:00:00Z")
+        + _tweet_line("t2", "2019-08-01T12:30:00+02:00")  # 10:30Z
+    )
+    message = (
+        f"{path}:4: bad tweet record: created_at '2019-08-01T12:30:00+02:00' is earlier than "
+        "'2019-08-01T11:00:00Z' on line 3: tweets must be in time order"
+    )
+    with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
+        list(read_tweets(str(path)))
+
+
+def test_read_tweets_keeps_file_order_of_equal_timestamps(tmp_path):
+    path = tmp_path / "tweets.jsonl"
+    # the same instant, written three ways
+    path.write_text(
+        _tweet_line("c", "2019-08-01T10:00:00Z")
+        + _tweet_line("a", "2019-08-01T12:00:00+02:00")
+        + _tweet_line("b", "2019-08-01T10:00:00+00:00")
+    )
+    assert [t.id for t in read_tweets(str(path))] == ["c", "a", "b"]
+
+
+def _join_inputs(tmp_path, labels):
+    """A tweets file of t0, t1 and t2, each naming SAN once, and ``labels``."""
+    tweets = tmp_path / "tweets.jsonl"
+    tweets.write_text("".join(
+        _tweet_line(f"t{i}", f"2019-08-01T1{i}:00:00") for i in range(3)
+    ))
+    path = tmp_path / "labels.tsv"
+    path.write_text(labels)
+    return str(tweets), str(path)
+
+
+@pytest.mark.parametrize(
+    "labels, lineno, message",
+    [
+        # a tweet that never arrives
+        ("t0\t0\tSAN\tP\ntx\t0\tSAN\tP\nt2\t0\tSAN\tN\n", 2,
+         "label for tweet tx, which no later tweet has: "
+         "labels must follow the order of the tweets file"),
+        # a row out of tweet order
+        ("t1\t0\tSAN\tP\n# t0 again\nt0\t0\tSAN\tN\n", 3, "label for tweet t0, which no later"),
+        # a second row for one key within a tweet's rows
+        ("t0\t0\tSAN\tP\nt1\t0\tSAN\tN\nt1\t00\tSAN\tO\n", 3,
+         "duplicate label for tweet t1, segment 00, focus SAN (first given on line 2)"),
+    ],
+)
+def test_join_refuses_a_row_by_path_and_line(tmp_path, labels, lineno, message):
+    tweets, path = _join_inputs(tmp_path, labels)
+    with pytest.raises(PipelineError, match=f"^{re.escape(f'{path}:{lineno}: {message}')}"):
+        list(join_labels(read_tweets(tweets), path))
+
+
+def test_join_holds_only_the_current_tweets_rows(tmp_path):
+    tweets, path = _join_inputs(tmp_path, "t0\t0\tSAN\tP\nt2\t0\tSAN\tN\nt2\t1\tSAN\tO\n")
+    joined = [(tweet.id, sorted(row.lineno for row in held.values()))
+              for tweet, held in join_labels(read_tweets(tweets), path)]
+    assert joined == [("t0", [1]), ("t1", []), ("t2", [2, 3])]
+
+
+def test_a_repeated_tweet_id_reads_its_labels_at_its_first_copy_only(lx, tmp_path):
+    # the join reads t0's rows at its first copy, and no row is left for the
+    # second, whose replica is dropped (a lookup in a dict would label both)
+    tweets, path = _join_inputs(tmp_path, "t0\t0\tSAN\tP\nt1\t0\tSAN\tN\n")
+    with open(tweets, "a", encoding="utf-8") as fh:
+        fh.write(_tweet_line("t0", "2019-08-01T13:00:00"))
+    got = [(i.tweet.id, i.tweet.timestamp.hour, i.label) for i in build_instances(
+        read_tweets(tweets), lx, path)]
+    assert got == [("t0", 10, EmotionLabel.PRECAUTION), ("t1", 11, EmotionLabel.NEUTRAL)]
+    assert len(list(build_instances(read_tweets(tweets), lx))) == 4
+
+
+def test_a_label_row_for_an_unknown_tweet_is_refused_before_the_warmup_check(
+    sample_paths, tmp_path
+):
+    # every row after the stray one waits for a tweet that has passed, so
+    # the window is short; the stray row is named all the same
+    labels = tmp_path / "labels.tsv"
+    rows = open(sample_paths["labels"], encoding="utf-8").read().splitlines(keepends=True)
+    labels.write_text("".join(rows[:3]) + "t999\t0\tSAN\tP\n" + "".join(rows[3:]))
+    cfg = _config(sample_paths, tmp_path, labels=str(labels))
+    with pytest.raises(PipelineError, match=f"^{re.escape(str(labels))}:4: label for tweet t999"):
+        run_pipeline(cfg)
+
+
+def test_a_refusal_late_in_the_stream_leaves_no_report(sample_paths, tmp_path, capsys):
+    labels = tmp_path / "labels.tsv"
+    shutil.copyfile(sample_paths["labels"], labels)
+    with open(labels, encoding="utf-8") as fh:
+        lineno = sum(1 for _ in fh) + 1
+    with open(labels, "a", encoding="utf-8") as fh:
+        fh.write("t999\t0\tSAN\tP\n")
+    out = tmp_path / "out"
+    assert main(_argv({**sample_paths, "labels": labels}, "train-eval", out)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {labels}:{lineno}: label for tweet t999")
+    assert sorted(p.name for p in out.iterdir()) == ["indicators.jsonl", "vocabulary.json"]
+
+
+def _lines_peak(tmp_path, n):
+    """The tracemalloc peak, in bytes, of reading and joining a tweets file
+    and a labels file of ``n`` lines each."""
+    tweets = tmp_path / f"tweets-{n}.jsonl"
+    labels = tmp_path / f"labels-{n}.tsv"
+    with open(tweets, "w", encoding="utf-8") as tf, open(labels, "w", encoding="utf-8") as lf:
+        for i in range(n):
+            tf.write(_tweet_line(f"t{i}", f"2019-08-01T10:{i * 60 // n:02d}:00"))
+            lf.write(f"t{i}\t0\tSAN\tP\n")
+    tracemalloc.start()
+    try:
+        for _ in join_labels(read_tweets(str(tweets)), str(labels)):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reading_and_joining_take_memory_independent_of_stream_length(tmp_path):
+    # a list of 20000 tweets or a dict of 20000 labels would take megabytes
+    _lines_peak(tmp_path, 100)  # first-use allocations of the parsers
+    short, long = _lines_peak(tmp_path, 2000), _lines_peak(tmp_path, 20000)
+    assert long < short + 16 * 1024, (short, long)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"learner": "sgd", "grid": True}, {"learner": "sgd", "percentile": 15}],
+)
+def test_no_warmup_vector_outlives_the_warmup(sample_paths, tmp_path, monkeypatch, overrides):
+    warmup = []  # weak references to the vectors the run's learner trained on before predicting
+    alive_at_first_prediction = []
+
+    class Probe:
+        def __init__(self, learner):
+            self.learner = learner
+
+        def partial_fit(self, fv, label):
+            if not alive_at_first_prediction:
+                warmup.append(weakref.ref(fv))
+            self.learner.partial_fit(fv, label)
+
+        def predict_label(self, fv):
+            if not alive_at_first_prediction:
+                gc.collect()
+                alive_at_first_prediction.append(sum(ref() is not None for ref in warmup))
+            return self.learner.predict_label(fv)
+
+    real = cli.make_learner
+    monkeypatch.setattr(cli, "make_learner", lambda *args: Probe(real(*args)))
+    run_pipeline(_config(sample_paths, tmp_path, **overrides))
+    assert len(warmup) == 10
+    assert alive_at_first_prediction == [0]
 
 
 @pytest.mark.parametrize(
@@ -237,22 +420,33 @@ def test_agreement_refuses_a_file_without_items(tmp_path, capsys, text):
     assert capsys.readouterr().err == f"error: {ann}: no annotated items\n"
 
 
+def test_agreement_refuses_undefined_alpha_naming_the_file(tmp_path, capsys):
+    ann = tmp_path / "ann.tsv"
+    ann.write_text("P\tP\nP\tP\n")
+    assert main(["agreement", "--labels", str(ann)]) == 1
+    assert capsys.readouterr().err == f"error: {ann}: alpha undefined: all mass on one category\n"
+
+
 def test_read_labels_validated(sample_paths, tmp_path):
-    labels = read_labels(sample_paths["labels"])
-    assert labels  # sample corpus ships labels for every replica
+    # the dict and the pipeline's join read rows by the one row reader
+    rows = list(read_label_rows(sample_paths["labels"]))
+    assert rows  # sample corpus ships labels for every replica
+    assert read_labels(sample_paths["labels"]) == {row.key: row.label for row in rows}
     bad = tmp_path / "bad.tsv"
-    bad.write_text("# comment\nt0\t0\tBBVA\n")
-    with pytest.raises(PipelineError, match=re.escape(f"{bad}:2: expected 4 tab-separated fields")):
-        read_labels(str(bad))
-    bad.write_text("t0\t0\tBBVA\tZ\n")
-    with pytest.raises(PipelineError, match="bad.tsv:1"):
-        read_labels(str(bad))
-    # -1 would match no replica, 1_0 would read as 10 and " 1" as 1
-    for index in ("-1", "1_0", " 1", "1 ", "+1", "", "\u0661", "\u00b2"):
-        bad.write_text(f"t0\t0\tBBVA\tP\nt0\t{index}\tBBVA\tP\n", encoding="utf-8")
-        message = f"{bad}:2: segment_index must be ASCII digits, got {index!r}"
-        with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
-            read_labels(str(bad))
+    for read in (read_labels, lambda path: list(read_label_rows(path))):
+        bad.write_text("# comment\nt0\t0\tBBVA\n")
+        message = f"{bad}:2: expected 4 tab-separated fields"
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            read(str(bad))
+        bad.write_text("t0\t0\tBBVA\tZ\n")
+        with pytest.raises(PipelineError, match="bad.tsv:1"):
+            read(str(bad))
+        # -1 would match no replica, 1_0 would read as 10 and " 1" as 1
+        for index in ("-1", "1_0", " 1", "1 ", "+1", "", "\u0661", "\u00b2"):
+            bad.write_text(f"t0\t0\tBBVA\tP\nt0\t{index}\tBBVA\tP\n", encoding="utf-8")
+            message = f"{bad}:2: segment_index must be ASCII digits, got {index!r}"
+            with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
+                read(str(bad))
 
 
 def test_read_labels_refuses_a_duplicate_key(tmp_path):
@@ -264,16 +458,22 @@ def test_read_labels_refuses_a_duplicate_key(tmp_path):
         re.escape(f"{path}:5: duplicate label for tweet t0, segment 01, focus BBVA")
         + r".*\bline 3\b"
     )
+    # the dict refuses a second row for a key anywhere in the file; the join
+    # refuses line 5 too, as out of tweet order (test_join_refuses_...)
     with pytest.raises(PipelineError, match=message):
         read_labels(str(path))
     path.write_text("t0\t0\tBBVA\tP\nt0\t0\tSAN\tP\nt0\t1\tBBVA\tP\n")
     assert len(read_labels(str(path))) == 3
+    assert [row.lineno for row in read_label_rows(str(path))] == [1, 2, 3]
 
 
 def test_read_labels_skips_blank_and_indented_comment_lines(tmp_path):
     path = tmp_path / "labels.tsv"
     path.write_text("t0\t0\tBBVA\tP\n   \n\t\n  # note\nt1\t0\tSAN\tN\n")
     assert list(read_labels(str(path)).values()) == [EmotionLabel.PRECAUTION, EmotionLabel.NEUTRAL]
+    assert [(row.lineno, row.label) for row in read_label_rows(str(path))] == [
+        (1, EmotionLabel.PRECAUTION), (5, EmotionLabel.NEUTRAL)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -301,7 +501,8 @@ def test_bad_input_rows_are_named_by_path_and_line(
                "--labels", str(labels), "--warmup", "10", "--learner", "nb",
                "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert capsys.readouterr().err.startswith(f"error: {path}:{lineno}: {message}")
+    # labels are read as the stream goes, after the no-prices warning
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {path}:{lineno}: {message}")
 
 
 def _input_copies(sample_paths, tmp_path):
@@ -352,7 +553,7 @@ def test_non_utf8_input_is_refused_by_path_and_line(sample_paths, tmp_path, caps
 _READERS = {
     "lexicons": load_lexicons,
     "labels": read_labels,
-    "tweets": read_tweets,
+    "tweets": lambda path: list(read_tweets(path)),
     "prices": lambda path: PriceSeries.from_csv(path).closes,
 }
 
@@ -392,12 +593,11 @@ def test_crlf_inputs_read_as_lf(sample_paths, tmp_path, capsys, command):
 
 
 def test_build_instances_covers_all_replicas(sample_paths):
+    # one pass joins every label row of the sample with the replica it names
     lx = load_lexicons(sample_paths["lexicons"])
-    tweets = read_tweets(sample_paths["tweets"])
     labels = read_labels(sample_paths["labels"])
-    instances = build_instances(tweets, lx, labels)
-    labeled = [i for i in instances if i.label is not None]
-    assert len(labeled) == len(labels)
+    instances = build_instances(read_tweets(sample_paths["tweets"]), lx, sample_paths["labels"])
+    assert {(i.tweet.id, i.segment_index, i.focus): i.label for i in instances} == labels
 
 
 def test_config_from_args_sets_only_the_flags_given():

@@ -412,7 +412,7 @@ def test_segment_tweet_equals_oracle_on_benchmark_inputs(name, benchmark_inputs)
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_segment_clauses_equals_character_walk_on_benchmark_inputs(name, benchmark_inputs):
-    tweets = read_tweets(benchmark_inputs[name].tweets)
-    for tweet in tweets:
+    n = 0
+    for n, tweet in enumerate(read_tweets(benchmark_inputs[name].tweets), start=1):
         assert segment_clauses(tweet.text) == _ref_segment_clauses(tweet.text), tweet.text
-    assert tweets
+    assert n == benchmark_inputs[name].n_tweets

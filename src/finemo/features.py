@@ -60,6 +60,14 @@ BOW_COLUMNS = slice(0, N_BOW)
 NUMERIC_COLUMNS = slice(N_BOW, N_BOW + N_NUMERIC)
 TREND_COLUMN = N_DENSE - 1
 
+# n-grams of every kind are 1 to NGRAM_MAX long; an n-gram is kept when its
+# document frequency over the warmup window is within [MIN_DF, MAX_DF] of the
+# segments, and each emotion's bag of words keeps up to BOW_SIZE entries
+NGRAM_MAX = 4
+MIN_DF = 0.001
+MAX_DF = 0.5
+BOW_SIZE = 500
+
 VOCAB_FORMAT_VERSION = 1
 
 
@@ -117,12 +125,7 @@ class VocabularyModel:
     bow_pre: list[str]
     bow_neu: list[str]
     bow_opp: list[str]
-    ngram_range: tuple[int, int] = (1, 4)
     selection_mask: set[int] | None = None
-
-    def __post_init__(self):
-        if self.ngram_range[0] < 1:
-            raise VocabularyError(f"n-grams must be at least 1 long, got {self.ngram_range}")
 
     @cached_property
     def bow_index(self) -> dict[str, list[int]]:
@@ -165,7 +168,7 @@ class VocabularyModel:
         return json.dumps(
             {
                 "version": VOCAB_FORMAT_VERSION,
-                "ngram_range": list(self.ngram_range),
+                "ngram_range": [1, NGRAM_MAX],
                 "char_vocab": self.char_vocab,
                 "word_vocab": self.word_vocab,
                 "wordbound_vocab": self.wordbound_vocab,
@@ -184,6 +187,10 @@ class VocabularyModel:
         data = json.loads(payload)
         if data.get("version") != VOCAB_FORMAT_VERSION:
             raise VocabularyError(f"unsupported vocabulary version: {data.get('version')}")
+        if data.get("ngram_range") != [1, NGRAM_MAX]:
+            raise VocabularyError(
+                f"unsupported n-gram range: {data.get('ngram_range')}, expected [1, {NGRAM_MAX}]"
+            )
         return cls(
             char_vocab=data["char_vocab"],
             word_vocab=data["word_vocab"],
@@ -191,7 +198,6 @@ class VocabularyModel:
             bow_pre=data["bow_pre"],
             bow_neu=data["bow_neu"],
             bow_opp=data["bow_opp"],
-            ngram_range=tuple(data["ngram_range"]),
             selection_mask=set(data["selection_mask"])
             if data["selection_mask"] is not None
             else None,
@@ -269,26 +275,20 @@ def _norm_tokens(seg: ProcessedSegment) -> list[str]:
     return [t.casefold() for t in seg.tokens]
 
 
-def _df_filter(doc_freq: Counter, n_docs: int, min_df: float, max_df: float) -> dict[str, int]:
-    lo = min_df * n_docs
-    hi = max_df * n_docs
+def _df_filter(doc_freq: Counter, n_docs: int) -> dict[str, int]:
+    lo = MIN_DF * n_docs
+    hi = MAX_DF * n_docs
     kept = sorted(term for term, df in doc_freq.items() if lo <= df <= hi)
     return {term: i for i, term in enumerate(kept)}
 
 
 def fit_vocabularies(
-    corpus: list[ProcessedSegment],
-    ngram_range: tuple[int, int] = (1, 4),
-    max_df: float = 0.5,
-    min_df: float = 0.001,
-    bow_size: int = 500,
-    labels: Sequence[EmotionLabel | None] | None = None,
+    corpus: list[ProcessedSegment], labels: Sequence[EmotionLabel | None] | None = None
 ) -> VocabularyModel:
     """Fit the three textual vocabularies and per-emotion exclusive BOWs;
     ``labels`` gives each segment's gold label (None: unknown) for the BOWs."""
     if not corpus:
         raise VocabularyError("empty fitting corpus")
-    n_min, n_max = ngram_range
     char_df: Counter = Counter()
     word_df: Counter = Counter()
     wb_df: Counter = Counter()
@@ -299,25 +299,25 @@ def fit_vocabularies(
     for seg, label in zip(corpus, known, strict=True):
         tokens = _norm_tokens(seg)
         text = " ".join(tokens)
-        char_df.update(set(char_ngrams(text, n_min, n_max)))
-        word_df.update(set(word_ngrams(tokens, n_min, n_max)))
-        wb_df.update(set(charwb_ngrams(tokens, n_min, n_max)))
+        char_df.update(set(char_ngrams(text, 1, NGRAM_MAX)))
+        word_df.update(set(word_ngrams(tokens, 1, NGRAM_MAX)))
+        wb_df.update(set(charwb_ngrams(tokens, 1, NGRAM_MAX)))
         if label is not None:
             candidates = word_ngrams(tokens, 1, 2)
             class_docs[label].update(candidates)
             term_freq.update(candidates)
 
     n_docs = len(corpus)
-    char_vocab = _df_filter(char_df, n_docs, min_df, max_df)
-    word_vocab = _df_filter(word_df, n_docs, min_df, max_df)
-    wb_vocab = _df_filter(wb_df, n_docs, min_df, max_df)
+    char_vocab = _df_filter(char_df, n_docs)
+    word_vocab = _df_filter(word_df, n_docs)
+    wb_vocab = _df_filter(wb_df, n_docs)
 
     bows: dict[EmotionLabel, list[str]] = {}
     for cls in CLASS_ORDER:
         others = set().union(*(class_docs[o] for o in CLASS_ORDER if o is not cls))
         exclusive = class_docs[cls] - others
         ranked = sorted(exclusive, key=lambda t: (-term_freq[t], t))
-        bows[cls] = ranked[:bow_size]
+        bows[cls] = ranked[:BOW_SIZE]
 
     return VocabularyModel(
         char_vocab=char_vocab,
@@ -326,7 +326,6 @@ def fit_vocabularies(
         bow_pre=bows[EmotionLabel.PRECAUTION],
         bow_neu=bows[EmotionLabel.NEUTRAL],
         bow_opp=bows[EmotionLabel.OPPORTUNITY],
-        ngram_range=(n_min, n_max),
     )
 
 
@@ -462,24 +461,21 @@ def compute_trend(ticker: str, post_time: datetime, prices: PriceSeries) -> bool
 
 
 def _token_columns(
-    token: str,
-    tables: tuple[dict[str, int], dict[str, int], dict[str, int]],
-    ngram_range: tuple[int, int],
+    token: str, tables: tuple[dict[str, int], dict[str, int], dict[str, int]]
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
     """The columns in ``tables``, in counting order, of the n-grams that
     ``token`` alone makes: its char n-grams for each n, its word unigram and
     its within-word n-grams. They are the tables' own int objects, so a memo
     entry makes no new ints."""
-    n_min, n_max = ngram_range
     char_table, word_table, wordbound_table = tables
 
     def columns(grams, table):
         return tuple([c for c in map(table.get, grams) if c is not None])
 
     return (
-        tuple(columns(char_ngrams(token, n, n), char_table) for n in range(n_min, n_max + 1)),
-        columns([token] if n_min == 1 <= n_max else [], word_table),
-        columns(charwb_ngrams([token], n_min, n_max), wordbound_table),
+        tuple(columns(char_ngrams(token, n, n), char_table) for n in range(1, NGRAM_MAX + 1)),
+        columns([token], word_table),
+        columns(charwb_ngrams([token], 1, NGRAM_MAX), wordbound_table),
     )
 
 
@@ -489,30 +485,29 @@ def _count_ngrams(seg: ProcessedSegment, vm: VocabularyModel) -> dict[int, float
     occurrence.
 
     ``vm.ngram_memo`` maps a casefolded token to its ``_token_columns``
-    under these tables and n-gram range; a missing token is added, and the
+    under these tables; a missing token is added, and the
     memo is cleared at ``MEMO_SIZE`` entries. Only the n-grams that span
     tokens are looked up here: char n-grams that start in a token's last
     n - 1 characters or on the space after it, and word n-grams with n >= 2.
     """
-    tables, ngram_range, memo = vm.count_tables, vm.ngram_range, vm.ngram_memo
+    tables, memo = vm.count_tables, vm.ngram_memo
     tokens = _norm_tokens(seg)
     entries = []
     for token in tokens:
         entry = memo.get(token)
         if entry is None:
-            entry = remember(memo, token, _token_columns(token, tables, ngram_range))
+            entry = remember(memo, token, _token_columns(token, tables))
         entries.append(entry)
-    n_min, n_max = ngram_range
     char_table, word_table, _ = tables
     counts: dict[int, float] = {}
     get = counts.get
     # a column enters at its first occurrence, by kind, then n, then
     # position: items() and the order of SGD's sums depend on that order
     text = " ".join(tokens)
-    for k, n in enumerate(range(n_min, n_max + 1)):
+    for n in range(1, NGRAM_MAX + 1):
         start, last = 0, len(text) - n
         for token, entry in zip(tokens, entries):
-            for key in entry[0][k]:
+            for key in entry[0][n - 1]:
                 counts[key] = get(key, 0.0) + 1.0
             end = start + len(token)
             for i in range(max(start, end - n + 1), min(end, last) + 1):
@@ -523,7 +518,7 @@ def _count_ngrams(seg: ProcessedSegment, vm: VocabularyModel) -> dict[int, float
     for entry in entries:
         for key in entry[1]:
             counts[key] = get(key, 0.0) + 1.0
-    for gram in word_ngrams(tokens, max(n_min, 2), n_max):
+    for gram in word_ngrams(tokens, 2, NGRAM_MAX):
         key = word_table.get(gram)
         if key is not None:
             counts[key] = get(key, 0.0) + 1.0
@@ -546,8 +541,6 @@ def vectorize(
     vector keeps until then; a run that never reads them never builds the
     tables.
     """
-    if vm is None:
-        raise VocabularyError("vocabulary model not fitted")
     tokens = _norm_tokens(seg)
     hits = [0] * N_BOW
     for gram in word_ngrams(tokens, 1, 2):

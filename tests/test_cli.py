@@ -292,6 +292,36 @@ def test_a_repeated_tweet_id_reads_its_labels_at_its_first_copy_only(lx, tmp_pat
     assert len(list(build_instances(read_tweets(tweets), lx))) == 4
 
 
+def test_a_label_row_that_names_no_replica_of_its_tweet_is_refused(lx, tmp_path):
+    # t0 has one segment naming SAN; of its two unmatched rows the first in
+    # the file is named, once the replica that does match has been yielded
+    tweets, path = _join_inputs(
+        tmp_path, "t0\t0\tSAN\tP\nt0\t01\tSAN\tN\nt0\t0\tBBVA\tO\nt1\t0\tSAN\tN\n"
+    )
+    instances = build_instances(read_tweets(tweets), lx, path)
+    assert next(instances).label is EmotionLabel.PRECAUTION
+    message = (
+        f"{path}:2: label for tweet t0, segment 01, focus SAN, "
+        "which names no replica of that tweet"
+    )
+    with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
+        next(instances)
+
+
+def test_train_eval_refuses_a_label_row_that_names_no_replica(sample_paths, tmp_path, capsys):
+    labels = tmp_path / "labels.tsv"
+    shutil.copyfile(sample_paths["labels"], labels)
+    with open(labels, encoding="utf-8") as fh:
+        lineno = sum(1 for _ in fh) + 1
+    with open(labels, "a", encoding="utf-8") as fh:
+        fh.write("t024\t5\tCABK\tP\n")  # t024 is the sample's last tweet
+    assert main(_argv({**sample_paths, "labels": labels}, "train-eval", tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (
+        f"error: {labels}:{lineno}: label for tweet t024, segment 5, focus CABK, "
+        "which names no replica of that tweet\n"
+    )
+
+
 def test_a_label_row_for_an_unknown_tweet_is_refused_before_the_warmup_check(
     sample_paths, tmp_path
 ):

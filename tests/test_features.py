@@ -16,9 +16,12 @@ from finemo.cli import FeatureStream, PipelineConfig, main
 from finemo.features import (
     BOW_COLUMNS,
     DENSE_NAMES,
+    MAX_DF,
+    MIN_DF,
     N_BOW,
     N_DENSE,
     N_NUMERIC,
+    NGRAM_MAX,
     NUMERIC_NAMES,
     NUMERIC_COLUMNS,
     TREND_COLUMN,
@@ -224,8 +227,15 @@ def _corpus():
     ]
 
 
+def _fit_every_ngram(corpus, labels=None):
+    """``fit_vocabularies`` with the document-frequency bounds opened to
+    [0, 1], so that a corpus of a few segments keeps every n-gram it has."""
+    with mock.patch.multiple("finemo.features", MIN_DF=0.0, MAX_DF=1.0):
+        return fit_vocabularies(corpus, labels)
+
+
 def test_bow_exclusivity():
-    vm = fit_vocabularies(_corpus(), min_df=0.0, max_df=1.0, labels=_LABELS)
+    vm = _fit_every_ngram(_corpus(), _LABELS)
     pre, neu, opp = set(vm.bow_pre), set(vm.bow_neu), set(vm.bow_opp)
     assert "mucho cuidar" in pre
     assert not pre & neu and not pre & opp and not neu & opp
@@ -234,29 +244,32 @@ def test_bow_exclusivity():
 
 
 def test_bow_ranking_frequency_then_lexicographic():
-    vm = fit_vocabularies(_corpus(), min_df=0.0, max_df=1.0, bow_size=3, labels=_LABELS)
+    vm = _fit_every_ngram(_corpus(), _LABELS)
     # "ganancia" appears twice in opportunity docs, everything else once
     assert vm.bow_opp[0] == "ganancia"
     assert vm.bow_opp[1:] == sorted(vm.bow_opp[1:])
 
 
 def test_df_bounds_respected():
-    corpus = _corpus()
-    vm = fit_vocabularies(corpus, min_df=0.3, max_df=0.5, labels=_LABELS)
+    # enough segments that MIN_DF drops a word of one segment but keeps one
+    # of three, and MAX_DF drops what more than half the segments share
+    corpus = _corpus() * 400 + [_processed(["único"])] + [_processed(["trío"])] * 3
+    vm = fit_vocabularies(corpus)
     n = len(corpus)
     for vocab, analyzer in (
         (vm.char_vocab, lambda s: char_ngrams(" ".join(s.tokens), 1, 4)),
         (vm.word_vocab, lambda s: word_ngrams(list(s.tokens), 1, 4)),
         (vm.wordbound_vocab, lambda s: charwb_ngrams(list(s.tokens), 1, 4)),
     ):
-        for term in vocab:
-            df = sum(term in set(analyzer(seg)) for seg in corpus)
-            assert 0.3 * n <= df <= 0.5 * n, term
+        df = Counter(term for seg in corpus for term in set(analyzer(seg)))
+        assert set(vocab) == {term for term, d in df.items() if MIN_DF * n <= d <= MAX_DF * n}
+    assert "único" not in vm.word_vocab and "trío" in vm.word_vocab
+    assert "a" not in vm.char_vocab  # in every segment but the last four
 
 
 def test_vectorize_counts_match_manual_recount():
     corpus = _corpus()
-    vm = fit_vocabularies(corpus, min_df=0.0, max_df=1.0, labels=_LABELS)
+    vm = _fit_every_ngram(corpus, _LABELS)
     seg = corpus[0]
     fv = vectorize(seg, vm, (0,) * N_NUMERIC, False)
     text = " ".join(seg.tokens)
@@ -300,7 +313,7 @@ def test_numeric_length_validated():
 
 def test_selection_mask_filters_all_blocks():
     corpus = _corpus()
-    vm = fit_vocabularies(corpus, min_df=0.0, max_df=1.0, labels=_LABELS)
+    vm = _fit_every_ngram(corpus, _LABELS)
     keep_numeric = vm.n_text_columns + 3 + 2
     vm = replace(vm, selection_mask={0, 1, keep_numeric})  # drops trend and most columns
     fv = vectorize(corpus[0], vm, tuple(range(N_NUMERIC)), True)
@@ -311,7 +324,7 @@ def test_selection_mask_filters_all_blocks():
 
 
 def test_vocabulary_json_round_trip():
-    vm = fit_vocabularies(_corpus(), min_df=0.0, max_df=1.0, labels=_LABELS)
+    vm = _fit_every_ngram(_corpus(), _LABELS)
     vm = replace(vm, selection_mask={1, 5, 9})
     back = VocabularyModel.from_json(vm.to_json())
     assert back.char_vocab == vm.char_vocab
@@ -319,11 +332,11 @@ def test_vocabulary_json_round_trip():
     assert back.wordbound_vocab == vm.wordbound_vocab
     assert back.bow_pre == vm.bow_pre
     assert back.selection_mask == vm.selection_mask
-    assert back.ngram_range == vm.ngram_range
+    assert back.to_json() == vm.to_json()
 
 
 def test_vocabulary_version_check():
-    vm = fit_vocabularies(_corpus(), min_df=0.0, max_df=1.0, labels=_LABELS)
+    vm = _fit_every_ngram(_corpus(), _LABELS)
     payload = vm.to_json().replace('"version": 1', '"version": 99')
     with pytest.raises(VocabularyError, match="version"):
         VocabularyModel.from_json(payload)
@@ -341,12 +354,14 @@ def test_one_label_per_segment():
         fit_vocabularies(_corpus(), labels=[])
 
 
-def test_ngrams_shorter_than_one_rejected():
-    # the per-token column memo splits n-grams at token boundaries, which
-    # empty n-grams do not respect
-    for ngram_range in ((0, 2), (-1, 3)):
-        with pytest.raises(VocabularyError, match="at least 1"):
-            fit_vocabularies(_corpus(), ngram_range, min_df=0.0, max_df=1.0, labels=_LABELS)
+def test_vocabulary_json_refuses_another_ngram_range():
+    # a vocabulary.json file comes from outside the program; its n-grams
+    # must be the ones this program counts
+    payload = _fit_every_ngram(_corpus(), _LABELS).to_json()
+    assert '"ngram_range": [1, 4]' in payload
+    for other in ("[2, 3]", "[0, 4]"):
+        with pytest.raises(VocabularyError, match="n-gram range"):
+            VocabularyModel.from_json(payload.replace("[1, 4]", other, 1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -479,7 +494,7 @@ def _eager_vectorize(seg, vm, numeric, trend):
         raise VocabularyError("vocabulary model not fitted")
     tokens = _norm_tokens(seg)
     text = " ".join(tokens)
-    n_min, n_max = vm.ngram_range
+    n_min, n_max = 1, NGRAM_MAX
 
     counts: dict[int, float] = {}
     offset = 0
@@ -635,15 +650,12 @@ def _processed(tokens):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     corpus=st.lists(st.lists(_MEMO_TOKEN, min_size=1, max_size=6), min_size=1, max_size=6),
-    ngram_range=st.sampled_from([(1, 4), (2, 3), (3, 3)]),
     memo_size=st.sampled_from([1, 3, MEMO_SIZE]),
     data=st.data(),
 )
-def test_memoized_counts_equal_eager_vectorize(corpus, ngram_range, memo_size, data):
+def test_memoized_counts_equal_eager_vectorize(corpus, memo_size, data):
     pool = sorted({t for tokens in corpus for t in tokens})
-    fitted = fit_vocabularies(
-        [_processed(tokens) for tokens in corpus], ngram_range, max_df=1.0, min_df=0.0
-    )
+    fitted = _fit_every_ngram([_processed(tokens) for tokens in corpus])
     segments = [_processed(tokens) for tokens in corpus]
     segments += [_processed([t]) for t in pool]  # one-token segments
     segments.append(_processed([pool[0]] * 3))  # one token repeated
@@ -724,7 +736,7 @@ def test_replaced_model_starts_new_tables_and_an_empty_memo(sample_stream):
 
 def test_memos_never_exceed_the_bound(sample_paths):
     lx = load_lexicons(sample_paths["lexicons"])
-    vm = fit_vocabularies([_processed(["mercado", "sube"])], max_df=1.0, min_df=0.0)
+    vm = _fit_every_ngram([_processed(["mercado", "sube"])])
     memos = {
         "corrections": lx.corrections, "splits": lx.splits, "n-grams": vm.ngram_memo
     }

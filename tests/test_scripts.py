@@ -1,6 +1,5 @@
 """Smoke tests: the experiment scripts run end to end as subprocesses."""
 
-import json
 import os
 import subprocess
 import sys
@@ -32,21 +31,6 @@ def test_run_synthetic_experiment_prints_full_table():
     assert {(row[0], row[1]) for row in rows} == expected
     for row in rows:
         assert all(0.0 <= float(v) <= 1.0 for v in row[2:5])
-
-
-def test_run_sample_pipeline_writes_report_and_artifacts(tmp_path):
-    out = tmp_path / "sample"
-    result = _run_script("run_sample_pipeline.py", "--out", str(out))
-    assert result.returncode == 0, result.stderr
-    body, _, tail = result.stdout.rpartition("}\n")
-    report = json.loads(body + "}")
-    assert tail.startswith("artifacts in ")
-    assert report["n"] == 21  # 31 labeled sample replicas minus a warmup of 10
-    assert sum(map(sum, report["confusion"])) == report["n"]
-    assert set(report["precision"]) == set(report["recall"]) == set(report["labels"])
-    for name in ("report.json", "confusion.csv", "accuracy_series.csv",
-                 "indicators.jsonl", "vocabulary.json"):
-        assert (out / name).is_file(), name
 
 
 def test_make_sample_data_reproduces_the_bundled_sample(tmp_path):

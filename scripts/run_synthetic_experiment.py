@@ -45,7 +45,7 @@ def main() -> None:
                 t0 = time.time()
                 for fv, label in stream[: args.warmup]:
                     model.partial_fit(fv, label)
-                report = prequential_run(stream[args.warmup :], model, sample_every=500)
+                report = prequential_run(stream[args.warmup :], model)
                 label = name + ("+stack" if stacked else "")
                 print(
                     f"{label:<14} {'off' if ablate else 'on':<4} "

@@ -19,6 +19,7 @@ import json
 import os
 import re
 import sys
+from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields, replace
 from datetime import datetime
@@ -32,6 +33,7 @@ from finemo.evaluation import (
     PrequentialReport,
     agreement_report,
     prequential_run,
+    series_writer,
 )
 from finemo.features import (
     DENSE_NAMES,
@@ -49,7 +51,13 @@ from finemo.features import (
 )
 from finemo.lexicons import EncodingError, LexiconError, data_lines, load_lexicons, text_lines
 from finemo.segmenter import CLASS_ORDER, EmotionLabel, RawTweet, replicate_per_asset, segment_tweet
-from finemo.selection import SelectionError, chi2_scores, correlation_report, select_percentile
+from finemo.selection import (
+    Chi2Counts,
+    SelectionError,
+    chi2_scores,
+    correlation_report,
+    select_percentile,
+)
 from finemo.streamml import GRIDS, LEARNERS, grid_search, learner_args, make_learner
 from finemo.textproc import ProcessedSegment, process
 
@@ -285,11 +293,14 @@ class FeatureStream:
     The lexicons and prices that ``cfg`` names are read once and held for the
     run; the tweets and labels are read in one pass, as the stream needs
     them (``build_instances``). The vocabulary, and with ``cfg.percentile``
-    the chi-squared mask, is fitted on the first ``cfg.warmup`` instances,
-    whose pairs are held until ``fit_warmup``; the rest are built and
-    vectorized ``BLOCK`` at a time. Iterating yields the warmup pairs, then
-    the rest. ``default_trends`` counts the instances, so far, whose trend
-    fell back to downward for want of a closing price.
+    the chi-squared mask, is fitted on the first ``cfg.warmup`` instances.
+    ``warmup`` holds one copy of their pairs, masked under
+    ``cfg.percentile``, until ``fit_warmup`` or an iteration consumes them;
+    each pair is dropped as it is consumed. The rest are built and
+    vectorized ``BLOCK`` at a time, and ``rest`` holds no pair past the
+    block being yielded, nor one it has yielded. Iterating yields the
+    warmup pairs, then the rest. ``default_trends`` counts the instances,
+    so far, whose trend fell back to downward for want of a closing price.
     """
 
     def __init__(self, cfg: PipelineConfig):
@@ -314,12 +325,14 @@ class FeatureStream:
         self.warmup = [(inst, self._vectorize(inst)) for inst in window]
         if cfg.percentile:
             scores = chi2_scores(
-                [fv.arrays for _, fv in self.warmup],
+                (fv.arrays for _, fv in self.warmup),
                 [CLASS_ORDER.index(inst.label) for inst, _ in self.warmup],
                 self.vm.total_dim,
             )
             self.vm = replace(self.vm, selection_mask=select_percentile(scores, cfg.percentile))
-            self.warmup = [(inst, fv.masked(self.vm.selection_mask)) for inst, fv in self.warmup]
+            # in place, so each unmasked vector is freed once its masked copy exists
+            for i, (inst, fv) in enumerate(self.warmup):
+                self.warmup[i] = (inst, fv.masked(self.vm.selection_mask))
 
     def _vectorize(self, inst: Instance) -> FeatureVector:
         numeric = extract_numeric(inst.processed, inst.tagged_text, self.lx)
@@ -334,19 +347,20 @@ class FeatureStream:
         return vectorize(inst.processed, self.vm, numeric, trend)
 
     def fit_warmup(self, model) -> None:
-        """Train ``model`` on the warmup pairs, then drop them."""
-        for inst, fv in self.warmup:
+        """Train ``model`` on the warmup pairs, dropping each once trained on."""
+        for inst, fv in _drain(self.warmup):
             model.partial_fit(fv, inst.label)
-        self.warmup = []
 
     def rest(self) -> Iterator[tuple[Instance, FeatureVector]]:
         """The pairs after the warmup window, built and vectorized BLOCK
-        instances at a time."""
+        instances at a time; each is dropped once yielded."""
         while block := list(islice(self._instances, BLOCK)):
-            yield from [(inst, self._vectorize(inst)) for inst in block]
+            pairs = [(inst, self._vectorize(inst)) for inst in block]
+            del block
+            yield from _drain(pairs)
 
     def __iter__(self) -> Iterator[tuple[Instance, FeatureVector]]:
-        yield from self.warmup
+        yield from _drain(self.warmup)
         yield from self.rest()
 
     def write_vocabulary(self, out_dir: str) -> None:
@@ -355,11 +369,21 @@ class FeatureStream:
             fh.write(self.vm.to_json())
 
 
+def _drain(pairs: list) -> Iterator:
+    """The items of ``pairs`` in order, each removed from the list as it is
+    yielded, so that the list holds no item its consumer has passed."""
+    pairs.reverse()
+    while pairs:
+        yield pairs.pop()
+
+
 def run_pipeline(cfg: PipelineConfig) -> PrequentialReport:
     """Segment, normalize, vectorize and evaluate one labeled stream.
 
     Writes report.json, confusion.csv, accuracy_series.csv, indicators.jsonl
     and vocabulary.json to the output directory and returns the report.
+    indicators.jsonl and accuracy_series.csv are written as the stream is
+    evaluated, so a run refused late in the stream leaves them partial.
     """
     _check_run(cfg)
     stream = FeatureStream(cfg)
@@ -375,7 +399,10 @@ def run_pipeline(cfg: PipelineConfig) -> PrequentialReport:
         args = learner_args(cfg.learner, {}, cfg.seed)
 
     model = make_learner(cfg.learner, args, cfg.stacked)
-    with open(os.path.join(cfg.out, "indicators.jsonl"), "w", encoding="utf-8") as fh:
+    with (
+        open(os.path.join(cfg.out, "indicators.jsonl"), "w", encoding="utf-8") as fh,
+        open(os.path.join(cfg.out, "accuracy_series.csv"), "w", encoding="utf-8") as series,
+    ):
 
         def emit(inst: Instance, predicted: EmotionLabel) -> None:
             if predicted is EmotionLabel.NEUTRAL and not cfg.emit_all:
@@ -398,16 +425,14 @@ def run_pipeline(cfg: PipelineConfig) -> PrequentialReport:
                 model,
                 sample_every=cfg.sample_every,
                 on_predict=lambda item, predicted: emit(item[2], predicted),
+                on_sample=series_writer(series),
             )
         except EvaluationError:
             raise PipelineError(f"nothing to evaluate after a warmup of {cfg.warmup}") from None
     report.default_trend_count = stream.default_trends
     with open(os.path.join(cfg.out, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
-    report.write_csvs(
-        os.path.join(cfg.out, "confusion.csv"),
-        os.path.join(cfg.out, "accuracy_series.csv"),
-    )
+    report.write_csvs(os.path.join(cfg.out, "confusion.csv"))
     return report
 
 
@@ -476,14 +501,18 @@ def _cmd_analyze(cfg: PipelineConfig) -> None:
     if not cfg.labels:
         raise PipelineError("analyze needs labels")
     stream = FeatureStream(cfg)
-    pairs = list(stream)
-    # correlations over the interpretable dense block only
-    X = np.array([fv.dense for _, fv in pairs])
-    y = [inst.label for inst, _ in pairs]
-    rep = correlation_report(X, y)
-    chi2 = chi2_scores(
-        [fv.arrays for _, fv in pairs], [CLASS_ORDER.index(l) for l in y], stream.vm.total_dim
-    )
+    # one pass: chi-squared sums the vectors as they come; the correlations,
+    # over the interpretable dense block only, keep its 24 floats per instance
+    counts = Chi2Counts(len(CLASS_ORDER), stream.vm.total_dim)
+    dense, classes = array("d"), bytearray()
+    for inst, fv in stream:
+        ci = CLASS_ORDER.index(inst.label)
+        counts.add(ci, *fv.arrays)
+        dense.frombytes(fv.dense.tobytes())
+        classes.append(ci)
+    X = np.frombuffer(dense).reshape(-1, len(DENSE_NAMES))
+    rep = correlation_report(X, [CLASS_ORDER[ci] for ci in classes])
+    chi2 = counts.scores()
     out = {
         "pearson": {DENSE_NAMES[j]: r for j, r in rep.r_values.items()},
         "constant": [DENSE_NAMES[j] for j in rep.constant],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,6 @@ class PrequentialReport:
 
     n: int
     confusion: np.ndarray
-    accuracy_series: list[tuple[int, float]]
     empty_denominators: list[str] = field(default_factory=list)
     default_trend_count: int = 0
 
@@ -66,16 +66,26 @@ class PrequentialReport:
             indent=2,
         )
 
-    def write_csvs(self, confusion_path: str, series_path: str) -> None:
+    def write_csvs(self, confusion_path: str) -> None:
+        """Write confusion.csv. accuracy_series.csv is written while the run
+        is under way, by ``series_writer``."""
         with open(confusion_path, "w", encoding="utf-8") as fh:
             fh.write("," + ",".join(l.name for l in CLASS_ORDER) + "\n")
             for c, label in enumerate(CLASS_ORDER):
                 row = ",".join(str(int(v)) for v in self.confusion[c])
                 fh.write(f"{label.name},{row}\n")
-        with open(series_path, "w", encoding="utf-8") as fh:
-            fh.write("n,accuracy\n")
-            for n, acc in self.accuracy_series:
-                fh.write(f"{n},{acc:.10f}\n")
+
+
+def series_writer(fh) -> Callable[[int, float], None]:
+    """An ``on_sample`` sink for ``prequential_run`` that writes
+    accuracy_series.csv to the open text file ``fh``: the header now, then
+    one row per sample."""
+    fh.write("n,accuracy\n")
+
+    def write_row(n: int, accuracy: float) -> None:
+        fh.write(f"{n},{accuracy:.10f}\n")
+
+    return write_row
 
 
 def prequential_run(
@@ -83,33 +93,35 @@ def prequential_run(
     learner,
     sample_every: int = 1,
     on_predict=None,
+    on_sample=None,
 ) -> PrequentialReport:
     """Predict first, record, then partial-fit, for every item of ``stream``.
 
-    Items are ``(fv, gold, *context)`` tuples, consumed one at a time.
-    ``on_predict(item, predicted)``, when given, is called for every item
-    with the learner's prediction. The accuracy series samples every
-    ``sample_every``-th instance and always ends at the last one.
+    Items are ``(fv, gold, *context)`` tuples, consumed one at a time and
+    not kept: the report holds only counts. ``on_predict(item, predicted)``,
+    when given, is called for every item with the learner's prediction.
+    ``on_sample(n, accuracy)``, when given, receives the accuracy series as
+    it is made: the running accuracy after every ``sample_every``-th
+    instance, and always after the last one.
     """
     index = {label: i for i, label in enumerate(CLASS_ORDER)}
     confusion = np.zeros((len(CLASS_ORDER), len(CLASS_ORDER)), dtype=int)
-    series: list[tuple[int, float]] = []
     correct = n = 0
     for n, item in enumerate(stream, start=1):
         fv, gold = item[0], item[1]
         predicted = learner.predict_label(fv)
         confusion[index[gold], index[predicted]] += 1
         correct += predicted is gold
-        if n % sample_every == 0:
-            series.append((n, correct / n))
+        if on_sample is not None and n % sample_every == 0:
+            on_sample(n, correct / n)
         learner.partial_fit(fv, gold)
         if on_predict is not None:
             on_predict(item, predicted)
     if not n:
         raise EvaluationError("empty stream")
-    if n % sample_every:
-        series.append((n, correct / n))
-    report = PrequentialReport(n=n, confusion=confusion, accuracy_series=series)
+    if on_sample is not None and n % sample_every:
+        on_sample(n, correct / n)
+    report = PrequentialReport(n=n, confusion=confusion)
     report.finalize_flags()
     return report
 

@@ -331,13 +331,17 @@ def fit_vocabularies(
 
 def extract_numeric(
     seg: ProcessedSegment, pre_clean_text: str, lx: LexiconSet
-) -> tuple[int, ...]:
+) -> list[int]:
     """The 20 numeric counters.
 
     Number/percentage/mark counts come from ``pre_clean_text`` (the
     asset-tagged text before stopword removal); lexicon counts come from the
     processed lemmas. Date-like tokens are not numeric values; unsigned
     numbers count as positive.
+
+    A list, not a tuple: CPython 3.11 puts every freed tuple of 20 items
+    on a free list that it never takes one from again, so one tuple per
+    instance would keep up to 2000 of them (390 KiB) for the whole run.
     """
     text = _DATE_RE.sub(" ", pre_clean_text)
     neg_num = pos_num = neg_perc = pos_perc = total_num = total_perc = 0
@@ -369,7 +373,7 @@ def extract_numeric(
     pol = [lx.polarity.get(t) for t in lemmas]
     emo = [lx.emotions.get(t) for t in lemmas]
 
-    return (
+    return [
         seg.raw_len,
         neg_num,
         pos_num,
@@ -390,7 +394,7 @@ def extract_numeric(
         pol.count("positive"),
         emo.count("negative_emotion"),
         emo.count("positive_emotion"),
-    )
+    ]
 
 
 @dataclass
@@ -531,7 +535,7 @@ def _count_ngrams(seg: ProcessedSegment, vm: VocabularyModel) -> dict[int, float
 def vectorize(
     seg: ProcessedSegment,
     vm: VocabularyModel,
-    numeric: tuple[int, ...],
+    numeric: Sequence[int],
     trend: bool,
 ) -> FeatureVector:
     """Map one processed segment onto the hybrid feature space.

@@ -61,32 +61,53 @@ def correlation_report(X, labels: list[EmotionLabel]) -> CorrelationReport:
     return CorrelationReport(r_values=r_values, constant=constant)
 
 
+class Chi2Counts:
+    """The class-conditional feature sums that chi-squared scores, added one
+    sample at a time, so that no sample needs to be held.
+
+    Each cell adds its values in sample order. A class with no sample adds
+    nothing to any score.
+    """
+
+    def __init__(self, n_classes: int, n_features: int):
+        self.observed = np.zeros((n_classes, n_features))
+        self.class_counts = np.zeros(n_classes, dtype=np.int64)
+
+    def add(self, ci: int, idx, vals) -> None:
+        """Add one sample of class ``ci``: its nonzero (columns, values),
+        as in ``FeatureVector.arrays``, with no column twice."""
+        vals = np.asarray(vals, dtype=float)
+        if np.any(vals < 0):
+            raise SelectionError("chi2 requires nonnegative feature values")
+        self.observed[ci, np.asarray(idx, dtype=np.intp)] += vals
+        self.class_counts[ci] += 1
+
+    def scores(self) -> np.ndarray:
+        """Per-feature chi-squared statistic: observed values are the sums,
+        expected values assume class-independence. All-zero features score
+        0."""
+        if np.count_nonzero(self.class_counts) < 2:
+            raise SelectionError("chi2 requires at least two classes")
+        class_prob = self.class_counts / self.class_counts.sum()
+        expected = np.outer(class_prob, self.observed.sum(axis=0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(expected > 0, (self.observed - expected) ** 2 / expected, 0.0)
+        return terms.sum(axis=0)
+
+
 def chi2_scores(rows, y, n_features: int) -> np.ndarray:
     """Per-feature chi-squared statistic for nonnegative sparse features.
 
-    ``rows`` holds one (columns, values) pair of arrays per sample, as in
-    ``FeatureVector.arrays``, and ``y`` its integer class id; classes are
-    taken in sorted order. Observed values are the class-conditional feature
-    sums; expected values assume class-independence. All-zero features
-    score 0.
+    ``rows`` yields one (columns, values) pair of arrays per sample, as in
+    ``FeatureVector.arrays``, and ``y`` holds its integer class id; classes
+    are taken in sorted order. ``Chi2Counts`` adds the rows one at a time,
+    so ``rows`` may be a generator.
     """
     classes, y_index = np.unique(np.asarray(y, dtype=int), return_inverse=True)
-    cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for ci, (idx, row_vals) in zip(y_index.tolist(), rows, strict=True):
-        cols.append(ci * n_features + np.asarray(idx, dtype=np.int64))
-        vals.append(np.asarray(row_vals, dtype=float))
-    flat, vals = np.concatenate(cols), np.concatenate(vals)
-    if np.any(vals < 0):
-        raise SelectionError("chi2 requires nonnegative feature values")
-    if classes.size < 2:
-        raise SelectionError("chi2 requires at least two classes")
-    observed = np.bincount(flat, weights=vals, minlength=classes.size * n_features)
-    observed = observed.reshape(classes.size, n_features)
-    class_prob = np.bincount(y_index) / y_index.size
-    expected = np.outer(class_prob, observed.sum(axis=0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(expected > 0, (observed - expected) ** 2 / expected, 0.0)
-    return terms.sum(axis=0)
+    counts = Chi2Counts(classes.size, n_features)
+    for ci, (idx, vals) in zip(y_index.tolist(), rows, strict=True):
+        counts.add(ci, idx, vals)
+    return counts.scores()
 
 
 def select_percentile(scores, percentile: int = 15) -> set[int]:

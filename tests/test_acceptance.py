@@ -167,7 +167,8 @@ def test_acceptance_05_prequential_correctness():
             pass
 
     stream = [(make_fv(), g) for g in golds]
-    report = prequential_run(stream, Scripted())
+    series = []
+    report = prequential_run(stream, Scripted(), on_sample=lambda *row: series.append(row))
     confusion = np.zeros((3, 3), dtype=int)
     for g, p in zip(golds, preds):
         confusion[CLASS_ORDER.index(g), CLASS_ORDER.index(p)] += 1
@@ -179,7 +180,7 @@ def test_acceptance_05_prequential_correctness():
         ok &= report.recall(cls) == (confusion[c, c] / row if row else 0.0)
     bound_ok = all(
         abs(a2 - a1) <= 1.0 / n2 + 1e-12
-        for (n1, a1), (n2, a2) in zip(report.accuracy_series, report.accuracy_series[1:])
+        for (n1, a1), (n2, a2) in zip(series, series[1:])
     )
     ok &= bound_ok
     _verdict("prequential correctness", bool(ok), f"n=400, step bound {'holds' if bound_ok else 'violated'}")

@@ -345,7 +345,10 @@ def test_a_refusal_late_in_the_stream_leaves_no_report(sample_paths, tmp_path, c
     out = tmp_path / "out"
     assert main(_argv({**sample_paths, "labels": labels}, "train-eval", out)) == 1
     assert capsys.readouterr().err.startswith(f"error: {labels}:{lineno}: label for tweet t999")
-    assert sorted(p.name for p in out.iterdir()) == ["indicators.jsonl", "vocabulary.json"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "accuracy_series.csv", "indicators.jsonl", "vocabulary.json"
+    ]
+    assert (out / "accuracy_series.csv").read_text().startswith("n,accuracy\n")
 
 
 def _lines_peak(tmp_path, n):
@@ -371,6 +374,83 @@ def test_reading_and_joining_take_memory_independent_of_stream_length(tmp_path):
     _lines_peak(tmp_path, 100)  # first-use allocations of the parsers
     short, long = _lines_peak(tmp_path, 2000), _lines_peak(tmp_path, 20000)
     assert long < short + 16 * 1024, (short, long)
+
+
+def _labeled_stream(sample_paths, tmp_path, n):
+    """``sample_paths`` with a tweets file and a labels file of ``n``
+    one-asset tweets, three texts and labels in turn."""
+    tweets = tmp_path / f"tweets-{n}.jsonl"
+    labels = tmp_path / f"labels-{n}.tsv"
+    texts = [("SAN", "$SAN sube con fuerza", "O"), ("BBVA", "$BBVA baja mucho hoy", "P"),
+             ("TEF", "$TEF estable en la sesión", "N")]
+    with open(tweets, "w", encoding="utf-8") as tf, open(labels, "w", encoding="utf-8") as lf:
+        for i in range(n):
+            ticker, text, label = texts[i % 3]
+            tf.write(_tweet_line(f"t{i}", f"2019-08-01T10:{i * 60 // n:02d}:00", text))
+            lf.write(f"t{i}\t0\t{ticker}\t{label}\n")
+    return {**sample_paths, "tweets": str(tweets), "labels": str(labels)}
+
+
+def _train_eval_peak(cfg, monkeypatch):
+    """The tracemalloc peak, in bytes, of ``run_pipeline(cfg)`` from the
+    end of the warmup training to the end of the run."""
+    fit_warmup = cli.FeatureStream.fit_warmup
+
+    def fit_then_reset_peak(self, model):
+        fit_warmup(self, model)
+        tracemalloc.reset_peak()
+
+    monkeypatch.setattr(cli.FeatureStream, "fit_warmup", fit_then_reset_peak)
+    tracemalloc.start()
+    try:
+        run_pipeline(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        monkeypatch.setattr(cli.FeatureStream, "fit_warmup", fit_warmup)
+
+
+def test_train_eval_takes_memory_independent_of_stream_length(
+    sample_paths, tmp_path, monkeypatch
+):
+    # 500 and 2000 instances, 8 to a block. A point of the accuracy series
+    # kept for each of the 1500 more would add about 85 KiB. The first run
+    # makes the first-use allocations and fills the interpreter's free
+    # lists, which the shorter run would otherwise fill less and so count
+    # as growth of the longer one
+    monkeypatch.setattr(cli, "BLOCK", 8)
+    short, long = (
+        _config(_labeled_stream(sample_paths, tmp_path, n), tmp_path) for n in (500, 2000)
+    )
+    _train_eval_peak(long, monkeypatch)
+    short_peak = _train_eval_peak(short, monkeypatch)
+    long_peak = _train_eval_peak(long, monkeypatch)
+    assert long_peak < short_peak + 32 * 1024, (short_peak, long_peak)
+
+
+def _analyze_peak(paths, capsys):
+    """The tracemalloc peak, in bytes, of ``finemo analyze`` on ``paths``."""
+    argv = ["analyze", "--warmup", "10"]
+    for key in ("lexicons", "tweets", "labels", "prices"):
+        argv += [f"--{key}", paths[key]]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        capsys.readouterr()
+
+
+def test_analyze_grows_by_its_dense_rows_only(sample_paths, tmp_path, capsys, monkeypatch):
+    # each instance keeps the 24 floats of its dense block; at the end the
+    # Pearson correlations briefly take about 5 more per instance (the
+    # labels, their encoding and one column's work arrays)
+    monkeypatch.setattr(cli, "BLOCK", 8)
+    short, long = (_labeled_stream(sample_paths, tmp_path, n) for n in (300, 1200))
+    _analyze_peak(long, capsys)
+    short_peak, long_peak = _analyze_peak(short, capsys), _analyze_peak(long, capsys)
+    assert long_peak < short_peak + (1200 - 300) * (24 + 8) * 8, (short_peak, long_peak)
 
 
 @pytest.mark.parametrize(

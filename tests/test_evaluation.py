@@ -10,6 +10,7 @@ from finemo.evaluation import (
     krippendorff_alpha,
     pairwise_accuracy,
     prequential_run,
+    series_writer,
 )
 from finemo.features import N_DENSE, FeatureVector
 from finemo.segmenter import CLASS_ORDER, EmotionLabel
@@ -71,8 +72,8 @@ def test_prequential_running_mean_step_bound():
     labels = [CLASS_ORDER[int(i)] for i in rng.integers(0, 3, 300)]
     preds = [CLASS_ORDER[int(i)] for i in rng.integers(0, 3, 300)]
     stream = [(_fv(), lab) for lab in labels]
-    report = prequential_run(stream, _ScriptedLearner(preds))
-    series = report.accuracy_series
+    series = []
+    prequential_run(stream, _ScriptedLearner(preds), on_sample=lambda *row: series.append(row))
     assert [n for n, _ in series] == list(range(1, 301))
     for (n1, a1), (n2, a2) in zip(series, series[1:]):
         assert abs(a2 - a1) <= 1.0 / n2 + 1e-12
@@ -90,8 +91,11 @@ def test_prequential_empty_denominator_flags():
 
 def test_prequential_sample_every():
     stream = [(_fv(), N)] * 10
-    report = prequential_run(stream, _ScriptedLearner([N] * 10), sample_every=4)
-    assert [n for n, _ in report.accuracy_series] == [4, 8, 10]
+    series = []
+    prequential_run(
+        stream, _ScriptedLearner([N] * 10), sample_every=4, on_sample=lambda *row: series.append(row)
+    )
+    assert [n for n, _ in series] == [4, 8, 10]
 
 
 def test_prequential_empty_stream_rejected():
@@ -100,18 +104,19 @@ def test_prequential_empty_stream_rejected():
 
 
 def test_report_csv_format(tmp_path):
-    report = prequential_run(
-        [(_fv(), N), (_fv(), P)], _ScriptedLearner([N, N])
-    )
-    cpath = tmp_path / "confusion.csv"
     spath = tmp_path / "series.csv"
-    report.write_csvs(str(cpath), str(spath))
+    with open(spath, "w", encoding="utf-8") as fh:
+        report = prequential_run(
+            [(_fv(), N), (_fv(), P)], _ScriptedLearner([N, N]), on_sample=series_writer(fh)
+        )
+    cpath = tmp_path / "confusion.csv"
+    report.write_csvs(str(cpath))
     lines = cpath.read_text().splitlines()
     assert lines[0] == ",PRECAUTION,NEUTRAL,OPPORTUNITY"
     assert lines[2] == "NEUTRAL,0,1,0"
     slines = spath.read_text().splitlines()
     assert slines[0] == "n,accuracy"
-    assert slines[1] == "1,1.0000000000"
+    assert slines[1:] == ["1,1.0000000000", "2,0.5000000000"]
 
 
 def test_report_json_fields():

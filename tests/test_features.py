@@ -86,7 +86,7 @@ def _numeric_for_text(text, lx, focus="IBEX35"):
     # the published profiles count LEN_TWEET on the text as posted, before
     # its tickers were tagged
     ps = replace(process(replica, lx), raw_len=len(text))
-    return ps, extract_numeric(ps, replica.text, lx)
+    return ps, tuple(extract_numeric(ps, replica.text, lx))
 
 
 def _expected_tuple(profile):

@@ -9,6 +9,7 @@ from finemo.features import VocabularyModel
 from finemo.segmenter import CLASS_ORDER, EmotionLabel
 from finemo.selection import (
     TARGET_ENCODING,
+    Chi2Counts,
     SelectionError,
     chi2_scores,
     correlation_report,
@@ -133,6 +134,73 @@ def test_chi2_rejects_negative_values():
 def test_chi2_requires_two_classes():
     with pytest.raises(SelectionError):
         chi2_scores([([0], [1.0]), ([0], [2.0])], np.array([0, 0]), 1)
+
+
+def _bincount_chi2_scores(rows, y, n_features):
+    """The chi-squared scores as they were computed before ``Chi2Counts``:
+    every row's columns and values concatenated, then summed per class by
+    one ``np.bincount``."""
+    classes, y_index = np.unique(np.asarray(y, dtype=int), return_inverse=True)
+    cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for ci, (idx, row_vals) in zip(y_index.tolist(), rows, strict=True):
+        cols.append(ci * n_features + np.asarray(idx, dtype=np.int64))
+        vals.append(np.asarray(row_vals, dtype=float))
+    flat, vals = np.concatenate(cols), np.concatenate(vals)
+    if np.any(vals < 0):
+        raise SelectionError("chi2 requires nonnegative feature values")
+    if classes.size < 2:
+        raise SelectionError("chi2 requires at least two classes")
+    observed = np.bincount(flat, weights=vals, minlength=classes.size * n_features)
+    observed = observed.reshape(classes.size, n_features)
+    class_prob = np.bincount(y_index) / y_index.size
+    expected = np.outer(class_prob, observed.sum(axis=0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(expected > 0, (observed - expected) ** 2 / expected, 0.0)
+    return terms.sum(axis=0)
+
+
+def test_chi2_reduction_keeps_the_bits_of_the_bincount():
+    rng = np.random.default_rng(26)
+    for trial in range(60):
+        n, d = int(rng.integers(2, 40)), int(rng.integers(1, 30))
+        rows = []
+        for _ in range(n):
+            idx = rng.permutation(d)[: int(rng.integers(0, d + 1))]  # unique, in any order
+            vals = rng.integers(1, 6, idx.size) * rng.choice([1.0, 0.1, 1 / 3], idx.size)
+            rows.append((idx, vals))
+        absent = int(rng.integers(0, 3))  # one of the three classes has no row
+        y = rng.choice([c for c in range(3) if c != absent], n)
+        if len(set(y.tolist())) < 2:
+            y[:2] = [c for c in range(3) if c != absent]
+        want = _bincount_chi2_scores(rows, y, d)
+        assert np.array_equal(chi2_scores(rows, y, d), want), trial
+        assert np.array_equal(chi2_scores(iter(rows), y, d), want), trial
+        # analyze counts by class order, with a row of zeros for the absent class
+        counts = Chi2Counts(3, d)
+        for ci, (idx, vals) in zip(y.tolist(), rows):
+            counts.add(ci, idx, vals)
+        assert np.array_equal(counts.scores(), want), trial
+
+
+@pytest.mark.parametrize(
+    "rows, y, message",
+    [
+        ([([0], [-1.0])], [0], "nonnegative"),
+        ([([0], [1.0]), ([0], [-2.0])], [0, 1], "nonnegative"),
+        ([([0], [1.0]), ([0], [-2.0])], [0, 0], "nonnegative"),  # both wrong: values first
+        ([([0], [1.0]), ([0], [2.0])], [0, 0], "two classes"),
+        ([], [], "two classes"),
+    ],
+)
+def test_chi2_refusals_match_the_bincount(rows, y, message):
+    for scores in (_bincount_chi2_scores, chi2_scores):
+        with pytest.raises(SelectionError, match=message):
+            scores(rows, np.array(y), 1)
+    counts = Chi2Counts(3, 1)
+    with pytest.raises(SelectionError, match=message):
+        for ci, (idx, vals) in zip(y, rows):
+            counts.add(ci, idx, vals)
+        counts.scores()
 
 
 def test_select_percentile_count_and_ties():

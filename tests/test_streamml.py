@@ -329,6 +329,36 @@ def test_nb_kernel_matches_loop_on_the_selected_sample_cli(
     assert len(outputs[0][1]) == 5
 
 
+def test_stacked_naive_bayes_labels_as_the_single_one(tmp_path, sample_paths):
+    # a stage-2 naive Bayes trains on the instances of its two classes, so
+    # it holds stage 1's statistics for them; only the prior's denominator
+    # differs, and alike for both classes, so it confirms every non-neutral
+    # stage-1 label (up to rounding, which moves no label here)
+    stream, _ = make_planted_stream(3000, seed=7, warmup=600)
+    labels = []
+    for stacked in (False, True):
+        model = make_learner("nb", {}, stacked)
+        for fv, label in stream[:600]:
+            model.partial_fit(fv, label)
+        predicted = []
+        prequential_run(stream[600:], model, on_predict=lambda item, label: predicted.append(label))
+        labels.append(predicted)
+    assert len(labels[0]) == 2400 and labels[0] == labels[1]
+    assert {P, O} <= set(labels[0])
+
+    files = []
+    for mode in ("--single", "--stacked"):
+        argv = ["train-eval", "--warmup", "10", "--learner", "nb", mode, "--out", str(tmp_path / mode)]
+        for key in ("lexicons", "tweets", "labels", "prices"):
+            argv += [f"--{key}", sample_paths[key]]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        files.append({name: (tmp_path / mode / name).read_bytes()
+                      for name in ("indicators.jsonl", "confusion.csv")})
+    assert files[0] == files[1]
+    assert files[0]["indicators.jsonl"]  # some non-neutral label to confirm
+
+
 # --------------------------------------------------------- Hoeffding tree
 
 

@@ -44,6 +44,7 @@ from finemo.features import (
     PriceSeries,
     TrendUnavailableError,
     VocabularyError,
+    VocabularyModel,
     compute_trend,
     extract_numeric,
     fit_vocabularies,
@@ -287,86 +288,74 @@ def _check_run(cfg: PipelineConfig) -> None:
         raise PipelineError("a model must be trained with --labels; there is no inference-only run")
 
 
-class FeatureStream:
-    """tweets -> instances -> (instance, feature vector), in arrival order.
+Pair = tuple[Instance, FeatureVector]
 
-    The lexicons and prices that ``cfg`` names are read once and held for the
-    run; the tweets and labels are read in one pass, as the stream needs
-    them (``build_instances``). The vocabulary, and with ``cfg.percentile``
-    the chi-squared mask, is fitted on the first ``cfg.warmup`` instances.
-    ``warmup`` holds one copy of their pairs, masked under
-    ``cfg.percentile``, until ``fit_warmup`` or an iteration consumes them;
-    each pair is dropped as it is consumed. The rest are built and
-    vectorized ``BLOCK`` at a time, and ``rest`` holds no pair past the
-    block being yielded, nor one it has yielded. Iterating yields the
-    warmup pairs, then the rest. ``default_trends`` counts the instances,
-    so far, whose trend fell back to downward for want of a closing price.
-    """
 
-    def __init__(self, cfg: PipelineConfig):
-        _check_stream(cfg)
-        self.lx = load_lexicons(cfg.lexicons)
-        self.prices = PriceSeries.from_csv(cfg.prices) if cfg.prices else None
-        if self.prices is None:
-            print("warning: no prices file, trend defaults to downward", file=sys.stderr)
+class Vectorizer:
+    """One instance -> its feature vector under the fitted vocabulary ``vm``.
+    ``default_trends`` counts the trends, so far, that fell back to downward
+    for want of a closing price."""
+
+    def __init__(self, lx, prices: PriceSeries, vm: VocabularyModel):
+        self.lx, self.prices, self.vm = lx, prices, vm
         self.default_trends = 0
-        self._instances = build_instances(read_tweets(cfg.tweets), self.lx, cfg.labels)
 
-        window = list(islice(self._instances, cfg.warmup))
-        if not window:
-            raise PipelineError("no asset-bearing segments in the input")
-        if len(window) < cfg.warmup:
-            raise PipelineError(
-                f"insufficient warmup data: need {cfg.warmup} instances, have {len(window)}"
-            )
-        self.vm = fit_vocabularies(
-            [inst.processed for inst in window], labels=[inst.label for inst in window]
-        )
-        self.warmup = [(inst, self._vectorize(inst)) for inst in window]
-        if cfg.percentile:
-            scores = chi2_scores(
-                (fv.arrays for _, fv in self.warmup),
-                [CLASS_ORDER.index(inst.label) for inst, _ in self.warmup],
-                self.vm.total_dim,
-            )
-            self.vm = replace(self.vm, selection_mask=select_percentile(scores, cfg.percentile))
-            # in place, so each unmasked vector is freed once its masked copy exists
-            for i, (inst, fv) in enumerate(self.warmup):
-                self.warmup[i] = (inst, fv.masked(self.vm.selection_mask))
-
-    def _vectorize(self, inst: Instance) -> FeatureVector:
+    def __call__(self, inst: Instance) -> FeatureVector:
         numeric = extract_numeric(inst.processed, inst.tagged_text, self.lx)
-        trend = False
-        if self.prices is None:
+        try:
+            trend = compute_trend(inst.focus, inst.tweet.timestamp, self.prices)
+        except TrendUnavailableError:
+            trend = False
             self.default_trends += 1
-        else:
-            try:
-                trend = compute_trend(inst.focus, inst.tweet.timestamp, self.prices)
-            except TrendUnavailableError:
-                self.default_trends += 1
         return vectorize(inst.processed, self.vm, numeric, trend)
 
-    def fit_warmup(self, model) -> None:
-        """Train ``model`` on the warmup pairs, dropping each once trained on."""
-        for inst, fv in _drain(self.warmup):
-            model.partial_fit(fv, inst.label)
 
-    def rest(self) -> Iterator[tuple[Instance, FeatureVector]]:
-        """The pairs after the warmup window, built and vectorized BLOCK
-        instances at a time; each is dropped once yielded."""
-        while block := list(islice(self._instances, BLOCK)):
-            pairs = [(inst, self._vectorize(inst)) for inst in block]
-            del block
-            yield from _drain(pairs)
+def feature_stream(cfg: PipelineConfig) -> tuple[Vectorizer, Iterator[Pair]]:
+    """The vectorizer fitted on the first ``cfg.warmup`` instances, and every
+    (instance, feature vector) pair of the stream, in arrival order; the
+    caller checks ``cfg`` (``_check_stream``). The tweets and labels are read
+    in one pass, as the pairs are needed. The vocabulary, and with
+    ``cfg.percentile`` the chi-squared mask, is fitted on the warmup window,
+    whose pairs come first; no pair is held once yielded."""
+    lx = load_lexicons(cfg.lexicons)
+    prices = PriceSeries.from_csv(cfg.prices) if cfg.prices else PriceSeries()
+    if not cfg.prices:
+        print("warning: no prices file, trend defaults to downward", file=sys.stderr)
+    instances = build_instances(read_tweets(cfg.tweets), lx, cfg.labels)
 
-    def __iter__(self) -> Iterator[tuple[Instance, FeatureVector]]:
-        yield from _drain(self.warmup)
-        yield from self.rest()
+    window = list(islice(instances, cfg.warmup))
+    if not window:
+        raise PipelineError("no asset-bearing segments in the input")
+    if len(window) < cfg.warmup:
+        raise PipelineError(
+            f"insufficient warmup data: need {cfg.warmup} instances, have {len(window)}"
+        )
+    vectorizer = Vectorizer(lx, prices, fit_vocabularies(
+        [inst.processed for inst in window], labels=[inst.label for inst in window]
+    ))
+    warmup = [(inst, vectorizer(inst)) for inst in window]
+    if cfg.percentile:
+        scores = chi2_scores(
+            (fv.arrays for _, fv in warmup),
+            [CLASS_ORDER.index(inst.label) for inst, _ in warmup],
+            vectorizer.vm.total_dim,
+        )
+        mask = select_percentile(scores, cfg.percentile)
+        vectorizer.vm = replace(vectorizer.vm, selection_mask=mask)
+        # in place, so each unmasked vector is freed once its masked copy exists
+        for i, (inst, fv) in enumerate(warmup):
+            warmup[i] = (inst, fv.masked(mask))
+    return vectorizer, _pairs(vectorizer, warmup, instances)
 
-    def write_vocabulary(self, out_dir: str) -> None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "vocabulary.json"), "w", encoding="utf-8") as fh:
-            fh.write(self.vm.to_json())
+
+def _pairs(vectorizer: Vectorizer, warmup: list[Pair], instances: Iterator) -> Iterator[Pair]:
+    """The ``warmup`` pairs, then a pair for each of ``instances``, built
+    and vectorized BLOCK instances at a time; each is dropped once yielded."""
+    yield from _drain(warmup)
+    while block := list(islice(instances, BLOCK)):
+        pairs = [(inst, vectorizer(inst)) for inst in block]
+        del block
+        yield from _drain(pairs)
 
 
 def _drain(pairs: list) -> Iterator:
@@ -375,6 +364,19 @@ def _drain(pairs: list) -> Iterator:
     pairs.reverse()
     while pairs:
         yield pairs.pop()
+
+
+def _write_vocabulary(vm: VocabularyModel, out_dir: str) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "vocabulary.json"), "w", encoding="utf-8") as fh:
+        fh.write(vm.to_json())
+
+
+def _fit_warmup(model, warm: list) -> None:
+    """Train ``model`` on the (vector, label) pairs of ``warm``, dropping
+    each once trained on."""
+    for fv, label in _drain(warm):
+        model.partial_fit(fv, label)
 
 
 def run_pipeline(cfg: PipelineConfig) -> PrequentialReport:
@@ -386,13 +388,12 @@ def run_pipeline(cfg: PipelineConfig) -> PrequentialReport:
     evaluated, so a run refused late in the stream leaves them partial.
     """
     _check_run(cfg)
-    stream = FeatureStream(cfg)
-    stream.write_vocabulary(cfg.out)
+    vectorizer, pairs = feature_stream(cfg)
+    _write_vocabulary(vectorizer.vm, cfg.out)
 
+    warm = [(fv, inst.label) for inst, fv in islice(pairs, cfg.warmup)]
     if cfg.grid:
-        warm = [(fv, inst.label) for inst, fv in stream.warmup]
         tuned = grid_search(cfg.learner, warm, cfg.stacked, cfg.seed)
-        del warm  # the grid's copy of the warmup pairs; fit_warmup drops the pairs
         args = tuned.args
         print(f"grid search: {tuned.point} (warmup accuracy {tuned.accuracy:.4f})")
     else:
@@ -418,10 +419,10 @@ def run_pipeline(cfg: PipelineConfig) -> PrequentialReport:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
         # warmup: train only; evaluation starts after the cold-start window
-        stream.fit_warmup(model)
+        _fit_warmup(model, warm)
         try:
             report = prequential_run(
-                ((fv, inst.label, inst) for inst, fv in stream.rest()),
+                ((fv, inst.label, inst) for inst, fv in pairs),
                 model,
                 sample_every=cfg.sample_every,
                 on_predict=lambda item, predicted: emit(item[2], predicted),
@@ -429,7 +430,7 @@ def run_pipeline(cfg: PipelineConfig) -> PrequentialReport:
             )
         except EvaluationError:
             raise PipelineError(f"nothing to evaluate after a warmup of {cfg.warmup}") from None
-    report.default_trend_count = stream.default_trends
+    report.default_trend_count = vectorizer.default_trends
     with open(os.path.join(cfg.out, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
     report.write_csvs(os.path.join(cfg.out, "confusion.csv"))
@@ -478,9 +479,10 @@ def _cmd_process(cfg: PipelineConfig) -> None:
 
 
 def _cmd_features(cfg: PipelineConfig) -> None:
-    stream = FeatureStream(cfg)
-    stream.write_vocabulary(cfg.out)
-    for inst, fv in stream:
+    _check_stream(cfg)
+    vectorizer, pairs = feature_stream(cfg)
+    _write_vocabulary(vectorizer.vm, cfg.out)
+    for inst, fv in pairs:
         print(
             json.dumps(
                 {
@@ -500,12 +502,13 @@ def _cmd_features(cfg: PipelineConfig) -> None:
 def _cmd_analyze(cfg: PipelineConfig) -> None:
     if not cfg.labels:
         raise PipelineError("analyze needs labels")
-    stream = FeatureStream(cfg)
+    _check_stream(cfg)
+    vectorizer, pairs = feature_stream(cfg)
     # one pass: chi-squared sums the vectors as they come; the correlations,
     # over the interpretable dense block only, keep its 24 floats per instance
-    counts = Chi2Counts(len(CLASS_ORDER), stream.vm.total_dim)
+    counts = Chi2Counts(len(CLASS_ORDER), vectorizer.vm.total_dim)
     dense, classes = array("d"), bytearray()
-    for inst, fv in stream:
+    for inst, fv in pairs:
         ci = CLASS_ORDER.index(inst.label)
         counts.add(ci, *fv.arrays)
         dense.frombytes(fv.dense.tobytes())

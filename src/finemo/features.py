@@ -432,17 +432,11 @@ class PriceSeries:
         return series
 
 
-def _prev_working_day(day: date) -> date:
-    day -= timedelta(days=1)
+def _working_day(day: date, step: int) -> date:
+    """The first Monday-to-Friday day after ``day`` (``step`` 1) or before it (-1)."""
+    day += timedelta(days=step)
     while day.weekday() >= 5:
-        day -= timedelta(days=1)
-    return day
-
-
-def _next_working_day(day: date) -> date:
-    day += timedelta(days=1)
-    while day.weekday() >= 5:
-        day += timedelta(days=1)
+        day += timedelta(days=step)
     return day
 
 
@@ -453,8 +447,7 @@ def compute_trend(ticker: str, post_time: datetime, prices: PriceSeries) -> bool
     TrendUnavailableError when either close is missing.
     """
     post_day = post_time.date()
-    prev_day = _prev_working_day(post_day)
-    next_day = _next_working_day(post_day)
+    prev_day, next_day = _working_day(post_day, -1), _working_day(post_day, 1)
     prev_close = prices.get(ticker, prev_day)
     next_close = prices.get(ticker, next_day)
     if prev_close is None or next_close is None:

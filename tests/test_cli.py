@@ -394,20 +394,20 @@ def _labeled_stream(sample_paths, tmp_path, n):
 def _train_eval_peak(cfg, monkeypatch):
     """The tracemalloc peak, in bytes, of ``run_pipeline(cfg)`` from the
     end of the warmup training to the end of the run."""
-    fit_warmup = cli.FeatureStream.fit_warmup
+    fit_warmup = cli._fit_warmup
 
-    def fit_then_reset_peak(self, model):
-        fit_warmup(self, model)
+    def fit_then_reset_peak(model, warm):
+        fit_warmup(model, warm)
         tracemalloc.reset_peak()
 
-    monkeypatch.setattr(cli.FeatureStream, "fit_warmup", fit_then_reset_peak)
+    monkeypatch.setattr(cli, "_fit_warmup", fit_then_reset_peak)
     tracemalloc.start()
     try:
         run_pipeline(cfg)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        monkeypatch.setattr(cli.FeatureStream, "fit_warmup", fit_warmup)
+        monkeypatch.setattr(cli, "_fit_warmup", fit_warmup)
 
 
 def test_train_eval_takes_memory_independent_of_stream_length(
@@ -837,6 +837,19 @@ def test_missing_tweets_is_refused_before_anything_is_loaded(
     assert captured.err == "error: a tweets file is required\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["features", "analyze", "train-eval"])
+def test_the_stream_checks_run_once(sample_paths, tmp_path, capsys, monkeypatch, command):
+    calls = []
+    check = cli._check_stream
+    monkeypatch.setattr(cli, "_check_stream", lambda cfg: calls.append(check(cfg)))
+    argv = [command, "--warmup", "10", "--out", str(tmp_path / "out")]
+    for key in ("lexicons", "tweets", "labels", "prices"):
+        argv += [f"--{key}", sample_paths[key]]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == [None]
 
 
 def _one_class_labels(sample_paths, tmp_path):

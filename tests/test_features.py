@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from finemo.cli import FeatureStream, PipelineConfig, main
+from finemo.cli import PipelineConfig, Vectorizer, feature_stream, main
 from finemo.features import (
     BOW_COLUMNS,
     DENSE_NAMES,
@@ -180,6 +181,17 @@ def test_trend_skips_weekends():
     prices.add("XX", date(2019, 8, 6), 12.0)  # Tuesday
     # posted Monday: previous working day is Friday, next is Tuesday
     assert compute_trend("XX", datetime(2019, 8, 5, 9, 0), prices) is True
+
+
+@pytest.mark.parametrize("day", [3, 4])  # Saturday, Sunday
+def test_trend_of_a_weekend_post_compares_friday_with_monday(day):
+    prices = PriceSeries()
+    prices.add("XX", date(2019, 8, 2), 10.0)  # Friday
+    message = "^missing close for XX on 2019-08-02 or 2019-08-05$"
+    with pytest.raises(TrendUnavailableError, match=message):
+        compute_trend("XX", datetime(2019, 8, day, 9, 0), prices)
+    prices.add("XX", date(2019, 8, 5), 9.0)  # Monday
+    assert compute_trend("XX", datetime(2019, 8, day, 9, 0), prices) is False
 
 
 def test_trend_missing_close_raises():
@@ -393,8 +405,8 @@ def test_marks_and_lexicon_counters(lx):
 
 @pytest.fixture(scope="module")
 def sample_stream(sample_paths):
-    stream = FeatureStream(PipelineConfig(**sample_paths, warmup=10))
-    return stream.vm, list(stream)
+    vectorizer, pairs = feature_stream(PipelineConfig(**sample_paths, warmup=10))
+    return vectorizer.vm, list(pairs)
 
 
 def test_vectorized_dense_block_has_one_entry_per_name(sample_stream):
@@ -405,8 +417,9 @@ def test_vectorized_dense_block_has_one_entry_per_name(sample_stream):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_masking_after_vectorize_equals_masking_inside(sample_stream, data):
-    # FeatureStream masks its warmup vectors afterwards and the rest of the
-    # stream inside vectorize; both must give the same vector
+    # feature_stream masks its warmup vectors afterwards and the Vectorizer
+    # masks the rest of the stream inside vectorize; both must give the same
+    # vector
     vm, pairs = sample_stream
     used = sorted({col for _, fv in pairs for col, _ in fv.items()})
     mask = data.draw(
@@ -562,7 +575,7 @@ def test_deferred_counts_keep_the_mask_in_force_at_vectorize(sample_stream):
     mask = {col for col, _ in pairs[0][1].items()}
     eager = [_rebuild(_eager_vectorize, vm, inst, fv) for inst, fv in pairs]
     unmasked = [_rebuild(vectorize, vm, inst, fv) for inst, fv in pairs]
-    # FeatureStream sets the mask after it has built the warmup vectors
+    # feature_stream sets the mask after it has built the warmup vectors
     vm = replace(vm, selection_mask=mask)
     eager_masked = [_rebuild(_eager_vectorize, vm, inst, fv) for inst, fv in pairs]
     masked = [_rebuild(vectorize, vm, inst, fv) for inst, fv in pairs]
@@ -619,20 +632,44 @@ def test_cli_counts_each_vector_at_most_once_and_matches_eager(
 def test_only_runs_that_count_ngrams_build_the_count_tables(
     learner, counts, monkeypatch, tmp_path, sample_paths
 ):
-    streams = []
+    vectorizers = []
+    fit = feature_stream
 
-    class RecordingStream(FeatureStream):
-        def __init__(self, cfg):
-            super().__init__(cfg)
-            streams.append(self)
+    def recording(cfg):
+        vectorizer, pairs = fit(cfg)
+        vectorizers.append(vectorizer)
+        return vectorizer, pairs
 
-    monkeypatch.setattr("finemo.cli.FeatureStream", RecordingStream)
+    monkeypatch.setattr("finemo.cli.feature_stream", recording)
     argv = ["train-eval", "--warmup", "10", "--learner", learner]
     for key in ("lexicons", "tweets", "labels", "prices"):
         argv += [f"--{key}", sample_paths[key]]
     _train_eval(argv, tmp_path)
-    (stream,) = streams
-    assert ("count_tables" in vars(stream.vm)) is counts
+    (vectorizer,) = vectorizers
+    assert ("count_tables" in vars(vectorizer.vm)) is counts
+
+
+@pytest.mark.parametrize(
+    "percentile, digest", [(0, "f3a97977731d0203"), (15, "4e8c7b42dd8c0235")]
+)
+def test_a_reloaded_vocabulary_gives_the_runs_vectors(percentile, digest, tmp_path, sample_paths):
+    # the vocabulary.json of a train-eval run, read back, vectorizes every
+    # instance past the warmup as the run did
+    argv = ["train-eval", "--warmup", "10", "--learner", "sgd", "--percentile", str(percentile)]
+    for key in ("lexicons", "tweets", "labels", "prices"):
+        argv += [f"--{key}", sample_paths[key]]
+    _, files = _train_eval(argv, tmp_path)
+    assert hashlib.sha256(files["vocabulary.json"]).hexdigest()[:16] == digest
+    reloaded = Vectorizer(
+        load_lexicons(sample_paths["lexicons"]),
+        PriceSeries.from_csv(sample_paths["prices"]),
+        VocabularyModel.from_json(files["vocabulary.json"].decode("utf-8")),
+    )
+    _, pairs = feature_stream(PipelineConfig(**sample_paths, warmup=10, percentile=percentile))
+    rest = list(islice(pairs, 10, None))
+    assert len(rest) == 21
+    for inst, fv in rest:
+        _assert_same_vector(reloaded(inst), fv)
 
 
 # -- the per-token n-gram column memo against the eager oracle --

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finemo import streamml
-from finemo.cli import FeatureStream, PipelineConfig, main
+from finemo.cli import PipelineConfig, feature_stream, main
 from finemo.evaluation import prequential_run
 from finemo.features import N_DENSE, N_NUMERIC, NUMERIC_COLUMNS, TREND_COLUMN, FeatureVector
 from finemo.segmenter import CLASS_ORDER, EmotionLabel
@@ -1222,8 +1222,8 @@ def test_sgd_kernel_matches_loop_bit_for_bit(classes, penalty, l1_ratio, alpha, 
 
 @pytest.fixture(scope="module")
 def sample_selected(sample_paths):
-    stream = FeatureStream(PipelineConfig(**sample_paths, warmup=10, percentile=15))
-    return [(fv, inst.label) for inst, fv in stream]
+    _, pairs = feature_stream(PipelineConfig(**sample_paths, warmup=10, percentile=15))
+    return [(fv, inst.label) for inst, fv in pairs]
 
 
 @pytest.mark.parametrize("penalty", ["l1", "l2", "elasticnet"])

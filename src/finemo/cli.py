@@ -53,10 +53,10 @@ from finemo.features import (
 from finemo.lexicons import EncodingError, LexiconError, data_lines, load_lexicons, text_lines
 from finemo.segmenter import CLASS_ORDER, EmotionLabel, RawTweet, replicate_per_asset, segment_tweet
 from finemo.selection import (
-    Chi2Counts,
     SelectionError,
     chi2_scores,
     correlation_report,
+    rank_columns,
     select_percentile,
 )
 from finemo.streamml import GRIDS, LEARNERS, grid_search, learner_args, make_learner
@@ -336,8 +336,7 @@ def feature_stream(cfg: PipelineConfig) -> tuple[Vectorizer, Iterator[Pair]]:
     warmup = [(inst, vectorizer(inst)) for inst in window]
     if cfg.percentile:
         scores = chi2_scores(
-            (fv.arrays for _, fv in warmup),
-            [CLASS_ORDER.index(inst.label) for inst, _ in warmup],
+            ((CLASS_ORDER.index(inst.label), *fv.arrays) for inst, fv in warmup),
             vectorizer.vm.total_dim,
         )
         mask = select_percentile(scores, cfg.percentile)
@@ -506,23 +505,22 @@ def _cmd_analyze(cfg: PipelineConfig) -> None:
     vectorizer, pairs = feature_stream(cfg)
     # one pass: chi-squared sums the vectors as they come; the correlations,
     # over the interpretable dense block only, keep its 24 floats per instance
-    counts = Chi2Counts(len(CLASS_ORDER), vectorizer.vm.total_dim)
     dense, classes = array("d"), bytearray()
-    for inst, fv in pairs:
-        ci = CLASS_ORDER.index(inst.label)
-        counts.add(ci, *fv.arrays)
-        dense.frombytes(fv.dense.tobytes())
-        classes.append(ci)
+
+    def rows():
+        for inst, fv in pairs:
+            ci = CLASS_ORDER.index(inst.label)
+            dense.frombytes(fv.dense.tobytes())
+            classes.append(ci)
+            yield (ci, *fv.arrays)
+
+    chi2 = chi2_scores(rows(), vectorizer.vm.total_dim).tolist()
     X = np.frombuffer(dense).reshape(-1, len(DENSE_NAMES))
     rep = correlation_report(X, [CLASS_ORDER[ci] for ci in classes])
-    chi2 = counts.scores()
     out = {
         "pearson": {DENSE_NAMES[j]: r for j, r in rep.r_values.items()},
         "constant": [DENSE_NAMES[j] for j in rep.constant],
-        "chi2_top": [
-            {"column": int(j), "score": float(chi2[j])}
-            for j in np.argsort(-chi2)[:20]
-        ],
+        "chi2_top": [{"column": j, "score": chi2[j]} for j in rank_columns(chi2)[:20]],
     }
     print(json.dumps(out, ensure_ascii=False, indent=2))
 
@@ -552,14 +550,29 @@ def _cmd_agreement(cfg: PipelineConfig) -> None:
     print(report.to_json())
 
 
+def _cmd_train_eval(cfg: PipelineConfig) -> None:
+    print(run_pipeline(cfg).to_json())
+
+
+# each command's name and its function; ``run`` trains and evaluates as
+# ``train-eval`` does
+COMMANDS = {
+    "segment": _cmd_segment,
+    "process": _cmd_process,
+    "features": _cmd_features,
+    "analyze": _cmd_analyze,
+    "train-eval": _cmd_train_eval,
+    "run": _cmd_train_eval,
+    "agreement": _cmd_agreement,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finemo",
         description="Per-asset emotion indicators from financial microblog streams.",
     )
-    parser.add_argument("command", choices=[
-        "segment", "process", "features", "analyze", "train-eval", "run", "agreement",
-    ])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--lexicons", help="lexicon directory")
     parser.add_argument("--tweets", help="tweets JSONL file")
     parser.add_argument("--prices", help="closing prices CSV")
@@ -587,19 +600,7 @@ def config_from_args(args: argparse.Namespace) -> PipelineConfig:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        if args.command == "segment":
-            _cmd_segment(cfg)
-        elif args.command == "process":
-            _cmd_process(cfg)
-        elif args.command == "features":
-            _cmd_features(cfg)
-        elif args.command == "analyze":
-            _cmd_analyze(cfg)
-        elif args.command in ("train-eval", "run"):
-            print(run_pipeline(cfg).to_json())
-        elif args.command == "agreement":
-            _cmd_agreement(cfg)
+        COMMANDS[args.command](config_from_args(args))
     except BrokenPipeError:
         return 0
     except (PipelineError, OSError, LexiconError, EncodingError, PriceError, VocabularyError,

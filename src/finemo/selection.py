@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from finemo.segmenter import EmotionLabel
+from finemo.segmenter import CLASS_ORDER, EmotionLabel
 
 # signed ordinal target encoding for correlation against the emotion label
 TARGET_ENCODING = {
@@ -61,53 +61,39 @@ def correlation_report(X, labels: list[EmotionLabel]) -> CorrelationReport:
     return CorrelationReport(r_values=r_values, constant=constant)
 
 
-class Chi2Counts:
-    """The class-conditional feature sums that chi-squared scores, added one
-    sample at a time, so that no sample needs to be held.
+def chi2_scores(rows, n_features: int) -> np.ndarray:
+    """Per-feature chi-squared statistic for nonnegative sparse features.
 
-    Each cell adds its values in sample order. A class with no sample adds
-    nothing to any score.
+    ``rows`` yields one (class, columns, values) triple per sample: the
+    class's index in ``CLASS_ORDER`` and the sample's nonzero columns and
+    values, as in ``FeatureVector.arrays``, with no column twice. The rows
+    are read once and none is held, so ``rows`` may be a generator.
+
+    Observed values are the class-conditional sums, each cell adding its
+    values in sample order; expected values assume class-independence. A
+    class with no sample adds nothing to any score, and all-zero features
+    score 0.
     """
-
-    def __init__(self, n_classes: int, n_features: int):
-        self.observed = np.zeros((n_classes, n_features))
-        self.class_counts = np.zeros(n_classes, dtype=np.int64)
-
-    def add(self, ci: int, idx, vals) -> None:
-        """Add one sample of class ``ci``: its nonzero (columns, values),
-        as in ``FeatureVector.arrays``, with no column twice."""
+    observed = np.zeros((len(CLASS_ORDER), n_features))
+    class_counts = np.zeros(len(CLASS_ORDER), dtype=np.int64)
+    for ci, idx, vals in rows:
         vals = np.asarray(vals, dtype=float)
         if np.any(vals < 0):
             raise SelectionError("chi2 requires nonnegative feature values")
-        self.observed[ci, np.asarray(idx, dtype=np.intp)] += vals
-        self.class_counts[ci] += 1
-
-    def scores(self) -> np.ndarray:
-        """Per-feature chi-squared statistic: observed values are the sums,
-        expected values assume class-independence. All-zero features score
-        0."""
-        if np.count_nonzero(self.class_counts) < 2:
-            raise SelectionError("chi2 requires at least two classes")
-        class_prob = self.class_counts / self.class_counts.sum()
-        expected = np.outer(class_prob, self.observed.sum(axis=0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(expected > 0, (self.observed - expected) ** 2 / expected, 0.0)
-        return terms.sum(axis=0)
+        observed[ci, np.asarray(idx, dtype=np.intp)] += vals
+        class_counts[ci] += 1
+    if np.count_nonzero(class_counts) < 2:
+        raise SelectionError("chi2 requires at least two classes")
+    class_prob = class_counts / class_counts.sum()
+    expected = np.outer(class_prob, observed.sum(axis=0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(expected > 0, (observed - expected) ** 2 / expected, 0.0)
+    return terms.sum(axis=0)
 
 
-def chi2_scores(rows, y, n_features: int) -> np.ndarray:
-    """Per-feature chi-squared statistic for nonnegative sparse features.
-
-    ``rows`` yields one (columns, values) pair of arrays per sample, as in
-    ``FeatureVector.arrays``, and ``y`` holds its integer class id; classes
-    are taken in sorted order. ``Chi2Counts`` adds the rows one at a time,
-    so ``rows`` may be a generator.
-    """
-    classes, y_index = np.unique(np.asarray(y, dtype=int), return_inverse=True)
-    counts = Chi2Counts(classes.size, n_features)
-    for ci, (idx, vals) in zip(y_index.tolist(), rows, strict=True):
-        counts.add(ci, idx, vals)
-    return counts.scores()
+def rank_columns(scores: list[float]) -> list[int]:
+    """Every column index, by descending score; ties go to the lower column."""
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
 
 def select_percentile(scores, percentile: int = 15) -> set[int]:
@@ -119,5 +105,4 @@ def select_percentile(scores, percentile: int = 15) -> set[int]:
     if not 0 < percentile <= 100:
         raise SelectionError("percentile must be in (0, 100]")
     k = math.ceil(percentile / 100 * len(scores))
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    return set(order[:k])
+    return set(rank_columns(scores)[:k])

@@ -53,8 +53,8 @@ def tag_numbers(text: str) -> str:
 
 
 def clean_filter(text: str, lx: LexiconSet) -> str:
-    """Drop URLs, RT markers, $/@/# characters and stopwords; keep the
-    keep-words; collapse whitespace."""
+    """Drop URLs, RT markers, $/@/# characters and stopwords; collapse
+    whitespace. ``load_lexicons`` leaves no keep-word among the stopwords."""
     text = _URL_RE.sub(" ", text)
     text = _RT_RE.sub(" ", text)
     text = text.replace("$", "").replace("@", "").replace("#", "")
@@ -67,7 +67,7 @@ def clean_filter(text: str, lx: LexiconSet) -> str:
             kept.append(stripped)
             continue
         word = stripped.casefold()
-        if word in lx.stopwords and word not in lx.keep_words:
+        if word in lx.stopwords:
             continue
         kept.append(word)
     return " ".join(kept)

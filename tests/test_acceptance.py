@@ -214,7 +214,7 @@ def test_acceptance_06_selection_oracles():
         y = rng.integers(0, 3, size=n)
         if len(set(y.tolist())) < 2:
             y[0], y[1] = 0, 1
-        scores = chi2_scores([(np.arange(len(row)), row) for row in X], y, d)
+        scores = chi2_scores([(c, np.arange(len(row)), row) for c, row in zip(y.tolist(), X)], d)
         brute = []
         for j in range(d):
             total = X[:, j].sum()

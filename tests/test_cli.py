@@ -26,7 +26,8 @@ from finemo.cli import (
 )
 from finemo.features import PriceError, PriceSeries
 from finemo.lexicons import load_lexicons
-from finemo.segmenter import EmotionLabel
+from finemo.segmenter import CLASS_ORDER, EmotionLabel
+from finemo.selection import chi2_scores
 
 
 def _config(sample_paths, tmp_path, **overrides):
@@ -752,6 +753,46 @@ def test_main_exit_codes(sample_paths, tmp_path, capsys):
     rc = main(["run", "--tweets", str(tmp_path / "missing.jsonl"),
                "--lexicons", sample_paths["lexicons"]])
     assert rc == 1
+
+
+def test_the_parser_offers_the_command_table():
+    (command,) = [a for a in build_parser()._actions if a.dest == "command"]
+    assert command.choices == list(cli.COMMANDS) == [
+        "segment", "process", "features", "analyze", "train-eval", "run", "agreement",
+    ]
+
+
+def test_run_with_labels_writes_what_train_eval_writes(sample_paths, tmp_path, capsys):
+    outputs = []
+    for command in ("train-eval", "run"):
+        out = tmp_path / command
+        argv = [command, "--warmup", "10", "--learner", "nb", "--single", "--out", str(out)]
+        for key in ("lexicons", "tweets", "labels", "prices"):
+            argv += [f"--{key}", sample_paths[key]]
+        assert main(argv) == 0
+        artifacts = sorted(out.iterdir())
+        outputs.append((capsys.readouterr().out, [(a.name, a.read_bytes()) for a in artifacts]))
+    assert len(outputs[0][1]) == 5
+    assert outputs[0] == outputs[1]
+
+
+def test_analyze_ranks_tied_chi2_scores_by_column(sample_paths, tmp_path, capsys):
+    # on the sample, 13 columns tie at the cutoff of the top 20
+    argv = ["analyze", "--warmup", "10"]
+    for key in ("lexicons", "tweets", "labels", "prices"):
+        argv += [f"--{key}", sample_paths[key]]
+    assert main(argv) == 0
+    top = json.loads(capsys.readouterr().out)["chi2_top"]
+    cfg = _config(sample_paths, tmp_path)
+    vectorizer, pairs = cli.feature_stream(cfg)
+    score = chi2_scores(
+        ((CLASS_ORDER.index(inst.label), *fv.arrays) for inst, fv in pairs),
+        vectorizer.vm.total_dim,
+    ).tolist()
+    want = sorted(range(len(score)), key=lambda j: (-score[j], j))[:20]
+    assert [entry["column"] for entry in top] == want
+    assert [entry["score"] for entry in top] == [score[j] for j in want]
+    assert len({score[j] for j in want}) < 20
 
 
 def test_main_agreement_subcommand(tmp_path, capsys):

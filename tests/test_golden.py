@@ -46,7 +46,7 @@ CASES = {
 }
 
 GOLDEN = {
-    'analyze': {'stdout': 'cb97f493a73977a9'},
+    'analyze': {'stdout': '1c9299ac6d6370c9'},
     'dt-single': {'stdout': '751ecbe873c35250', 'accuracy_series.csv': 'ac2ad2e5c35c042f', 'confusion.csv': 'c35c795698721f90', 'indicators.jsonl': 'e3b0c44298fc1c14', 'report.json': 'efa7b2b75fe75f20', 'vocabulary.json': 'f3a97977731d0203'},
     'dt-stacked': {'stdout': '751ecbe873c35250', 'accuracy_series.csv': 'ac2ad2e5c35c042f', 'confusion.csv': 'c35c795698721f90', 'indicators.jsonl': 'e3b0c44298fc1c14', 'report.json': 'efa7b2b75fe75f20', 'vocabulary.json': 'f3a97977731d0203'},
     'features': {'stdout': '774554cdc94f30c7', 'vocabulary.json': 'f3a97977731d0203'},

@@ -9,7 +9,6 @@ from finemo.features import VocabularyModel
 from finemo.segmenter import CLASS_ORDER, EmotionLabel
 from finemo.selection import (
     TARGET_ENCODING,
-    Chi2Counts,
     SelectionError,
     chi2_scores,
     correlation_report,
@@ -111,7 +110,7 @@ def test_chi2_matches_brute_force_and_selection_indices():
         y = rng.integers(0, 3, size=n)
         if len(set(y.tolist())) < 2:
             continue
-        got = chi2_scores([(np.arange(len(row)), row) for row in X], y, d)
+        got = chi2_scores([(c, np.arange(len(row)), row) for c, row in zip(y.tolist(), X)], d)
         want = _brute_chi2(X, y.tolist())
         assert np.allclose(got, want, atol=1e-12)
         p = int(rng.integers(1, 101))
@@ -123,23 +122,23 @@ def test_chi2_matches_brute_force_and_selection_indices():
 def test_chi2_all_zero_feature_scores_zero():
     X = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
     y = np.array([0, 1, 0])
-    assert chi2_scores([(np.arange(len(row)), row) for row in X], y, 2)[0] == 0.0
+    assert chi2_scores([(c, np.arange(len(row)), row) for c, row in zip(y.tolist(), X)], 2)[0] == 0.0
 
 
 def test_chi2_rejects_negative_values():
     with pytest.raises(SelectionError):
-        chi2_scores([([0], [-1.0])], np.array([0]), 1)
+        chi2_scores([(0, [0], [-1.0])], 1)
 
 
 def test_chi2_requires_two_classes():
     with pytest.raises(SelectionError):
-        chi2_scores([([0], [1.0]), ([0], [2.0])], np.array([0, 0]), 1)
+        chi2_scores([(0, [0], [1.0]), (0, [0], [2.0])], 1)
 
 
 def _bincount_chi2_scores(rows, y, n_features):
-    """The chi-squared scores as they were computed before ``Chi2Counts``:
-    every row's columns and values concatenated, then summed per class by
-    one ``np.bincount``."""
+    """The chi-squared scores as they were computed before ``chi2_scores``
+    summed the rows one at a time: every row's columns and values
+    concatenated, then summed per class by one ``np.bincount``."""
     classes, y_index = np.unique(np.asarray(y, dtype=int), return_inverse=True)
     cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for ci, (idx, row_vals) in zip(y_index.tolist(), rows, strict=True):
@@ -173,13 +172,10 @@ def test_chi2_reduction_keeps_the_bits_of_the_bincount():
         if len(set(y.tolist())) < 2:
             y[:2] = [c for c in range(3) if c != absent]
         want = _bincount_chi2_scores(rows, y, d)
-        assert np.array_equal(chi2_scores(rows, y, d), want), trial
-        assert np.array_equal(chi2_scores(iter(rows), y, d), want), trial
-        # analyze counts by class order, with a row of zeros for the absent class
-        counts = Chi2Counts(3, d)
-        for ci, (idx, vals) in zip(y.tolist(), rows):
-            counts.add(ci, idx, vals)
-        assert np.array_equal(counts.scores(), want), trial
+        # by class order, with a row of zeros for the absent class
+        triples = [(c, idx, vals) for c, (idx, vals) in zip(y.tolist(), rows)]
+        assert np.array_equal(chi2_scores(triples, d), want), trial
+        assert np.array_equal(chi2_scores(iter(triples), d), want), trial
 
 
 @pytest.mark.parametrize(
@@ -193,14 +189,10 @@ def test_chi2_reduction_keeps_the_bits_of_the_bincount():
     ],
 )
 def test_chi2_refusals_match_the_bincount(rows, y, message):
-    for scores in (_bincount_chi2_scores, chi2_scores):
-        with pytest.raises(SelectionError, match=message):
-            scores(rows, np.array(y), 1)
-    counts = Chi2Counts(3, 1)
     with pytest.raises(SelectionError, match=message):
-        for ci, (idx, vals) in zip(y, rows):
-            counts.add(ci, idx, vals)
-        counts.scores()
+        _bincount_chi2_scores(rows, np.array(y), 1)
+    with pytest.raises(SelectionError, match=message):
+        chi2_scores([(c, idx, vals) for c, (idx, vals) in zip(y, rows)], 1)
 
 
 def test_select_percentile_count_and_ties():

@@ -20,6 +20,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from functools import cached_property, partial
+from itertools import chain
 
 import numpy as np
 
@@ -108,6 +109,36 @@ def charwb_ngrams(tokens: list[str], n_min: int, n_max: int) -> list[str]:
     return out
 
 
+def _boundary_keys(tokens: list[str]) -> list[tuple[str, str]]:
+    """For each space of ``" ".join(tokens)``, the key of the char n-grams
+    that cross it: the last ``NGRAM_MAX - 1`` characters of the token
+    before it (all of a shorter token) and the ``NGRAM_MAX`` characters
+    from the space on (fewer at the end of the text). A 4-gram can reach
+    past a one-character token, so the key is not just the next token."""
+    text = " ".join(tokens)
+    keys, end = [], -1
+    for token in tokens[:-1]:
+        start = end + 1
+        end = start + len(token)
+        keys.append((text[max(start, end - NGRAM_MAX + 1) : end], text[end : end + NGRAM_MAX]))
+    return keys
+
+
+def _boundary_ngrams(suffix: str, following: str) -> list[list[str]]:
+    """For each n, in position order, the char n-grams of the text that
+    ``_boundary_keys`` gives as (``suffix``, ``following``) which start in
+    ``suffix`` or on the space after it, and reach that space.
+
+    Every char n-gram of a joined text starts in exactly one token or on
+    the space after it, and none crosses the end of the text, so the
+    tokens' own char n-grams and these make all of them."""
+    window, space = suffix + following, len(suffix)
+    return [
+        [window[i : i + n] for i in range(max(0, space - n + 1), min(space, len(window) - n) + 1)]
+        for n in range(1, NGRAM_MAX + 1)
+    ]
+
+
 @dataclass(frozen=True)
 class VocabularyModel:
     """Fitted vocabularies, per-emotion BOW lists and the selection mask.
@@ -115,8 +146,9 @@ class VocabularyModel:
     A fixed value: ``dataclasses.replace`` with a new mask, BOW lists or
     vocabularies makes a new model, whose derived state is built on first
     use and kept as long as the model: ``bow_index``, the ``count_tables``
-    that number and select the n-gram columns, and the ``ngram_memo``. A
-    vector keeps the model that built it until it counts its n-grams.
+    that number and select the n-gram columns, and the ``ngram_memo`` and
+    ``boundary_memo``. A vector keeps the model that built it until it
+    counts its n-grams.
     """
 
     char_vocab: dict[str, int]
@@ -154,6 +186,12 @@ class VocabularyModel:
     @cached_property
     def ngram_memo(self) -> dict[str, tuple]:
         """``_token_columns`` by token, cleared at ``MEMO_SIZE`` entries."""
+        return {}
+
+    @cached_property
+    def boundary_memo(self) -> dict[tuple[str, str], tuple]:
+        """The columns of ``_boundary_ngrams`` by its key, cleared at
+        ``MEMO_SIZE`` entries."""
         return {}
 
     @property
@@ -295,13 +333,33 @@ def fit_vocabularies(
     class_docs: dict[EmotionLabel, set[str]] = {c: set() for c in CLASS_ORDER}
     term_freq: Counter = Counter()
 
+    # a segment's char n-grams are those of its tokens and of the spaces
+    # between them (see _boundary_ngrams), and its within-word n-grams those
+    # of its tokens: each is enumerated once per distinct token or key
+    own: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+    crossing: dict[tuple[str, str], tuple[str, ...]] = {}
     known = [None] * len(corpus) if labels is None else labels
     for seg, label in zip(corpus, known, strict=True):
         tokens = _norm_tokens(seg)
-        text = " ".join(tokens)
-        char_df.update(set(char_ngrams(text, 1, NGRAM_MAX)))
+        chars: set[str] = set()
+        wordbound: set[str] = set()
+        for token in tokens:
+            grams = own.get(token)
+            if grams is None:
+                grams = remember(own, token, (
+                    tuple(char_ngrams(token, 1, NGRAM_MAX)),
+                    tuple(charwb_ngrams([token], 1, NGRAM_MAX)),
+                ))
+            chars.update(grams[0])
+            wordbound.update(grams[1])
+        for key in _boundary_keys(tokens):
+            cross = crossing.get(key)
+            if cross is None:
+                cross = remember(crossing, key, tuple(chain.from_iterable(_boundary_ngrams(*key))))
+            chars.update(cross)
+        char_df.update(chars)
         word_df.update(set(word_ngrams(tokens, 1, NGRAM_MAX)))
-        wb_df.update(set(charwb_ngrams(tokens, 1, NGRAM_MAX)))
+        wb_df.update(wordbound)
         if label is not None:
             candidates = word_ngrams(tokens, 1, 2)
             class_docs[label].update(candidates)
@@ -457,72 +515,74 @@ def compute_trend(ticker: str, post_time: datetime, prices: PriceSeries) -> bool
     return next_close > prev_close
 
 
+def _columns(grams: list[str], table: dict[str, int]) -> tuple[int, ...]:
+    """The columns in ``table`` of ``grams``, in order, as the table's own
+    int objects, so a memo entry makes no new ints."""
+    return tuple([c for c in map(table.get, grams) if c is not None])
+
+
 def _token_columns(
     token: str, tables: tuple[dict[str, int], dict[str, int], dict[str, int]]
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
     """The columns in ``tables``, in counting order, of the n-grams that
     ``token`` alone makes: its char n-grams for each n, its word unigram and
-    its within-word n-grams. They are the tables' own int objects, so a memo
-    entry makes no new ints."""
+    its within-word n-grams."""
     char_table, word_table, wordbound_table = tables
-
-    def columns(grams, table):
-        return tuple([c for c in map(table.get, grams) if c is not None])
-
     return (
-        tuple(columns(char_ngrams(token, n, n), char_table) for n in range(1, NGRAM_MAX + 1)),
-        columns([token], word_table),
-        columns(charwb_ngrams([token], 1, NGRAM_MAX), wordbound_table),
+        tuple(_columns(char_ngrams(token, n, n), char_table) for n in range(1, NGRAM_MAX + 1)),
+        _columns([token], word_table),
+        _columns(charwb_ngrams([token], 1, NGRAM_MAX), wordbound_table),
     )
 
 
-def _count_ngrams(seg: ProcessedSegment, vm: VocabularyModel) -> dict[int, float]:
+_NO_BOUNDARY = ((),) * NGRAM_MAX
+
+
+def _count_ngrams(seg: ProcessedSegment, vm: VocabularyModel) -> Counter:
     """Nonzero n-gram counts of ``seg`` by the global column that
     ``vm.count_tables`` give, each column in the order of its first
     occurrence.
 
-    ``vm.ngram_memo`` maps a casefolded token to its ``_token_columns``
-    under these tables; a missing token is added, and the
-    memo is cleared at ``MEMO_SIZE`` entries. Only the n-grams that span
-    tokens are looked up here: char n-grams that start in a token's last
-    n - 1 characters or on the space after it, and word n-grams with n >= 2.
+    ``vm.ngram_memo`` maps a casefolded token to its ``_token_columns``, and
+    ``vm.boundary_memo`` maps a ``_boundary_keys`` key to the columns of its
+    ``_boundary_ngrams`` for each n, under these tables; a missing entry is
+    added, and each memo is cleared at ``MEMO_SIZE`` entries. Only word
+    n-grams with n >= 2 are looked up here.
     """
-    tables, memo = vm.count_tables, vm.ngram_memo
-    tokens = _norm_tokens(seg)
-    entries = []
-    for token in tokens:
-        entry = memo.get(token)
-        if entry is None:
-            entry = remember(memo, token, _token_columns(token, tables))
-        entries.append(entry)
+    tables, memo, boundary_memo = vm.count_tables, vm.ngram_memo, vm.boundary_memo
     char_table, word_table, _ = tables
-    counts: dict[int, float] = {}
-    get = counts.get
+    tokens = _norm_tokens(seg)
+    owns = []
+    for token in tokens:
+        own = memo.get(token)
+        if own is None:
+            own = remember(memo, token, _token_columns(token, tables))
+        owns.append(own)
+    crosses, get = [], char_table.get
+    for key in _boundary_keys(tokens):
+        cross = boundary_memo.get(key)
+        if cross is None:
+            # inline, with no call per n: on text full of one-off typos
+            # about half the keys miss, so this path is hot there
+            cross = remember(boundary_memo, key, tuple([
+                tuple([c for c in map(get, grams) if c is not None])
+                for grams in _boundary_ngrams(*key)
+            ]))
+        crosses.append(cross)
+    crosses.append(_NO_BOUNDARY)  # no n-gram crosses the end of the text
     # a column enters at its first occurrence, by kind, then n, then
     # position: items() and the order of SGD's sums depend on that order
-    text = " ".join(tokens)
-    for n in range(1, NGRAM_MAX + 1):
-        start, last = 0, len(text) - n
-        for token, entry in zip(tokens, entries):
-            for key in entry[0][n - 1]:
-                counts[key] = get(key, 0.0) + 1.0
-            end = start + len(token)
-            for i in range(max(start, end - n + 1), min(end, last) + 1):
-                key = char_table.get(text[i : i + n])
-                if key is not None:
-                    counts[key] = get(key, 0.0) + 1.0
-            start = end + 1
-    for entry in entries:
-        for key in entry[1]:
-            counts[key] = get(key, 0.0) + 1.0
-    for gram in word_ngrams(tokens, 2, NGRAM_MAX):
-        key = word_table.get(gram)
-        if key is not None:
-            counts[key] = get(key, 0.0) + 1.0
-    for entry in entries:
-        for key in entry[2]:
-            counts[key] = get(key, 0.0) + 1.0
-    return counts
+    flat: list[int] = []
+    for n in range(NGRAM_MAX):
+        for own, cross in zip(owns, crosses):
+            flat += own[0][n]
+            flat += cross[n]
+    for own in owns:
+        flat += own[1]
+    flat += _columns(word_ngrams(tokens, 2, NGRAM_MAX), word_table)
+    for own in owns:
+        flat += own[2]
+    return Counter(flat)
 
 
 def vectorize(

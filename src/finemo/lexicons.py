@@ -78,8 +78,7 @@ class LexiconSet:
     """
 
     tickers: dict[str, str]  # case-folded alias -> canonical ticker
-    stopwords: frozenset[str]
-    keep_words: frozenset[str]
+    stopwords: frozenset[str]  # without the keep-words
     polarity: dict[str, str]  # word -> negative|neutral|positive
     emotions: dict[str, str]  # word -> negative_emotion|positive_emotion
     adverbs: dict[str, frozenset[str]]
@@ -266,11 +265,9 @@ def load_lexicons(dir_path: str) -> LexiconSet:
     def words(key: str) -> set[str]:
         return {line.strip().casefold() for _, line in data_lines(paths[key])}
 
-    keep_words = words("keepwords")
     return LexiconSet(
         tickers=tickers,
-        stopwords=frozenset(words("stopwords") - keep_words),
-        keep_words=frozenset(keep_words),
+        stopwords=frozenset(words("stopwords") - words("keepwords")),
         polarity=_column_map(paths["polarity"], partial(_code, POLARITY_CODES)),
         emotions=_column_map(paths["emotions"], partial(_code, EMOTION_CODES)),
         adverbs=_column_map(paths["adverbs"], _adverb_classes),

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from finemo.cli import PipelineConfig, Vectorizer, feature_stream, main
+from finemo.cli import PipelineConfig, Vectorizer, build_instances, feature_stream, main, read_tweets
 from finemo.features import (
     BOW_COLUMNS,
+    BOW_SIZE,
     DENSE_NAMES,
     MAX_DF,
     MIN_DF,
@@ -32,6 +33,7 @@ from finemo.features import (
     VocabularyError,
     VocabularyModel,
     _count_ngrams,
+    _df_filter,
     _norm_tokens,
     char_ngrams,
     charwb_ngrams,
@@ -42,7 +44,7 @@ from finemo.features import (
     word_ngrams,
 )
 from finemo.lexicons import MEMO_SIZE, load_lexicons
-from finemo.segmenter import EmotionLabel, Segment, find_assets, replicate_per_asset
+from finemo.segmenter import CLASS_ORDER, EmotionLabel, Segment, find_assets, replicate_per_asset
 from finemo.synthetic import make_planted_stream
 from finemo.textproc import ProcessedSegment, process
 from tests.conftest import SAMPLE_DIR
@@ -277,6 +279,80 @@ def test_df_bounds_respected():
         assert set(vocab) == {term for term, d in df.items() if MIN_DF * n <= d <= MAX_DF * n}
     assert "único" not in vm.word_vocab and "trío" in vm.word_vocab
     assert "a" not in vm.char_vocab  # in every segment but the last four
+
+
+def _fit_oracle(corpus, labels=None):
+    """``fit_vocabularies`` as it was before it enumerated n-grams once per
+    distinct token and token boundary: every segment's text is sliced whole."""
+    if not corpus:
+        raise VocabularyError("empty fitting corpus")
+    char_df: Counter = Counter()
+    word_df: Counter = Counter()
+    wb_df: Counter = Counter()
+    class_docs: dict[EmotionLabel, set[str]] = {c: set() for c in CLASS_ORDER}
+    term_freq: Counter = Counter()
+
+    known = [None] * len(corpus) if labels is None else labels
+    for seg, label in zip(corpus, known, strict=True):
+        tokens = _norm_tokens(seg)
+        text = " ".join(tokens)
+        char_df.update(set(char_ngrams(text, 1, NGRAM_MAX)))
+        word_df.update(set(word_ngrams(tokens, 1, NGRAM_MAX)))
+        wb_df.update(set(charwb_ngrams(tokens, 1, NGRAM_MAX)))
+        if label is not None:
+            candidates = word_ngrams(tokens, 1, 2)
+            class_docs[label].update(candidates)
+            term_freq.update(candidates)
+
+    n_docs = len(corpus)
+    bows: dict[EmotionLabel, list[str]] = {}
+    for cls in CLASS_ORDER:
+        others = set().union(*(class_docs[o] for o in CLASS_ORDER if o is not cls))
+        exclusive = class_docs[cls] - others
+        ranked = sorted(exclusive, key=lambda t: (-term_freq[t], t))
+        bows[cls] = ranked[:BOW_SIZE]
+
+    return VocabularyModel(
+        char_vocab=_df_filter(char_df, n_docs),
+        word_vocab=_df_filter(word_df, n_docs),
+        wordbound_vocab=_df_filter(wb_df, n_docs),
+        bow_pre=bows[EmotionLabel.PRECAUTION],
+        bow_neu=bows[EmotionLabel.NEUTRAL],
+        bow_opp=bows[EmotionLabel.OPPORTUNITY],
+    )
+
+
+# words of one to five letters from a few letters, so that tokens and the
+# text around their spaces repeat; one-letter words such as Spanish "y",
+# "a" and "e" let a 4-gram that starts on a space reach the token after next
+_SHORT_TOKEN = st.one_of(st.sampled_from(["y", "a", "e"]), st.text("aeyns", min_size=1, max_size=5))
+_SHORT_SEGMENTS = st.lists(st.lists(_SHORT_TOKEN, min_size=1, max_size=8), min_size=1, max_size=8)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(corpus=_SHORT_SEGMENTS, every_ngram=st.booleans(), data=st.data())
+def test_fit_equals_the_per_segment_oracle(corpus, every_ngram, data):
+    segments = [_processed(tokens) for tokens in corpus]
+    segments += [_processed(corpus[0][:1]), _processed(corpus[0][:1] * 3)]
+    label = st.one_of(st.none(), st.sampled_from(CLASS_ORDER))
+    labels = data.draw(st.one_of(st.none(), st.lists(label, min_size=len(segments), max_size=len(segments))))
+    # the bounds opened to [0, 1] keep every n-gram of a small corpus
+    bounds = (0.0, 1.0) if every_ngram else (MIN_DF, MAX_DF)
+    with mock.patch.multiple("finemo.features", MIN_DF=bounds[0], MAX_DF=bounds[1]):
+        want = _fit_oracle(segments, labels).to_json()
+        assert fit_vocabularies(segments, labels).to_json() == want
+
+
+@pytest.mark.parametrize("warmup", [10, 31])
+def test_fit_equals_the_per_segment_oracle_on_the_sample(warmup, sample_paths):
+    lx = load_lexicons(sample_paths["lexicons"])
+    tweets = read_tweets(sample_paths["tweets"])
+    window = list(islice(build_instances(tweets, lx, sample_paths["labels"]), warmup))
+    assert len(window) == warmup
+    segments, labels = [inst.processed for inst in window], [inst.label for inst in window]
+    for given_labels in (labels, None):
+        want = _fit_oracle(segments, given_labels).to_json()
+        assert fit_vocabularies(segments, given_labels).to_json() == want
 
 
 def test_vectorize_counts_match_manual_recount():
@@ -724,6 +800,29 @@ def test_memoized_counts_equal_eager_vectorize(corpus, memo_size, data):
             _assert_same_vector(got, want)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(corpus=_SHORT_SEGMENTS, memo_size=st.sampled_from([1, 3, MEMO_SIZE]), data=st.data())
+def test_boundary_memo_counts_equal_eager_vectorize(corpus, memo_size, data):
+    segments = [_processed(tokens) for tokens in corpus]
+    # the first token alone, and repeated; three one-letter words in a row
+    segments += [_processed(corpus[0][:1]), _processed(corpus[0][:1] * 3)]
+    segments.append(_processed(["no", "y", "a", "e", "sí"]))
+    # every n-gram of the segments, fitted by the oracle, so that an n-gram
+    # the memoized fit misses still has a column
+    with mock.patch.multiple("finemo.features", MIN_DF=0.0, MAX_DF=1.0):
+        fitted = _fit_oracle(segments)
+    mask = data.draw(st.sets(st.integers(0, fitted.total_dim - 1)))
+    # a memo smaller than a segment's distinct keys overflows inside it
+    with mock.patch("finemo.lexicons.MEMO_SIZE", memo_size):
+        for selection in (None, mask):
+            vm = replace(fitted, selection_mask=selection)
+            for _ in ("cold", "warm"):
+                for seg in segments:
+                    want = _eager_vectorize(seg, vm, _NUMERIC, False)
+                    _assert_same_vector(vectorize(seg, vm, _NUMERIC, False), want)
+                    assert len(vm.boundary_memo) <= memo_size
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_count_tables_hold_the_retained_columns(sample_stream, data):
@@ -775,7 +874,8 @@ def test_memos_never_exceed_the_bound(sample_paths):
     lx = load_lexicons(sample_paths["lexicons"])
     vm = _fit_every_ngram([_processed(["mercado", "sube"])])
     memos = {
-        "corrections": lx.corrections, "splits": lx.splits, "n-grams": vm.ngram_memo
+        "corrections": lx.corrections, "splits": lx.splits, "n-grams": vm.ngram_memo,
+        "boundaries": vm.boundary_memo,
     }
     peak = dict.fromkeys(memos, 0)
     # more distinct out-of-dictionary tokens than the bound, with repeats

@@ -21,7 +21,7 @@ def test_loads_all_resources(lx):
     assert lx.tickers["bkia"] == "BKIA"
     assert lx.tickers["bankia"] == "BKIA"
     assert "el" in lx.stopwords
-    assert "no" in lx.keep_words
+    assert "no" in _keep_words(LEXICON_DIR) and "no" not in lx.stopwords
     assert lx.polarity["caída"] == "negative"
     assert lx.emotions["miedo"] == "negative_emotion"
     assert "negation" in lx.adverbs["no"]
@@ -30,8 +30,22 @@ def test_loads_all_resources(lx):
     assert lx.dictionary["sigue"] == "seguir"
 
 
+def _keep_words(dir_path):
+    """The case-folded words of ``keepwords.txt`` in ``dir_path``."""
+    return {line.strip().casefold() for _, line in data_lines(os.path.join(dir_path, "keepwords.txt"))}
+
+
 def test_keep_words_removed_from_stopwords(lx):
-    assert not (lx.stopwords & lx.keep_words)
+    assert not (lx.stopwords & _keep_words(LEXICON_DIR))
+
+
+def test_keep_words_win_over_listed_stopwords(tmp_path):
+    # the bundled lists share no word, so list the keep-words as stopwords too
+    dst = _copy_lexicons(tmp_path)
+    keep = _keep_words(dst)
+    _append(dst, "stopwords.txt", *(word.upper() for word in sorted(keep)))
+    loaded = load_lexicons(str(dst))
+    assert not (loaded.stopwords & keep) and "el" in loaded.stopwords
 
 
 def test_ticker_lookup_strips_markers(lx):
@@ -173,11 +187,9 @@ def _ref_load_lexicons(dir_path):
     for row in lines("tickers.tsv"):
         aliases = [a.strip() for a in row.split("\t") if a.strip()]
         tickers.update((alias.casefold(), aliases[0]) for alias in aliases)
-    keep_words = words("keepwords.txt")
     return LexiconSet(
         tickers=tickers,
-        stopwords=frozenset(words("stopwords.txt") - keep_words),
-        keep_words=frozenset(keep_words),
+        stopwords=frozenset(words("stopwords.txt") - words("keepwords.txt")),
         polarity={w: POLARITY_CODES[v] for w, v in pairs("polarity.tsv")},
         emotions={w: EMOTION_CODES[v] for w, v in pairs("emotions.tsv")},
         adverbs={

@@ -35,7 +35,6 @@ def _mini_lexicon(**overrides) -> LexiconSet:
     base = dict(
         tickers={},
         stopwords=frozenset(),
-        keep_words=frozenset(),
         polarity={},
         emotions={},
         adverbs={},

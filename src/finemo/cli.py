@@ -139,6 +139,15 @@ def read_tweets(path: str) -> Iterator[RawTweet]:
             tweet = RawTweet(id=str(tweet_id), timestamp=timestamp, text=obj["text"])
         except (KeyError, TypeError, ValueError) as exc:
             raise PipelineError(f"{path}:{lineno}: bad tweet record: {exc}") from exc
+        # a "\udc80" escape decodes to a lone surrogate, which no output can encode
+        for field, value in (("id", tweet.id), ("text", tweet.text)):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise EncodingError(
+                    f"{path}:{lineno}: not UTF-8: {field} has the lone surrogate "
+                    f"U+{ord(value[exc.start]):04X} at character {exc.start + 1}"
+                ) from None
         previous = (timestamp, created_at, lineno)
         yield tweet
 

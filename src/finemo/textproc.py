@@ -170,8 +170,11 @@ def lemmatize_correct(token: str, lx: LexiconSet) -> str:
     Only the forms that ``lx.delete_index`` returns are scored, not the whole
     dictionary. That set holds every form within distance 2, so the result
     equals a scan of every form. The index is built on the first
-    out-of-dictionary token and kept on ``lx``; it costs 12 bytes per
-    (delete string, form) pair, about 0.7 MB for 2.2k forms. Each
+    out-of-dictionary token and kept on ``lx``; it keys each deletion by a
+    64-bit polynomial hash of its code points, computed as one integer
+    matrix product per form length without making the deleted strings:
+    about 6 ms and 12 bytes per (delete hash, form) pair, about 0.7 MB, for
+    2.2k forms. Any ``str`` is accepted, lone surrogates included. Each
     candidate's distance is the bit-parallel ``_edit_distance``, exact up
     to the cap for any token length.
 

@@ -661,6 +661,33 @@ def test_non_utf8_input_is_refused_by_path_and_line(sample_paths, tmp_path, caps
     )
 
 
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ('{"id": "t999", "created_at": "2019-08-05T09:15:00", "text": "mercad\\udc80"}',
+         "text has the lone surrogate U+DC80 at character 7"),
+        ('{"id": "t\\ud83d", "created_at": "2019-08-05T09:15:00", "text": "hola"}',
+         "id has the lone surrogate U+D83D at character 2"),
+    ],
+    ids=["text", "id"],
+)
+def test_lone_surrogate_escape_is_refused_by_path_and_line(sample_paths, tmp_path, capsys,
+                                                           record, message):
+    # the line is UTF-8, but json.loads makes a lone surrogate of the escape,
+    # which indicators.jsonl could not encode
+    paths = _input_copies(sample_paths, tmp_path)
+    path = paths["tweets"]
+    first, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(first + b"\n" + record.encode() + b"\n" + rest)
+    assert main(_argv(paths, "train-eval", tmp_path / "out")) == 1
+    assert capsys.readouterr().err.endswith(f"error: {path}:2: not UTF-8: {message}\n")
+    # an escaped surrogate pair is one astral character
+    path.write_bytes(first + b"\n" + record.replace("\\udc80", "\\ud83d\\ude00")
+                     .replace("t\\ud83d", "t\\ud83d\\ude00").encode() + b"\n" + rest)
+    tweets = list(read_tweets(str(path)))
+    assert "\U0001f600" in tweets[1].id + tweets[1].text
+
+
 _READERS = {
     "lexicons": load_lexicons,
     "labels": read_labels,

@@ -1,6 +1,8 @@
+import os
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -295,6 +297,41 @@ def _frontier_deletes(word: str, depth: int = 2) -> set[str]:
     return out
 
 
+def _deletes(word: str) -> set[str]:
+    """``word`` and every string reachable from it by one or two
+    single-character deletions, as strings: the keys of the index before
+    it hashed deletions without making them.
+
+    Each pair of deleted positions p < q is made once: delete p, then the
+    character that was at q, which now sits at q - 1 >= p."""
+    n = len(word)
+    ones = [word[:i] + word[i + 1:] for i in range(n)]
+    out = {word, *ones}
+    out.update([one[:j] + one[j + 1:] for i, one in enumerate(ones) for j in range(i, n - 1)])
+    return out
+
+
+def _string_index(forms) -> dict[str, set[str]]:
+    """Every delete string of ``forms``, with the forms it comes from."""
+    index: dict[str, set[str]] = {}
+    for form in forms:
+        for key in _deletes(form):
+            index.setdefault(key, set()).add(form)
+    return index
+
+
+def _poly_hash(text: str) -> int:
+    """The index's hash of ``text`` on Python ints: the sum of
+    ord(text[k]) * B^k, mod 2^64."""
+    return sum(ord(ch) * lexicons._BASE ** k for k, ch in enumerate(text)) % 2**64
+
+
+def _code_points(text: str) -> np.ndarray:
+    """The code points of ``text`` by ``ord``, not by the UTF-32 encode that
+    the index uses."""
+    return np.array([ord(ch) for ch in text], dtype=np.uint64)
+
+
 # up to two insertions past the longest form of the bundled dictionary
 _MAX_TOKEN = 13 + 2
 # repeated letters make equal deletes and equal characters common; the
@@ -329,8 +366,57 @@ def test_bit_parallel_distance_matches_the_dp_on_candidate_pairs(syllable_lx):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_unicode_text)
-def test_deletes_match_the_frontier_expansion(word):
-    assert lexicons._deletes(word) == _frontier_deletes(word)
+def test_delete_hashes_match_the_frontier_expansion(word):
+    deletes = _frontier_deletes(word)
+    assert _deletes(word) == deletes
+    expected = {_poly_hash(key) for key in deletes}
+    # the build, over the forms of one length, and the query, over one row
+    index = lexicons.DeleteIndex([word])
+    assert set(index._hashes.tolist()) == expected
+    assert set(index._hashes_of(_code_points(word)).tolist()) == expected
+    assert len(index._hashes) == len(index._ids) <= len(deletes)
+
+
+@pytest.mark.parametrize("which", ["bundled", "syllables", "typo-lexicon"])
+def test_index_holds_as_many_pairs_as_the_string_index(lx, syllable_lx, benchmark_inputs, which):
+    if which == "typo-lexicon":
+        lexicon = load_lexicons(os.path.join(benchmark_inputs[which].root, "lexicons"))
+    else:
+        lexicon = {"bundled": lx, "syllables": syllable_lx}[which]
+    forms = list(lexicon.dictionary)
+    index = lexicons.DeleteIndex(forms)
+    pairs = sum(map(len, _string_index(forms).values()))
+    assert len(index._hashes) == len(index._ids) == pairs
+    assert index._hashes.dtype == np.uint64 and index._ids.dtype == np.intc
+    assert np.all(index._hashes[1:] >= index._hashes[:-1])
+    # one weight matrix per length met: the forms', then each query's
+    lengths = set(map(len, forms))
+    assert set(index._weight_cache) == lengths
+    index.candidates("x" * (max(lengths) + 2))
+    assert set(index._weight_cache) == lengths | {max(lengths) + 2}
+
+
+def test_index_candidates_within_distance_2_equal_the_string_index(syllable_lx):
+    # the tokens of test_bit_parallel_distance_matches_the_dp_on_candidate_pairs
+    rng = random.Random(5)
+    forms = sorted(syllable_lx.dictionary)
+    strings = _string_index(forms)
+    for form in rng.sample(forms, 300):
+        for token in (form[1:], form + "ñ", form[:1] + "w" + form[2:], form[::-1]):
+            found = set(syllable_lx.delete_index.candidates(token))
+            shared = {f for key in _deletes(token) for f in strings.get(key, ())}
+            assert shared <= found
+            assert {f for f in found if _levenshtein(token, f) <= 2} == {
+                f for f in shared if _levenshtein(token, f) <= 2
+            }
+
+
+def test_lone_surrogate_tokens_are_corrected_as_the_scan_does(lx, syllable_lx):
+    # json.loads makes a lone surrogate of a "\udc80" escape
+    assert lemmatize_correct("mercad\udc80", lx) == _scan_lemmatize("mercad\udc80", lx) == "mercado"
+    for token in ("\ud800mercado", "merc\udfffado", "\udc80", "ba\ud83d\ude00"):
+        for lexicon in (lx, syllable_lx):
+            assert lemmatize_correct(token, lexicon) == _scan_lemmatize(token, lexicon)
 
 
 class _CountingIndex(lexicons.DeleteIndex):

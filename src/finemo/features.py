@@ -20,7 +20,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from functools import cached_property, partial
-from itertools import chain
 
 import numpy as np
 
@@ -124,18 +123,19 @@ def _boundary_keys(tokens: list[str]) -> list[tuple[str, str]]:
     return keys
 
 
-def _boundary_ngrams(suffix: str, following: str) -> list[list[str]]:
-    """For each n, in position order, the char n-grams of the text that
-    ``_boundary_keys`` gives as (``suffix``, ``following``) which start in
-    ``suffix`` or on the space after it, and reach that space.
+def _boundary_ngrams(suffix: str, following: str) -> list[str]:
+    """The char n-grams of the text that ``_boundary_keys`` gives as
+    (``suffix``, ``following``) which start in ``suffix`` or on the space
+    after it, and reach that space.
 
     Every char n-gram of a joined text starts in exactly one token or on
     the space after it, and none crosses the end of the text, so the
     tokens' own char n-grams and these make all of them."""
     window, space = suffix + following, len(suffix)
     return [
-        [window[i : i + n] for i in range(max(0, space - n + 1), min(space, len(window) - n) + 1)]
+        window[i : i + n]
         for n in range(1, NGRAM_MAX + 1)
+        for i in range(max(0, space - n + 1), min(space, len(window) - n) + 1)
     ]
 
 
@@ -190,7 +190,7 @@ class VocabularyModel:
 
     @cached_property
     def boundary_memo(self) -> dict[tuple[str, str], tuple]:
-        """The columns of ``_boundary_ngrams`` by its key, cleared at
+        """The char columns of ``_boundary_ngrams`` by its key, cleared at
         ``MEMO_SIZE`` entries."""
         return {}
 
@@ -272,14 +272,17 @@ class FeatureVector:
 
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """All nonzero columns as read-only (global columns, values) arrays:
-        the n-grams in counting order, then the nonzero dense columns in
-        column order (BOW counters, numeric counters, trend)."""
+        """All nonzero columns as read-only (global columns, values) arrays,
+        in ascending column order: the n-grams, then the nonzero dense
+        columns (BOW counters, numeric counters, trend)."""
         text = self._text() if callable(self._text) else self._text
         self._text = None
         n, nonzero = len(text), np.flatnonzero(self.dense)
-        indices = np.concatenate([np.fromiter(text, np.intp, n), self.n_text + nonzero])
-        values = np.concatenate([np.fromiter(text.values(), float, n), self.dense[nonzero]])
+        columns = np.fromiter(text, np.intp, n)
+        # the columns are distinct, so every sort kernel gives this order
+        order = columns.argsort()
+        indices = np.concatenate([columns[order], self.n_text + nonzero])
+        values = np.concatenate([np.fromiter(text.values(), float, n)[order], self.dense[nonzero]])
         indices.flags.writeable = False
         values.flags.writeable = False
         return indices, values
@@ -355,7 +358,7 @@ def fit_vocabularies(
         for key in _boundary_keys(tokens):
             cross = crossing.get(key)
             if cross is None:
-                cross = remember(crossing, key, tuple(chain.from_iterable(_boundary_ngrams(*key))))
+                cross = remember(crossing, key, tuple(_boundary_ngrams(*key)))
             chars.update(cross)
         char_df.update(chars)
         word_df.update(set(word_ngrams(tokens, 1, NGRAM_MAX)))
@@ -516,72 +519,49 @@ def compute_trend(ticker: str, post_time: datetime, prices: PriceSeries) -> bool
 
 
 def _columns(grams: list[str], table: dict[str, int]) -> tuple[int, ...]:
-    """The columns in ``table`` of ``grams``, in order, as the table's own
-    int objects, so a memo entry makes no new ints."""
+    """The columns in ``table`` of ``grams``, as the table's own int
+    objects, so a memo entry makes no new ints."""
     return tuple([c for c in map(table.get, grams) if c is not None])
 
 
 def _token_columns(
     token: str, tables: tuple[dict[str, int], dict[str, int], dict[str, int]]
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
-    """The columns in ``tables``, in counting order, of the n-grams that
-    ``token`` alone makes: its char n-grams for each n, its word unigram and
-    its within-word n-grams."""
+) -> tuple[int, ...]:
+    """The columns in ``tables`` of the n-grams that ``token`` alone makes:
+    its char n-grams, its word unigram and its within-word n-grams."""
     char_table, word_table, wordbound_table = tables
     return (
-        tuple(_columns(char_ngrams(token, n, n), char_table) for n in range(1, NGRAM_MAX + 1)),
-        _columns([token], word_table),
-        _columns(charwb_ngrams([token], 1, NGRAM_MAX), wordbound_table),
+        _columns(char_ngrams(token, 1, NGRAM_MAX), char_table)
+        + _columns([token], word_table)
+        + _columns(charwb_ngrams([token], 1, NGRAM_MAX), wordbound_table)
     )
-
-
-_NO_BOUNDARY = ((),) * NGRAM_MAX
 
 
 def _count_ngrams(seg: ProcessedSegment, vm: VocabularyModel) -> Counter:
     """Nonzero n-gram counts of ``seg`` by the global column that
-    ``vm.count_tables`` give, each column in the order of its first
-    occurrence.
+    ``vm.count_tables`` give; ``FeatureVector.arrays`` orders them.
 
     ``vm.ngram_memo`` maps a casefolded token to its ``_token_columns``, and
-    ``vm.boundary_memo`` maps a ``_boundary_keys`` key to the columns of its
-    ``_boundary_ngrams`` for each n, under these tables; a missing entry is
+    ``vm.boundary_memo`` maps a ``_boundary_keys`` key to the char columns
+    of its ``_boundary_ngrams``, under these tables; a missing entry is
     added, and each memo is cleared at ``MEMO_SIZE`` entries. Only word
     n-grams with n >= 2 are looked up here.
     """
     tables, memo, boundary_memo = vm.count_tables, vm.ngram_memo, vm.boundary_memo
     char_table, word_table, _ = tables
     tokens = _norm_tokens(seg)
-    owns = []
+    flat: list[int] = []
     for token in tokens:
         own = memo.get(token)
         if own is None:
             own = remember(memo, token, _token_columns(token, tables))
-        owns.append(own)
-    crosses, get = [], char_table.get
+        flat += own
     for key in _boundary_keys(tokens):
         cross = boundary_memo.get(key)
         if cross is None:
-            # inline, with no call per n: on text full of one-off typos
-            # about half the keys miss, so this path is hot there
-            cross = remember(boundary_memo, key, tuple([
-                tuple([c for c in map(get, grams) if c is not None])
-                for grams in _boundary_ngrams(*key)
-            ]))
-        crosses.append(cross)
-    crosses.append(_NO_BOUNDARY)  # no n-gram crosses the end of the text
-    # a column enters at its first occurrence, by kind, then n, then
-    # position: items() and the order of SGD's sums depend on that order
-    flat: list[int] = []
-    for n in range(NGRAM_MAX):
-        for own, cross in zip(owns, crosses):
-            flat += own[0][n]
-            flat += cross[n]
-    for own in owns:
-        flat += own[1]
+            cross = remember(boundary_memo, key, _columns(_boundary_ngrams(*key), char_table))
+        flat += cross
     flat += _columns(word_ngrams(tokens, 2, NGRAM_MAX), word_table)
-    for own in owns:
-        flat += own[2]
     return Counter(flat)
 
 

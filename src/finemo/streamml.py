@@ -78,7 +78,7 @@ class StreamingNaiveBayes:
     ``partial_fit`` and ``predict_label`` read the first ``n_counts`` entries
     of the vector's ``arrays``, so they cost O(nnz) per class, and every
     score has the bits of the per-term loop: prior, then each count term in
-    ``arrays`` order, then the Gaussian and Bernoulli terms.
+    ascending column order, then the Gaussian and Bernoulli terms.
     """
 
     def __init__(self, classes=CLASS_ORDER):
@@ -140,8 +140,8 @@ class StreamingNaiveBayes:
         vocab_size = fv.n_text + N_BOW
         denom = np.array([self._counts_total[k] + vocab_size for k in seen])
         logs = _log_quotients(self._counts[:, idx][seen], denom)
-        # add.accumulate adds the terms one after another, in arrays order,
-        # so each sum has the bits of log prior + v_1 log q_1 + v_2 log q_2 ...
+        # add.accumulate adds the terms one after another, in ascending column
+        # order, so each sum has the bits of log prior + v_1 log q_1 + ...
         prior = [math.log(n / self.n_total) for n in ns]
         terms = np.concatenate([np.array(prior)[:, None], logs * vals], axis=1)
         multinomial = np.add.accumulate(terms, axis=1)[:, -1].tolist()
@@ -556,9 +556,9 @@ class SGDLinearClassifier:
                 f"the model was sized to {self._w.shape[1]}"
             )
         idx, vals = fv.arrays
-        # add.accumulate adds the terms one after another, in items() order,
-        # so every score has the bits of b + w_1 x_1 + w_2 x_2 + ...; with
-        # nnz 0 it returns a copy of b, never b itself
+        # add.accumulate adds the terms one after another, in ascending column
+        # order, so every score has the bits of b + w_1 x_1 + w_2 x_2 + ...;
+        # with nnz 0 it returns a copy of b, never b itself
         terms = np.concatenate([self._b[:, None], self._w[:, idx] * vals], axis=1)
         return np.add.accumulate(terms, axis=1)[:, -1]
 

@@ -546,6 +546,51 @@ def test_n_counts_is_the_count_prefix(sample_stream, data):
             assert prefix == [True] * vec.n_counts + [False] * (len(indices) - vec.n_counts)
 
 
+def _assert_ascending_and_split(fv):
+    """``arrays[0]`` strictly ascending, and its first ``n_counts`` entries
+    the count columns: every one after them a numeric counter or the trend."""
+    indices = fv.arrays[0]
+    assert (np.diff(indices) > 0).all()
+    n_count_columns = fv.n_text + N_BOW
+    assert (indices[: fv.n_counts] < n_count_columns).all()
+    assert (indices[fv.n_counts :] >= n_count_columns).all()
+
+
+@pytest.mark.parametrize("percentile", [0, 15])
+def test_sample_arrays_are_in_ascending_column_order(percentile, sample_paths):
+    vectorizer, pairs = feature_stream(
+        PipelineConfig(**sample_paths, warmup=10, percentile=percentile)
+    )
+    vectors = [fv for _, fv in pairs]
+    used = sorted({col for fv in vectors for col in fv.arrays[0].tolist()})
+    dense = range(vectorizer.vm.n_text_columns, vectorizer.vm.total_dim)
+    masks = [set(used[::2]), set(used[1::3]) | set(dense)]
+    for fv in vectors:
+        _assert_ascending_and_split(fv)
+        for mask in masks:
+            _assert_ascending_and_split(fv.masked(mask))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    text=st.dictionaries(st.integers(0, 49), st.floats(0.5, 9.0), max_size=30),
+    dense=st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=N_DENSE, max_size=N_DENSE),
+    data=st.data(),
+)
+def test_dict_vector_arrays_are_in_ascending_column_order(text, dense, data):
+    # the same counts inserted in another order give the same vector
+    shuffled = {col: text[col] for col in data.draw(st.permutations(list(text)))}
+    fv = FeatureVector(text=shuffled, dense=np.array(dense), n_text=50)
+    _assert_ascending_and_split(fv)
+    # each value stays with its column
+    expected = {**text, **{50 + k: v for k, v in enumerate(dense) if v}}
+    assert dict(fv.items()) == expected
+    mask = data.draw(st.sets(st.integers(0, fv.total_dim - 1)))
+    masked = fv.masked(mask)
+    _assert_ascending_and_split(masked)
+    assert dict(masked.items()) == {col: v for col, v in expected.items() if col in mask}
+
+
 def test_arrays_are_the_items_read_only_and_built_once(sample_stream):
     _, pairs = sample_stream
     empty = FeatureVector(text={}, dense=np.zeros(N_DENSE), n_text=5)
@@ -768,7 +813,10 @@ def _processed(tokens):
 )
 def test_memoized_counts_equal_eager_vectorize(corpus, memo_size, data):
     pool = sorted({t for tokens in corpus for t in tokens})
-    fitted = _fit_every_ngram([_processed(tokens) for tokens in corpus])
+    # fitted by the oracle, which slices each text whole: it shares no
+    # boundary code with the count
+    with mock.patch.multiple("finemo.features", MIN_DF=0.0, MAX_DF=1.0):
+        fitted = _fit_oracle([_processed(tokens) for tokens in corpus])
     segments = [_processed(tokens) for tokens in corpus]
     segments += [_processed([t]) for t in pool]  # one-token segments
     segments.append(_processed([pool[0]] * 3))  # one token repeated

@@ -146,9 +146,9 @@ class VocabularyModel:
     A fixed value: ``dataclasses.replace`` with a new mask, BOW lists or
     vocabularies makes a new model, whose derived state is built on first
     use and kept as long as the model: ``bow_index``, the ``count_tables``
-    that number and select the n-gram columns, and the ``ngram_memo`` and
-    ``boundary_memo``. A vector keeps the model that built it until it
-    counts its n-grams.
+    that number and select the n-gram columns, the ``dense_keep`` that
+    selects the dense columns, and the ``ngram_memo`` and ``boundary_memo``.
+    A vector keeps the model that built it until it counts its n-grams.
     """
 
     char_vocab: dict[str, int]
@@ -182,6 +182,13 @@ class VocabularyModel:
                 tables.append({g: c for g, c in pairs if mask is None or c in mask})
             offset += len(vocab)
         return tuple(tables)
+
+    @cached_property
+    def dense_keep(self) -> np.ndarray:
+        """Per dense position, whether ``selection_mask`` keeps its global
+        column; read only under a mask."""
+        n_text, mask = self.n_text_columns, self.selection_mask
+        return np.array([n_text + k in mask for k in range(N_DENSE)])
 
     @cached_property
     def ngram_memo(self) -> dict[str, tuple]:
@@ -251,11 +258,12 @@ class FeatureVector:
     arguments that returns one: it is called on the first read of ``arrays``
     and never when only ``dense`` is read. ``arrays`` is the one sparse form
     the vector keeps; once it is built, the dict and the function are gone.
+    A ``masked`` copy holds neither: it is born with its ``arrays``.
     """
 
     def __init__(
         self,
-        text: dict[int, float] | Callable[[], dict[int, float]],
+        text: dict[int, float] | Callable[[], dict[int, float]] | None,
         dense: np.ndarray,
         n_text: int,
     ):
@@ -298,18 +306,24 @@ class FeatureVector:
         return zip(*(a.tolist() for a in self.arrays))
 
     def masked(self, mask: set[int]) -> "FeatureVector":
-        """This vector with every global column outside ``mask`` zeroed."""
+        """This vector with every global column outside ``mask`` zeroed.
+
+        The copy keeps the entries of this vector's ``arrays`` whose column
+        ``mask`` holds, one lookup per nonzero column, so it is born with its
+        ``arrays`` and never counts or sorts; its dense block holds the kept
+        dense entries and 0.0 elsewhere."""
         indices, values = self.arrays
-        n = len(indices) - np.count_nonzero(self.dense)
-        return FeatureVector(
-            {i: v for i, v in zip(indices[:n].tolist(), values[:n].tolist()) if i in mask},
-            _masked_dense(self.dense, self.n_text, mask),
-            self.n_text,
-        )
-
-
-def _masked_dense(dense: np.ndarray, n_text: int, mask: set[int]) -> np.ndarray:
-    return np.where([n_text + k in mask for k in range(N_DENSE)], dense, 0.0)
+        keep = np.fromiter(map(mask.__contains__, indices.tolist()), bool, len(indices))
+        indices, values = indices[keep], values[keep]
+        indices.flags.writeable = False
+        values.flags.writeable = False
+        # the kept dense columns are the last entries, as in every ``arrays``
+        start = int(np.searchsorted(indices, self.n_text))
+        dense = np.zeros(N_DENSE)
+        dense[indices[start:] - self.n_text] = values[start:]
+        copy = FeatureVector(None, dense, self.n_text)
+        copy.arrays = indices, values
+        return copy
 
 
 def _norm_tokens(seg: ProcessedSegment) -> list[str]:
@@ -586,7 +600,7 @@ def vectorize(
     dense = np.array([*hits, *numeric, trend], dtype=float)
     n_text = vm.n_text_columns
     if vm.selection_mask is not None:
-        dense = _masked_dense(dense, n_text, vm.selection_mask)
+        dense = np.where(vm.dense_keep, dense, 0.0)
     # the segment, not its casefolded tokens: a block of vectors waiting
     # for their first read then holds no copies of the tokens
     return FeatureVector(partial(_count_ngrams, seg, vm), dense, n_text)

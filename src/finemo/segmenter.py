@@ -42,11 +42,17 @@ class EmotionLabel(Enum):
 
     @classmethod
     def parse(cls, value: str) -> "EmotionLabel":
-        key = value.strip().rstrip("+-").casefold()
-        for label in cls:
-            if key in (label.value.casefold(), label.name.casefold()):
-                return label
-        raise ValueError(f"unknown emotion label: {value!r}")
+        """The label whose letter or name, in any case, is ``value`` without
+        its surrounding whitespace and then without its trailing ``+``/``-``
+        marks."""
+        label = _LABEL_KEYS.get(value.strip().rstrip("+-").casefold())
+        if label is None:
+            raise ValueError(f"unknown emotion label: {value!r}")
+        return label
+
+
+# EmotionLabel.parse's table: each label's casefolded letter and name
+_LABEL_KEYS = {key.casefold(): label for label in EmotionLabel for key in (label.value, label.name)}
 
 
 # the class order of every learner, confusion matrix and report

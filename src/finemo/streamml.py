@@ -4,9 +4,9 @@ The four learners are naive Bayes, the Hoeffding tree, the adaptive random
 forest and the SGD linear model; ``StackedClassifier`` cascades three of one
 kind. Every learner, stacked or not, has one protocol, that of
 prequential test-then-train: predict_label(fv) -> the predicted class (never
-mutating) and partial_fit(fv, label) -> None (one instance,
-order-sensitive). Ties go to the first class in the learner's class order,
-and so does every prediction before the first fit.
+changing what the learner has learned) and partial_fit(fv, label) -> None
+(one instance, order-sensitive). Ties go to the first class in the
+learner's class order, and so does every prediction before the first fit.
 
 Only this module names, builds and tunes the learners: callers pass a
 ``LEARNERS`` name and constructor arguments, every default lives in its
@@ -525,6 +525,12 @@ class SGDLinearClassifier:
     Exactly one update per instance. Scoring and the hinge update read the
     vector's cached ``arrays``, so they cost O(nnz); every vector must have
     the width of the first one fitted.
+
+    ``predict_label`` keeps the scores it computes with the vector and
+    ``t``; ``partial_fit`` reuses them only for that very vector object at
+    that ``t``, when the weights are those that made them, so the
+    prequential predict-then-fit scores each instance once. Every fit drops
+    the kept scores.
     """
 
     def __init__(
@@ -543,6 +549,8 @@ class SGDLinearClassifier:
         self.t = 0
         self._w: np.ndarray | None = None
         self._b: np.ndarray | None = None
+        # (vector, t, scores as a list) of the last predict_label since a fit
+        self._kept: tuple[FeatureVector, int, list[float]] | None = None
 
     def _ensure(self, fv: FeatureVector) -> None:
         if self._w is None:
@@ -564,7 +572,11 @@ class SGDLinearClassifier:
 
     def partial_fit(self, fv: FeatureVector, label: EmotionLabel) -> None:
         self._ensure(fv)
-        scores = self._scores(fv)
+        kept, self._kept = self._kept, None
+        if kept is not None and kept[0] is fv and kept[1] == self.t:
+            scores = kept[2]
+        else:
+            scores = self._scores(fv).tolist()
         self.t += 1
         eta = 1.0 / (self.alpha * self.t)
         l2_part = self.alpha * (1.0 - self.l1_ratio)
@@ -586,6 +598,7 @@ class SGDLinearClassifier:
         if self.t == 0:
             return self.classes[0]
         scores = self._scores(fv).tolist()
+        self._kept = (fv, self.t, scores)
         return self.classes[scores.index(max(scores))]
 
 

@@ -620,6 +620,78 @@ def test_masked_vector_does_not_inherit_cached_arrays(sample_stream, data):
         assert masked.arrays[1].tolist() == values[keep].tolist()
 
 
+def _dict_masked(fv, mask):
+    """``masked()`` as it was before the copies filtered the arrays: the kept
+    n-gram counts go back into a dict, which the copy counts and sorts again,
+    and the dense block is masked entry by entry."""
+    indices, values = fv.arrays
+    n = len(indices) - np.count_nonzero(fv.dense)
+    return FeatureVector(
+        {i: v for i, v in zip(indices[:n].tolist(), values[:n].tolist()) if i in mask},
+        np.where([fv.n_text + k in mask for k in range(N_DENSE)], fv.dense, 0.0),
+        fv.n_text,
+    )
+
+
+def _assert_same_masked(got, want):
+    """Same columns, values and order, ``n_counts``, dense bytes and
+    read-only flags; ``got`` already holds its arrays."""
+    assert "arrays" in vars(got)
+    assert not any(isinstance(v, dict) or callable(v) for v in vars(got).values())
+    assert got.n_text == want.n_text
+    for g, w in zip(got.arrays, want.arrays):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert not g.flags.writeable and not w.flags.writeable
+    assert got.n_counts == want.n_counts
+    assert got.dense.dtype == want.dense.dtype and got.dense.tobytes() == want.dense.tobytes()
+    assert not got.dense.flags.writeable and not want.dense.flags.writeable
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_masked_copies_equal_the_dict_path_on_the_sample(sample_stream, data):
+    vm, pairs = sample_stream
+    used = sorted({col for _, fv in pairs for col, _ in fv.items()})
+    dense = list(range(vm.n_text_columns, vm.total_dim))
+    mask = data.draw(
+        st.sets(st.one_of(st.sampled_from(used), st.sampled_from(dense), st.integers(0, vm.total_dim)))
+    )
+    for _, fv in pairs:
+        _assert_same_masked(fv.masked(mask), _dict_masked(fv, mask))
+        # a copy of a copy too
+        twice = fv.masked(mask).masked(set(used[::2]))
+        _assert_same_masked(twice, _dict_masked(_dict_masked(fv, mask), set(used[::2])))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    text=st.dictionaries(st.integers(0, 49), st.floats(0.5, 9.0), max_size=30),
+    dense=st.lists(st.sampled_from([0.0, 1.0, 2.5, 7.0]), min_size=N_DENSE, max_size=N_DENSE),
+    mask=st.sets(st.integers(-1, 50 + N_DENSE)),
+    deferred=st.booleans(),
+)
+def test_masked_copies_equal_the_dict_path_on_any_vector(text, dense, mask, deferred):
+    def make():
+        counts = dict(text)
+        return FeatureVector((lambda: counts) if deferred else counts, np.array(dense), 50)
+
+    _assert_same_masked(make().masked(mask), _dict_masked(make(), mask))
+
+
+def test_warmup_vectors_are_masked_copies_born_with_their_arrays(sample_paths):
+    cfg = PipelineConfig(**sample_paths, warmup=10, percentile=15)
+    vectorizer, pairs = feature_stream(cfg)
+    warmup = [fv for _, fv in islice(pairs, cfg.warmup)]
+    for fv in warmup:
+        # nothing has read them since feature_stream masked them
+        assert "arrays" in vars(fv)
+        assert not any(isinstance(v, dict) or callable(v) for v in vars(fv).values())
+    # the Vectorizer masks the rest of the stream's dense blocks with this
+    vm = vectorizer.vm
+    assert vm.dense_keep is vm.dense_keep
+    assert vm.dense_keep.tolist() == [vm.n_text_columns + k in vm.selection_mask for k in range(N_DENSE)]
+
+
 def _eager_vectorize(seg, vm, numeric, trend):
     """``vectorize`` as it was before the n-gram counts were deferred: every
     n-gram is counted at once, and under a mask the vector is built whole

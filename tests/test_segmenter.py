@@ -42,6 +42,44 @@ def test_emotion_label_parse():
         EmotionLabel.parse("X")
 
 
+def _loop_parse(value):
+    """``EmotionLabel.parse`` as a loop over the labels, as it was before
+    the lookup table."""
+    key = value.strip().rstrip("+-").casefold()
+    for label in EmotionLabel:
+        if key in (label.value.casefold(), label.name.casefold()):
+            return label
+    raise ValueError(f"unknown emotion label: {value!r}")
+
+
+_SPELLINGS = [s for label in EmotionLabel for s in (label.value, label.name)]
+_label_text = st.one_of(
+    st.sampled_from(_SPELLINGS),
+    # each spelling in random case, near misses and any short text
+    st.sampled_from(_SPELLINGS).flatmap(
+        lambda s: st.tuples(*(st.sampled_from([c, c.lower(), c.upper()]) for c in s)).map("".join)
+    ),
+    st.sampled_from(["precautioN-x", "neutrals", "opportunit", "", "PN", "ñ", "ß"]),
+    st.text(max_size=4),
+)
+# whitespace, no-break and ideographic spaces among it, and the marks
+_around = st.text(alphabet=" \t\n\xa0\u3000+-", max_size=3)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(before=_around, text=_label_text, after=_around)
+def test_emotion_label_parse_matches_the_loop(before, text, after):
+    value = before + text + after
+    try:
+        expected = _loop_parse(value)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            EmotionLabel.parse(value)
+        assert str(raised.value) == str(exc)
+    else:
+        assert EmotionLabel.parse(value) is expected
+
+
 def test_raw_tweet_validation():
     with pytest.raises(ValueError):
         RawTweet(id="", timestamp=datetime(2019, 8, 1), text="hola")

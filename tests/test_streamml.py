@@ -1261,6 +1261,106 @@ def test_sgd_refuses_a_vector_of_another_width(sparse_dim):
     assert sgd._w.tobytes() == w.tobytes() and sgd._b.tobytes() == b.tobytes()
 
 
+def _sgd_stages(model):
+    if isinstance(model, StackedClassifier):
+        return [model.stage1, model.stage2_pre, model.stage2_opp]
+    return [model]
+
+
+def _sgd_state(model):
+    return [(m.t, m._w.tobytes(), m._b.tobytes()) for m in _sgd_stages(model)]
+
+
+def _counting_scores(monkeypatch):
+    """A list that ``SGDLinearClassifier._scores`` appends (learner, vector)
+    to on each call."""
+    scored = []
+    real = SGDLinearClassifier._scores
+
+    def counting(self, fv):
+        scored.append((self, fv))
+        return real(self, fv)
+
+    monkeypatch.setattr(SGDLinearClassifier, "_scores", counting)
+    return scored
+
+
+@pytest.fixture(scope="module")
+def planted_sgd_stream():
+    stream, _ = make_planted_stream(400, seed=3, warmup=100)
+    return stream
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+@pytest.mark.parametrize("penalty", ["l1", "l2", "elasticnet"])
+@pytest.mark.parametrize("source", ["sample", "planted"])
+def test_sgd_reuse_leaves_the_state_of_fit_only(
+    source, penalty, stacked, sample_selected, planted_sgd_stream, monkeypatch
+):
+    stream = sample_selected if source == "sample" else planted_sgd_stream
+    args = learner_args("sgd", {"penalty": penalty, "alpha": 0.001}, 0)
+    fit_only = make_learner("sgd", args, stacked)
+    for fv, label in stream:
+        fit_only.partial_fit(fv, label)
+    scored = _counting_scores(monkeypatch)
+    model = make_learner("sgd", args, stacked)
+    prequential_run(stream, model)
+    assert _sgd_state(model) == _sgd_state(fit_only)
+    # each stage scores each vector at most once, predicted or fitted
+    assert len({(id(m), id(fv)) for m, fv in scored}) == len(scored)
+    if not stacked:
+        assert len(scored) == len(stream)
+
+
+def _trained_sgd(stream):
+    model = make_learner("sgd", learner_args("sgd", {"alpha": 0.001}, 0), False)
+    for fv, label in stream:
+        model.partial_fit(fv, label)
+    return model
+
+
+def test_sgd_reuse_recomputes_for_another_vector(planted_sgd_stream):
+    history, rest = planted_sgd_stream[:50], planted_sgd_stream[50:]
+    reference, tested = _trained_sgd(history), _trained_sgd(history)
+    for (a, _), (b, label) in zip(rest, rest[1:]):
+        # another vector of the stream at the same t; its scores would
+        # give another hinge update
+        tested.predict_label(a)
+        tested.partial_fit(b, label)
+        reference.partial_fit(b, label)
+        assert _sgd_state(tested) == _sgd_state(reference)
+
+
+def test_sgd_reuse_recomputes_when_the_same_vector_is_fitted_twice(planted_sgd_stream):
+    history, rest = planted_sgd_stream[:50], planted_sgd_stream[50:150]
+    reference, tested = _trained_sgd(history), _trained_sgd(history)
+    for fv, label in rest:
+        tested.predict_label(fv)
+        tested.partial_fit(fv, label)
+        assert tested._kept is None  # every fit drops the kept scores
+        tested.partial_fit(fv, label)
+        reference.partial_fit(fv, label)
+        reference.partial_fit(fv, label)
+        assert _sgd_state(tested) == _sgd_state(reference)
+
+
+def test_sgd_reuse_never_takes_scores_kept_at_another_t(planted_sgd_stream):
+    # the kept scores were made with the weights of their t; were they
+    # still kept after a fit, the vector's next fit must not read them
+    history, rest = planted_sgd_stream[:50], planted_sgd_stream[50:150]
+    reference, tested = _trained_sgd(history), _trained_sgd(history)
+    for (fv, label), (other, other_label) in zip(rest, rest[1:]):
+        tested.predict_label(fv)
+        kept = tested._kept
+        tested.partial_fit(other, other_label)
+        assert tested._kept is None
+        tested._kept = kept
+        tested.partial_fit(fv, label)
+        reference.partial_fit(other, other_label)
+        reference.partial_fit(fv, label)
+        assert _sgd_state(tested) == _sgd_state(reference)
+
+
 def test_stacked_sgd_on_sample_reads_each_vector_once(monkeypatch, tmp_path, sample_paths):
     calls = 0
     real_items = FeatureVector.items

@@ -497,7 +497,7 @@ def _cmd_features(cfg: PipelineConfig) -> None:
                     "tweet_id": inst.tweet.id,
                     "segment_index": inst.segment_index,
                     "focus": inst.focus,
-                    "sparse": {str(k): v for k, v in sorted(islice(fv.items(), fv.n_counts))},
+                    "sparse": {str(k): v for k, v in islice(fv.items(), fv.n_counts)},
                     "numeric": [int(v) for v in fv.dense[NUMERIC_COLUMNS].tolist()],
                     "trend": bool(fv.dense[TREND_COLUMN]),
                     "label": inst.label.name if inst.label else None,

@@ -22,8 +22,12 @@ has one node type, a leaf that splits in place, and one descent,
 keeps its per-leaf class counts and, per leaf feature and value, its
 per-class weights as lists of Python floats; each leaf also keeps the index
 of its first-maximum class, updated with every weight it learns, so no
-label or vote rescans the counts. A split attempt makes one ``np.log2``
-call, on the probabilities of every class distribution it scores.
+label or vote rescans the counts.
+
+Every log a learner takes is ``math.log`` or ``math.log2`` of a Python
+float, never numpy's: numpy picks its log kernel by CPU, and its kernels
+differ in the last bit for a few arguments, so a score or a split gain
+would depend on the machine.
 
 The forest descends each tree once per fitted instance: the drift check
 and the update share the leaf. Each tree's ``rng`` is its weight stream, a
@@ -58,12 +62,14 @@ TIE_THRESHOLD = 0.05  # a Hoeffding bound below this splits even on a tie
 POISSON_BATCH = 64  # forest weights drawn per generator call
 
 
+def _logs(a: np.ndarray) -> np.ndarray:
+    """``math.log`` of every entry of ``a``, in ``a``'s shape."""
+    return np.fromiter(map(math.log, a.ravel().tolist()), float, a.size).reshape(a.shape)
+
+
 def _log_quotients(counts: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """``math.log((counts[k, j] + 1.0) / denom[k])`` for every cell.
-    ``math.log``, not ``np.log``: the vectorized log differs in the last bit
-    for a few quotients."""
-    quotients = (counts + 1.0) / denom[:, None]
-    return np.array(list(map(math.log, quotients.ravel().tolist()))).reshape(quotients.shape)
+    """``math.log((counts[k, j] + 1.0) / denom[k])`` for every cell."""
+    return _logs((counts + 1.0) / denom[:, None])
 
 
 class StreamingNaiveBayes:
@@ -152,7 +158,7 @@ class StreamingNaiveBayes:
         x = fv.dense[NUMERIC_COLUMNS]
         # the sum of each contiguous row has the bits of np.sum of that row
         gaussian = np.sum(
-            -0.5 * np.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var), axis=1
+            -0.5 * _logs(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var), axis=1
         ).tolist()
         trend = fv.dense[TREND_COLUMN]
         for k, n, logp, gauss in zip(seen, ns, multinomial, gaussian):
@@ -186,6 +192,17 @@ def _total(values) -> float:
     return total
 
 
+def _entropy(counts: list[float], n: float) -> float:
+    """``-(p_0 log2 p_0 + p_1 log2 p_1 + ...)`` with ``p = c / n`` over the
+    positive counts ``c``, added left to right."""
+    acc = 0.0
+    for c in counts:
+        if c > 0:
+            p = c / n
+            acc += p * math.log2(p)
+    return -acc
+
+
 def _best_splits(counts: list[float], observers: dict) -> list[tuple[float, int, float]]:
     """(gain, feature, threshold) of the best threshold of every feature
     whose information gain is positive somewhere; a later threshold wins
@@ -193,18 +210,11 @@ def _best_splits(counts: list[float], observers: dict) -> list[tuple[float, int,
 
     The candidates are the distinct observed values but the largest, in
     sorted order; the left side adds their per-class weights one after
-    another and the right side is ``counts`` minus the left. The entropy of
-    the parent and of both sides of every candidate is
-    ``-(p_0 log2 p_0 + p_1 log2 p_1 + ...)`` over the positive counts, added
-    left to right; the logs of all these probabilities come from one
-    ``np.log2`` call. ``math.log2`` differs from ``np.log2`` in the last bit
-    for a few quotients, and a one-bit gain difference can flip a tie."""
+    another and the right side is ``counts`` minus the left. Each side's
+    entropy is an ``_entropy`` loop over its counts."""
     n = _total(counts)
-    # the parent's probabilities, then those of the left and the right side
-    # of every candidate; distribution d has probs[ends[d - 1]:ends[d]]
-    probs = [c / n for c in counts if c > 0]
-    ends = [len(probs)]
-    candidates = []  # (feature, threshold, left total, right total)
+    parent_entropy = _entropy(counts, n)
+    best: dict[int, tuple[float, float]] = {}  # feature -> (gain, threshold)
     for f, per_value in observers.items():
         left = [0.0] * len(counts)
         for v in sorted(per_value)[:-1]:
@@ -212,26 +222,10 @@ def _best_splits(counts: list[float], observers: dict) -> list[tuple[float, int,
             right = [c - a for c, a in zip(counts, left)]
             ln, rn = _total(left), _total(right)
             if ln > 0 and rn > 0:
-                probs += [c / ln for c in left if c > 0]
-                ends.append(len(probs))
-                probs += [c / rn for c in right if c > 0]
-                ends.append(len(probs))
-                candidates.append((f, v, ln, rn))
-    logs = np.log2(probs).tolist()
-    entropies, start = [], 0
-    for end in ends:
-        acc = 0.0
-        for i in range(start, end):
-            acc += probs[i] * logs[i]
-        entropies.append(-acc)
-        start = end
-    parent_entropy = entropies[0]
-    sides = iter(entropies[1:])
-    best: dict[int, tuple[float, float]] = {}  # feature -> (gain, threshold)
-    for (f, v, ln, rn), e_left, e_right in zip(candidates, sides, sides):
-        gain = parent_entropy - (ln / n) * e_left - (rn / n) * e_right
-        if gain > best.get(f, (0.0,))[0]:
-            best[f] = (gain, v)
+                e_left, e_right = _entropy(left, ln), _entropy(right, rn)
+                gain = parent_entropy - (ln / n) * e_left - (rn / n) * e_right
+                if gain > best.get(f, (0.0,))[0]:
+                    best[f] = (gain, v)
     return [(gain, f, v) for f, (gain, v) in best.items()]
 
 
@@ -251,7 +245,7 @@ class HoeffdingTreeClassifier:
     the majority when its count passes the majority's, or equals it with
     ``ci`` first in class order, which is exact because weights are never
     negative. A split attempt on a leaf with two or more classes scores
-    every candidate threshold with one ``np.log2`` call (``_best_splits``).
+    every candidate threshold by its information gain (``_best_splits``).
 
     A leaf splits in place, so no node knows its parent; ``_descend`` is the
     only loop that walks a tree, and the forest calls it too.

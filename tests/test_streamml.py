@@ -1,8 +1,12 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import math
+import os
 import pickle
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -28,6 +32,7 @@ from finemo.streamml import (
     StreamingNaiveBayes,
     _best_splits,
     _log_quotients,
+    _logs,
     _MAX_DISTINCT,
     POISSON_BATCH,
     _BatchedPoisson,
@@ -39,6 +44,7 @@ from finemo.streamml import (
     make_learner,
 )
 from finemo.synthetic import make_planted_stream
+from tests.conftest import ROOT
 from tests.test_tree_golden import FOREST, _drifting_stream, _models, _trees
 
 P, N, O = EmotionLabel.PRECAUTION, EmotionLabel.NEUTRAL, EmotionLabel.OPPORTUNITY
@@ -165,7 +171,7 @@ def test_nb_unseen_class_scores_minus_inf():
 
 class _LoopNB(StreamingNaiveBayes):
     """The per-class dicts and per-term loops that the count-matrix kernel
-    replaced."""
+    replaced, with ``math.log`` for every log."""
 
     def __init__(self, classes=CLASS_ORDER, var_epsilon=1e-9):
         self.classes = tuple(classes)
@@ -211,9 +217,8 @@ class _LoopNB(StreamingNaiveBayes):
             mean = self._num_sum[cls] / n
             var = self._num_sumsq[cls] / n - mean * mean
             var = np.maximum(var, self.var_epsilon)
-            logp += float(
-                np.sum(-0.5 * np.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var))
-            )
+            log_2pi_var = np.array([math.log(v) for v in (2.0 * math.pi * var).tolist()])
+            logp += float(np.sum(-0.5 * log_2pi_var - (x - mean) ** 2 / (2.0 * var)))
             p_true = (self._trend_true[cls] + 1.0) / (n + 2.0)
             logp += math.log(p_true if trend else 1.0 - p_true)
             scores.append(logp)
@@ -290,6 +295,12 @@ def test_nb_logs_are_math_log_of_every_quotient():
     ]
     assert _log_quotients(counts, denom).tobytes() == np.array(expected).tobytes()
     assert _log_quotients(counts[:, :0], denom).shape == (3, 0)
+    # the Gaussian's 2 pi var, from the variance floor to large spreads, in
+    # the (classes, counters) shape that naive Bayes passes
+    var = 2.0 * math.pi * np.geomspace(1e-9, 1e6, 3 * 2000).reshape(3, 2000)
+    expected = [[math.log(v) for v in row] for row in var.tolist()]
+    assert _logs(var).tobytes() == np.array(expected).tobytes()
+    assert _logs(var).shape == var.shape
 
 
 @pytest.mark.parametrize("sparse_dim", [20, 40])  # narrower, wider than 30
@@ -719,12 +730,13 @@ def _entropy(counts):
     if total <= 0:
         return 0.0
     p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
+    return float(-(p * [math.log2(q) for q in p.tolist()]).sum())
 
 
 def _loop_best_splits(counts, observers):
     """The per-feature split search before ``_best_splits``: numpy class
-    counts and one ``_entropy`` per side of every threshold."""
+    counts and one ``_entropy`` per side of every threshold, with
+    ``math.log2`` of every probability."""
     counts = np.array(counts)
     parent_entropy = _entropy(counts)
     n = counts.sum()
@@ -811,12 +823,13 @@ def _two_values(left, right):
     return classes, [a + b for a, b in zip(left, right)], {0: {0.0: left, 1.0: right}}
 
 
-# in both examples math.log2 gives another gain than np.log2
+# in both examples np.log2 on an AVX-512 CPU gives another gain than
+# math.log2, which the split search and its oracle take
 @settings(max_examples=300, deadline=None)
 @given(leaf=_observed_leaves(), delta=st.sampled_from([1e-7, 0.05, 0.5, 1.0]))
 @example(leaf=_two_values([1.4, 4.67], [1.36, 2.59]), delta=0.5)
 @example(leaf=_two_values([5.23, 3.65, 8.63], [5.86, 4.77, 6.8]), delta=0.5)
-def test_split_search_matches_numpy_loop_bit_for_bit(leaf, delta):
+def test_split_search_matches_the_loop_bit_for_bit(leaf, delta):
     classes, counts, observers = leaf
     want, _ = _loop_best_splits(counts, observers)
     got = _best_splits(counts, observers)
@@ -836,22 +849,98 @@ def test_split_search_matches_numpy_loop_bit_for_bit(leaf, delta):
         assert root.right.class_counts == decision[3]
 
 
-def test_split_attempt_makes_one_log2_call(monkeypatch):
-    calls = []
-    log2 = np.log2
-    monkeypatch.setattr(np, "log2", lambda a: calls.append(len(a)) or log2(a))
-    tree = HoeffdingTreeClassifier()
-    pure, mixed = _Node(3, [0, 1]), _Node(3, [0, 1])
-    pure.class_counts = [6.0, 0.0, 0.0]
-    mixed.class_counts = [3.0, 2.0, 1.0]
-    observers = {0: {0.0: [3.0, 0.0, 0.0], 1.0: [0.0, 2.0, 1.0]}, 1: {0.0: [3.0, 2.0, 1.0]}}
-    mixed.observers = observers
-    pure.observers = {0: {0.0: [3.0, 0.0, 0.0], 1.0: [3.0, 0.0, 0.0]}, 1: {}}
-    tree._attempt_split(pure)
-    assert calls == []
-    tree._attempt_split(mixed)
-    # the parent's three probabilities, then one per class on each side of 0.0
-    assert calls == [3 + 1 + 2]
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+@pytest.mark.parametrize("learner", ["nb", "dt", "rf", "sgd"])
+def test_no_learner_takes_a_numpy_log(monkeypatch, learner, stacked):
+    stream = _planted(CLASS_ORDER)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a learner took numpy's log")
+
+    monkeypatch.setattr(np, "log", refuse)
+    monkeypatch.setattr(np, "log2", refuse)
+    trees = learner in ("dt", "rf")
+    model = make_learner(learner, {"grace_period": 50, "delta": 0.05} if trees else {}, stacked)
+    prequential_run(stream, model)
+    if trees:
+        # every stage splits, so every stage ran the split search
+        for stage in [model.stage1, model.stage2_pre, model.stage2_opp] if stacked else [model]:
+            assert sum(_n_splits(tree._root) for tree in getattr(stage, "_trees", [stage])) >= 1
+
+
+def _dispatched_cpu_features() -> str:
+    """The features that numpy picks SIMD kernels by and this CPU has, as
+    the baseline-kernel CI step reads them; empty when they are disabled."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f))
+
+
+def _counter_where_logs_differ() -> float:
+    """The first counter value x in 1..65535 whose naive Bayes variance,
+    over fits with 0 and x, has another ``np.log(2 pi var)`` than
+    ``math.log`` on this CPU; 1.0 if none has."""
+    x = np.arange(1.0, 65536.0)
+    mean = x / 2.0
+    arg = 2.0 * math.pi * (x * x / 2.0 - mean * mean)
+    differ = np.log(arg) != np.array([math.log(a) for a in arg.tolist()])
+    return float(x[differ][0]) if differ.any() else 1.0
+
+
+def _learner_bits(counter: float) -> tuple[str, str]:
+    """The digest of the hex of every split gain of a stacked forest on the
+    planted stream, and the hex of naive Bayes's scores after two
+    precaution fits with numeric counter 0 at 0.0 and at ``counter``."""
+    gains = []
+    best_splits = streamml._best_splits
+
+    def recording(counts, observers):
+        found = best_splits(counts, observers)
+        gains.extend(gain.hex() for gain, _, _ in found)
+        return found
+
+    streamml._best_splits = recording
+    try:
+        prequential_run(_planted(CLASS_ORDER), make_learner("rf", {"grace_period": 50}, True))
+    finally:
+        streamml._best_splits = best_splits
+    # the other counters fit +-1/sqrt(2 pi): 2 pi var is 1.0, so at their
+    # mean their Gaussian terms are 0 and the score is counter 0's term plus
+    # the trend's, whose sum keeps a one-bit difference of that term's log
+    a = math.sqrt(1.0 / (2.0 * math.pi))
+    nb = StreamingNaiveBayes()
+    for value, other in [(0.0, a), (counter, -a)]:
+        nb.partial_fit(make_fv(numeric=[value] + [other] * (N_NUMERIC - 1)), P)
+    scores = nb._scores(make_fv(numeric=[counter / 2.0] + [0.0] * (N_NUMERIC - 1)))
+    return hashlib.sha256(" ".join(gains).encode()).hexdigest(), _score_bytes(scores).hex()
+
+
+def test_learner_bits_do_not_depend_on_numpys_simd_kernel():
+    features = _dispatched_cpu_features()
+    if not features:
+        pytest.skip("numpy dispatches no SIMD kernel here: the native kernels are the baseline")
+    counter = _counter_where_logs_differ()
+    src = os.path.dirname(os.path.dirname(streamml.__file__))
+    root = os.path.abspath(ROOT)
+    path = os.pathsep.join(filter(None, [src, root, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from tests.test_streamml import _learner_bits\n"
+        "print(*_learner_bits(float(sys.argv[1])))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, repr(counter)],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": features, "PYTHONPATH": path},
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    gains, scores = _learner_bits(counter)
+    assert result.stdout.split() == [gains, scores]
 
 
 @pytest.mark.parametrize("reference", ["majority", "predict_label"])

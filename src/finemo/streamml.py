@@ -29,19 +29,21 @@ float, never numpy's: numpy picks its log kernel by CPU, and its kernels
 differ in the last bit for a few arguments, so a score or a split gain
 would depend on the machine.
 
-The forest descends each tree once per fitted instance: the drift check
-and the update share the leaf. Each tree's ``rng`` is its weight stream, a
-``_BatchedPoisson`` that draws the tree's Poisson weights ``POISSON_BATCH``
-at a time from the generator that also picks the tree's leaf subspaces;
-before any other draw from it the batch is rewound to the weights used,
-so every weight, subspace and reset has the bits of one scalar draw each.
+The forest's and the tree's fits are one loop over the trees,
+``_fit_trees``, with the one copy of the leaf update: per tree one descent,
+whose leaf the drift check and the update share, then the drift window,
+the Poisson weight and the leaf update inline. Each tree's ``rng`` is its
+weight stream, a ``_BatchedPoisson`` that draws its Poisson weights
+``POISSON_BATCH`` at a time from the generator that also picks its leaf
+subspaces; before any other draw from it the batch is rewound to the
+weights used, so every weight, subspace and reset has the bits of one
+scalar draw each.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,20 +212,31 @@ def _best_splits(counts: list[float], observers: dict) -> list[tuple[float, int,
 
     The candidates are the distinct observed values but the largest, in
     sorted order; the left side adds their per-class weights one after
-    another and the right side is ``counts`` minus the left. Each side's
-    entropy is an ``_entropy`` loop over its counts."""
+    another into running sums and the right side is ``counts`` minus the
+    left. Each side's total and entropy take the float operations of
+    ``_total`` and ``_entropy``, in order, but build no list."""
     n = _total(counts)
     parent_entropy = _entropy(counts, n)
     best: dict[int, tuple[float, float]] = {}  # feature -> (gain, threshold)
     for f, per_value in observers.items():
         left = [0.0] * len(counts)
         for v in sorted(per_value)[:-1]:
-            left = [a + b for a, b in zip(left, per_value[v])]
-            right = [c - a for c, a in zip(counts, left)]
-            ln, rn = _total(left), _total(right)
+            ln = rn = 0.0
+            for j, w in enumerate(per_value[v]):
+                a = left[j] = left[j] + w
+                ln += a
+                rn += counts[j] - a
             if ln > 0 and rn > 0:
-                e_left, e_right = _entropy(left, ln), _entropy(right, rn)
-                gain = parent_entropy - (ln / n) * e_left - (rn / n) * e_right
+                acc_left = acc_right = 0.0
+                for a, c in zip(left, counts):
+                    if a > 0:
+                        p = a / ln
+                        acc_left += p * math.log2(p)
+                    b = c - a
+                    if b > 0:
+                        p = b / rn
+                        acc_right += p * math.log2(p)
+                gain = parent_entropy - (ln / n) * -acc_left - (rn / n) * -acc_right
                 if gain > best.get(f, (0.0,))[0]:
                     best[f] = (gain, v)
     return [(gain, f, v) for f, (gain, v) in best.items()]
@@ -266,6 +279,8 @@ class HoeffdingTreeClassifier:
     ):
         if subspace_size is not None and subspace_size < N_DENSE and rng is None:
             raise ValueError(f"a subspace of {subspace_size} features needs an rng")
+        if not delta > 0:
+            raise ValueError(f"delta must be positive, got {delta!r}")
         self.classes = tuple(classes)
         self.delta = delta
         self.grace_period = grace_period
@@ -291,32 +306,7 @@ class HoeffdingTreeClassifier:
     def partial_fit(self, fv: FeatureVector, label: EmotionLabel, weight: float = 1.0) -> None:
         if not 0.0 <= weight < math.inf:
             raise ValueError(f"weight must be finite and non-negative, got {weight!r}")
-        x = fv.dense.tolist()
-        self._learn(x, self.classes.index(label), weight, self._descend(x))
-
-    def _learn(self, x: list[float], ci: int, weight: float, leaf: _Node) -> None:
-        """Add ``x`` with class index ``ci`` and ``weight`` (finite, not
-        negative) to the leaf that ``_descend(x)`` returned, then try to
-        split it."""
-        self.n_seen += 1
-        counts = leaf.class_counts
-        counts[ci] += weight
-        best = leaf.best
-        if counts[ci] > counts[best] or (counts[ci] == counts[best] and ci < best):
-            leaf.best = ci
-        leaf.n_since += weight
-        for f, per_value in leaf.observers.items():
-            v = x[f]
-            stats = per_value.get(v)
-            if stats is None:
-                if len(per_value) >= _MAX_DISTINCT:
-                    stats = per_value[min(per_value, key=lambda k: abs(k - v))]
-                else:
-                    stats = per_value[v] = [0.0] * len(self.classes)
-            stats[ci] += weight
-        if leaf.n_since >= self.grace_period:
-            leaf.n_since = 0.0
-            self._attempt_split(leaf)
+        _fit_trees([self], fv.dense.tolist(), self.classes.index(label), weight)
 
     def _attempt_split(self, leaf: _Node) -> None:
         counts = leaf.class_counts
@@ -352,16 +342,20 @@ class _DriftMonitor:
     """Sliding-window error monitor: flags drift when the recent error rate
     exceeds the lifetime rate by three binomial standard deviations.
 
-    The window keeps a running count of its errors, so ``add`` is O(1).
-    While the recent rate is at most the lifetime rate, which integer
-    counts decide exactly, no drift is possible and ``add`` does no float
-    work.
+    The window is a ``bytearray`` ring of the last ``window`` outcomes (1
+    an error) whose oldest, at ``i``, the next overwrites, with a running
+    count of its errors, so ``add`` is O(1); ``_fit_trees`` inlines it.
+    While the recent rate is at most the lifetime rate, which integer counts
+    decide exactly, no drift is possible and there is no float work.
     """
+
+    __slots__ = ("window", "min_instances", "ring", "i", "recent_errors", "errors", "n")
 
     def __init__(self, window: int = 100, min_instances: int = 200):
         self.window = window
         self.min_instances = min_instances
-        self.recent: deque[int] = deque()
+        self.ring = bytearray(window)
+        self.i = 0
         self.recent_errors = 0
         self.errors = 0
         self.n = 0
@@ -370,17 +364,19 @@ class _DriftMonitor:
         e = int(error)
         self.n += 1
         self.errors += e
-        self.recent.append(e)
-        self.recent_errors += e
-        if len(self.recent) > self.window:
-            self.recent_errors -= self.recent.popleft()
-        if self.n < self.min_instances or len(self.recent) < self.window:
+        ring, i = self.ring, self.i
+        self.recent_errors += e - ring[i]
+        ring[i] = e
+        self.i = i + 1 if i + 1 < self.window else 0
+        return self.drifted()
+
+    def drifted(self) -> bool:
+        n = self.n
+        # recent <= lifetime (any window not yet full): division is monotone, sigma >= 0
+        if self.recent_errors * n <= self.errors * self.window or n < self.min_instances:
             return False
-        # recent <= lifetime; float division is monotone and sigma >= 0
-        if self.recent_errors * self.n <= self.errors * self.window:
-            return False
-        lifetime = self.errors / self.n
-        recent = self.recent_errors / len(self.recent)
+        lifetime = self.errors / n
+        recent = self.recent_errors / self.window
         sigma = math.sqrt(max(lifetime * (1.0 - lifetime), 1e-12) / self.window)
         return recent > lifetime + 3.0 * sigma
 
@@ -390,38 +386,87 @@ class _BatchedPoisson:
     ``rng``, with the values and generator states of one scalar draw each.
 
     ``Generator.poisson(lam, n)`` consumes the stream as ``n`` scalar calls
-    do, so a batch holds the next weights in order. Its tree draws leaf
-    subspaces from the same generator through ``choice``, which first
-    rewinds: it restores the state from before the batch, redraws the
-    weights used so far and drops the rest.
+    do, so a batch holds the next weights; it keeps them last first, so the
+    next weight is ``_batch.pop()`` and ``POISSON_BATCH - len(_batch)`` are
+    used. Its tree draws leaf subspaces from the same generator through
+    ``choice``, which first rewinds: it restores the state from before the
+    batch, redraws the weights used so far and drops the rest.
     """
 
-    __slots__ = ("rng", "lam", "_batch", "_used", "_state")
+    __slots__ = ("rng", "lam", "_batch", "_state")
 
     def __init__(self, rng: np.random.Generator, lam: float | None):
         self.rng = rng
         self.lam = lam
         self._batch: list[float] = []
-        self._used = 0
         self._state = None  # the generator state before the batch
 
     def next(self) -> float:
-        i = self._used
-        if i == len(self._batch):
+        if not self._batch:
             # every drawn weight is used: the generator is where scalar
             # draws would have left it
             self._state = self.rng.bit_generator.state
-            self._batch = self.rng.poisson(self.lam, POISSON_BATCH).astype(float).tolist()
-            i = 0
-        self._used = i + 1
-        return self._batch[i]
+            self._batch = self.rng.poisson(self.lam, POISSON_BATCH)[::-1].astype(float).tolist()
+        return self._batch.pop()
 
     def choice(self, *args, **kwargs):
-        if self._used < len(self._batch):
+        if self._batch:
             self.rng.bit_generator.state = self._state
-            self.rng.poisson(self.lam, self._used)
-        self._batch, self._used = [], 0
+            self.rng.poisson(self.lam, POISSON_BATCH - len(self._batch))
+        self._batch = []
         return self.rng.choice(*args, **kwargs)
+
+
+def _fit_trees(trees: list, x: list[float], ci: int, weight: float | None,
+               monitors: list[_DriftMonitor] | None = None, new_tree=None) -> int:
+    """Fit the dense list ``x`` of class index ``ci`` to each tree; return
+    the number of resets. With ``monitors``, a fitted tree's window takes
+    whether its leaf's majority misses ``ci``, and a drift resets the tree
+    to ``new_tree(tree.rng)``. The leaf learns ``weight``, or with None the
+    tree's next Poisson weight, skipping the tree on 0."""
+    resets = 0
+    for k, tree in enumerate(trees):
+        leaf = tree._descend(x)
+        if monitors is not None and tree.n_seen > 0:
+            m, e = monitors[k], leaf.best != ci  # _DriftMonitor.add up to its drifted()
+            m.n += 1
+            m.errors += e
+            ring, i = m.ring, m.i
+            m.recent_errors += e - ring[i]
+            ring[i] = e
+            m.i = i + 1 if i + 1 < m.window else 0
+            if m.recent_errors * m.n > m.errors * m.window and m.drifted():
+                trees[k] = tree = new_tree(tree.rng)
+                monitors[k] = _DriftMonitor()
+                resets += 1
+                leaf = tree._root
+        w = weight
+        if w is None:
+            batch = tree.rng._batch
+            w = batch.pop() if batch else tree.rng.next()
+            if w == 0:
+                continue
+        tree.n_seen += 1
+        counts = leaf.class_counts
+        c = counts[ci] = counts[ci] + w
+        best = leaf.best
+        if best != ci and (c > counts[best] or (c == counts[best] and ci < best)):
+            leaf.best = ci
+        for f, per_value in leaf.observers.items():
+            v = x[f]
+            try:  # a value the leaf has seen: all but a few fits
+                per_value[v][ci] += w
+            except KeyError:
+                if len(per_value) >= _MAX_DISTINCT:
+                    v = min(per_value, key=lambda u, v=v: abs(u - v))
+                else:
+                    per_value[v] = [0.0] * len(counts)
+                per_value[v][ci] += w
+        leaf.n_since += w
+        if leaf.n_since >= tree.grace_period:
+            leaf.n_since = 0.0
+            tree._attempt_split(leaf)
+    return resets
 
 
 class AdaptiveRandomForestClassifier:
@@ -452,6 +497,10 @@ class AdaptiveRandomForestClassifier:
         seed: int = 0,
         drift_detection: bool = True,
     ):
+        if n_estimators < 1:
+            raise ValueError(f"n_estimators must be at least 1, got {n_estimators!r}")
+        if lam is not None and not lam > 0:
+            raise ValueError(f"lam must be positive or None, got {lam!r}")
         self.classes = tuple(classes)
         self.n_estimators = n_estimators
         self.lam = lam
@@ -460,8 +509,10 @@ class AdaptiveRandomForestClassifier:
         self.drift_detection = drift_detection
         if max_features == "auto":
             self.subspace_size = max(1, round(math.sqrt(N_DENSE)))
+        elif isinstance(max_features, int) and max_features >= 1:
+            self.subspace_size = min(max_features, N_DENSE)
         else:
-            self.subspace_size = min(int(max_features), N_DENSE)
+            raise ValueError(f"max_features must be 'auto' or a positive integer, got {max_features!r}")
         self._trees = [
             self._new_tree(_BatchedPoisson(np.random.default_rng(seed + 1000 * k), lam))
             for k in range(n_estimators)
@@ -481,21 +532,9 @@ class AdaptiveRandomForestClassifier:
 
     def partial_fit(self, fv: FeatureVector, label: EmotionLabel) -> None:
         self.n_seen += 1
-        x = fv.dense.tolist()
-        ci = self.classes.index(label)
-        drift_detection, draws = self.drift_detection, self.lam is not None
-        for k, tree in enumerate(self._trees):
-            # one descent per tree: the drift check reads the leaf that the
-            # update then uses, unless a reset leaves only a fresh root
-            leaf = tree._descend(x)
-            if drift_detection and tree.n_seen > 0 and self._monitors[k].add(leaf.best != ci):
-                self._trees[k] = tree = self._new_tree(tree.rng)
-                self._monitors[k] = _DriftMonitor()
-                self.n_resets += 1
-                leaf = tree._root
-            w = tree.rng.next() if draws else 1.0
-            if w > 0:
-                tree._learn(x, ci, w, leaf)
+        self.n_resets += _fit_trees(
+            self._trees, fv.dense.tolist(), self.classes.index(label), None if self.lam else 1.0,
+            self._monitors if self.drift_detection else None, self._new_tree)
 
     def _votes(self, fv: FeatureVector) -> list[float]:
         """Per class, the number of fitted trees whose leaf it is the

@@ -31,6 +31,7 @@ from finemo.streamml import (
     StackedClassifier,
     StreamingNaiveBayes,
     _best_splits,
+    _total,
     _log_quotients,
     _logs,
     _MAX_DISTINCT,
@@ -426,6 +427,43 @@ def test_tree_subspace_needs_an_rng():
     assert len(tree._root.observers) == 3
 
 
+@pytest.mark.parametrize(
+    "learner, args",
+    [
+        (HoeffdingTreeClassifier, {"delta": 0.0}),  # was a ZeroDivisionError at a split
+        (HoeffdingTreeClassifier, {"delta": -1.0}),  # was a math domain error
+        (HoeffdingTreeClassifier, {"delta": math.nan}),  # split on any positive gain
+        (AdaptiveRandomForestClassifier, {"delta": 0.0}),
+        (AdaptiveRandomForestClassifier, {"n_estimators": 0}),  # voted for the first class
+        (AdaptiveRandomForestClassifier, {"max_features": -1}),  # failed in numpy
+        (AdaptiveRandomForestClassifier, {"max_features": 0}),
+        (AdaptiveRandomForestClassifier, {"max_features": "sqrt"}),
+        (AdaptiveRandomForestClassifier, {"lam": -1.0}),  # failed in numpy
+        (AdaptiveRandomForestClassifier, {"lam": 0.0}),  # never fitted a tree
+    ],
+    ids=lambda v: (
+        {HoeffdingTreeClassifier: "tree", AdaptiveRandomForestClassifier: "forest"}[v]
+        if isinstance(v, type) else "{}={}".format(*next(iter(v.items())))
+    ),
+)
+def test_bad_tree_arguments_are_refused_at_construction(learner, args):
+    (name,) = args
+    with pytest.raises(ValueError, match=f"^{name} "):
+        learner(**args)
+
+
+@pytest.mark.parametrize("delta", [1.0, 5.0, math.inf])
+def test_tree_delta_of_one_or_more_is_valid(delta):
+    # delta >= 1 zeroes the Hoeffding bound instead of taking log(1/delta)
+    rng = np.random.default_rng(2)
+    stream = _dense_stream(rng, 60, {P: 0, N: 10, O: 20})
+    for model in (HoeffdingTreeClassifier(delta=delta, grace_period=10),
+                  AdaptiveRandomForestClassifier(n_estimators=2, max_features=N_DENSE, delta=delta,
+                                                 grace_period=10)):
+        prequential_run(stream, model)
+        assert all(tree._root.left is not None for tree in _trees(model))
+
+
 def test_tree_observer_caps_distinct_values():
     tree = HoeffdingTreeClassifier(grace_period=10_000)
     for i in range(200):
@@ -790,7 +828,7 @@ def _loop_split_decision(tree, counts, observers):
 @st.composite
 def _observed_leaves(draw):
     """(classes, class counts, observers) of a leaf that learned a random
-    sequence of weighted rows in the order of ``_learn``, over counts that a
+    sequence of weighted rows in the order of ``_fit_trees``, over counts that a
     split may have handed it. Few distinct values give tied and single-valued
     features; one present class gives a pure leaf."""
     classes = draw(st.sampled_from([CLASS_ORDER, (P, N)]))
@@ -823,12 +861,30 @@ def _two_values(left, right):
     return classes, [a + b for a, b in zip(left, right)], {0: {0.0: left, 1.0: right}}
 
 
-# in both examples np.log2 on an AVX-512 CPU gives another gain than
-# math.log2, which the split search and its oracle take
+def _tied_leaf(k):
+    """A leaf whose two features each saw the same ``_MAX_DISTINCT`` values
+    with integer weights, in class runs mirrored about the middle value:
+    the thresholds at either end of a run tie, and so do the features."""
+    classes = CLASS_ORDER if k == 3 else (P, N)
+    runs = [2, 0, 1, 1] if k == 3 else [0, 1, 1, 1]  # the class of each 8 values from an end
+    per_value = {}
+    for v in range(_MAX_DISTINCT):
+        d = min(v, _MAX_DISTINCT - 1 - v)  # the distance from the nearer end
+        stats = [0.0] * k
+        stats[runs[d // 8]] = float(1 + d % 3)
+        per_value[float(v)] = stats
+    counts = [_total(stats[j] for stats in per_value.values()) for j in range(k)]
+    return classes, counts, {0: per_value, 5: {v: list(w) for v, w in per_value.items()}}
+
+
+# in the first two examples np.log2 on an AVX-512 CPU gives another gain
+# than math.log2, which the split search and its oracle take
 @settings(max_examples=300, deadline=None)
 @given(leaf=_observed_leaves(), delta=st.sampled_from([1e-7, 0.05, 0.5, 1.0]))
 @example(leaf=_two_values([1.4, 4.67], [1.36, 2.59]), delta=0.5)
 @example(leaf=_two_values([5.23, 3.65, 8.63], [5.86, 4.77, 6.8]), delta=0.5)
+@example(leaf=_tied_leaf(2), delta=0.05)
+@example(leaf=_tied_leaf(3), delta=0.05)
 def test_split_search_matches_the_loop_bit_for_bit(leaf, delta):
     classes, counts, observers = leaf
     want, _ = _loop_best_splits(counts, observers)
@@ -1053,16 +1109,25 @@ def _consumed_state(draws):
     """The state of ``draws.rng`` after the weights used so far, as scalar
     draws leave it: a batch drawn ahead is replayed on a copy up to its
     used part."""
-    if draws._used == len(draws._batch):
+    if not draws._batch:
         return draws.rng.bit_generator.state
     rng = np.random.Generator(type(draws.rng.bit_generator)())
     rng.bit_generator.state = draws._state
-    rng.poisson(draws.lam, draws._used)
+    rng.poisson(draws.lam, POISSON_BATCH - len(draws._batch))
     return rng.bit_generator.state
 
 
+def _monitor_state(monitor):
+    """A drift monitor's n, errors, its window's error count and the
+    window's outcomes in arrival order: the ring's filled slots, from the
+    oldest on."""
+    ring, i = monitor.ring, monitor.i
+    window = ring[:i] if monitor.n < monitor.window else ring[i:] + ring[:i]
+    return monitor.n, monitor.errors, monitor.recent_errors, list(window)
+
+
 def _forest_state(forest, trees=True):
-    monitors = [(m.n, m.errors, m.recent_errors, list(m.recent)) for m in forest._monitors]
+    monitors = [_monitor_state(m) for m in forest._monitors]
     state = [
         forest.n_seen,
         forest.n_resets,
@@ -1083,19 +1148,45 @@ def _swapping_stream(n, seed, classes=CLASS_ORDER):
     return [(fv, label) for fv, label in swapped if label in classes]
 
 
+def _wide_stream(n, seed):
+    """A run of 100 neutral instances whose numeric counters take 300
+    values each, more than a leaf keeps (``_MAX_DISTINCT``), then
+    ``_swapping_stream``: a leaf stays pure through the run, so it never
+    splits and merges each new value into the nearest kept one."""
+    rng = np.random.default_rng(seed)
+    run = [(make_fv(numeric=rng.integers(0, 300, N_NUMERIC).tolist()), N) for _ in range(100)]
+    return run + _swapping_stream(n, seed)
+
+
+def _capped_leaves(forest):
+    """The number of leaves of ``forest`` with a feature at the value cap."""
+    return sum(
+        any(len(per_value) == _MAX_DISTINCT for per_value in leaf.observers.values())
+        for tree in forest._trees
+        for leaf in _leaves(tree._root)
+    )
+
+
 @pytest.mark.parametrize("max_features", ["auto", N_DENSE])
 @pytest.mark.parametrize("drift_detection", [True, False])
-@pytest.mark.parametrize("lam", [None, 6.0])
+@pytest.mark.parametrize("lam", [None, 6.0, 35.0, 50.0, 100.0])
 def test_forest_matches_reference_step_by_step(lam, drift_detection, max_features):
+    # lam 35, 50 and 100 are RF_GRID's: a weight that large reaches the
+    # grace period on most fits, so most fits attempt a split
     kwargs = dict(
         n_estimators=4, grace_period=40, delta=0.05, seed=7, lam=lam,
         drift_detection=drift_detection, max_features=max_features,
     )
-    resets = splits = 0
-    for classes, seed in ((CLASS_ORDER, 3), ((P, N), 4)):
+    resets = splits = capped = 0
+    streams = [
+        (CLASS_ORDER, _swapping_stream(600, 3)),
+        ((P, N), _swapping_stream(600, 4, (P, N))),
+        (CLASS_ORDER, _wide_stream(600, 5)),
+    ]
+    for classes, stream in streams:
         forest = AdaptiveRandomForestClassifier(classes=classes, **kwargs)
         reference = _ReferenceForest(classes=classes, **kwargs)
-        for step, (fv, label) in enumerate(_swapping_stream(600, seed, classes)):
+        for step, (fv, label) in enumerate(stream):
             assert forest.predict_label(fv) is reference.predict_label(fv)
             forest.partial_fit(fv, label)
             reference.partial_fit(fv, label)
@@ -1103,10 +1194,13 @@ def test_forest_matches_reference_step_by_step(lam, drift_detection, max_feature
             assert _forest_state(forest, every_tree) == _forest_state(reference, every_tree)
             if every_tree:
                 splits = max(splits, *(_n_splits(tree._root) for tree in forest._trees))
+                capped += _capped_leaves(forest)
         assert _forest_state(forest) == _forest_state(reference)
         resets += forest.n_resets
-    # the streams must exercise splits and, with drift detection, resets
+    # the streams must exercise splits, the nearest-value merge and, with
+    # drift detection, resets
     assert splits >= 1
+    assert capped >= 1
     assert (resets >= 1) is drift_detection
 
 
@@ -1172,6 +1266,7 @@ def test_drift_monitor_matches_list_window(window, min_instances, errors):
     slow = _ListDriftMonitor(window, min_instances)
     for error in errors:
         assert fast.add(error) is slow.add(error)
+        assert _monitor_state(fast) == (slow.n, slow.errors, sum(slow.recent), slow.recent)
 
 
 # ------------------------------------------------------------ linear model

@@ -99,6 +99,16 @@ def test_missing_prices_warns_and_defaults(sample_paths, tmp_path, capsys):
     assert report.default_trend_count > 0
 
 
+@pytest.mark.parametrize("command", ["features", "analyze"])
+def test_features_and_analyze_without_prices_warn_and_succeed(sample_paths, tmp_path, capsys,
+                                                              command):
+    argv = [command, "--warmup", "10", "--out", str(tmp_path / "out")]
+    for key in ("lexicons", "tweets", "labels"):
+        argv += [f"--{key}", sample_paths[key]]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == "warning: no prices file, trend defaults to downward\n"
+
+
 def test_insufficient_warmup(sample_paths, tmp_path):
     cfg = _config(sample_paths, tmp_path, warmup=10_000)
     with pytest.raises(PipelineError, match="insufficient warmup data"):
@@ -230,6 +240,20 @@ def test_read_tweets_refuses_an_earlier_timestamp_by_line(tmp_path):
     )
     with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
         list(read_tweets(str(path)))
+
+
+def test_segment_refuses_the_sample_out_of_time_order_by_path_and_line(sample_paths, tmp_path,
+                                                                       capsys):
+    # the sample's first two tweets swapped
+    first, second, rest = open(sample_paths["tweets"], encoding="utf-8").read().split("\n", 2)
+    path = tmp_path / "tweets.jsonl"
+    path.write_text(f"{second}\n{first}\n{rest}", encoding="utf-8")
+    assert main(["segment", "--lexicons", sample_paths["lexicons"], "--tweets", str(path)]) == 1
+    assert re.fullmatch(
+        f"error: {re.escape(str(path))}:2: bad tweet record: created_at .* is earlier than .* "
+        "on line 1: tweets must be in time order\n",
+        capsys.readouterr().err,
+    )
 
 
 def test_read_tweets_keeps_file_order_of_equal_timestamps(tmp_path):
@@ -656,7 +680,7 @@ def test_non_utf8_input_is_refused_by_path_and_line(sample_paths, tmp_path, caps
     command = "agreement" if kind == "annotations" else "train-eval"
     assert main(_argv(paths, command, tmp_path / "out")) == 1
     column = line.index(b"\xe9") + 1
-    assert capsys.readouterr().err.endswith(
+    assert capsys.readouterr().err == (
         f"error: {path}:2: not UTF-8: byte 0xe9 at character {column}\n"
     )
 
@@ -680,7 +704,7 @@ def test_lone_surrogate_escape_is_refused_by_path_and_line(sample_paths, tmp_pat
     first, rest = path.read_bytes().split(b"\n", 1)
     path.write_bytes(first + b"\n" + record.encode() + b"\n" + rest)
     assert main(_argv(paths, "train-eval", tmp_path / "out")) == 1
-    assert capsys.readouterr().err.endswith(f"error: {path}:2: not UTF-8: {message}\n")
+    assert capsys.readouterr().err == f"error: {path}:2: not UTF-8: {message}\n"
     # an escaped surrogate pair is one astral character
     path.write_bytes(first + b"\n" + record.replace("\\udc80", "\\ud83d\\ude00")
                      .replace("t\\ud83d", "t\\ud83d\\ude00").encode() + b"\n" + rest)

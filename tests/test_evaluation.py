@@ -92,10 +92,12 @@ def test_prequential_empty_denominator_flags():
 def test_prequential_sample_every():
     stream = [(_fv(), N)] * 10
     series = []
-    prequential_run(
-        stream, _ScriptedLearner([N] * 10), sample_every=4, on_sample=lambda *row: series.append(row)
+    report = prequential_run(
+        stream, _ScriptedLearner([N] * 7 + [P] * 3), sample_every=4,
+        on_sample=lambda *row: series.append(row),
     )
     assert [n for n, _ in series] == [4, 8, 10]
+    assert series[-1] == (report.n, report.accuracy) == (10, 0.7)
 
 
 def test_prequential_empty_stream_rejected():

@@ -926,7 +926,7 @@ def test_no_learner_takes_a_numpy_log(monkeypatch, learner, stacked):
 
 def _dispatched_cpu_features() -> str:
     """The features that numpy picks SIMD kernels by and this CPU has, as
-    the baseline-kernel CI step reads them; empty when they are disabled."""
+    CI reads them for its baseline-kernel run; empty when they are disabled."""
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     except ImportError:  # numpy 1.x

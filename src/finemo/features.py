@@ -25,7 +25,7 @@ import numpy as np
 
 from finemo.lexicons import LexiconSet, remember, text_lines
 from finemo.segmenter import CLASS_ORDER, NUMBER_RE, WORD_RE, EmotionLabel
-from finemo.textproc import _DATE_RE, ProcessedSegment
+from finemo.textproc import _DATE_RE, _DIGIT_RE, ProcessedSegment
 
 NUMERIC_NAMES = (
     "LEN_TWEET",
@@ -404,6 +404,10 @@ def fit_vocabularies(
     )
 
 
+# a row of zeros: extract_numeric's ten lexicon sums exist with no lemma hit
+_NO_HITS = (0,) * 10
+
+
 def extract_numeric(
     seg: ProcessedSegment, pre_clean_text: str, lx: LexiconSet
 ) -> list[int]:
@@ -411,43 +415,34 @@ def extract_numeric(
 
     Number/percentage/mark counts come from ``pre_clean_text`` (the
     asset-tagged text before stopword removal); lexicon counts come from the
-    processed lemmas. Date-like tokens are not numeric values; unsigned
-    numbers count as positive.
+    processed lemmas, one ``lx.lemma_counts`` lookup each. Date-like tokens
+    are not numeric values; unsigned numbers count as positive.
 
     A list, not a tuple: CPython 3.11 puts every freed tuple of 20 items
     on a free list that it never takes one from again, so one tuple per
     instance would keep up to 2000 of them (390 KiB) for the whole run.
     """
-    text = _DATE_RE.sub(" ", pre_clean_text)
     neg_num = pos_num = neg_perc = pos_perc = total_num = total_perc = 0
-    for m in NUMBER_RE.finditer(text):
-        token = m.group(0)
-        negative = token.startswith("-")
-        if token.endswith("%"):
-            total_perc += 1
-            neg_perc += negative
-            pos_perc += not negative
-        else:
-            total_num += 1
-            neg_num += negative
-            pos_num += not negative
+    if _DIGIT_RE.search(pre_clean_text) is not None:
+        for m in NUMBER_RE.finditer(_DATE_RE.sub(" ", pre_clean_text)):
+            token = m.group(0)
+            negative = token.startswith("-")
+            if token.endswith("%"):
+                total_perc += 1
+                neg_perc += negative
+                pos_perc += not negative
+            else:
+                total_num += 1
+                neg_num += negative
+                pos_num += not negative
 
     words = [w.casefold() for w in WORD_RE.findall(pre_clean_text)]
     fin_abbr = sum(w in lx.abbreviations for w in words)
     exclamation = pre_clean_text.count("!") + pre_clean_text.count("¡")
     interrogation = pre_clean_text.count("?") + pre_clean_text.count("¿")
 
-    lemmas = [t.casefold() for t in seg.tokens]
-    adverb_hits = [lx.adverbs[t] for t in lemmas if t in lx.adverbs]
-    adverbs = len(adverb_hits)
-    adv_neg = sum("negation" in c for c in adverb_hits)
-    adv_pos = sum("affirmation" in c for c in adverb_hits)
-    adv_doubt = sum("doubt" in c for c in adverb_hits)
-    adv_int = sum("intensifier" in c for c in adverb_hits)
-
-    pol = [lx.polarity.get(t) for t in lemmas]
-    emo = [lx.emotions.get(t) for t in lemmas]
-
+    table = lx.lemma_counts
+    hits = [table[t] for t in map(str.casefold, seg.tokens) if t in table]
     return [
         seg.raw_len,
         neg_num,
@@ -459,16 +454,7 @@ def extract_numeric(
         fin_abbr,
         exclamation,
         interrogation,
-        adverbs,
-        adv_neg,
-        adv_pos,
-        adv_doubt,
-        adv_int,
-        pol.count("negative"),
-        pol.count("neutral"),
-        pol.count("positive"),
-        emo.count("negative_emotion"),
-        emo.count("positive_emotion"),
+        *map(sum, zip(*hits, _NO_HITS)),
     ]
 
 

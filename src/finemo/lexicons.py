@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, partial
 from itertools import combinations
 
@@ -67,13 +67,14 @@ _FILES = {
 class LexiconSet:
     """Immutable bundle of all lexicon resources. Safe to share across threads.
 
-    Besides the resources it keeps three caches, each built on first use:
-    the spelling-correction ``delete_index``, and the ``corrections`` and
-    ``splits`` memos in which ``textproc`` keeps the ``lemmatize_correct``
-    and ``split_hashtags`` result of each out-of-dictionary token. A memo is
+    Besides the resources it keeps four caches, each built on first use:
+    the spelling-correction ``delete_index``, the ``lemma_counts`` table of
+    ``features.extract_numeric``, and the ``corrections`` and ``splits``
+    memos in which ``textproc`` keeps the ``lemmatize_correct`` and
+    ``split_hashtags`` result of each out-of-dictionary token. A memo is
     cleared when it holds ``MEMO_SIZE`` entries. The caches are not fields:
-    equality ignores them, and a ``dataclasses.replace`` copy starts
-    without them.
+    equality ignores them, and neither a ``dataclasses.replace`` copy nor an
+    unpickled one holds them.
     """
 
     tickers: dict[str, str]  # case-folded alias -> canonical ticker
@@ -91,6 +92,20 @@ class LexiconSet:
         return DeleteIndex(self.dictionary)
 
     @cached_property
+    def lemma_counts(self) -> dict[str, tuple[bool, ...]]:
+        """Each adverb, polarity or emotion word's increments of the ten
+        lexicon counters of ``NUMERIC_NAMES``, ADVERBS to POS_EMOTION."""
+        return {
+            word: (
+                word in self.adverbs,
+                *(c in self.adverbs.get(word, ()) for c in ("negation", "affirmation", "doubt", "intensifier")),
+                *(self.polarity.get(word) == p for p in ("negative", "neutral", "positive")),
+                *(self.emotions.get(word) == e for e in ("negative_emotion", "positive_emotion")),
+            )
+            for word in {**self.adverbs, **self.polarity, **self.emotions}
+        }
+
+    @cached_property
     def corrections(self) -> dict[str, str]:
         """``lemmatize_correct``'s result by out-of-dictionary token."""
         return {}
@@ -99,6 +114,9 @@ class LexiconSet:
     def splits(self) -> dict[str, tuple[str, ...]]:
         """``split_hashtags``'s result by out-of-dictionary token."""
         return {}
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def remember(memo: dict, key, value):

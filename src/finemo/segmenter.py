@@ -2,14 +2,17 @@
 
 Pipeline: heuristic clause splitting -> forward-propagation grouping
 (two rules) -> re-splitting of asset report lists -> retention of
-asset-bearing segments only. Each clause is scanned for assets once;
-grouping and list splitting carry the (ticker, span) lists along.
+asset-bearing segments only. Each clause is tokenized once (``scan_clause``):
+that one pass finds its asset mentions, rule 1's additive conjunction and
+rule 2's first word, and grouping and list splitting carry the
+(ticker, span) lists along. A chunk is walked for boundary words only when
+a case-insensitive regex shows it may hold one.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 
@@ -30,6 +33,9 @@ RELATIVE_WORDS = ("que", "that")
 ADDITIVE_WORDS = ("y", "and")
 # a clause starts at each of these words (case-folded)
 BOUNDARY_WORDS = frozenset(("mientras", "aunque", "pero", "y", "que"))
+# matches every word whose casefold is a boundary word (re.I folds each
+# character, e.g. "ſ" as "s"), so a chunk it misses holds none
+_BOUNDARY_RE = re.compile(r"\b(?:%s)\b" % "|".join(sorted(BOUNDARY_WORDS)), re.I)
 
 FOCUS_TAG = "TICKER"
 OTHER_TAG = "OTHER_TICKER"
@@ -91,17 +97,30 @@ class Segment:
 
 Mentions = list[tuple[str, tuple[int, int]]]  # (ticker, (start, end)) in a text
 Group = tuple[str, Mentions]  # a clause or group of clauses, and its mentions
+# a clause, its mentions, whether it holds an additive conjunction, and its
+# first word casefolded (None when it has no word)
+Clause = tuple[str, Mentions, bool, str | None]
 
 
-def find_assets(text: str, lx: LexiconSet) -> Mentions:
-    """Locate ticker/alias mentions (with $/#/@ markers included in spans)."""
-    out: Mentions = []
+def scan_clause(text: str, lx: LexiconSet) -> Clause:
+    """One ``_TOKEN_RE`` pass over a clause. Mentions are ticker/alias
+    tokens, $/#/@ markers included in their spans; a token without its
+    marker is a ``WORD_RE`` word, which the grouping rules read."""
+    mentions: Mentions = []
+    additive = False
+    first = None
     for m in _TOKEN_RE.finditer(text):
-        token = m.group(0).rstrip(".")
+        token = m.group(0)
+        word = token[1:] if token[0] in "$#@" else token
+        folded = word.casefold()
+        if first is None:
+            first = folded
+        additive = additive or folded in ADDITIVE_WORDS
+        token = token.rstrip(".")
         ticker = lookup_ticker(token, lx)
         if ticker is not None:
-            out.append((ticker, (m.start(), m.start() + len(token))))
-    return out
+            mentions.append((ticker, (m.start(), m.start() + len(token))))
+    return text, mentions, additive, first
 
 
 def segment_clauses(text: str) -> list[str]:
@@ -128,6 +147,10 @@ def segment_clauses(text: str) -> list[str]:
 
     clauses: list[str] = []
     for chunk in chunks:
+        if _BOUNDARY_RE.search(chunk) is None:
+            if chunk.strip():
+                clauses.append(chunk.strip())
+            continue
         piece_start = 0
         pieces = []
         for m in WORD_RE.finditer(chunk):
@@ -148,32 +171,31 @@ def _join(first: Group, second: Group) -> Group:
     return f"{first[0]} {second[0]}", first[1] + moved
 
 
-def group_forward(clauses: list[Group]) -> list[Group]:
-    """Apply the two forward-propagation grouping rules, in order, to
-    (clause, assets) pairs.
+def group_forward(clauses: list[Clause]) -> list[Group]:
+    """Apply the two forward-propagation grouping rules, in order, to the
+    ``scan_clause`` records of a tweet's clauses.
 
     Rule 1: a clause containing an asset, the additive conjunction, a comma
     or a hyphen starts a new group; anything else is appended to the current
     group. Rule 2: when consecutive groups both contain an asset and the
     later one starts with the relative conjunction, the earlier is merged
-    into it.
+    into it. A group's first word is its first clause's: when that clause
+    has no word, it has no asset, nor has any clause rule 1 appends, so
+    rule 2 never reads it.
     """
-    groups: list[Group] = []
-    for clause in clauses:
-        text, assets = clause
-        additive = any(w.casefold() in ADDITIVE_WORDS for w in WORD_RE.findall(text))
+    groups: list[tuple[str, Mentions, str | None]] = []
+    for text, assets, additive, first in clauses:
         if groups and not (assets or additive or "," in text or "-" in text):
-            groups[-1] = _join(groups[-1], clause)
+            head, head_assets, head_first = groups[-1]
+            groups[-1] = (*_join((head, head_assets), (text, assets)), head_first)
         else:
-            groups.append(clause)
+            groups.append((text, assets, first))
     merged: list[Group] = []
-    for group in groups:
-        first = WORD_RE.search(group[0])
-        relative = first is not None and first[0].casefold() in RELATIVE_WORDS
-        if merged and relative and merged[-1][1] and group[1]:
-            merged[-1] = _join(merged[-1], group)
+    for text, assets, first in groups:
+        if merged and first in RELATIVE_WORDS and merged[-1][1] and assets:
+            merged[-1] = _join(merged[-1], (text, assets))
         else:
-            merged.append(group)
+            merged.append((text, assets))
     return merged
 
 
@@ -193,7 +215,7 @@ def split_asset_lists(group: Group) -> list[Group]:
 
 def segment_tweet(tweet: RawTweet, lx: LexiconSet) -> list[Segment]:
     """Full segmentation of one tweet; only asset-bearing segments remain."""
-    clauses = [(c, find_assets(c, lx)) for c in segment_clauses(tweet.text)]
+    clauses = [scan_clause(c, lx) for c in segment_clauses(tweet.text)]
     return [
         Segment(text=text, assets=tuple(assets))
         for group in group_forward(clauses)
@@ -204,19 +226,23 @@ def segment_tweet(tweet: RawTweet, lx: LexiconSet) -> list[Segment]:
 
 def replicate_per_asset(seg: Segment) -> list[Segment]:
     """One replica per distinct asset; focus mentions become TICKER, the
-    rest OTHER_TICKER."""
+    rest OTHER_TICKER. The mention spans must ascend without overlapping,
+    as ``segment_tweet`` gives them."""
     if not seg.assets:
         raise ValueError("segment has no assets")
+    text, assets = seg.text, seg.assets
     replicas = []
-    for focus in dict.fromkeys(seg.asset_names):
-        text = seg.text
+    for focus in dict.fromkeys([ticker for ticker, _ in assets]):
+        parts = []
         new_assets: Mentions = []
-        shift = 0
-        for ticker, (start, end) in seg.assets:
+        prev = at = 0  # the end of the last mention in text and in the replica
+        for ticker, (start, end) in assets:
             tag = FOCUS_TAG if ticker == focus else OTHER_TAG
-            s, e = start + shift, end + shift
-            text = text[:s] + tag + text[e:]
-            new_assets.append((ticker, (s, s + len(tag))))
-            shift += len(tag) - (end - start)
-        replicas.append(replace(seg, text=text, assets=tuple(new_assets), focus=focus))
+            at += start - prev
+            parts += (text[prev:start], tag)
+            new_assets.append((ticker, (at, at + len(tag))))
+            at += len(tag)
+            prev = end
+        parts.append(text[prev:])
+        replicas.append(Segment("".join(parts), tuple(new_assets), focus))
     return replicas

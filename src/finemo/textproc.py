@@ -3,7 +3,9 @@
 Order is fixed: number tagging -> filtering/cleaning -> hashtag/compound
 splitting -> lemmatization with spelling correction. Asset mentions arrive
 already tagged by ``segmenter.replicate_per_asset``, so tickers survive the
-removal of $/@/# markers.
+removal of $/@/# markers. A regex pass runs only when a cheaper test shows
+it can match: number tagging needs a digit, URL removal ``http``, ``t.co/``
+or ``www.``, and RT removal ``RT``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ _URL_RE = re.compile(r"(?:https?://\S+|\bt\.co/\S+|\bwww\.\S+)")
 _RT_RE = re.compile(r"\bRT\b[: ]?")
 # date-like digit groups joined by hyphens or slashes are not numeric values
 _DATE_RE = re.compile(r"\b\d{1,4}(?:[-/]\d{1,2}){1,2}(?:[-/]\d{1,4})?\b")
+# every date and number holds a digit
+_DIGIT_RE = re.compile(r"\d")
 
 
 @dataclass(frozen=True)
@@ -32,31 +36,35 @@ class ProcessedSegment:
 _DATE_OR_NUMBER_RE = re.compile(rf"(?P<date>{_DATE_RE.pattern})|{NUMBER_RE.pattern}")
 
 
+def _number_tag(m: re.Match) -> str:
+    token = m.group(0)
+    if m.group("date"):
+        return token
+    if token.startswith("-"):
+        return "NEGATIVE"
+    if token.startswith("+"):
+        return "POSITIVE"
+    return "NUMBER"
+
+
 def tag_numbers(text: str) -> str:
     """Replace numeric tokens with NEGATIVE/POSITIVE/NUMBER tags.
 
     The sign and a trailing percent sign are consumed with the number.
     Date-like patterns are left alone.
     """
-
-    def _tag(m: re.Match) -> str:
-        token = m.group(0)
-        if m.group("date"):
-            return token
-        if token.startswith("-"):
-            return "NEGATIVE"
-        if token.startswith("+"):
-            return "POSITIVE"
-        return "NUMBER"
-
-    return _DATE_OR_NUMBER_RE.sub(_tag, text)
+    if _DIGIT_RE.search(text) is None:
+        return text
+    return _DATE_OR_NUMBER_RE.sub(_number_tag, text)
 
 
 def clean_filter(text: str, lx: LexiconSet) -> str:
     """Drop URLs, RT markers, $/@/# characters and stopwords; collapse
     whitespace. ``load_lexicons`` leaves no keep-word among the stopwords."""
-    text = _URL_RE.sub(" ", text)
-    text = _RT_RE.sub(" ", text)
+    if "http" in text or "t.co/" in text or "www." in text:
+        text = _URL_RE.sub(" ", text)
+    if "RT" in text:
+        text = _RT_RE.sub(" ", text)
     text = text.replace("$", "").replace("@", "").replace("#", "")
     kept = []
     for token in text.split():
@@ -209,7 +217,8 @@ def _correct(token: str, lx: LexiconSet) -> str:
 
 def process(seg: Segment, lx: LexiconSet) -> ProcessedSegment:
     """Full normalization of one replica from ``replicate_per_asset``, whose
-    asset mentions are already TICKER/OTHER_TICKER."""
+    asset mentions are already TICKER/OTHER_TICKER. ``raw_len`` (LEN_TWEET)
+    is the length of that tagged replica, not of the tweet as posted."""
     text = clean_filter(tag_numbers(seg.text), lx)
     tokens: list[str] = []
     for token in text.split():

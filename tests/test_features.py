@@ -44,10 +44,11 @@ from finemo.features import (
     word_ngrams,
 )
 from finemo.lexicons import MEMO_SIZE, load_lexicons
-from finemo.segmenter import CLASS_ORDER, EmotionLabel, Segment, find_assets, replicate_per_asset
+from finemo.segmenter import CLASS_ORDER, EmotionLabel, Segment, replicate_per_asset
 from finemo.synthetic import make_planted_stream
 from finemo.textproc import ProcessedSegment, process
 from tests.conftest import SAMPLE_DIR
+from tests.frontend_reference import _ref_find_assets
 
 import os
 
@@ -84,7 +85,7 @@ SAMPLE_2_EXPECTED = {
 
 
 def _numeric_for_text(text, lx, focus="IBEX35"):
-    seg = Segment(text=text, assets=tuple(find_assets(text, lx)))
+    seg = Segment(text=text, assets=tuple(_ref_find_assets(text, lx)))
     (replica,) = [r for r in replicate_per_asset(seg) if r.focus == focus]
     # the published profiles count LEN_TWEET on the text as posted, before
     # its tickers were tagged

@@ -15,18 +15,21 @@ from finemo.segmenter import (
     NUMBER_RE,
     OTHER_TAG,
     RELATIVE_WORDS,
+    WORD_RE,
     EmotionLabel,
     RawTweet,
     Segment,
+    _BOUNDARY_RE,
     _TOKEN_RE,
-    find_assets,
     group_forward,
     replicate_per_asset,
+    scan_clause,
     segment_clauses,
     segment_tweet,
     split_asset_lists,
 )
 from perfbench.workloads import SPECS
+from tests.frontend_reference import _ref_find_assets, _ref_segment_clauses
 from tests.segmentation_cases import CASES
 
 
@@ -116,6 +119,31 @@ def test_each_boundary_word_starts_a_clause(word):
     ]
 
 
+def test_boundary_pretest_matches_every_casefold_spelling():
+    # the pre-test must match wherever the walk would cut: at every word
+    # whose casefold is a boundary word. re.I folds one character at a
+    # time, so it suffices that each code point whose casefold is a piece of
+    # a boundary word matches in that piece's place ("ſ" for "s" does; "ﬅ",
+    # which folds to "st", stands in no boundary word).
+    pieces = {w[i:j] for w in BOUNDARY_WORDS for i in range(len(w)) for j in range(i + 1, len(w) + 1)}
+    checked = 0
+    for code in range(sys.maxunicode + 1):
+        char = chr(code)
+        folded = char.casefold()
+        if folded not in pieces:
+            continue
+        for word in BOUNDARY_WORDS:
+            at = word.find(folded)
+            while at >= 0:
+                spelled = word[:at] + char + word[at + len(folded):]
+                if WORD_RE.fullmatch(spelled):
+                    assert _BOUNDARY_RE.fullmatch(spelled), (hex(code), word)
+                    checked += 1
+                at = word.find(folded, at + 1)
+    # the lower- and uppercase ASCII letter of each letter place, and "ſ"
+    assert checked > 2 * sum(map(len, BOUNDARY_WORDS))
+
+
 def test_handcrafted_corpus(lx):
     for text, expected in CASES:
         got = [(s.text, s.asset_names) for s in segment_tweet(_tweet(text), lx)]
@@ -126,14 +154,14 @@ def test_group_forward_rule_order(lx):
     # rule 1 groups the asset-free clause first, then rule 2 merges; the
     # merged clause's span moves with it
     clauses = ["El $IBEX35 cae", "sin freno", "que $TEF aguante"]
-    assert group_forward([(c, find_assets(c, lx)) for c in clauses]) == [
+    assert group_forward([scan_clause(c, lx) for c in clauses]) == [
         ("El $IBEX35 cae sin freno que $TEF aguante", [("IBEX35", (3, 10)), ("TEF", (29, 33))])
     ]
 
 
 def test_split_asset_lists_requires_multiple_numbers(lx):
     def split(text):
-        return split_asset_lists((text, find_assets(text, lx)))
+        return split_asset_lists((text, _ref_find_assets(text, lx)))
 
     assert split("$BBVA $SAN suben 3%") == [
         ("$BBVA $SAN suben 3%", [("BBVA", (0, 5)), ("SAN", (6, 10))])
@@ -146,15 +174,15 @@ def test_split_asset_lists_requires_multiple_numbers(lx):
 
 def test_find_assets_spans(lx):
     text = "$BKIA y BBVA."
-    assets = find_assets(text, lx)
-    assert assets == [("BKIA", (0, 5)), ("BBVA", (8, 12))]
+    assets = scan_clause(text, lx)[1]
+    assert assets == _ref_find_assets(text, lx) == [("BKIA", (0, 5)), ("BBVA", (8, 12))]
     assert text[0:5] == "$BKIA"
     assert text[8:12] == "BBVA"
 
 
 def test_replicate_per_asset_tags_focus(lx):
     text = "Dice cosas de $BBVA que $SAN confirmará con $BBVA"
-    seg = Segment(text=text, assets=tuple(find_assets(text, lx)))
+    seg = Segment(text=text, assets=tuple(_ref_find_assets(text, lx)))
     replicas = replicate_per_asset(seg)
     assert [r.focus for r in replicas] == ["BBVA", "SAN"]
     assert replicas[0].text == f"Dice cosas de {FOCUS_TAG} que {OTHER_TAG} confirmará con {FOCUS_TAG}"
@@ -244,7 +272,7 @@ def _assert_replicas_are_tagged(tweet, lx):
     # process() tags no assets: a replica must hold no mention left to tag
     for seg in segment_tweet(tweet, lx):
         for replica in replicate_per_asset(seg):
-            assert find_assets(replica.text, lx) == []
+            assert _ref_find_assets(replica.text, lx) == []
 
 
 def test_sample_replicas_are_already_tagged(lx, sample_paths):
@@ -278,7 +306,7 @@ def test_one_ticker_lookup_per_token(lx, sample_paths, monkeypatch):
 
 
 def _ref_has_ticker(text, lx):
-    return bool(find_assets(text, lx))
+    return bool(_ref_find_assets(text, lx))
 
 
 def _ref_words(text):
@@ -324,7 +352,7 @@ def _ref_group_forward(clauses, lx):
 def _ref_split_asset_lists(segment, lx):
     if len(NUMBER_RE.findall(segment)) <= 1:
         return [segment]
-    assets = find_assets(segment, lx)
+    assets = _ref_find_assets(segment, lx)
     if len(assets) <= 1:
         return [segment]
     cuts = [start for _, (start, _) in assets[1:]]
@@ -346,60 +374,10 @@ def _ref_segment_tweet(tweet, lx):
     segments = []
     for group in _ref_group_forward(clauses, lx):
         for piece in _ref_split_asset_lists(group, lx):
-            assets = find_assets(piece, lx)
+            assets = _ref_find_assets(piece, lx)
             if assets:
                 segments.append(Segment(text=piece, assets=tuple(assets)))
     return segments
-
-
-def _ref_segment_clauses(text):
-    """``segment_clauses`` as a walk over every character."""
-    chunks = []
-    start = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        cut = False
-        if c in ".;:!?":
-            j = i
-            while j + 1 < n and text[j + 1] in ".;:!?":
-                j += 1
-            if j + 1 >= n or text[j + 1].isspace():
-                chunks.append(text[start:i])
-                i = j + 1
-                start = i
-                cut = True
-        elif c == ",":
-            prev_digit = i > 0 and text[i - 1].isdigit()
-            next_digit = i + 1 < n and text[i + 1].isdigit()
-            if not (prev_digit and next_digit):
-                chunks.append(text[start:i])
-                start = i + 1
-                i += 1
-                cut = True
-        elif c == "-" and i > 0 and text[i - 1] == " " and i + 1 < n and text[i + 1] == " ":
-            chunks.append(text[start:i])
-            start = i + 1
-            i += 1
-            cut = True
-        if not cut:
-            i += 1
-    chunks.append(text[start:])
-
-    clauses = []
-    for chunk in chunks:
-        piece_start = 0
-        pieces = []
-        for m in re.finditer(r"\w[\w.]*", chunk):
-            if m.group(0).casefold() in BOUNDARY_WORDS and m.start() > piece_start:
-                before = chunk[piece_start:m.start()]
-                if before.strip():
-                    pieces.append(before)
-                    piece_start = m.start()
-        pieces.append(chunk[piece_start:])
-        clauses.extend(p.strip() for p in pieces if p.strip())
-    return clauses
 
 
 # ellipses, runs of marks, decimal and leading or trailing commas, hyphens

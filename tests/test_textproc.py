@@ -1,4 +1,5 @@
 import os
+import pickle
 import random
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from finemo import cli, lexicons, textproc
 from finemo.lexicons import LexiconSet, load_lexicons
-from finemo.segmenter import Segment, find_assets, replicate_per_asset
+from finemo.segmenter import Segment, replicate_per_asset
 from finemo.textproc import (
     TAGS,
     _edit_distance,
@@ -19,12 +20,13 @@ from finemo.textproc import (
     split_hashtags,
     tag_numbers,
 )
+from tests.frontend_reference import _ref_find_assets, _ref_lemma_counts
 
 
 def _replicas(text, lx, focus):
     """``text`` as process() receives it: one replicate_per_asset replica per
     asset, or ``text`` itself with ``focus`` when it names no asset."""
-    seg = Segment(text=text, assets=tuple(find_assets(text, lx)), focus=focus)
+    seg = Segment(text=text, assets=tuple(_ref_find_assets(text, lx)), focus=focus)
     return replicate_per_asset(seg) if seg.assets else [seg]
 
 
@@ -451,19 +453,41 @@ def test_delete_index_is_built_lazily_once_per_lexicon_set(monkeypatch, sample_p
     assert swapped.delete_index is not index and _CountingIndex.builds == 2
 
 
+CACHES = {"delete_index", "lemma_counts", "corrections", "splits"}
+
+
 def _assert_copy_starts_without_caches(lx):
-    copy = replace(lx)
-    assert copy == lx
-    assert not {"delete_index", "corrections", "splits"} & set(vars(copy))
-    assert lemmatize_correct("sigen", copy) == lemmatize_correct("sigen", lx) == "seguir"
-    assert split_hashtags("mayorcaída", copy) == split_hashtags("mayorcaída", lx)
+    for copy in (replace(lx), pickle.loads(pickle.dumps(lx))):
+        assert copy == lx
+        assert not CACHES & set(vars(copy))
+        assert lemmatize_correct("sigen", copy) == lemmatize_correct("sigen", lx) == "seguir"
+        assert split_hashtags("mayorcaída", copy) == split_hashtags("mayorcaída", lx)
+        assert copy.lemma_counts == lx.lemma_counts
 
 
 def test_delete_index_is_not_pickled(lx):
-    # a copy (dataclasses.replace) carries no index built for the original
+    # a copy (dataclasses.replace or pickle) carries no index or lemma table
+    # built for the original
     lemmatize_correct("sigen", lx)
-    assert "delete_index" in vars(lx)
+    assert lx.lemma_counts["no"]
+    assert {"delete_index", "lemma_counts"} <= set(vars(lx))
     _assert_copy_starts_without_caches(lx)
+    swapped = replace(lx, polarity={**lx.polarity, "no": "positive"})
+    assert swapped == replace(lx, polarity=swapped.polarity) != lx
+    assert swapped.lemma_counts["no"] != lx.lemma_counts["no"]
+    assert swapped.lemma_counts["no"] == tuple(_ref_lemma_counts("no", swapped))
+
+
+@pytest.mark.parametrize("which", ["bundled", "typo-lexicon"])
+def test_lemma_counts_equal_the_per_lemma_sums(lx, benchmark_inputs, which):
+    lexicon = lx if which == "bundled" else load_lexicons(benchmark_inputs[which].lexicons)
+    table = lexicon.lemma_counts
+    words = {*lexicon.adverbs, *lexicon.polarity, *lexicon.emotions}
+    assert set(table) == words and len(words) > 20
+    for word in words:
+        assert tuple(table[word]) == tuple(_ref_lemma_counts(word, lexicon)), word
+    # a lemma in no lexicon counts nothing
+    assert _ref_lemma_counts("zzz", lexicon) == [0] * 10 and "zzz" not in table
 
 
 def test_correction_scores_a_tenth_of_the_scan_on_the_sample(monkeypatch, sample_paths):
@@ -547,4 +571,5 @@ def test_pickled_lexicons_drop_the_memos_and_compare_equal(lx):
     assert lemmatize_correct("sigen", lx) == "seguir"
     assert split_hashtags("mayorcaída", lx) == ["mayor", "caída"]
     assert lx.corrections["sigen"] == "seguir" and lx.splits["mayorcaída"] == ("mayor", "caída")
+    assert lx.lemma_counts and CACHES <= set(vars(lx))
     _assert_copy_starts_without_caches(lx)

@@ -253,17 +253,19 @@ class FeatureVector:
     """One segment in the hybrid layout.
 
     ``dense`` holds the DENSE_NAMES block, read-only, with ``dense[k]`` at
-    global column ``n_text + k``. ``text`` gives the nonzero n-gram counts by
-    global column (all below ``n_text``), as a dict or as a function of no
-    arguments that returns one: it is called on the first read of ``arrays``
-    and never when only ``dense`` is read. ``arrays`` is the one sparse form
-    the vector keeps; once it is built, the dict and the function are gone.
-    A ``masked`` copy holds neither: it is born with its ``arrays``.
+    global column ``n_text + k``. ``text`` gives the n-gram counts, all below
+    ``n_text``: a dict of the nonzero counts by global column, or a list of
+    global columns, one entry per n-gram occurrence in any order, or a
+    function of no arguments that returns either. The function is called on
+    the first read of ``arrays`` and never when only ``dense`` is read.
+    ``arrays`` is the one sparse form the vector keeps; once it is built,
+    the dict, list or function is gone. A ``masked`` copy holds none of
+    them: it is born with its ``arrays``.
     """
 
     def __init__(
         self,
-        text: dict[int, float] | Callable[[], dict[int, float]] | None,
+        text: dict[int, float] | list[int] | Callable[[], dict[int, float] | list[int]] | None,
         dense: np.ndarray,
         n_text: int,
     ):
@@ -285,12 +287,10 @@ class FeatureVector:
         columns (BOW counters, numeric counters, trend)."""
         text = self._text() if callable(self._text) else self._text
         self._text = None
-        n, nonzero = len(text), np.flatnonzero(self.dense)
-        columns = np.fromiter(text, np.intp, n)
-        # the columns are distinct, so every sort kernel gives this order
-        order = columns.argsort()
-        indices = np.concatenate([columns[order], self.n_text + nonzero])
-        values = np.concatenate([np.fromiter(text.values(), float, n)[order], self.dense[nonzero]])
+        nonzero = np.flatnonzero(self.dense)
+        columns, counts = _sorted_counts(text) if isinstance(text, list) else _dict_counts(text)
+        indices = np.concatenate([columns, self.n_text + nonzero])
+        values = np.concatenate([counts, self.dense[nonzero]])
         indices.flags.writeable = False
         values.flags.writeable = False
         return indices, values
@@ -324,6 +324,27 @@ class FeatureVector:
         copy = FeatureVector(None, dense, self.n_text)
         copy.arrays = indices, values
         return copy
+
+
+def _dict_counts(text: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
+    """The (ascending columns, counts) of a dict of nonzero counts."""
+    n = len(text)
+    columns = np.fromiter(text, np.intp, n)
+    # the columns are distinct, so every sort kernel gives this order
+    order = columns.argsort()
+    return columns[order], np.fromiter(text.values(), float, n)[order]
+
+
+def _sorted_counts(flat: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The (ascending distinct columns, float counts) of a list of columns
+    with repeats, from one sort: a run of equal columns is one count."""
+    columns = np.array(flat, dtype=np.intp)
+    columns.sort()
+    first = np.empty(len(columns), dtype=bool)
+    first[:1] = True
+    np.not_equal(columns[1:], columns[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return columns[starts], np.diff(np.append(starts, len(columns))).astype(float)
 
 
 def _norm_tokens(seg: ProcessedSegment) -> list[str]:
@@ -537,9 +558,10 @@ def _token_columns(
     )
 
 
-def _count_ngrams(seg: ProcessedSegment, vm: VocabularyModel) -> Counter:
-    """Nonzero n-gram counts of ``seg`` by the global column that
-    ``vm.count_tables`` give; ``FeatureVector.arrays`` orders them.
+def _count_ngrams(seg: ProcessedSegment, vm: VocabularyModel) -> list[int]:
+    """The global column that ``vm.count_tables`` give each n-gram
+    occurrence of ``seg``, with repeats and unordered:
+    ``FeatureVector.arrays`` counts and orders them with one sort.
 
     ``vm.ngram_memo`` maps a casefolded token to its ``_token_columns``, and
     ``vm.boundary_memo`` maps a ``_boundary_keys`` key to the char columns
@@ -562,7 +584,7 @@ def _count_ngrams(seg: ProcessedSegment, vm: VocabularyModel) -> Counter:
             cross = remember(boundary_memo, key, _columns(_boundary_ngrams(*key), char_table))
         flat += cross
     flat += _columns(word_ngrams(tokens, 2, NGRAM_MAX), word_table)
-    return Counter(flat)
+    return flat
 
 
 def vectorize(

@@ -70,8 +70,22 @@ def _logs(a: np.ndarray) -> np.ndarray:
 
 
 def _log_quotients(counts: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """``math.log((counts[k, j] + 1.0) / denom[k])`` for every cell."""
-    return _logs((counts + 1.0) / denom[:, None])
+    """``math.log((counts[k, j] + 1.0) / denom[k])`` for every cell.
+
+    Most cells share a quotient with another, so one sort groups the equal
+    quotients and each distinct one takes one ``math.log``, which is
+    scattered back: equal floats have equal logs, so every cell has the
+    bits of its own ``math.log``, whatever order the sort kernel gives
+    equal quotients."""
+    quotients = ((counts + 1.0) / denom[:, None]).ravel()
+    order = quotients.argsort()
+    ranked = quotients[order]
+    first = np.empty(len(ranked), dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    logs = np.empty(len(ranked))
+    logs[order] = _logs(ranked[first])[np.cumsum(first) - 1]
+    return logs.reshape(counts.shape)
 
 
 class StreamingNaiveBayes:

@@ -182,9 +182,11 @@ def lemmatize_correct(token: str, lx: LexiconSet) -> str:
     64-bit polynomial hash of its code points, computed as one integer
     matrix product per form length without making the deleted strings:
     about 6 ms and 12 bytes per (delete hash, form) pair, about 0.7 MB, for
-    2.2k forms. Any ``str`` is accepted, lone surrogates included. Each
-    candidate's distance is the bit-parallel ``_edit_distance``, exact up
-    to the cap for any token length.
+    2.2k forms. Any ``str`` is accepted, lone surrogates included. The
+    candidates are scored from the most frequent form down, each with the
+    bit-parallel ``_edit_distance``, exact up to the cap for any token
+    length; the cap falls below each hit's distance, and the first form at
+    distance 1 ends the scan (see ``_correct``).
 
     The result for an out-of-dictionary token is computed once and kept in
     the ``lx.corrections`` memo, which is cleared at ``MEMO_SIZE`` entries.
@@ -201,18 +203,27 @@ def lemmatize_correct(token: str, lx: LexiconSet) -> str:
 
 
 def _correct(token: str, lx: LexiconSet) -> str:
-    """``lemmatize_correct`` of an out-of-dictionary token, without the memo."""
-    best: tuple[int, float, str] | None = None
-    for form in lx.delete_index.candidates(token):
-        dist = _edit_distance(token, form)
-        if dist > 2:
-            continue
-        key = (dist, -lx.freq_corpus.get(form, 0.0), form)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        return token
-    return lx.dictionary[best[2]]
+    """``lemmatize_correct`` of an out-of-dictionary token, without the memo.
+
+    The best form has the least ``(dist, -freq, form)`` key, a form missing
+    from ``freq_corpus`` counting as frequency 0.0. The candidates are
+    scored in ``(-freq, form)`` order, that key's tie-break, so the first
+    form found within ``cap`` is the best at its distance and only a nearer
+    form can beat it: the cap drops to one below it. The token is not a
+    dictionary form, so every form is at least distance 1 from it, and the
+    first form at distance 1 ends the scan (Garbe 2012). A candidate beyond
+    the cap, such as a delete-hash collision, is never chosen.
+    """
+    freq = lx.freq_corpus
+    ranked = sorted([(-freq.get(form, 0.0), form) for form in lx.delete_index.candidates(token)])
+    best, cap = None, 2
+    for _, form in ranked:
+        dist = _edit_distance(token, form, cap)
+        if dist <= cap:
+            best, cap = form, dist - 1
+            if not cap:
+                break
+    return token if best is None else lx.dictionary[best]
 
 
 def process(seg: Segment, lx: LexiconSet) -> ProcessedSegment:

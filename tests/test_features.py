@@ -779,6 +779,46 @@ def test_deferred_counts_keep_the_mask_in_force_at_vectorize(sample_stream):
         _assert_same_vector(got, want)
 
 
+def _counter_arrays(seg, vm, dense):
+    """``arrays`` as they were made before one sort counted the n-grams:
+    one ``Counter`` over ``_count_ngrams``'s columns, read out with two
+    ``np.fromiter`` calls and put in column order with ``argsort``."""
+    counts = Counter(_count_ngrams(seg, vm))
+    n, nonzero = len(counts), np.flatnonzero(dense)
+    columns = np.fromiter(counts, np.intp, n)
+    order = columns.argsort()
+    indices = np.concatenate([columns[order], vm.n_text_columns + nonzero])
+    values = np.concatenate([np.fromiter(counts.values(), float, n)[order], dense[nonzero]])
+    indices.flags.writeable = False
+    values.flags.writeable = False
+    return indices, values
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sorted_counts_equal_the_counter_conversion(sample_stream, data):
+    vm, pairs = sample_stream
+    used = sorted({col for _, fv in pairs for col, _ in fv.items()})
+    drawn = data.draw(st.sets(st.one_of(st.sampled_from(used), st.integers(0, vm.total_dim - 1))))
+    segments = [inst.processed for inst, _ in pairs]
+    # no n-gram at all, none in the vocabulary, and repeated n-grams
+    segments += [_processed([]), _processed(["☃"]), _processed(["sube"] * 4), _processed(segments[0].tokens * 3)]
+    repeated = empty = 0
+    for mask in (None, drawn, set()):
+        model = replace(vm, selection_mask=mask)
+        for seg in segments:
+            fv = vectorize(seg, model, _NUMERIC, True)
+            want = _counter_arrays(seg, model, fv.dense)
+            assert fv.arrays[0].dtype == np.intp and fv.arrays[1].dtype == np.float64
+            for got, w in zip(fv.arrays, want):
+                assert got.dtype == w.dtype and got.tobytes() == w.tobytes()
+                assert not got.flags.writeable and not w.flags.writeable
+            ngrams = len(fv.arrays[0]) - np.count_nonzero(fv.dense)
+            repeated += bool((fv.arrays[1][:ngrams] > 1.0).any())
+            empty += ngrams == 0
+    assert repeated and empty >= 2 + len(segments)
+
+
 # argv of train-eval on the sample past --warmup 10, and the n-gram counts
 # its 31 vectors make: the trees read only the dense block, chi-squared
 # reads the 10 warmup vectors, and SGD and NB read every vector

@@ -296,6 +296,17 @@ def test_nb_logs_are_math_log_of_every_quotient():
     ]
     assert _log_quotients(counts, denom).tobytes() == np.array(expected).tobytes()
     assert _log_quotients(counts[:, :0], denom).shape == (3, 0)
+    # one log per distinct quotient, scattered back: one quotient in every
+    # cell, none shared, and a single row
+    for cells, denoms, distinct in [
+        (np.full((3, 50), 4.0), np.array([9.0, 9.0, 9.0]), 1),
+        (np.arange(150.0).reshape(3, 50), np.array([151.0, 307.0, 463.0]), 150),
+        (counts[:1], denom[:1], 1701),
+    ]:
+        quotients = [[(c + 1.0) / d for c in row] for row, d in zip(cells.tolist(), denoms.tolist())]
+        assert len({q for row in quotients for q in row}) == distinct
+        expected = [[math.log(q) for q in row] for row in quotients]
+        assert _log_quotients(cells, denoms).tobytes() == np.array(expected).tobytes()
     # the Gaussian's 2 pi var, from the variance floor to large spreads, in
     # the (classes, counters) shape that naive Bayes passes
     var = 2.0 * math.pi * np.geomspace(1e-9, 1e6, 3 * 2000).reshape(3, 2000)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from finemo import cli, lexicons, textproc
 from finemo.lexicons import LexiconSet, load_lexicons
-from finemo.segmenter import Segment, replicate_per_asset
+from finemo.segmenter import Segment, replicate_per_asset, segment_tweet
 from finemo.textproc import (
     TAGS,
     _edit_distance,
@@ -166,6 +166,38 @@ def test_process_deterministic_and_clean(lx, text):
             assert "$" not in token and "#" not in token
 
 
+def test_process_calls_split_and_correction_through_the_module(monkeypatch, benchmark_inputs):
+    # perfbench wraps these two names to count out-of-dictionary and
+    # corrected tokens: a fast path that skips them would change its counters
+    workload = benchmark_inputs["typo-lexicon"]
+    lexicon = load_lexicons(workload.lexicons)
+    real_split, real_lemmatize = textproc.split_hashtags, textproc.lemmatize_correct
+    split_calls, lemmatize_calls = [], []
+
+    def counting_split(token, lx):
+        split_calls.append(token)
+        return real_split(token, lx)
+
+    def counting_lemmatize(token, lx):
+        lemmatize_calls.append(token)
+        return real_lemmatize(token, lx)
+
+    monkeypatch.setattr(textproc, "split_hashtags", counting_split)
+    monkeypatch.setattr(textproc, "lemmatize_correct", counting_lemmatize)
+    pieces = 0
+    for tweet in cli.read_tweets(workload.tweets):
+        for seg in segment_tweet(tweet, lexicon):
+            for replica in replicate_per_asset(seg):
+                split_calls.clear()
+                lemmatize_calls.clear()
+                process(replica, lexicon)
+                cleaned = clean_filter(tag_numbers(replica.text), lexicon).split()
+                assert split_calls == cleaned
+                assert lemmatize_calls == [p for t in cleaned for p in real_split(t, lexicon)]
+                pieces += len(lemmatize_calls)
+    assert pieces > workload.n_tweets
+
+
 # -- spelling correction: the symmetric-delete index against the linear scan --
 
 
@@ -261,6 +293,69 @@ def test_index_correction_equals_scan_on_short_tokens(syllable_lx):
     tokens = ["", *letters, *(a + b for a in letters for b in letters)]
     for token in tokens:
         assert lemmatize_correct(token, syllable_lx) == _scan_lemmatize(token, syllable_lx)
+
+
+class _StubIndex:
+    """A delete index whose candidates are ``forms``, whatever the token:
+    a form far from the token stands for a delete-hash collision."""
+
+    def __init__(self, forms):
+        self.forms = forms
+
+    def candidates(self, token):
+        return list(self.forms)
+
+
+# (token, {form: frequency or None for a form missing from freq.tsv}, the
+# forms the stub index returns or None for the real index, the best form)
+_RANKED_CASES = {
+    # the most frequent form is at distance 2, a rarer one at distance 1
+    "nearer-beats-frequent": ("abcx", {"abyz": 0.9, "abcd": 0.1}, None, "abcd"),
+    # equal frequencies at distance 2: the smaller form wins
+    "tie-at-distance-2": ("abcd", {"abzz": 0.5, "abyy": 0.5, "qqqq": 0.5}, None, "abyy"),
+    # 0.0 and a missing frequency are both keyed -0.0: the smaller form wins
+    "missing-ties-zero": ("abcx", {"abce": 0.0, "abcd": None, "abcf": None}, None, "abcd"),
+    "zero-ties-missing": ("abcx", {"abcd": 0.0, "abce": None}, None, "abcd"),
+    # a form with a frequency beats a missing one at the same distance
+    "frequency-beats-missing": ("abcx", {"abce": 1e-9, "abcd": None}, None, "abce"),
+    # a collision ranked first, three or more edits away, is skipped
+    "collision-ranked-first": ("abcx", {"zzzzzz": 0.9, "qrst": 0.8, "abzz": 0.1}, ["zzzzzz", "qrst", "abzz"], "abzz"),
+    "only-collisions": ("abcx", {"zzzzzz": 0.9, "qrst": 0.8}, ["qrst", "zzzzzz"], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RANKED_CASES))
+def test_ranked_correction_equals_scan(case):
+    token, freqs, stub, best = _RANKED_CASES[case]
+    mini = _mini_lexicon(
+        dictionary={form: f"lema-{form}" for form in freqs},
+        freq_corpus={form: f for form, f in freqs.items() if f is not None},
+    )
+    if stub is not None:
+        vars(mini)["delete_index"] = _StubIndex(stub)
+    expected = token if best is None else f"lema-{best}"
+    assert lemmatize_correct(token, mini) == _scan_lemmatize(token, mini) == expected
+
+
+def test_ranked_correction_stops_at_the_first_form_at_distance_1(monkeypatch):
+    # casx is 2 edits from cosa, cesa and tasa and 1 from casa and caso
+    freqs = {"cosa": 0.9, "cesa": 0.5, "tasa": 0.3, "casa": 0.2, "caso": 0.2, "cama": 0.1}
+    mini = _mini_lexicon(dictionary={f: f"lema-{f}" for f in freqs}, freq_corpus=freqs)
+    assert set(mini.delete_index.candidates("casx")) == set(freqs)
+    scored = []
+    real_distance = textproc._edit_distance
+
+    def recording_distance(a, b, cap=2):
+        scored.append((b, cap))
+        return real_distance(a, b, cap)
+
+    monkeypatch.setattr(textproc, "_edit_distance", recording_distance)
+    assert lemmatize_correct("casx", mini) == "lema-casa"
+    # in (-freq, form) order: cosa is a hit at 2, so the cap falls to 1;
+    # cesa and tasa miss; casa is at distance 1 and ends the scan
+    assert scored == [("cosa", 2), ("cesa", 1), ("tasa", 1), ("casa", 1)]
+    monkeypatch.undo()
+    assert _scan_lemmatize("casx", mini) == "lema-casa"
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -46,6 +46,7 @@ from finemo.features import (
     VocabularyError,
     VocabularyModel,
     compute_trend,
+    count_together,
     extract_numeric,
     fit_vocabularies,
     vectorize,
@@ -318,6 +319,14 @@ class Vectorizer:
             self.default_trends += 1
         return vectorize(inst.processed, self.vm, numeric, trend)
 
+    def pairs(self, instances: Iterable[Instance]) -> list[Pair]:
+        """Each of ``instances`` with its vector, in order; the vectors'
+        n-gram counts are tied into runs (``features.count_together``), so
+        the first read of a run's counts counts the whole run."""
+        pairs = [(inst, self(inst)) for inst in instances]
+        count_together([fv for _, fv in pairs])
+        return pairs
+
 
 def feature_stream(cfg: PipelineConfig) -> tuple[Vectorizer, Iterator[Pair]]:
     """The vectorizer fitted on the first ``cfg.warmup`` instances, and every
@@ -342,7 +351,7 @@ def feature_stream(cfg: PipelineConfig) -> tuple[Vectorizer, Iterator[Pair]]:
     vectorizer = Vectorizer(lx, prices, fit_vocabularies(
         [inst.processed for inst in window], labels=[inst.label for inst in window]
     ))
-    warmup = [(inst, vectorizer(inst)) for inst in window]
+    warmup = vectorizer.pairs(window)
     if cfg.percentile:
         scores = chi2_scores(
             ((CLASS_ORDER.index(inst.label), *fv.arrays) for inst, fv in warmup),
@@ -358,10 +367,13 @@ def feature_stream(cfg: PipelineConfig) -> tuple[Vectorizer, Iterator[Pair]]:
 
 def _pairs(vectorizer: Vectorizer, warmup: list[Pair], instances: Iterator) -> Iterator[Pair]:
     """The ``warmup`` pairs, then a pair for each of ``instances``, built
-    and vectorized BLOCK instances at a time; each is dropped once yielded."""
+    and vectorized BLOCK instances at a time; each is dropped once yielded.
+    A block's vectors count their n-grams a run at a time, on the first
+    read of each run (``Vectorizer.pairs``), so a learner that reads only
+    the dense blocks never counts."""
     yield from _drain(warmup)
     while block := list(islice(instances, BLOCK)):
-        pairs = [(inst, vectorizer(inst)) for inst in block]
+        pairs = vectorizer.pairs(block)
         del block
         yield from _drain(pairs)
 

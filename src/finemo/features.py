@@ -20,6 +20,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from functools import cached_property, partial
+from itertools import chain
 
 import numpy as np
 
@@ -249,6 +250,10 @@ class VocabularyModel:
         )
 
 
+# vectors tied by ``count_together`` count their n-grams RUN_SIZE at a time
+RUN_SIZE = 32
+
+
 class FeatureVector:
     """One segment in the hybrid layout.
 
@@ -257,10 +262,11 @@ class FeatureVector:
     ``n_text``: a dict of the nonzero counts by global column, or a list of
     global columns, one entry per n-gram occurrence in any order, or a
     function of no arguments that returns either. The function is called on
-    the first read of ``arrays`` and never when only ``dense`` is read.
+    the first read of ``arrays`` and never when only ``dense`` is read;
+    ``count_together`` may hand it to a run of vectors that count together.
     ``arrays`` is the one sparse form the vector keeps; once it is built,
-    the dict, list or function is gone. A ``masked`` copy holds none of
-    them: it is born with its ``arrays``.
+    the dict, list, function or run is gone. A ``masked`` copy holds none
+    of them: it is born with its ``arrays``.
     """
 
     def __init__(
@@ -273,6 +279,7 @@ class FeatureVector:
             raise ValueError(f"dense block must have {N_DENSE} entries")
         dense.flags.writeable = False
         self._text = text
+        self._row = 0  # this vector's row in its _Run, once it has one
         self.dense = dense
         self.n_text = n_text
 
@@ -284,16 +291,20 @@ class FeatureVector:
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """All nonzero columns as read-only (global columns, values) arrays,
         in ascending column order: the n-grams, then the nonzero dense
-        columns (BOW counters, numeric counters, trend)."""
-        text = self._text() if callable(self._text) else self._text
-        self._text = None
-        nonzero = np.flatnonzero(self.dense)
-        columns, counts = _sorted_counts(text) if isinstance(text, list) else _dict_counts(text)
-        indices = np.concatenate([columns, self.n_text + nonzero])
-        values = np.concatenate([counts, self.dense[nonzero]])
-        indices.flags.writeable = False
-        values.flags.writeable = False
-        return indices, values
+        columns (BOW counters, numeric counters, trend).
+
+        A member of a run reads its slice of the run's arrays, which the
+        first read of any member builds; a list of columns is counted as a
+        run of one."""
+        text, self._text = self._text, None
+        if isinstance(text, _Run):
+            return text.row(self._row)
+        if callable(text):
+            text = text()
+        if isinstance(text, dict):
+            return _dict_arrays(text, self.dense, self.n_text)
+        arrays, _ = _count_run([text], [self.dense], self.n_text)
+        return arrays
 
     @cached_property
     def n_counts(self) -> int:
@@ -326,25 +337,104 @@ class FeatureVector:
         return copy
 
 
-def _dict_counts(text: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
-    """The (ascending columns, counts) of a dict of nonzero counts."""
+class _Run:
+    """The deferred n-gram counts of consecutive vectors, made on the first
+    read of any member's ``arrays``.
+
+    A run holds each member's count function and dense block and their
+    ``n_text``, never the member, so no reference cycle keeps either
+    alive. Filled, it calls the functions in member order, counts with
+    ``_count_run`` and drops them and the dense blocks; it then holds only
+    the run's arrays and each member's bounds in them, and the arrays
+    outlive it as long as a member's slice does."""
+
+    __slots__ = ("counts", "denses", "n_text", "arrays", "bounds")
+
+    def __init__(self, members: Sequence[FeatureVector]):
+        self.counts = [fv._text for fv in members]
+        self.denses = [fv.dense for fv in members]
+        self.n_text = members[0].n_text
+        self.arrays = None
+
+    def row(self, row: int) -> tuple[np.ndarray, np.ndarray]:
+        """Member ``row``'s ``arrays``: read-only slices of the run's."""
+        if self.arrays is None:
+            flats = [count() for count in self.counts]
+            self.arrays, self.bounds = _count_run(flats, self.denses, self.n_text)
+            self.counts = self.denses = None
+        start, end = self.bounds[row], self.bounds[row + 1]
+        indices, values = self.arrays
+        return indices[start:end], values[start:end]
+
+
+def count_together(vectors: Sequence[FeatureVector]) -> None:
+    """Tie each ``RUN_SIZE`` consecutive vectors of ``vectors`` whose n-gram
+    counts are deferred to a function that returns a list of columns, as
+    ``vectorize`` defers them, to one ``_Run``: the first ``arrays`` read of
+    any of them counts them all with one sort. Other vectors are left as
+    they are. The vectors share one ``n_text``, as those of one
+    vocabulary do."""
+    deferred = [fv for fv in vectors if callable(fv._text)]
+    for start in range(0, len(deferred), RUN_SIZE):
+        members = deferred[start : start + RUN_SIZE]
+        run = _Run(members)
+        for row, fv in enumerate(members):
+            fv._text, fv._row = run, row
+
+
+def _count_run(
+    flats: Sequence[list[int]], denses: Sequence[np.ndarray], n_text: int
+) -> tuple[tuple[np.ndarray, np.ndarray], list[int]]:
+    """The ``arrays`` of consecutive vectors as one read-only (columns,
+    values) pair, and the bounds of vector r's entries in it, ``bounds[r]``
+    to ``bounds[r + 1]``. ``flats[r]`` lists vector r's n-gram columns with
+    repeats, ``denses[r]`` is its dense block.
+
+    Vector r's global columns are keyed ``r * stride + column``, the
+    offsets added in numpy. One sort of the keys puts every vector's
+    entries in column order, vector after vector; a run of equal keys is
+    one count, and each nonzero dense entry, a key of its own, gets its
+    value in place of its count of one."""
+    stride = n_text + N_DENSE
+    offsets = np.arange(0, len(flats) * stride, stride)
+    lengths = [len(flat) for flat in flats]
+    text_keys = np.fromiter(chain.from_iterable(flats), np.intp, sum(lengths))
+    text_keys += np.repeat(offsets, lengths)
+    dense = np.concatenate(denses)
+    nonzero = np.flatnonzero(dense)
+    dense_keys = (offsets[:, None] + np.arange(n_text, stride)).ravel()[nonzero]
+    keys = np.concatenate([text_keys, dense_keys])
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    keys = keys[starts]
+    values = np.diff(np.append(starts, len(first))).astype(float)
+    values[np.searchsorted(keys, dense_keys)] = dense[nonzero]
+    bounds = np.searchsorted(keys, offsets).tolist()
+    bounds.append(len(keys))
+    indices = keys % stride
+    indices.flags.writeable = False
+    values.flags.writeable = False
+    return (indices, values), bounds
+
+
+def _dict_arrays(
+    text: dict[int, float], dense: np.ndarray, n_text: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``arrays`` of a vector whose counts are a dict of nonzero
+    counts by column."""
     n = len(text)
     columns = np.fromiter(text, np.intp, n)
     # the columns are distinct, so every sort kernel gives this order
     order = columns.argsort()
-    return columns[order], np.fromiter(text.values(), float, n)[order]
-
-
-def _sorted_counts(flat: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The (ascending distinct columns, float counts) of a list of columns
-    with repeats, from one sort: a run of equal columns is one count."""
-    columns = np.array(flat, dtype=np.intp)
-    columns.sort()
-    first = np.empty(len(columns), dtype=bool)
-    first[:1] = True
-    np.not_equal(columns[1:], columns[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return columns[starts], np.diff(np.append(starts, len(columns))).astype(float)
+    nonzero = np.flatnonzero(dense)
+    indices = np.concatenate([columns[order], n_text + nonzero])
+    values = np.concatenate([np.fromiter(text.values(), float, n)[order], dense[nonzero]])
+    indices.flags.writeable = False
+    values.flags.writeable = False
+    return indices, values
 
 
 def _norm_tokens(seg: ProcessedSegment) -> list[str]:
@@ -560,8 +650,9 @@ def _token_columns(
 
 def _count_ngrams(seg: ProcessedSegment, vm: VocabularyModel) -> list[int]:
     """The global column that ``vm.count_tables`` give each n-gram
-    occurrence of ``seg``, with repeats and unordered:
-    ``FeatureVector.arrays`` counts and orders them with one sort.
+    occurrence of ``seg``, with repeats and unordered: ``_count_run``
+    counts and orders them, with those of the other vectors of its run, by
+    one sort.
 
     ``vm.ngram_memo`` maps a casefolded token to its ``_token_columns``, and
     ``vm.boundary_memo`` maps a ``_boundary_keys`` key to the char columns
@@ -596,9 +687,10 @@ def vectorize(
     """Map one processed segment onto the hybrid feature space.
 
     The dense block is built now. The n-gram counts are counted on their
-    first read, with the count tables and the memo of ``vm``, which the
-    vector keeps until then; a run that never reads them never builds the
-    tables.
+    first read, alone or with the other vectors of the run that
+    ``count_together`` ties the vector to, with the count tables and the
+    memos of ``vm``, which the vector or its run keeps until then; a
+    pipeline that never reads them never builds the tables.
     """
     tokens = _norm_tokens(seg)
     hits = [0] * N_BOW

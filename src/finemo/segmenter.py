@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 
-from finemo.lexicons import LexiconSet, lookup_ticker
+from finemo.lexicons import LexiconSet
 
 # numeric token: optional sign, digit runs, comma/dot decimals, optional %
 NUMBER_RE = re.compile(r"[-+]?\d+(?:[.,]\d+)*%?")
@@ -104,11 +104,19 @@ Clause = tuple[str, Mentions, bool, str | None]
 
 def scan_clause(text: str, lx: LexiconSet) -> Clause:
     """One ``_TOKEN_RE`` pass over a clause. Mentions are ticker/alias
-    tokens, $/#/@ markers included in their spans; a token without its
-    marker is a ``WORD_RE`` word, which the grouping rules read."""
+    tokens, $/#/@ markers included in their spans and trailing dots not; a
+    token without its marker is a ``WORD_RE`` word, which the grouping
+    rules read.
+
+    Each token is looked up once, by its word casefolded without its
+    trailing dots: the key ``lookup_ticker`` makes of the token. Casefolding
+    maps each character on its own and no character but "." to a dot, and
+    a word ends in a word character, so ``lookup_ticker``'s fallback, which
+    strips trailing punctuation, cannot change the key."""
     mentions: Mentions = []
     additive = False
     first = None
+    tickers = lx.tickers
     for m in _TOKEN_RE.finditer(text):
         token = m.group(0)
         word = token[1:] if token[0] in "$#@" else token
@@ -116,10 +124,9 @@ def scan_clause(text: str, lx: LexiconSet) -> Clause:
         if first is None:
             first = folded
         additive = additive or folded in ADDITIVE_WORDS
-        token = token.rstrip(".")
-        ticker = lookup_ticker(token, lx)
+        ticker = tickers.get(folded.rstrip("."))
         if ticker is not None:
-            mentions.append((ticker, (m.start(), m.start() + len(token))))
+            mentions.append((ticker, (m.start(), m.start() + len(token.rstrip(".")))))
     return text, mentions, additive, first
 
 

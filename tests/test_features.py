@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import json
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from datetime import date, datetime
@@ -32,7 +33,9 @@ from finemo.features import (
     TrendUnavailableError,
     VocabularyError,
     VocabularyModel,
+    RUN_SIZE,
     _count_ngrams,
+    count_together,
     _df_filter,
     _norm_tokens,
     char_ngrams,
@@ -51,6 +54,7 @@ from tests.conftest import SAMPLE_DIR
 from tests.frontend_reference import _ref_find_assets
 
 import os
+import weakref
 
 # published counter profiles for the two reference texts
 SAMPLE_1_TEXT = (
@@ -819,6 +823,129 @@ def test_sorted_counts_equal_the_counter_conversion(sample_stream, data):
     assert repeated and empty >= 2 + len(segments)
 
 
+def _sorted_counts(flat):
+    """The (ascending distinct columns, float counts) of a list of columns
+    with repeats, from one sort: a run of equal columns is one count. A
+    vector's counts were made so, one vector at a time, before vectors
+    counted a run at a time."""
+    columns = np.array(flat, dtype=np.intp)
+    columns.sort()
+    first = np.empty(len(columns), dtype=bool)
+    first[:1] = True
+    np.not_equal(columns[1:], columns[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return columns[starts], np.diff(np.append(starts, len(columns))).astype(float)
+
+
+def _sorted_arrays(seg, vm, dense):
+    """One vector's ``arrays`` from ``_sorted_counts`` and its dense nonzeros."""
+    columns, counts = _sorted_counts(_count_ngrams(seg, vm))
+    nonzero = np.flatnonzero(dense)
+    return (
+        np.concatenate([columns, vm.n_text_columns + nonzero]),
+        np.concatenate([counts, dense[nonzero]]),
+    )
+
+
+def _assert_same_arrays(got, want):
+    """Same dtypes and bytes, and ``got`` read-only."""
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert not g.flags.writeable
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    run_size=st.sampled_from([1, 2, 3, RUN_SIZE]),
+    memo_size=st.sampled_from([1, 3, MEMO_SIZE]),
+)
+def test_run_counts_equal_the_per_vector_oracles(sample_stream, data, run_size, memo_size):
+    vm, pairs = sample_stream
+    used = sorted({col for _, fv in pairs for col, _ in fv.items()})
+    drawn = data.draw(st.sets(st.one_of(st.sampled_from(used), st.integers(0, vm.total_dim - 1))))
+    model = replace(vm, selection_mask=data.draw(st.sampled_from([None, drawn, set()])))
+    # segments with no n-gram, none in the vocabulary, repeated n-grams, and
+    # the sample's; each with an all-zero dense block or the sample's counters
+    special = [_processed([]), _processed(["☃"]), _processed(["sube"] * 4)]
+    sample = [(inst.processed, fv.dense) for inst, fv in pairs]
+    rows = data.draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.sampled_from(special), st.just(None)),
+                st.sampled_from(sample),
+            ),
+            min_size=1,
+            max_size=2 * run_size + 2,
+        )
+    )
+    vectors = []
+    for seg, dense in rows:
+        numeric, trend = ((0,) * N_NUMERIC, False) if dense is None else (
+            tuple(dense[NUMERIC_COLUMNS]), bool(dense[TREND_COLUMN])
+        )
+        vectors.append(vectorize(seg, model, numeric, trend))
+    with mock.patch("finemo.features.RUN_SIZE", run_size):
+        count_together(vectors)
+    # the first read may fall anywhere in a run, and a memo smaller than a
+    # run's distinct tokens overflows while the run is counted
+    first = data.draw(st.integers(0, len(vectors) - 1))
+    with mock.patch("finemo.lexicons.MEMO_SIZE", memo_size):
+        vectors[first].arrays
+        assert len(model.ngram_memo) <= memo_size
+    mask = data.draw(st.sets(st.one_of(st.sampled_from(used), st.integers(0, vm.total_dim - 1))))
+    for (seg, _), fv in zip(rows, vectors):
+        sorted_arrays = _sorted_arrays(seg, model, fv.dense)
+        _assert_same_arrays(fv.arrays, sorted_arrays)
+        _assert_same_arrays(fv.arrays, _counter_arrays(seg, model, fv.dense))
+        assert fv.arrays[0].dtype == np.intp and fv.arrays[1].dtype == np.float64
+        assert fv.n_counts == len(sorted_arrays[0]) - np.count_nonzero(fv.dense[N_BOW:])
+        assert not any(isinstance(v, dict) or callable(v) for v in vars(fv).values())
+        # a masked copy of a run member
+        keep = np.array([col in mask for col in sorted_arrays[0].tolist()], dtype=bool)
+        copy = fv.masked(mask)
+        _assert_same_arrays(copy.arrays, [a[keep] for a in sorted_arrays])
+    if any(dense is None for _, dense in rows):
+        assert any(not fv.dense.any() for fv in vectors)
+
+
+def test_runs_tie_only_deferred_vectors_and_hold_no_member(sample_stream, monkeypatch):
+    vm, pairs = sample_stream
+    segments = [inst.processed for inst, _ in pairs][:7]
+    counted = []
+
+    def counting(seg, model):
+        counted.append(seg)
+        return _count_ngrams(seg, model)
+
+    monkeypatch.setattr("finemo.features._count_ngrams", counting)
+    monkeypatch.setattr("finemo.features.RUN_SIZE", 3)
+    born = FeatureVector({3: 1.0}, np.zeros(N_DENSE), vm.n_text_columns)
+    vectors = [vectorize(seg, vm, _NUMERIC, True) for seg in segments]
+    vectors.insert(2, born)
+    count_together(vectors)
+    assert born._text == {3: 1.0}
+    runs = [fv._text for fv in vectors if fv is not born]
+    # runs of 3, 3 and a ragged 1, in stream order
+    assert [len({id(r) for r in runs[i : i + 3]}) for i in (0, 3, 6)] == [1, 1, 1]
+    assert len({id(r) for r in runs}) == 3
+    # a run refers to no member, so a member is freed as soon as it is dropped
+    probe = weakref.ref(vectors[1])
+    del vectors[1]
+    assert probe() is None
+    # reading the fifth vector counts its whole run, in stream order, and
+    # leaves the run nothing but its arrays and bounds
+    run = runs[3]
+    vectors[5].arrays
+    assert counted == segments[3:6]
+    assert run.counts is None and run.denses is None
+    assert len(run.bounds) == 4
+    for fv, seg in zip([v for v in vectors if v is not born], [segments[0], *segments[2:]]):
+        _assert_same_arrays(fv.arrays, _counter_arrays(seg, vm, fv.dense))
+    assert counted == [segments[i] for i in (3, 4, 5, 0, 1, 2, 6)]
+    assert born.arrays[0].tolist() == [3]
+
+
 # argv of train-eval on the sample past --warmup 10, and the n-gram counts
 # its 31 vectors make: the trees read only the dense block, chi-squared
 # reads the 10 warmup vectors, and SGD and NB read every vector
@@ -860,6 +987,47 @@ def test_cli_counts_each_vector_at_most_once_and_matches_eager(
     monkeypatch.setattr("finemo.cli.vectorize", _eager_vectorize)
     assert _train_eval(argv, tmp_path / "eager") == deferred
     assert calls == expected_counts
+
+
+def _stream_prefix(workload, out_dir, n_tweets):
+    """Input flags for the first ``n_tweets`` tweets of a generated
+    benchmark workload and their labels, with its lexicons and prices."""
+    out_dir.mkdir()
+    with open(workload.tweets, encoding="utf-8") as fh:
+        tweets = list(islice(fh, n_tweets))
+    ids = {str(json.loads(line)["id"]) for line in tweets}
+    with open(workload.labels, encoding="utf-8") as fh:
+        labels = [line for line in fh if line.split("\t")[0] in ids]
+    (out_dir / "tweets.jsonl").write_text("".join(tweets), encoding="utf-8")
+    (out_dir / "labels.tsv").write_text("".join(labels), encoding="utf-8")
+    return {
+        "lexicons": workload.lexicons, "prices": workload.prices,
+        "tweets": str(out_dir / "tweets.jsonl"), "labels": str(out_dir / "labels.tsv"),
+    }
+
+
+@pytest.mark.parametrize("learner", ["nb", "sgd"])
+@pytest.mark.parametrize("mode", ["--single", "--stacked"])
+@pytest.mark.parametrize("inputs", ["sample", "typo-lexicon", "replay-linear"])
+def test_outputs_do_not_depend_on_the_block_or_run_size(
+    learner, mode, inputs, monkeypatch, tmp_path, sample_paths, benchmark_inputs
+):
+    # the default block and run size, and blocks and runs of one and three,
+    # which end runs and blocks inside the warmup window and the stream
+    if inputs == "sample":
+        paths, warmup = sample_paths, "10"
+    else:
+        paths, warmup = _stream_prefix(benchmark_inputs[inputs], tmp_path / "inputs", 60), "30"
+    for percentile in ("0", "15"):
+        argv = ["train-eval", "--warmup", warmup, "--learner", learner, mode, "--percentile", percentile]
+        for key in ("lexicons", "tweets", "labels", "prices"):
+            argv += [f"--{key}", paths[key]]
+        want = _train_eval(argv, tmp_path / f"default-{percentile}")
+        for size in (1, 3):
+            monkeypatch.setattr("finemo.cli.BLOCK", size)
+            monkeypatch.setattr("finemo.features.RUN_SIZE", size)
+            assert _train_eval(argv, tmp_path / f"{size}-{percentile}") == want
+            monkeypatch.undo()
 
 
 @pytest.mark.parametrize("learner, counts", [("dt", False), ("rf", False), ("nb", True), ("sgd", True)])

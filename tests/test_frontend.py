@@ -9,6 +9,7 @@ other scripts and letters that casefold specially, and on every replica of
 the three benchmark inputs.
 """
 
+from dataclasses import replace
 from datetime import datetime
 
 import pytest
@@ -130,6 +131,33 @@ def test_grouping_equals_the_rescans_on_any_clauses(lx, clauses):
     scans = [scan_clause(c, lx) for c in clauses]
     assert scans == [_ref_scan(c, lx) for c in clauses]
     assert group_forward(scans) == _ref_group_forward_pairs([(c, _ref_find_assets(c, lx)) for c in clauses])
+
+
+# aliases whose surface forms casefold specially: "ß" and "ẞ" to "ss", "İ"
+# to "i" and a combining dot; "Inditex" with a plain "I" names no ticker
+_FOLDING_ALIASES = {"strasse": "STR", "i\u0307nditex": "ITX"}
+_ALIAS_FORMS = ["Straße", "STRAẞE", "strasse", "İnditex", "İNDİTEX", "Inditex", "santander", "ibex", "bbva", "sab.mc", "alua.ba"]
+
+
+@st.composite
+def _marked_tokens(draw):
+    """An alias form in mixed case, with a marker and trailing marks."""
+    form = draw(st.sampled_from(_ALIAS_FORMS))
+    cases = draw(st.lists(st.sampled_from([str.lower, str.upper, str]), min_size=len(form), max_size=len(form)))
+    marker = draw(st.sampled_from(["", "$", "#", "@", "$$", "#@"]))
+    trailing = draw(st.sampled_from(["", ".", "..", "...", ",", "!", "?.", ".;", ":"]))
+    return marker + "".join(case(c) for case, c in zip(cases, form)) + trailing
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(_marked_tokens(), st.sampled_from(PIECES)), min_size=1, max_size=10), st.data())
+def test_scan_clause_finds_the_mentions_of_the_ticker_lookup(lx, words, data):
+    # scan_clause looks each token up by its casefolded word; the oracle
+    # calls lookup_ticker on the token without its trailing dots
+    lexicons = replace(lx, tickers={**lx.tickers, **_FOLDING_ALIASES})
+    seps = data.draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(words), max_size=len(words)))
+    text = "".join(sep + word for sep, word in zip(seps, words))
+    assert scan_clause(text, lexicons)[1] == _ref_find_assets(text, lexicons)
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))

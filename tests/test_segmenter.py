@@ -1,5 +1,6 @@
 import re
 import sys
+from dataclasses import replace
 from datetime import datetime
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finemo.cli import build_instances, read_tweets
-from finemo.lexicons import load_lexicons, lookup_ticker
+from finemo.lexicons import load_lexicons
 from finemo.segmenter import (
     ADDITIVE_WORDS,
     BOUNDARY_WORDS,
@@ -286,20 +287,23 @@ def test_replicas_are_already_tagged(lx, text):
     _assert_replicas_are_tagged(_tweet(text), lx)
 
 
-def test_one_ticker_lookup_per_token(lx, sample_paths, monkeypatch):
+class _CountingTickers(dict):
+    """A ticker table that counts the lookups made with ``get``."""
+
     calls = 0
 
-    def counting(token, lexicons):
-        nonlocal calls
-        calls += 1
-        return lookup_ticker(token, lexicons)
+    def get(self, key, default=None):
+        self.calls += 1
+        return super().get(key, default)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("finemo") and getattr(module, "lookup_ticker", None) is lookup_ticker:
-            monkeypatch.setattr(module, "lookup_ticker", counting)
+
+def test_one_ticker_lookup_per_token(lx, sample_paths):
+    # every ticker lookup of the front end is one ``get`` on the table, by
+    # scan_clause or by lookup_ticker
+    tickers = _CountingTickers(lx.tickers)
     tweets = list(read_tweets(sample_paths["tweets"]))
-    assert list(build_instances(tweets, lx))
-    assert 0 < calls <= sum(len(_TOKEN_RE.findall(t.text)) for t in tweets)
+    assert list(build_instances(tweets, replace(lx, tickers=tickers)))
+    assert 0 < tickers.calls <= sum(len(_TOKEN_RE.findall(t.text)) for t in tweets)
 
 
 # -- oracle: the segmenter that rescanned every clause, group and piece --

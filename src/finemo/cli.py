@@ -35,6 +35,7 @@ from finemo.evaluation import (
     prequential_run,
     series_writer,
 )
+from finemo import features
 from finemo.features import (
     DENSE_NAMES,
     NUMERIC_COLUMNS,
@@ -49,6 +50,7 @@ from finemo.features import (
     count_together,
     extract_numeric,
     fit_vocabularies,
+    mask_together,
     vectorize,
 )
 from finemo.lexicons import EncodingError, LexiconError, data_lines, load_lexicons, text_lines
@@ -334,7 +336,10 @@ def feature_stream(cfg: PipelineConfig) -> tuple[Vectorizer, Iterator[Pair]]:
     caller checks ``cfg`` (``_check_stream``). The tweets and labels are read
     in one pass, as the pairs are needed. The vocabulary, and with
     ``cfg.percentile`` the chi-squared mask, is fitted on the warmup window,
-    whose pairs come first; no pair is held once yielded."""
+    whose pairs come first; no pair is held once yielded. Under the mask
+    the window's vectors are replaced in place by their masked copies, a
+    ``features.RUN_SIZE`` run at a time (``mask_together``), so each run's
+    unmasked vectors are freed before the next run is masked."""
     lx = load_lexicons(cfg.lexicons)
     prices = PriceSeries.from_csv(cfg.prices) if cfg.prices else PriceSeries()
     if not cfg.prices:
@@ -359,9 +364,13 @@ def feature_stream(cfg: PipelineConfig) -> tuple[Vectorizer, Iterator[Pair]]:
         )
         mask = select_percentile(scores, cfg.percentile)
         vectorizer.vm = replace(vectorizer.vm, selection_mask=mask)
-        # in place, so each unmasked vector is freed once its masked copy exists
-        for i, (inst, fv) in enumerate(warmup):
-            warmup[i] = (inst, fv.masked(mask))
+        keep = vectorizer.vm.column_keep
+        # in place, a run at a time, so each run's unmasked vectors are
+        # freed once their masked copies exist
+        for start in range(0, len(warmup), features.RUN_SIZE):
+            run = slice(start, start + features.RUN_SIZE)
+            copies = mask_together([fv for _, fv in warmup[run]], keep)
+            warmup[run] = [(inst, fv) for (inst, _), fv in zip(warmup[run], copies)]
     return vectorizer, _pairs(vectorizer, warmup, instances)
 
 

@@ -20,7 +20,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from functools import cached_property, partial
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -147,8 +147,9 @@ class VocabularyModel:
     A fixed value: ``dataclasses.replace`` with a new mask, BOW lists or
     vocabularies makes a new model, whose derived state is built on first
     use and kept as long as the model: ``bow_index``, the ``count_tables``
-    that number and select the n-gram columns, the ``dense_keep`` that
-    selects the dense columns, and the ``ngram_memo`` and ``boundary_memo``.
+    that number and select the n-gram columns, the ``column_keep`` and
+    ``dense_keep`` tables that select the columns and the dense columns, and
+    the ``ngram_memo`` and ``boundary_memo``.
     A vector keeps the model that built it until it counts its n-grams.
     """
 
@@ -170,6 +171,15 @@ class VocabularyModel:
         return index
 
     @cached_property
+    def bow_prefixes(self) -> frozenset[str]:
+        """Every start of a BOW entry that ends right before one of the
+        entry's spaces: the first token of each bigram that can be an entry.
+        An entry may hold more than one space, as a lemma may."""
+        return frozenset(
+            entry[:i] for entry in self.bow_index for i, ch in enumerate(entry) if ch == " "
+        )
+
+    @cached_property
     def count_tables(self) -> tuple[dict[str, int], dict[str, int], dict[str, int]]:
         """Char, word and within-word tables from n-gram to global column,
         each holding only the columns ``selection_mask`` keeps (all without
@@ -185,11 +195,16 @@ class VocabularyModel:
         return tuple(tables)
 
     @cached_property
+    def column_keep(self) -> np.ndarray:
+        """Per global column, whether ``selection_mask`` keeps it; read only
+        under a mask."""
+        return _keep_table(self.selection_mask, self.total_dim)
+
+    @cached_property
     def dense_keep(self) -> np.ndarray:
         """Per dense position, whether ``selection_mask`` keeps its global
-        column; read only under a mask."""
-        n_text, mask = self.n_text_columns, self.selection_mask
-        return np.array([n_text + k in mask for k in range(N_DENSE)])
+        column: the dense end of ``column_keep``."""
+        return self.column_keep[self.n_text_columns :]
 
     @cached_property
     def ngram_memo(self) -> dict[str, tuple]:
@@ -317,24 +332,47 @@ class FeatureVector:
         return zip(*(a.tolist() for a in self.arrays))
 
     def masked(self, mask: set[int]) -> "FeatureVector":
-        """This vector with every global column outside ``mask`` zeroed.
-
-        The copy keeps the entries of this vector's ``arrays`` whose column
-        ``mask`` holds, one lookup per nonzero column, so it is born with its
-        ``arrays`` and never counts or sorts; its dense block holds the kept
-        dense entries and 0.0 elsewhere."""
-        indices, values = self.arrays
-        keep = np.fromiter(map(mask.__contains__, indices.tolist()), bool, len(indices))
-        indices, values = indices[keep], values[keep]
-        indices.flags.writeable = False
-        values.flags.writeable = False
-        # the kept dense columns are the last entries, as in every ``arrays``
-        start = int(np.searchsorted(indices, self.n_text))
-        dense = np.zeros(N_DENSE)
-        dense[indices[start:] - self.n_text] = values[start:]
-        copy = FeatureVector(None, dense, self.n_text)
-        copy.arrays = indices, values
+        """This vector with every global column outside ``mask`` zeroed: a
+        ``mask_together`` run of one."""
+        (copy,) = mask_together([self], _keep_table(mask, self.total_dim))
         return copy
+
+
+def _keep_table(mask: set[int], width: int) -> np.ndarray:
+    """Per column below ``width``, whether ``mask`` holds it."""
+    return np.fromiter(map(mask.__contains__, range(width)), bool, width)
+
+
+def mask_together(vectors: Sequence[FeatureVector], keep: np.ndarray) -> list[FeatureVector]:
+    """A copy of each of ``vectors``, which share one ``n_text``, with
+    every global column ``c`` where ``keep[c]`` is False zeroed.
+
+    The copies keep the entries of the vectors' ``arrays`` whose columns
+    ``keep`` holds: one lookup in ``keep`` and one compress over the
+    vectors' concatenated arrays, whose read-only slices the copies hold,
+    so each is born with its ``arrays`` and never counts or sorts. One
+    ``np.where`` over the stacked dense blocks masks them, as ``vectorize``
+    masks one under a masked model."""
+    arrays = [fv.arrays for fv in vectors]
+    indices = np.concatenate([a[0] for a in arrays])
+    values = np.concatenate([a[1] for a in arrays])
+    kept = keep[indices]
+    # kept entries before each vector's first entry, and after the last
+    before = np.zeros(len(kept) + 1, dtype=np.intp)
+    np.cumsum(kept, out=before[1:])
+    bounds = before[[0, *accumulate(len(a[0]) for a in arrays)]].tolist()
+    indices, values = indices[kept], values[kept]
+    indices.flags.writeable = False
+    values.flags.writeable = False
+    n_text = vectors[0].n_text
+    denses = np.where(keep[n_text:], np.stack([fv.dense for fv in vectors]), 0.0)
+    copies = []
+    for r, dense in enumerate(denses):
+        copy = FeatureVector(None, dense, n_text)
+        start, end = bounds[r], bounds[r + 1]
+        copy.arrays = indices[start:end], values[start:end]
+        copies.append(copy)
+    return copies
 
 
 class _Run:
@@ -693,9 +731,12 @@ def vectorize(
     pipeline that never reads them never builds the tables.
     """
     tokens = _norm_tokens(seg)
+    index, prefixes = vm.bow_index, vm.bow_prefixes
     hits = [0] * N_BOW
-    for gram in word_ngrams(tokens, 1, 2):
-        for k in vm.bow_index.get(gram, ()):
+    # the unigrams, and only the bigrams whose first token starts an entry
+    grams = [*tokens, *(f"{a} {b}" for a, b in zip(tokens, tokens[1:]) if a in prefixes)]
+    for gram in grams:
+        for k in index.get(gram, ()):
             hits[k] += 1
     dense = np.array([*hits, *numeric, trend], dtype=float)
     n_text = vm.n_text_columns

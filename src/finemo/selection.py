@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
+from finemo import features
 from finemo.segmenter import CLASS_ORDER, EmotionLabel
 
 # signed ordinal target encoding for correlation against the emotion label
@@ -67,24 +69,38 @@ def chi2_scores(rows, n_features: int) -> np.ndarray:
     ``rows`` yields one (class, columns, values) triple per sample: the
     class's index in ``CLASS_ORDER`` and the sample's nonzero columns and
     values, as in ``FeatureVector.arrays``, with no column twice. The rows
-    are read once and none is held, so ``rows`` may be a generator.
+    are read once, ``features.RUN_SIZE`` at a time, and no more are held,
+    so ``rows`` may be a generator.
 
-    Observed values are the class-conditional sums, each cell adding its
-    values in sample order; expected values assume class-independence. A
-    class with no sample adds nothing to any score, and all-zero features
-    score 0.
+    Observed values are the class-conditional sums. A run of rows adds
+    into them with one ``np.add.at`` over the run's concatenated columns,
+    each offset by ``class * n_features``; ``add.at`` adds in index order,
+    unbuffered, so each cell adds its values in sample order. Expected
+    values assume class-independence. A class with no sample adds nothing
+    to any score, and all-zero features score 0.
     """
-    observed = np.zeros((len(CLASS_ORDER), n_features))
-    class_counts = np.zeros(len(CLASS_ORDER), dtype=np.int64)
-    for ci, idx, vals in rows:
-        vals = np.asarray(vals, dtype=float)
-        if np.any(vals < 0):
+    observed = np.zeros(len(CLASS_ORDER) * n_features)
+    class_counts = [0] * len(CLASS_ORDER)
+    rows = iter(rows)
+    while run := list(islice(rows, features.RUN_SIZE)):
+        offsets, columns, values = [], [], []
+        for ci, idx, vals in run:
+            columns.append(np.asarray(idx, dtype=np.intp))
+            values.append(np.asarray(vals, dtype=float))
+            offsets.append(ci * n_features)
+            class_counts[ci] += 1
+        values = np.concatenate(values)
+        if np.any(values < 0):
             raise SelectionError("chi2 requires nonnegative feature values")
-        observed[ci, np.asarray(idx, dtype=np.intp)] += vals
-        class_counts[ci] += 1
-    if np.count_nonzero(class_counts) < 2:
+        keys = np.concatenate(columns)
+        if len(keys) and not (0 <= keys.min() and keys.max() < n_features):
+            raise SelectionError(f"a column outside the {n_features} features")
+        keys += np.repeat(offsets, [len(c) for c in columns])
+        np.add.at(observed, keys, values)
+    if len(class_counts) - class_counts.count(0) < 2:
         raise SelectionError("chi2 requires at least two classes")
-    class_prob = class_counts / class_counts.sum()
+    observed = observed.reshape(len(CLASS_ORDER), n_features)
+    class_prob = np.array(class_counts) / sum(class_counts)
     expected = np.outer(class_prob, observed.sum(axis=0))
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(expected > 0, (observed - expected) ** 2 / expected, 0.0)

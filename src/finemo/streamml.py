@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -566,6 +567,63 @@ class AdaptiveRandomForestClassifier:
         return self.classes[votes.index(max(votes))]
 
 
+class _WeightBank:
+    """The weights of the SGD learners of one model: one ``(rows, D)``
+    weight matrix and one bias vector, learner ``k`` owning rows
+    ``bounds[k]`` to ``bounds[k + 1]``, and each learner's step count
+    ``t[k]``.
+
+    The bank keeps the scores of every row for the last vector it scored,
+    with a weak reference to the vector, so that it never keeps one alive,
+    and every learner's step count at that moment. A learner reuses its
+    rows of them only for that same vector object and only while its own
+    step count is unchanged: its weights are then those that made them, for
+    a learner's fit writes only its own rows. So a cascade that shares a
+    bank scores each vector once, and every score has the bits of a second
+    scoring: each row's ``np.add.accumulate`` adds that row's terms alone.
+    """
+
+    __slots__ = ("bounds", "t", "w", "b", "fv", "scores", "scored_t")
+
+    def __init__(self, heights: list[int]):
+        self.bounds = [0, *itertools.accumulate(heights)]
+        self.t = [0] * len(heights)
+        self.w: np.ndarray | None = None
+        self.b: np.ndarray | None = None
+        self.fv: weakref.ref | None = None
+        self.scores: np.ndarray | None = None
+        self.scored_t: list[int] | None = None
+
+    def ensure(self, fv: FeatureVector) -> None:
+        """Size the weights to ``fv``, zeroed, on the first call."""
+        if self.w is None:
+            self.w = np.zeros((self.bounds[-1], fv.total_dim))
+            self.b = np.zeros(self.bounds[-1])
+
+    def scores_of(self, k: int, fv: FeatureVector) -> np.ndarray:
+        """Learner ``k``'s scores of ``fv``, in its class order; with nnz 0
+        a copy of its biases, never the biases themselves."""
+        kept = self.fv
+        if kept is None or kept() is not fv or self.scored_t[k] != self.t[k]:
+            self.score(fv)
+        return self.scores[self.bounds[k] : self.bounds[k + 1]]
+
+    def score(self, fv: FeatureVector) -> None:
+        """Score every row on ``fv`` in one pass, and keep the scores with
+        ``fv`` and every learner's step count."""
+        if fv.total_dim != self.w.shape[1]:
+            raise ValueError(
+                f"feature vector has {fv.total_dim} columns, "
+                f"the model was sized to {self.w.shape[1]}"
+            )
+        idx, vals = fv.arrays
+        # add.accumulate adds the terms one after another, in ascending column
+        # order, so every score has the bits of b + w_1 x_1 + w_2 x_2 + ...
+        terms = np.concatenate([self.b[:, None], self.w[:, idx] * vals], axis=1)
+        self.scores = np.add.accumulate(terms, axis=1)[:, -1]
+        self.fv, self.scored_t = weakref.ref(fv), self.t.copy()
+
+
 class SGDLinearClassifier:
     """One-vs-rest linear model with hinge loss and eta_t = 1/(alpha t).
 
@@ -573,11 +631,15 @@ class SGDLinearClassifier:
     vector's cached ``arrays``, so they cost O(nnz); every vector must have
     the width of the first one fitted.
 
-    ``predict_label`` keeps the scores it computes with the vector and
-    ``t``; ``partial_fit`` reuses them only for that very vector object at
-    that ``t``, when the weights are those that made them, so the
-    prequential predict-then-fit scores each instance once. Every fit drops
-    the kept scores.
+    The weights, the biases and the step count ``t`` live in a
+    ``_WeightBank``: the learner's own, a bank of one, or with
+    ``make_learner``'s stacked cascade one bank for the three stages. A
+    learner scores through the bank, which scores every row of a vector on
+    its first score by any of its learners and keeps them; the learner
+    reuses its rows only for that same vector object while its ``t`` is
+    unchanged. So the prequential predict-then-fit scores each instance
+    once, for the whole cascade. ``_w`` and ``_b`` are views of the
+    learner's rows, set on its first fit; a fit writes them in place.
     """
 
     def __init__(
@@ -593,59 +655,50 @@ class SGDLinearClassifier:
         self.penalty = penalty
         self.l1_ratio = {"l1": 1.0, "l2": 0.0, "elasticnet": l1_ratio}[penalty]
         self.alpha = alpha
-        self.t = 0
+        self._bank, self._k = _WeightBank([len(self.classes)]), 0
         self._w: np.ndarray | None = None
         self._b: np.ndarray | None = None
-        # (vector, t, scores as a list) of the last predict_label since a fit
-        self._kept: tuple[FeatureVector, int, list[float]] | None = None
+
+    @property
+    def t(self) -> int:
+        """The number of instances fitted."""
+        return self._bank.t[self._k]
 
     def _ensure(self, fv: FeatureVector) -> None:
         if self._w is None:
-            self._w = np.zeros((len(self.classes), fv.total_dim))
-            self._b = np.zeros(len(self.classes))
+            bank = self._bank
+            bank.ensure(fv)
+            rows = slice(bank.bounds[self._k], bank.bounds[self._k + 1])
+            self._w, self._b = bank.w[rows], bank.b[rows]
 
     def _scores(self, fv: FeatureVector) -> np.ndarray:
-        if fv.total_dim != self._w.shape[1]:
-            raise ValueError(
-                f"feature vector has {fv.total_dim} columns, "
-                f"the model was sized to {self._w.shape[1]}"
-            )
-        idx, vals = fv.arrays
-        # add.accumulate adds the terms one after another, in ascending column
-        # order, so every score has the bits of b + w_1 x_1 + w_2 x_2 + ...;
-        # with nnz 0 it returns a copy of b, never b itself
-        terms = np.concatenate([self._b[:, None], self._w[:, idx] * vals], axis=1)
-        return np.add.accumulate(terms, axis=1)[:, -1]
+        return self._bank.scores_of(self._k, fv)
 
     def partial_fit(self, fv: FeatureVector, label: EmotionLabel) -> None:
         self._ensure(fv)
-        kept, self._kept = self._kept, None
-        if kept is not None and kept[0] is fv and kept[1] == self.t:
-            scores = kept[2]
-        else:
-            scores = self._scores(fv).tolist()
-        self.t += 1
-        eta = 1.0 / (self.alpha * self.t)
+        scores = self._scores(fv).tolist()
+        t = self._bank.t[self._k] = self.t + 1
+        eta = 1.0 / (self.alpha * t)
         l2_part = self.alpha * (1.0 - self.l1_ratio)
         l1_part = self.alpha * self.l1_ratio
+        w = self._w
         if l2_part:
-            self._w *= max(0.0, 1.0 - eta * l2_part)
+            w *= max(0.0, 1.0 - eta * l2_part)
         if l1_part:
             shrink = eta * l1_part
-            self._w = np.sign(self._w) * np.maximum(np.abs(self._w) - shrink, 0.0)
+            w[...] = np.sign(w) * np.maximum(np.abs(w) - shrink, 0.0)
         idx, vals = fv.arrays
         for i, cls in enumerate(self.classes):
             y = 1.0 if cls is label else -1.0
             if y * scores[i] < 1.0:
                 # the columns are distinct, so each weight gets one add
-                self._w[i, idx] += eta * y * vals
+                w[i, idx] += eta * y * vals
                 self._b[i] += eta * y
 
     def predict_label(self, fv: FeatureVector) -> EmotionLabel:
         if self.t == 0:
             return self.classes[0]
         scores = self._scores(fv).tolist()
-        self._kept = (fv, self.t, scores)
         return self.classes[scores.index(max(scores))]
 
 
@@ -692,11 +745,16 @@ def make_learner(name: str, args: dict, stacked: bool):
 
     if not stacked:
         return build(CLASS_ORDER)
-    return StackedClassifier(
-        stage1=build(CLASS_ORDER),
-        stage2_pre=build((EmotionLabel.PRECAUTION, EmotionLabel.NEUTRAL)),
-        stage2_opp=build((EmotionLabel.OPPORTUNITY, EmotionLabel.NEUTRAL)),
-    )
+    stages = [
+        build(CLASS_ORDER),
+        build((EmotionLabel.PRECAUTION, EmotionLabel.NEUTRAL)),
+        build((EmotionLabel.OPPORTUNITY, EmotionLabel.NEUTRAL)),
+    ]
+    if name == "sgd":  # one weight bank for the cascade, a block of rows per stage
+        bank = _WeightBank([len(m.classes) for m in stages])
+        for k, m in enumerate(stages):
+            m._bank, m._k = bank, k
+    return StackedClassifier(*stages)
 
 
 RF_GRID = {

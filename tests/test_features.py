@@ -9,7 +9,7 @@ from itertools import islice
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -43,6 +43,7 @@ from finemo.features import (
     compute_trend,
     extract_numeric,
     fit_vocabularies,
+    mask_together,
     vectorize,
     word_ngrams,
 )
@@ -143,18 +144,24 @@ def _scan_bow_hits(tokens, vm):
 
 
 _BOW_WORDS = ("sube", "Baja", "mucho", "cuidar", "ser", "bajista")
+# tokens with spaces, as a dictionary lemma may have, and the empty token;
+# joined into entries they make entries with two or more spaces and with
+# leading, trailing or doubled ones
+_SPACED = ("de la", "sube ", " baja", "a  b", "")
+_bow_token = st.sampled_from(_BOW_WORDS + _SPACED)
 # a small alphabet, so the three lists often share or repeat entries; an
 # entry with upper case never matches, as in a hand-edited vocabulary
-_bow_entry = st.one_of(
-    st.sampled_from(_BOW_WORDS),
-    st.tuples(st.sampled_from(_BOW_WORDS), st.sampled_from(_BOW_WORDS)).map(" ".join),
-)
+_bow_entry = st.lists(_bow_token, min_size=1, max_size=4).map(" ".join)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(
-    tokens=st.lists(st.sampled_from(_BOW_WORDS), max_size=12),
+    tokens=st.lists(_bow_token, max_size=12),
     bows=st.lists(st.lists(_bow_entry, max_size=8), min_size=3, max_size=3),
+)
+@example(
+    tokens=["de la", "sube", "", "sube", "sube ", "baja", "a  b", "ser"],
+    bows=[["de la sube", " sube", "sube  baja"], ["sube ", "de la", "a  b ser"], ["  baja", "ser"]],
 )
 def test_bow_hits_equal_entry_scan(tokens, bows):
     vm = VocabularyModel(
@@ -681,6 +688,53 @@ def test_masked_copies_equal_the_dict_path_on_any_vector(text, dense, mask, defe
         return FeatureVector((lambda: counts) if deferred else counts, np.array(dense), 50)
 
     _assert_same_masked(make().masked(mask), _dict_masked(make(), mask))
+
+
+@pytest.mark.parametrize("size", [1, 5, RUN_SIZE])
+@pytest.mark.parametrize("kind", ["half", "no dense column", "every dense column", "nothing"])
+def test_masked_runs_equal_the_dict_path_per_vector(sample_stream, size, kind):
+    vm, pairs = sample_stream
+    # 63 vectors: the last run is ragged for sizes 5 and 32; the empty
+    # vector and, under some masks, others keep no column
+    empty = FeatureVector({}, np.zeros(N_DENSE), vm.n_text_columns)
+    vectors = [empty, *(fv for _, fv in pairs), *(fv for _, fv in pairs)]
+    used = sorted({col for fv in vectors for col in fv.arrays[0].tolist()})
+    dense = set(range(vm.n_text_columns, vm.total_dim))
+    mask = {
+        "half": set(used[::2]),
+        "no dense column": set(used[::2]) - dense,
+        "every dense column": set(used[1::3]) | dense,
+        "nothing": set(),
+    }[kind]
+    keep = replace(vm, selection_mask=mask).column_keep
+    for start in range(0, len(vectors), size):
+        run = vectors[start : start + size]
+        for fv, copy in zip(run, mask_together(run, keep), strict=True):
+            _assert_same_masked(copy, _dict_masked(fv, mask))
+
+
+def test_warmup_masking_frees_each_run_once_its_copies_replace_it(monkeypatch, sample_paths):
+    monkeypatch.setattr("finemo.features.RUN_SIZE", 3)  # runs of 3, 3, 3 and 1
+    parents, alive = [], []
+    real_pairs, real_mask = Vectorizer.pairs, mask_together
+
+    def recording_pairs(self, instances):
+        pairs = real_pairs(self, instances)
+        if not parents:  # the warmup window
+            parents.extend(weakref.ref(fv) for _, fv in pairs)
+        return pairs
+
+    def checking(vectors, keep):
+        alive.append([ref() is not None for ref in parents])
+        return real_mask(vectors, keep)
+
+    monkeypatch.setattr(Vectorizer, "pairs", recording_pairs)
+    monkeypatch.setattr("finemo.cli.mask_together", checking)
+    vectorizer, pairs = feature_stream(PipelineConfig(**sample_paths, warmup=10, percentile=15))
+    # as run r is masked, the parents of the runs before it are freed
+    assert alive == [[i >= 3 * r for i in range(10)] for r in range(4)]
+    assert not any(ref() is not None for ref in parents)
+    assert len(list(pairs)) == 31
 
 
 def test_warmup_vectors_are_masked_copies_born_with_their_arrays(sample_paths):

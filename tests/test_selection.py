@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finemo.features import VocabularyModel
+from finemo.features import RUN_SIZE, VocabularyModel
 from finemo.segmenter import CLASS_ORDER, EmotionLabel
 from finemo.selection import (
     TARGET_ENCODING,
@@ -176,6 +176,45 @@ def test_chi2_reduction_keeps_the_bits_of_the_bincount():
         triples = [(c, idx, vals) for c, (idx, vals) in zip(y.tolist(), rows)]
         assert np.array_equal(chi2_scores(triples, d), want), trial
         assert np.array_equal(chi2_scores(iter(triples), d), want), trial
+
+
+@pytest.mark.parametrize("run_size", [3, RUN_SIZE])
+def test_chi2_runs_keep_the_bits_of_the_bincount(run_size, monkeypatch):
+    # more rows than a run, a ragged last run, and fractional values whose
+    # sums depend on the order they are added in
+    monkeypatch.setattr("finemo.features.RUN_SIZE", run_size)
+    rng = np.random.default_rng(39)
+    for trial in range(20):
+        n, d = 2 * RUN_SIZE + int(rng.integers(1, RUN_SIZE)), int(rng.integers(1, 12))
+        X = np.zeros((n, d))
+        rows = []
+        for i in range(n):
+            idx = rng.permutation(d)[: int(rng.integers(0, d + 1))]
+            vals = rng.choice([0.1, 1 / 3, 0.7, 2.2, 1e-3], idx.size) * rng.integers(1, 6, idx.size)
+            X[i, idx] = vals
+            rows.append((idx, vals))
+        y = rng.integers(0, 3, n)
+        y[:2] = [0, 2]
+        triples = [(c, idx, vals) for c, (idx, vals) in zip(y.tolist(), rows)]
+        got = chi2_scores(iter(triples), d)
+        assert got.tobytes() == _bincount_chi2_scores(rows, y, d).tobytes(), trial
+        assert np.allclose(got, _brute_chi2(X, y.tolist()), rtol=1e-12, atol=1e-12), trial
+
+
+@pytest.mark.parametrize("bad_row", [0, 1, 40, 69])
+def test_chi2_refuses_a_negative_value_anywhere_in_a_run(bad_row):
+    rows = [(i % 3, [0, 2], [1.0, 0.5]) for i in range(70)]
+    rows[bad_row] = (rows[bad_row][0], [1, 2], [0.25, -0.5])
+    with pytest.raises(SelectionError, match="nonnegative"):
+        chi2_scores(iter(rows), 3)
+
+
+@pytest.mark.parametrize("column", [-1, 3, 7])
+def test_chi2_refuses_a_column_outside_the_features(column):
+    rows = [(i % 3, [0, 2], [1.0, 0.5]) for i in range(40)]
+    rows[35] = (0, [1, column], [1.0, 1.0])
+    with pytest.raises(SelectionError, match="outside the 3 features"):
+        chi2_scores(rows, 3)
 
 
 @pytest.mark.parametrize(

@@ -1334,14 +1334,34 @@ def test_sgd_penalty_mechanics():
     assert l2._w[i, 0] != 0.0
 
 
-class _LoopSGD(SGDLinearClassifier):
-    """The per-nonzero loops that the O(nnz) kernel replaced."""
+class _LoopSGD:
+    """The per-nonzero loops that the O(nnz) kernel replaced, in a learner
+    of its own: its own weights and biases, no bank, and the L1 shrink
+    rebinding ``_w``."""
+
+    def __init__(self, classes=CLASS_ORDER, penalty="l2", l1_ratio=0.15, alpha=1e-4):
+        self.classes = tuple(classes)
+        self.l1_ratio = {"l1": 1.0, "l2": 0.0, "elasticnet": l1_ratio}[penalty]
+        self.alpha = alpha
+        self.t = 0
+        self._w = self._b = None
+
+    def _ensure(self, fv):
+        if self._w is None:
+            self._w = np.zeros((len(self.classes), fv.total_dim))
+            self._b = np.zeros(len(self.classes))
 
     def _scores(self, fv):
         s = self._b.copy()
         for idx, val in fv.items():
             s += self._w[:, idx] * val
         return s
+
+    def predict_label(self, fv):
+        if self.t == 0:
+            return self.classes[0]
+        scores = self._scores(fv).tolist()
+        return self.classes[scores.index(max(scores))]
 
     def partial_fit(self, fv, label):
         self._ensure(fv)
@@ -1466,18 +1486,33 @@ def _sgd_state(model):
     return [(m.t, m._w.tobytes(), m._b.tobytes()) for m in _sgd_stages(model)]
 
 
-def _counting_scores(monkeypatch):
-    """A list that ``SGDLinearClassifier._scores`` appends (learner, vector)
-    to on each call."""
-    scored = []
-    real = SGDLinearClassifier._scores
+def _counting_passes(monkeypatch):
+    """A list that ``_WeightBank.score``, the one scoring pass, appends
+    (bank, vector) to on each call."""
+    passes = []
+    real = streamml._WeightBank.score
 
     def counting(self, fv):
-        scored.append((self, fv))
+        passes.append((self, fv))
         return real(self, fv)
 
-    monkeypatch.setattr(SGDLinearClassifier, "_scores", counting)
-    return scored
+    monkeypatch.setattr(streamml._WeightBank, "score", counting)
+    return passes
+
+
+def _reuses(stage, fv):
+    """Whether ``stage`` would take its bank's kept scores for ``fv``."""
+    bank = stage._bank
+    return bank.fv() is fv and bank.scored_t[stage._k] == stage.t
+
+
+def _fitted_stages(model, label):
+    """The stages of ``model`` that a fit of ``label`` trains."""
+    if not isinstance(model, StackedClassifier):
+        return [model]
+    return [model.stage1,
+            *([model.stage2_pre] if label in (P, N) else []),
+            *([model.stage2_opp] if label in (O, N) else [])]
 
 
 @pytest.fixture(scope="module")
@@ -1497,18 +1532,41 @@ def test_sgd_reuse_leaves_the_state_of_fit_only(
     fit_only = make_learner("sgd", args, stacked)
     for fv, label in stream:
         fit_only.partial_fit(fv, label)
-    scored = _counting_scores(monkeypatch)
+    passes = _counting_passes(monkeypatch)
     model = make_learner("sgd", args, stacked)
     prequential_run(stream, model)
     assert _sgd_state(model) == _sgd_state(fit_only)
-    # each stage scores each vector at most once, predicted or fitted
-    assert len({(id(m), id(fv)) for m, fv in scored}) == len(scored)
-    if not stacked:
-        assert len(scored) == len(stream)
+    # one bank for the model, stacked or not, and one scoring pass per
+    # vector, predicted and fitted by every stage
+    assert {id(m._bank) for m in _sgd_stages(model)} == {id(bank) for bank, _ in passes}
+    assert len({id(fv) for fv, _ in stream}) == len(stream) == len(passes)
+    assert all(scored is fv for (_, scored), (fv, _) in zip(passes, stream))
 
 
-def _trained_sgd(stream):
-    model = make_learner("sgd", learner_args("sgd", {"alpha": 0.001}, 0), False)
+@pytest.mark.parametrize("penalty", ["l1", "l2", "elasticnet"])
+@pytest.mark.parametrize("source", ["sample", "planted"])
+def test_stacked_sgd_bank_matches_unshared_loop_stages(
+    source, penalty, sample_selected, planted_sgd_stream
+):
+    # the oracle: three standalone learners with the loops' arithmetic,
+    # each with its own weights
+    stream = sample_selected if source == "sample" else planted_sgd_stream
+    args = learner_args("sgd", {"penalty": penalty, "alpha": 0.001}, 0)
+    model = make_learner("sgd", args, True)
+    oracle = StackedClassifier(*(_LoopSGD(classes=m.classes, **args) for m in _sgd_stages(model)))
+    for fv, label in stream:
+        assert model.predict_label(fv) is oracle.predict_label(fv)
+        for m, o in zip(_sgd_stages(model), _sgd_stages(oracle)):
+            assert m.predict_label(fv) is o.predict_label(fv)
+        model.partial_fit(fv, label)
+        oracle.partial_fit(fv, label)
+    assert _sgd_state(model) == _sgd_state(oracle)
+    (bank,) = {m._bank for m in _sgd_stages(model)}
+    assert bank.w.shape == (7, stream[0][0].total_dim)
+
+
+def _trained_sgd(stream, stacked):
+    model = make_learner("sgd", learner_args("sgd", {"alpha": 0.001}, 0), stacked)
     for fv, label in stream:
         model.partial_fit(fv, label)
     return model
@@ -1516,44 +1574,79 @@ def _trained_sgd(stream):
 
 def test_sgd_reuse_recomputes_for_another_vector(planted_sgd_stream):
     history, rest = planted_sgd_stream[:50], planted_sgd_stream[50:]
-    reference, tested = _trained_sgd(history), _trained_sgd(history)
-    for (a, _), (b, label) in zip(rest, rest[1:]):
-        # another vector of the stream at the same t; its scores would
-        # give another hinge update
-        tested.predict_label(a)
-        tested.partial_fit(b, label)
-        reference.partial_fit(b, label)
-        assert _sgd_state(tested) == _sgd_state(reference)
+    for stacked in (False, True):
+        reference, tested = _trained_sgd(history, stacked), _trained_sgd(history, stacked)
+        for (a, _), (b, label) in zip(rest, rest[1:]):
+            # another vector of the stream at the same t; its scores would
+            # give another hinge update
+            tested.predict_label(a)
+            tested.partial_fit(b, label)
+            reference.partial_fit(b, label)
+            assert _sgd_state(tested) == _sgd_state(reference)
 
 
 def test_sgd_reuse_recomputes_when_the_same_vector_is_fitted_twice(planted_sgd_stream):
     history, rest = planted_sgd_stream[:50], planted_sgd_stream[50:150]
-    reference, tested = _trained_sgd(history), _trained_sgd(history)
-    for fv, label in rest:
-        tested.predict_label(fv)
-        tested.partial_fit(fv, label)
-        assert tested._kept is None  # every fit drops the kept scores
-        tested.partial_fit(fv, label)
-        reference.partial_fit(fv, label)
-        reference.partial_fit(fv, label)
-        assert _sgd_state(tested) == _sgd_state(reference)
+    for stacked in (False, True):
+        reference, tested = _trained_sgd(history, stacked), _trained_sgd(history, stacked)
+        for fv, label in rest:
+            tested.predict_label(fv)
+            tested.partial_fit(fv, label)
+            # every stage that fitted no longer takes the kept scores
+            assert not any(_reuses(m, fv) for m in _fitted_stages(tested, label))
+            tested.partial_fit(fv, label)
+            reference.partial_fit(fv, label)
+            reference.partial_fit(fv, label)
+            assert _sgd_state(tested) == _sgd_state(reference)
 
 
 def test_sgd_reuse_never_takes_scores_kept_at_another_t(planted_sgd_stream):
     # the kept scores were made with the weights of their t; were they
     # still kept after a fit, the vector's next fit must not read them
     history, rest = planted_sgd_stream[:50], planted_sgd_stream[50:150]
-    reference, tested = _trained_sgd(history), _trained_sgd(history)
-    for (fv, label), (other, other_label) in zip(rest, rest[1:]):
+    for stacked in (False, True):
+        reference, tested = _trained_sgd(history, stacked), _trained_sgd(history, stacked)
+        bank = _sgd_stages(tested)[0]._bank
+        for (fv, label), (other, other_label) in zip(rest, rest[1:]):
+            tested.predict_label(fv)
+            kept = bank.fv, bank.scores, bank.scored_t
+            assert kept[0]() is fv
+            tested.partial_fit(other, other_label)
+            assert bank.fv() is other
+            bank.fv, bank.scores, bank.scored_t = kept
+            tested.partial_fit(fv, label)
+            reference.partial_fit(other, other_label)
+            reference.partial_fit(fv, label)
+            assert _sgd_state(tested) == _sgd_state(reference)
+
+
+def test_sgd_stage1_fit_keeps_the_stage2_rows_but_not_its_own(planted_sgd_stream, monkeypatch):
+    history, rest = planted_sgd_stream[:50], planted_sgd_stream[50:150]
+    reference, tested = _trained_sgd(history, True), _trained_sgd(history, True)
+    passes = _counting_passes(monkeypatch)
+    for fv, label in rest:
         tested.predict_label(fv)
-        kept = tested._kept
-        tested.partial_fit(other, other_label)
-        assert tested._kept is None
-        tested._kept = kept
-        tested.partial_fit(fv, label)
-        reference.partial_fit(other, other_label)
+        n = len(passes)
+        tested.stage1.partial_fit(fv, label)
+        assert not _reuses(tested.stage1, fv)
+        assert _reuses(tested.stage2_pre, fv) and _reuses(tested.stage2_opp, fv)
+        for stage in _fitted_stages(tested, label)[1:]:
+            stage.partial_fit(fv, label)
+        assert len(passes) == n  # every stage fitted on the predicted scores
+        tested.stage1.predict_label(fv)
+        assert len(passes) == n + 1  # stage 1's rows were stale
         reference.partial_fit(fv, label)
         assert _sgd_state(tested) == _sgd_state(reference)
+
+
+def test_stacked_sgd_scores_each_replay_linear_vector_once(monkeypatch, tmp_path, benchmark_inputs):
+    passes = _counting_passes(monkeypatch)
+    workload = benchmark_inputs["replay-linear"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(workload.train_eval_argv(str(tmp_path))) == 0
+    # the warmup fits, then a predict and a fit per instance: one pass each
+    assert len({id(bank) for bank, _ in passes}) == 1
+    assert len(passes) == workload.n_instances == 3100
 
 
 def test_stacked_sgd_on_sample_reads_each_vector_once(monkeypatch, tmp_path, sample_paths):

@@ -69,7 +69,11 @@ from finemo.textproc import ProcessedSegment, process
 # size. Vectorizing each instance as it is consumed instead was 10-13% slower
 # on every perfbench workload, naive Bayes and SGD included (2-vCPU VM, medians
 # of 4 alternating 12 s runs at seed 5, tweets/ref-s: clean-forest 1977 -> 1726,
-# replay-linear 2185 -> 1910, typo-lexicon 601 -> 544).
+# replay-linear 2185 -> 1910, typo-lexicon 601 -> 544). A block of one
+# features.RUN_SIZE run (32) lost 10 of 12 alternating pairs of 8 s runs at
+# seed 5 (medians of 4, tweets/ref-s: replay-linear 3912 -> 3545,
+# clean-forest 2525 -> 2497, typo-lexicon 909 -> 911) to save 0.08 to 0.53 MiB
+# of peak RSS.
 BLOCK = 1024
 
 

@@ -198,7 +198,8 @@ class VocabularyModel:
     def column_keep(self) -> np.ndarray:
         """Per global column, whether ``selection_mask`` keeps it; read only
         under a mask."""
-        return _keep_table(self.selection_mask, self.total_dim)
+        width = self.total_dim
+        return np.fromiter(map(self.selection_mask.__contains__, range(width)), bool, width)
 
     @cached_property
     def dense_keep(self) -> np.ndarray:
@@ -274,27 +275,32 @@ class FeatureVector:
 
     ``dense`` holds the DENSE_NAMES block, read-only, with ``dense[k]`` at
     global column ``n_text + k``. ``text`` gives the n-gram counts, all below
-    ``n_text``: a dict of the nonzero counts by global column, or a list of
-    global columns, one entry per n-gram occurrence in any order, or a
-    function of no arguments that returns either. The function is called on
-    the first read of ``arrays`` and never when only ``dense`` is read;
-    ``count_together`` may hand it to a run of vectors that count together.
+    ``n_text``, in one of two forms:
+      - a function of no arguments that returns a list of global columns,
+        one entry per n-gram occurrence in any order, as ``vectorize``
+        defers them. It is called on the first read of ``arrays`` and never
+        when only ``dense`` is read; ``count_together`` may hand it to a run
+        of vectors that count together, and a vector that is never tied
+        counts as a run of one.
+      - the finished ``arrays``, as ``mask_together`` makes them.
     ``arrays`` is the one sparse form the vector keeps; once it is built,
-    the dict, list, function or run is gone. A ``masked`` copy holds none
-    of them: it is born with its ``arrays``.
+    the function or run is gone.
     """
 
     def __init__(
         self,
-        text: dict[int, float] | list[int] | Callable[[], dict[int, float] | list[int]] | None,
+        text: Callable[[], list[int]] | tuple[np.ndarray, np.ndarray],
         dense: np.ndarray,
         n_text: int,
     ):
         if dense.shape != (N_DENSE,):
             raise ValueError(f"dense block must have {N_DENSE} entries")
         dense.flags.writeable = False
-        self._text = text
-        self._row = 0  # this vector's row in its _Run, once it has one
+        if callable(text):
+            self._text = text
+            self._row = 0  # this vector's row in its _Run, once it has one
+        else:
+            self.arrays = text
         self.dense = dense
         self.n_text = n_text
 
@@ -309,16 +315,11 @@ class FeatureVector:
         columns (BOW counters, numeric counters, trend).
 
         A member of a run reads its slice of the run's arrays, which the
-        first read of any member builds; a list of columns is counted as a
-        run of one."""
+        first read of any member builds."""
         text, self._text = self._text, None
         if isinstance(text, _Run):
             return text.row(self._row)
-        if callable(text):
-            text = text()
-        if isinstance(text, dict):
-            return _dict_arrays(text, self.dense, self.n_text)
-        arrays, _ = _count_run([text], [self.dense], self.n_text)
+        arrays, _ = _count_run([text()], [self.dense], self.n_text)
         return arrays
 
     @cached_property
@@ -330,17 +331,6 @@ class FeatureVector:
     def items(self):
         """``arrays`` as (global column, value) pairs of Python numbers."""
         return zip(*(a.tolist() for a in self.arrays))
-
-    def masked(self, mask: set[int]) -> "FeatureVector":
-        """This vector with every global column outside ``mask`` zeroed: a
-        ``mask_together`` run of one."""
-        (copy,) = mask_together([self], _keep_table(mask, self.total_dim))
-        return copy
-
-
-def _keep_table(mask: set[int], width: int) -> np.ndarray:
-    """Per column below ``width``, whether ``mask`` holds it."""
-    return np.fromiter(map(mask.__contains__, range(width)), bool, width)
 
 
 def mask_together(vectors: Sequence[FeatureVector], keep: np.ndarray) -> list[FeatureVector]:
@@ -366,13 +356,10 @@ def mask_together(vectors: Sequence[FeatureVector], keep: np.ndarray) -> list[Fe
     values.flags.writeable = False
     n_text = vectors[0].n_text
     denses = np.where(keep[n_text:], np.stack([fv.dense for fv in vectors]), 0.0)
-    copies = []
-    for r, dense in enumerate(denses):
-        copy = FeatureVector(None, dense, n_text)
-        start, end = bounds[r], bounds[r + 1]
-        copy.arrays = indices[start:end], values[start:end]
-        copies.append(copy)
-    return copies
+    return [
+        FeatureVector((indices[start:end], values[start:end]), dense, n_text)
+        for dense, start, end in zip(denses, bounds, bounds[1:])
+    ]
 
 
 class _Run:
@@ -406,15 +393,13 @@ class _Run:
 
 
 def count_together(vectors: Sequence[FeatureVector]) -> None:
-    """Tie each ``RUN_SIZE`` consecutive vectors of ``vectors`` whose n-gram
-    counts are deferred to a function that returns a list of columns, as
-    ``vectorize`` defers them, to one ``_Run``: the first ``arrays`` read of
-    any of them counts them all with one sort. Other vectors are left as
-    they are. The vectors share one ``n_text``, as those of one
+    """Tie each ``RUN_SIZE`` consecutive vectors of ``vectors``, whose n-gram
+    counts are deferred and not yet read, as ``vectorize`` makes them, to
+    one ``_Run``: the first ``arrays`` read of any of them counts them all
+    with one sort. The vectors share one ``n_text``, as those of one
     vocabulary do."""
-    deferred = [fv for fv in vectors if callable(fv._text)]
-    for start in range(0, len(deferred), RUN_SIZE):
-        members = deferred[start : start + RUN_SIZE]
+    for start in range(0, len(vectors), RUN_SIZE):
+        members = vectors[start : start + RUN_SIZE]
         run = _Run(members)
         for row, fv in enumerate(members):
             fv._text, fv._row = run, row
@@ -456,23 +441,6 @@ def _count_run(
     indices.flags.writeable = False
     values.flags.writeable = False
     return (indices, values), bounds
-
-
-def _dict_arrays(
-    text: dict[int, float], dense: np.ndarray, n_text: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``arrays`` of a vector whose counts are a dict of nonzero
-    counts by column."""
-    n = len(text)
-    columns = np.fromiter(text, np.intp, n)
-    # the columns are distinct, so every sort kernel gives this order
-    order = columns.argsort()
-    nonzero = np.flatnonzero(dense)
-    indices = np.concatenate([columns[order], n_text + nonzero])
-    values = np.concatenate([np.fromiter(text.values(), float, n)[order], dense[nonzero]])
-    indices.flags.writeable = False
-    values.flags.writeable = False
-    return indices, values
 
 
 def _norm_tokens(seg: ProcessedSegment) -> list[str]:

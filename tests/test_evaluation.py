@@ -12,8 +12,9 @@ from finemo.evaluation import (
     prequential_run,
     series_writer,
 )
-from finemo.features import N_DENSE, FeatureVector
+from finemo.features import N_DENSE
 from finemo.segmenter import CLASS_ORDER, EmotionLabel
+from tests.test_features import counts_vector
 
 P, N, O = EmotionLabel.PRECAUTION, EmotionLabel.NEUTRAL, EmotionLabel.OPPORTUNITY
 
@@ -28,7 +29,7 @@ ANNOTATION_ALPHA = 0.7721888640312408
 
 
 def _fv():
-    return FeatureVector(text={}, dense=np.zeros(N_DENSE), n_text=0)
+    return counts_vector({}, np.zeros(N_DENSE), 0)
 
 
 class _ScriptedLearner:

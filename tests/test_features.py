@@ -391,10 +391,7 @@ def test_vectorize_counts_match_manual_recount():
 
 def test_dense_block_and_items_consistent():
     numeric = tuple(range(N_NUMERIC))
-    fv = FeatureVector(
-        text={0: 2.0, 7: 1.0},
-        dense=np.array([3.0, 1.0, 4.0, *numeric, True], dtype=float), n_text=97,
-    )
+    fv = counts_vector({0: 2.0, 7: 1.0}, np.array([3.0, 1.0, 4.0, *numeric, True]), 97)
     dense = fv.dense
     assert list(dense[:3]) == [3.0, 1.0, 4.0]  # last three sparse columns
     assert list(dense[3 : 3 + N_NUMERIC]) == [float(v) for v in numeric]
@@ -408,7 +405,9 @@ def test_dense_block_and_items_consistent():
 
 def test_numeric_length_validated():
     with pytest.raises(ValueError):
-        FeatureVector(text={}, dense=np.array([1.0, 2.0]), n_text=10)
+        FeatureVector(list, np.array([1.0, 2.0]), 10)
+    with pytest.raises(ValueError):
+        counts_vector({}, np.array([1.0, 2.0]), 10)
 
 
 def test_selection_mask_filters_all_blocks():
@@ -468,9 +467,7 @@ def test_vocabulary_json_refuses_another_ngram_range():
 @given(st.lists(st.integers(0, 5), min_size=N_NUMERIC, max_size=N_NUMERIC),
        st.booleans())
 def test_items_reconstruct_dense_blocks(values, trend):
-    fv = FeatureVector(
-        text={}, dense=np.array([0, 0, 0, *values, trend], dtype=float), n_text=7
-    )
+    fv = counts_vector({}, np.array([0, 0, 0, *values, trend], dtype=float), 7)
     items = dict(fv.items())
     rebuilt = [items.get(10 + i, 0.0) for i in range(N_NUMERIC)]
     assert rebuilt == [float(v) for v in values]
@@ -522,7 +519,7 @@ def test_masking_after_vectorize_equals_masking_inside(sample_stream, data):
             bool(fv.dense[TREND_COLUMN]),
         )
         expected = {col: v for col, v in fv.items() if col in mask}
-        assert dict(inside.items()) == dict(fv.masked(mask).items()) == expected
+        assert dict(inside.items()) == dict(_masked(fv, mask).items()) == expected
 
 
 def _assert_arrays_are_items(fv):
@@ -536,10 +533,10 @@ def _assert_arrays_are_items(fv):
 
 def test_arrays_are_the_only_sparse_form_kept(sample_stream):
     _, pairs = sample_stream
-    for fv in [FeatureVector(text={3: 1.0}, dense=np.zeros(N_DENSE), n_text=5),
-               *(fv for _, fv in pairs)]:
+    # a vector that no run ties, and the sample's, which count in runs
+    for fv in [FeatureVector(lambda: [3, 0, 3], np.zeros(N_DENSE), 5), *(fv for _, fv in pairs)]:
         fv.arrays  # the first read builds the arrays
-        # neither the n-gram dict nor the function that counts it survive
+        # neither the function that counts the n-grams nor its run survive
         assert not any(isinstance(v, dict) or callable(v) for v in vars(fv).values())
         assert not hasattr(fv, "text") and not hasattr(fv, "counts")
 
@@ -552,7 +549,7 @@ def test_n_counts_is_the_count_prefix(sample_stream, data):
     mask = data.draw(st.sets(st.sampled_from(used)))
     n_count_columns = vm.n_text_columns + N_BOW
     for _, fv in pairs:
-        for vec in (fv, fv.masked(mask)):
+        for vec in (fv, _masked(fv, mask)):
             indices = vec.arrays[0].tolist()
             prefix = [col < n_count_columns for col in indices]
             assert prefix == [True] * vec.n_counts + [False] * (len(indices) - vec.n_counts)
@@ -580,7 +577,7 @@ def test_sample_arrays_are_in_ascending_column_order(percentile, sample_paths):
     for fv in vectors:
         _assert_ascending_and_split(fv)
         for mask in masks:
-            _assert_ascending_and_split(fv.masked(mask))
+            _assert_ascending_and_split(_masked(fv, mask))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -592,20 +589,20 @@ def test_sample_arrays_are_in_ascending_column_order(percentile, sample_paths):
 def test_dict_vector_arrays_are_in_ascending_column_order(text, dense, data):
     # the same counts inserted in another order give the same vector
     shuffled = {col: text[col] for col in data.draw(st.permutations(list(text)))}
-    fv = FeatureVector(text=shuffled, dense=np.array(dense), n_text=50)
+    fv = counts_vector(shuffled, np.array(dense), 50)
     _assert_ascending_and_split(fv)
     # each value stays with its column
     expected = {**text, **{50 + k: v for k, v in enumerate(dense) if v}}
     assert dict(fv.items()) == expected
     mask = data.draw(st.sets(st.integers(0, fv.total_dim - 1)))
-    masked = fv.masked(mask)
+    masked = _masked(fv, mask)
     _assert_ascending_and_split(masked)
     assert dict(masked.items()) == {col: v for col, v in expected.items() if col in mask}
 
 
 def test_arrays_are_the_items_read_only_and_built_once(sample_stream):
     _, pairs = sample_stream
-    empty = FeatureVector(text={}, dense=np.zeros(N_DENSE), n_text=5)
+    empty = FeatureVector(list, np.zeros(N_DENSE), 5)
     for fv in [empty, *(fv for _, fv in pairs)]:
         _assert_arrays_are_items(fv)
         assert fv.arrays is fv.arrays
@@ -625,20 +622,28 @@ def test_masked_vector_does_not_inherit_cached_arrays(sample_stream, data):
     mask = data.draw(st.sets(st.sampled_from(used)))
     for _, fv in pairs:
         indices, values = fv.arrays  # cache the unmasked arrays first
-        masked = fv.masked(mask)
+        masked = _masked(fv, mask)
         _assert_arrays_are_items(masked)
         keep = [col in mask for col in indices.tolist()]
         assert masked.arrays[0].tolist() == indices[keep].tolist()
         assert masked.arrays[1].tolist() == values[keep].tolist()
 
 
+def _masked(fv, mask):
+    """``fv`` with every global column outside ``mask`` zeroed: a
+    ``mask_together`` run of one."""
+    keep = np.array([col in mask for col in range(fv.total_dim)], dtype=bool)
+    (copy,) = mask_together([fv], keep)
+    return copy
+
+
 def _dict_masked(fv, mask):
-    """``masked()`` as it was before the copies filtered the arrays: the kept
-    n-gram counts go back into a dict, which the copy counts and sorts again,
-    and the dense block is masked entry by entry."""
+    """A masked copy as it was made before the copies filtered the arrays:
+    the kept n-gram counts go back into a dict, which ``_dict_arrays`` sorts
+    again, and the dense block is masked entry by entry."""
     indices, values = fv.arrays
     n = len(indices) - np.count_nonzero(fv.dense)
-    return FeatureVector(
+    return counts_vector(
         {i: v for i, v in zip(indices[:n].tolist(), values[:n].tolist()) if i in mask},
         np.where([fv.n_text + k in mask for k in range(N_DENSE)], fv.dense, 0.0),
         fv.n_text,
@@ -669,25 +674,32 @@ def test_masked_copies_equal_the_dict_path_on_the_sample(sample_stream, data):
         st.sets(st.one_of(st.sampled_from(used), st.sampled_from(dense), st.integers(0, vm.total_dim)))
     )
     for _, fv in pairs:
-        _assert_same_masked(fv.masked(mask), _dict_masked(fv, mask))
+        _assert_same_masked(_masked(fv, mask), _dict_masked(fv, mask))
         # a copy of a copy too
-        twice = fv.masked(mask).masked(set(used[::2]))
+        twice = _masked(_masked(fv, mask), set(used[::2]))
         _assert_same_masked(twice, _dict_masked(_dict_masked(fv, mask), set(used[::2])))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
-    text=st.dictionaries(st.integers(0, 49), st.floats(0.5, 9.0), max_size=30),
     dense=st.lists(st.sampled_from([0.0, 1.0, 2.5, 7.0]), min_size=N_DENSE, max_size=N_DENSE),
     mask=st.sets(st.integers(-1, 50 + N_DENSE)),
     deferred=st.booleans(),
+    data=st.data(),
 )
-def test_masked_copies_equal_the_dict_path_on_any_vector(text, dense, mask, deferred):
-    def make():
-        counts = dict(text)
-        return FeatureVector((lambda: counts) if deferred else counts, np.array(dense), 50)
+def test_masked_copies_equal_the_dict_path_on_any_vector(dense, mask, deferred, data):
+    # a deferred vector lists one column per occurrence, so its counts are
+    # whole, in any order; a hand-made one may hold any count
+    count = st.integers(1, 9).map(float) if deferred else st.floats(0.5, 9.0)
+    text = data.draw(st.dictionaries(st.integers(0, 49), count, max_size=30))
+    flat = data.draw(st.permutations([col for col, n in text.items() for _ in range(int(n))]))
 
-    _assert_same_masked(make().masked(mask), _dict_masked(make(), mask))
+    def make():
+        if deferred:
+            return FeatureVector(lambda: list(flat), np.array(dense), 50)
+        return counts_vector(text, np.array(dense), 50)
+
+    _assert_same_masked(_masked(make(), mask), _dict_masked(make(), mask))
 
 
 @pytest.mark.parametrize("size", [1, 5, RUN_SIZE])
@@ -696,7 +708,7 @@ def test_masked_runs_equal_the_dict_path_per_vector(sample_stream, size, kind):
     vm, pairs = sample_stream
     # 63 vectors: the last run is ragged for sizes 5 and 32; the empty
     # vector and, under some masks, others keep no column
-    empty = FeatureVector({}, np.zeros(N_DENSE), vm.n_text_columns)
+    empty = FeatureVector(list, np.zeros(N_DENSE), vm.n_text_columns)
     vectors = [empty, *(fv for _, fv in pairs), *(fv for _, fv in pairs)]
     used = sorted({col for fv in vectors for col in fv.arrays[0].tolist()})
     dense = set(range(vm.n_text_columns, vm.total_dim))
@@ -754,7 +766,7 @@ def test_warmup_vectors_are_masked_copies_born_with_their_arrays(sample_paths):
 def _eager_vectorize(seg, vm, numeric, trend):
     """``vectorize`` as it was before the n-gram counts were deferred: every
     n-gram is counted at once, and under a mask the vector is built whole
-    and then copied through ``masked()``."""
+    and then copied through ``mask_together``."""
     if vm is None:
         raise VocabularyError("vocabulary model not fitted")
     tokens = _norm_tokens(seg)
@@ -779,12 +791,8 @@ def _eager_vectorize(seg, vm, numeric, trend):
     for gram in word_ngrams(tokens, 1, 2):
         for k in vm.bow_index.get(gram, ()):
             hits[k] += 1
-    fv = FeatureVector(
-        text=counts,
-        dense=np.array([*hits, *numeric, trend], dtype=float),
-        n_text=vm.n_text_columns,
-    )
-    return fv if vm.selection_mask is None else fv.masked(vm.selection_mask)
+    fv = counts_vector(counts, np.array([*hits, *numeric, trend], dtype=float), vm.n_text_columns)
+    return fv if vm.selection_mask is None else _masked(fv, vm.selection_mask)
 
 
 def _assert_same_vector(got, want):
@@ -818,7 +826,7 @@ def test_deferred_counts_equal_eager_vectorize(sample_stream, data):
         _assert_same_vector(_rebuild(vectorize, vm, inst, fv), eager)
         eager_masked = _rebuild(_eager_vectorize, masked_vm, inst, fv)
         _assert_same_vector(_rebuild(vectorize, masked_vm, inst, fv), eager_masked)
-        _assert_same_vector(_rebuild(vectorize, vm, inst, fv).masked(mask), eager_masked)
+        _assert_same_vector(_masked(_rebuild(vectorize, vm, inst, fv), mask), eager_masked)
 
 
 def test_deferred_counts_keep_the_mask_in_force_at_vectorize(sample_stream):
@@ -875,6 +883,30 @@ def test_sorted_counts_equal_the_counter_conversion(sample_stream, data):
             repeated += bool((fv.arrays[1][:ngrams] > 1.0).any())
             empty += ngrams == 0
     assert repeated and empty >= 2 + len(segments)
+
+
+def _dict_arrays(counts, dense, n_text):
+    """The ``arrays`` of a vector whose n-gram counts are ``counts``, a dict
+    of nonzero counts by global column, as vectors built from such a dict
+    once made them: the columns sorted by ``argsort``, then the dense
+    block's nonzeros."""
+    n = len(counts)
+    columns = np.fromiter(counts, np.intp, n)
+    # the columns are distinct, so every sort kernel gives this order
+    order = columns.argsort()
+    nonzero = np.flatnonzero(dense)
+    indices = np.concatenate([columns[order], n_text + nonzero])
+    values = np.concatenate([np.fromiter(counts.values(), float, n)[order], dense[nonzero]])
+    indices.flags.writeable = False
+    values.flags.writeable = False
+    return indices, values
+
+
+def counts_vector(counts, dense, n_text):
+    """A hand-made vector: ``counts`` holds its nonzero n-gram counts by
+    global column, of any value, and ``dense`` its dense block. It is born
+    with the ``arrays`` that ``_dict_arrays`` makes of them."""
+    return FeatureVector(_dict_arrays(counts, dense, n_text), dense, n_text)
 
 
 def _sorted_counts(flat):
@@ -957,13 +989,13 @@ def test_run_counts_equal_the_per_vector_oracles(sample_stream, data, run_size, 
         assert not any(isinstance(v, dict) or callable(v) for v in vars(fv).values())
         # a masked copy of a run member
         keep = np.array([col in mask for col in sorted_arrays[0].tolist()], dtype=bool)
-        copy = fv.masked(mask)
+        copy = _masked(fv, mask)
         _assert_same_arrays(copy.arrays, [a[keep] for a in sorted_arrays])
     if any(dense is None for _, dense in rows):
         assert any(not fv.dense.any() for fv in vectors)
 
 
-def test_runs_tie_only_deferred_vectors_and_hold_no_member(sample_stream, monkeypatch):
+def test_runs_tie_vectors_in_stream_order_and_hold_no_member(sample_stream, monkeypatch):
     vm, pairs = sample_stream
     segments = [inst.processed for inst, _ in pairs][:7]
     counted = []
@@ -974,12 +1006,9 @@ def test_runs_tie_only_deferred_vectors_and_hold_no_member(sample_stream, monkey
 
     monkeypatch.setattr("finemo.features._count_ngrams", counting)
     monkeypatch.setattr("finemo.features.RUN_SIZE", 3)
-    born = FeatureVector({3: 1.0}, np.zeros(N_DENSE), vm.n_text_columns)
     vectors = [vectorize(seg, vm, _NUMERIC, True) for seg in segments]
-    vectors.insert(2, born)
     count_together(vectors)
-    assert born._text == {3: 1.0}
-    runs = [fv._text for fv in vectors if fv is not born]
+    runs = [fv._text for fv in vectors]
     # runs of 3, 3 and a ragged 1, in stream order
     assert [len({id(r) for r in runs[i : i + 3]}) for i in (0, 3, 6)] == [1, 1, 1]
     assert len({id(r) for r in runs}) == 3
@@ -987,17 +1016,16 @@ def test_runs_tie_only_deferred_vectors_and_hold_no_member(sample_stream, monkey
     probe = weakref.ref(vectors[1])
     del vectors[1]
     assert probe() is None
-    # reading the fifth vector counts its whole run, in stream order, and
-    # leaves the run nothing but its arrays and bounds
+    # reading the last member of the second run (segment 5) counts its whole
+    # run, in stream order, and leaves the run nothing but its arrays and bounds
     run = runs[3]
-    vectors[5].arrays
+    vectors[4].arrays
     assert counted == segments[3:6]
     assert run.counts is None and run.denses is None
     assert len(run.bounds) == 4
-    for fv, seg in zip([v for v in vectors if v is not born], [segments[0], *segments[2:]]):
+    for fv, seg in zip(vectors, [segments[0], *segments[2:]], strict=True):
         _assert_same_arrays(fv.arrays, _counter_arrays(seg, vm, fv.dense))
     assert counted == [segments[i] for i in (3, 4, 5, 0, 1, 2, 6)]
-    assert born.arrays[0].tolist() == [3]
 
 
 # argv of train-eval on the sample past --warmup 10, and the n-gram counts
@@ -1039,6 +1067,8 @@ def test_cli_counts_each_vector_at_most_once_and_matches_eager(
     deferred = _train_eval(argv, tmp_path / "deferred")
     assert calls == expected_counts
     monkeypatch.setattr("finemo.cli.vectorize", _eager_vectorize)
+    # the oracle's vectors are born with their arrays: there is nothing to tie
+    monkeypatch.setattr("finemo.cli.count_together", lambda vectors: None)
     assert _train_eval(argv, tmp_path / "eager") == deferred
     assert calls == expected_counts
 

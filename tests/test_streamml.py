@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import hashlib
 import io
 import itertools
@@ -8,6 +9,7 @@ import pickle
 import subprocess
 import sys
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -46,6 +48,7 @@ from finemo.streamml import (
 )
 from finemo.synthetic import make_planted_stream
 from tests.conftest import ROOT
+from tests.test_features import counts_vector
 from tests.test_tree_golden import FOREST, _drifting_stream, _models, _trees
 
 P, N, O = EmotionLabel.PRECAUTION, EmotionLabel.NEUTRAL, EmotionLabel.OPPORTUNITY
@@ -70,10 +73,10 @@ def make_fv(sparse=None, numeric=None, trend=False, sparse_dim=30):
     sparse = dict(sparse or {})
     bow = [sparse.get(n_text + k, 0.0) for k in range(3)]
     numeric = list(numeric if numeric is not None else [0] * N_NUMERIC)
-    return FeatureVector(
-        text={i: v for i, v in sparse.items() if i < n_text},
-        dense=np.array([*bow, *numeric, trend], dtype=float),
-        n_text=n_text,
+    return counts_vector(
+        {i: v for i, v in sparse.items() if i < n_text},
+        np.array([*bow, *numeric, trend], dtype=float),
+        n_text,
     )
 
 
@@ -262,7 +265,7 @@ def _nb_vector(draw):
     numeric = draw(st.lists(st.floats(-50.0, 50.0), min_size=N_NUMERIC, max_size=N_NUMERIC))
     dense[NUMERIC_COLUMNS] = numeric
     dense[TREND_COLUMN] = draw(st.booleans())
-    return FeatureVector(text=text, dense=dense, n_text=_NB_TEXT)
+    return counts_vector(text, dense, _NB_TEXT)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -916,6 +919,44 @@ def test_split_search_matches_the_loop_bit_for_bit(leaf, delta):
         assert root.right.class_counts == decision[3]
 
 
+@pytest.mark.parametrize("delta", [1e-7, 0.01])
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+def test_every_split_attempt_follows_the_hoeffding_rule(monkeypatch, stacked, delta):
+    # Domingos & Hulten (2000): a leaf splits on its best feature exactly
+    # when best - second > eps or eps < TIE_THRESHOLD, with
+    # eps = sqrt(R^2 ln(1/delta) / (2 n)) and R = log2 of the tree's classes
+    # (log2 3 for stage 1, log2 2 for the stage-2 trees); the gains (by
+    # _loop_best_splits) and eps are recomputed from the leaf as the attempt
+    # found it
+    attempts = []
+    attempt_split = HoeffdingTreeClassifier._attempt_split
+
+    def recording(self, leaf):
+        counts, observers = list(leaf.class_counts), copy.deepcopy(leaf.observers)
+        attempt_split(self, leaf)
+        attempts.append((len(self.classes), counts, observers, leaf.left is not None))
+
+    monkeypatch.setattr(HoeffdingTreeClassifier, "_attempt_split", recording)
+    stream, _ = make_planted_stream(3000, seed=7, warmup=600)
+    prequential_run(stream, make_learner("dt", {"grace_period": 50, "delta": delta}, stacked))
+    outcomes = Counter()
+    for n_classes, counts, observers, split in attempts:
+        per_feature, n = _loop_best_splits(counts, observers)
+        best, second = sorted([gain for gain, _, _ in per_feature] + [0.0, 0.0], reverse=True)[:2]
+        r = math.log(n_classes) / math.log(2.0)
+        eps = math.sqrt(r * r * math.log(1.0 / delta) / (2.0 * n))
+        # no decision lies within rounding of the rule's boundaries
+        assert best == 0.0 or best > 1e-9
+        assert abs(best - second - eps) > 1e-9
+        assert split == (best > 0.0 and (best - second > eps or eps < TIE_THRESHOLD))
+        outcomes[n_classes, split, best > 0.0, eps < TIE_THRESHOLD] += 1
+    # splits by the gap, and leaves that wait though some feature gains
+    for n_classes in (3, 2) if stacked else (3,):
+        assert outcomes[n_classes, True, True, False] and outcomes[n_classes, False, True, False]
+    if stacked and delta == 0.01:
+        assert outcomes[2, True, True, True]  # stage-2 leaves that split on a tie
+
+
 @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
 @pytest.mark.parametrize("learner", ["nb", "dt", "rf", "sgd"])
 def test_no_learner_takes_a_numpy_log(monkeypatch, learner, stacked):
@@ -1417,7 +1458,7 @@ def _sgd_vector(draw):
         cols = draw(st.lists(st.integers(0, N_DENSE - 1), min_size=1, max_size=N_DENSE, unique=True))
         for col in cols:
             dense[col] = draw(_nonzero)
-    return FeatureVector(text=text, dense=dense, n_text=_N_TEXT)
+    return counts_vector(text, dense, _N_TEXT)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
